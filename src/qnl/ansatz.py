@@ -33,28 +33,37 @@ from .oscillation import GradientPair, apply_group
 from .projections import leray_p, leray_q
 from .spectral import (SpectralScalar, SpectralVector, advect,
                        constant_scalar, divergence, gradient,
-                       inverse_laplacian, laplacian, product, sobolev_norm)
-from .stepping import lawson_rk4_step, substep_count
+                       inverse_laplacian, laplacian, physical_gradient,
+                       product, sobolev_norm, to_physical, vector_from_samples)
+from .stepping import all_finite, lawson_rk4_step, substep_count
 
 BLOWUP_FACTOR = 1e6
 
 
-def _transport(g: SpectralVector, v: SpectralVector) -> SpectralVector:
-    """Q((v.grad)g + (g.grad)v + v div g)."""
+def _transport(g: SpectralVector, vs, grad_v) -> SpectralVector:
+    """Q((v.grad)g + (g.grad)v + v div g) from the samples vs[a] of v_a and
+    grad_v[a][b] of d_a v_b; g is sampled here, once per field."""
     grid = g.grid
-    div_g = divergence(g)
-    total = advect(v, g) + advect(g, v) + SpectralVector(
-        grid, tuple(product(v[a], div_g) for a in range(grid.dims)))
-    return leray_q(total)
+    dims = grid.dims
+    gs = [to_physical(grid, c.coeffs) for c in g]
+    grad_g = physical_gradient(g)
+    div_g = sum(grad_g[a][a] for a in range(dims))
+    return leray_q(vector_from_samples(grid, [
+        sum(vs[a] * grad_g[a][b] + gs[a] * grad_v[a][b] for a in range(dims))
+        + vs[b] * div_g for b in range(dims)]))
 
 
 def osc_rhs(pair: GradientPair, v_now: SpectralVector,
             params: PhysParams) -> GradientPair:
-    """Full tendency of the filtered pair system."""
+    """Full tendency of the filtered pair system; v is sampled once for
+    both slots."""
     coeff = params.mu + 0.5 * params.nu
+    grid = pair.grid
+    vs = [to_physical(grid, c.coeffs) for c in v_now]
+    grad_v = physical_gradient(v_now)
 
     def one(g):
-        out = -0.5 * _transport(g, v_now)
+        out = -0.5 * _transport(g, vs, grad_v)
         if coeff != 0.0:
             out = out + coeff * gradient(divergence(g))
         return out
@@ -150,9 +159,10 @@ def solve_osc(pair0: GradientPair, v_source, params: PhysParams, t_end: float,
             pair = _pair_unpack(grid, y)
             t = target if i == nsub else span_start + i * sub
             norm = sobolev_norm(pair, norm_s)
+            if not all_finite(y) or norm > guard:
+                raise BlowUpError(
+                    f"oscillating pair blew up or is not finite at t = {t:.4f}")
             growth = max(growth, norm / norm0)
-            if norm > guard:
-                raise BlowUpError(f"oscillating pair blew up at t = {t:.4f}")
         t = target
         pairs.append(pair.copy())
     return PairTrajectory(snapshot_times, pairs, growth, norm_s)

@@ -104,6 +104,13 @@ class RunConfig:
             raise InvalidConfigError("workers must be >= 1")
         if self.phase_resolution < 4:
             raise InvalidConfigError("phase_resolution must be >= 4")
+        if not self.dt_max > 0:
+            raise InvalidConfigError(f"dt_max must be positive, got {self.dt_max}")
+        if self.limit_dt is not None and not self.limit_dt > 0:
+            raise InvalidConfigError(f"limit_dt must be positive, got {self.limit_dt}")
+        if self.mu < 0 or self.kappa < 0:
+            raise InvalidConfigError(
+                f"mu and kappa must be non-negative, got mu={self.mu}, kappa={self.kappa}")
 
     def resolved_snapshot_times(self) -> np.ndarray:
         if self.snapshot_times is not None:

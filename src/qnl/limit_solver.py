@@ -21,10 +21,11 @@ import numpy as np
 
 from .errors import BlowUpError, NonpositiveTemperatureError
 from .projections import leray_p
-from .spectral import (SpectralScalar, SpectralVector, advect, derivative,
-                       divergence, inverse_laplacian, laplacian, product,
-                       sobolev_norm)
-from .stepping import lawson_rk4_step, substep_count
+from .spectral import (SpectralScalar, SpectralVector, advect, divergence,
+                       inverse_laplacian, laplacian, physical_derivative,
+                       physical_gradient, sobolev_norm, to_physical,
+                       to_spectral, vector_from_samples)
+from .stepping import all_finite, lawson_rk4_step, substep_count
 
 BLOWUP_FACTOR = 1e6
 DIV_TOL = 1e-10
@@ -72,31 +73,46 @@ class LimitState:
             raise NonpositiveTemperatureError("initial temperature not positive")
 
 
+def strain_heating(grad, mu: float) -> np.ndarray:
+    """Pointwise (mu/2) * sum_ij (d_i v_j + d_j v_i)^2 from gradient samples
+    grad[i][j] = d_i v_j (see physical_gradient)."""
+    dims = len(grad)
+    out = 0.0
+    for i in range(dims):
+        for j in range(i, dims):
+            sij = grad[j][i] + grad[i][j]
+            out = out + (sij * sij if i == j else 2.0 * sij * sij)
+    return (0.5 * mu) * out
+
+
 def strain_dissipation(v: SpectralVector, mu: float) -> SpectralScalar:
     """(mu/2) * sum_ij (d_i v_j + d_j v_i)^2, dealiased."""
-    grid = v.grid
-    out = None
-    for i in range(grid.dims):
-        for j in range(i, grid.dims):
-            sij = derivative(v[j], i) + derivative(v[i], j)
-            term = product(sij, sij)
-            if i != j:
-                term = term * 2.0
-            out = term if out is None else out + term
-    return out * (0.5 * mu)
+    heat = strain_heating(physical_gradient(v), mu)
+    return SpectralScalar(v.grid, to_spectral(v.grid, heat))
 
 
 def ns_rhs(state: LimitState, params: PhysParams):
-    """Full tendency (dv, dtheta) of the limit system."""
+    """Full tendency (dv, dtheta) of the limit system.
+
+    Each velocity component and each first derivative of v and theta is
+    sampled once; each tendency component is forward-transformed once.
+    """
+    grid = state.grid
     v, theta = state.v, state.theta
-    dv = leray_p(-advect(v, v))
+    vs = [to_physical(grid, c.coeffs) for c in v]
+    grad_v = physical_gradient(v)
+    advection = vector_from_samples(grid, [
+        sum(vs[a] * grad_v[a][b] for a in range(grid.dims)) for b in range(grid.dims)])
+    dv = leray_p(-advection)
     if params.mu != 0.0:
         dv = dv + params.mu * laplacian(v)
-    dtheta = -advect(v, theta)
+    pointwise = -sum(vs[a] * physical_derivative(grid, theta.coeffs, a)
+                     for a in range(grid.dims))
+    if params.mu != 0.0:
+        pointwise = pointwise + strain_heating(grad_v, params.mu)
+    dtheta = SpectralScalar(grid, to_spectral(grid, pointwise))
     if params.kappa != 0.0:
         dtheta = dtheta + params.kappa * laplacian(theta)
-    if params.mu != 0.0:
-        dtheta = dtheta + strain_dissipation(v, params.mu)
     return dv, dtheta
 
 
@@ -234,13 +250,21 @@ def run_limit(initial: LimitState, params: PhysParams, t_end: float,
 
     explicit, propagate = _make_ops(grid, params)
     guard = BLOWUP_FACTOR * max(sobolev_norm(initial.v, 1), 1e-8)
+    n = grid.dims
+
+    def node(y, t):
+        # First-stage tendency at a node (reused by the next step) and the
+        # node's velocity slope dv/dt for the Hermite interpolation.
+        n1 = explicit(y, t)
+        return n1, np.stack(n1[:n]) - params.mu * grid.k_sq * np.stack(y[:n])
 
     times = [0.0]
     state = LimitState(leray_p(initial.v), initial.theta.copy())
-    v_nodes = [np.stack([c.coeffs for c in state.v])]
-    theta_nodes = [state.theta.coeffs.copy()]
-    dv0, _ = ns_rhs(state, params)
-    dv_nodes = [np.stack([c.coeffs for c in dv0])]
+    y = _pack(state)
+    n1, slope = node(y, 0.0)
+    v_nodes = [np.stack(y[:n])]
+    theta_nodes = [y[n].copy()]
+    dv_nodes = [slope]
 
     t = 0.0
     for target in snapshot_times[1:]:
@@ -248,19 +272,21 @@ def run_limit(initial: LimitState, params: PhysParams, t_end: float,
         sub = (target - t) / nsub
         span_start = t
         for i in range(1, nsub + 1):
-            y = lawson_rk4_step(_pack(state), t, sub, explicit, propagate)
+            y = lawson_rk4_step(y, t, sub, explicit, propagate, n1=n1)
             state = _unpack(grid, y)
             t = target if i == nsub else span_start + i * sub
-            if sobolev_norm(state.v, 1) > guard:
-                raise BlowUpError(f"limit velocity blew up at t = {t:.4f}")
+            if not all_finite(y) or sobolev_norm(state.v, 1) > guard:
+                raise BlowUpError(
+                    f"limit solution blew up or is not finite at t = {t:.4f}")
             if state.theta.samples().min() <= 0.0:
                 raise NonpositiveTemperatureError(
                     f"limit temperature lost positivity at t = {t:.4f}")
+            y = _pack(state)
+            n1, slope = node(y, t)
             times.append(t)
-            v_nodes.append(np.stack([c.coeffs for c in state.v]))
-            theta_nodes.append(state.theta.coeffs.copy())
-            dv, _ = ns_rhs(state, params)
-            dv_nodes.append(np.stack([c.coeffs for c in dv]))
+            v_nodes.append(np.stack(y[:n]))
+            theta_nodes.append(y[n].copy())
+            dv_nodes.append(slope)
 
     traj = LimitTrajectory(grid, params, np.asarray(times), v_nodes,
                            theta_nodes, dv_nodes, snapshot_times)

@@ -21,13 +21,14 @@ import numpy as np
 
 from .errors import (BlowUpError, DegenerateDensityError, MassDefectError,
                      NonpositiveTemperatureError)
-from .limit_solver import PhysParams, strain_dissipation
+from .limit_solver import PhysParams, strain_heating
 from .oscillation import rotate_slots
 from .projections import decompose, leray_q
-from .spectral import (MEAN_TOL, SpectralScalar, SpectralVector, advect,
+from .spectral import (MEAN_TOL, SpectralScalar, SpectralVector,
                        constant_scalar, divergence, gradient, laplacian,
-                       product, sobolev_norm, transform_forward)
-from .stepping import lawson_rk4_step, substep_count
+                       physical_derivative, physical_gradient, sobolev_norm,
+                       to_physical, to_spectral, vector_from_samples)
+from .stepping import all_finite, lawson_rk4_step, substep_count
 
 RHO_FLOOR = 1e-6
 BLOWUP_FACTOR = 1e6
@@ -72,12 +73,14 @@ def poisson_solve(rho: SpectralScalar, lam: float,
     return SpectralScalar(grid, coeffs)
 
 
-def _inverse_density(rho: SpectralScalar) -> SpectralScalar:
+def _inverse_density(rho: SpectralScalar) -> np.ndarray:
+    """Dealiased samples of 1/rho, formed from the unmasked samples of rho."""
+    grid = rho.grid
     samples = rho.samples()
     if samples.min() <= RHO_FLOOR:
         raise DegenerateDensityError(
             f"density reached floor: min rho = {samples.min():.3e}")
-    return transform_forward(rho.grid, 1.0 / samples)
+    return to_physical(grid, to_spectral(grid, 1.0 / samples, masked=False))
 
 
 def nsp_rhs_nonstiff(state: NSPState, params: PhysParams, lam: float):
@@ -85,46 +88,54 @@ def nsp_rhs_nonstiff(state: NSPState, params: PhysParams, lam: float):
 
     The momentum tendency omits the electric term -(1/lambda) grad(phi)
     entirely (it is exactly the rotated pair's generator); everything else,
-    including the density-weighted viscous terms, is assembled here.
+    including the density-weighted viscous terms, is assembled here.  Each
+    field and first derivative is sampled once, every tendency component is
+    forward-transformed once, and the nested products (pressure and heat
+    times 1/rho) keep their dealiasing round trip.
     """
     grid = state.grid
+    dims = grid.dims
+    ik = grid.ik
     rho, u, theta = state.rho, state.u, state.theta
     inv_rho = _inverse_density(rho)
+    rs = to_physical(grid, rho.coeffs)
+    us = [to_physical(grid, c.coeffs) for c in u]
+    grad_u = physical_gradient(u)
+    div_u = sum(grad_u[a][a] for a in range(dims))
 
-    flux = SpectralVector(grid, tuple(product(rho, u[a]) for a in range(grid.dims)))
-    drho = -divergence(flux)
+    drho = -sum(ik[a] * to_spectral(grid, rs * us[a]) for a in range(dims))
 
-    du = -advect(u, u)
-    grad_p = gradient(product(rho, theta))
-    du = du - SpectralVector(grid, tuple(product(inv_rho, grad_p[a])
-                                         for a in range(grid.dims)))
-    if params.mu != 0.0 or params.nu != 0.0:
-        visc = params.mu * laplacian(u) + (params.mu + params.nu) * gradient(divergence(u))
-        du = du + SpectralVector(grid, tuple(product(inv_rho, visc[a])
-                                             for a in range(grid.dims)))
+    # Pressure gradient and viscous stress enter as one factor of 1/rho.
+    ts = to_physical(grid, theta.coeffs)
+    pressure = to_spectral(grid, rs * ts)
+    div_coeffs = divergence(u).coeffs
+    du = []
+    for b in range(dims):
+        force = -ik[b] * pressure
+        if params.mu != 0.0 or params.nu != 0.0:
+            force = force + params.mu * laplacian(u[b]).coeffs \
+                + (params.mu + params.nu) * ik[b] * div_coeffs
+        du.append(inv_rho * to_physical(grid, force)
+                  - sum(us[a] * grad_u[a][b] for a in range(dims)))
 
-    div_u = divergence(u)
-    dtheta = -advect(u, theta) - product(theta, div_u)
-    heat = None
-    if params.kappa != 0.0:
-        heat = params.kappa * laplacian(theta)
-    if params.nu != 0.0:
-        term = params.nu * product(div_u, div_u)
-        heat = term if heat is None else heat + term
-    if params.mu != 0.0:
-        term = strain_dissipation(u, params.mu)  # equals 2*mu*D(u):D(u)
-        heat = term if heat is None else heat + term
-    if heat is not None:
-        dtheta = dtheta + product(inv_rho, heat)
-    return drho, du, dtheta
+    pointwise = -ts * div_u - sum(us[a] * physical_derivative(grid, theta.coeffs, a)
+                                  for a in range(dims))
+    if not params.is_euler:
+        heat = params.kappa * laplacian(theta).coeffs
+        if params.mu != 0.0 or params.nu != 0.0:
+            quadratic = strain_heating(grad_u, params.mu) + params.nu * div_u * div_u
+            heat = heat + to_spectral(grid, quadratic)
+        pointwise = pointwise + inv_rho * to_physical(grid, heat)
+    return (SpectralScalar(grid, drho), vector_from_samples(grid, du),
+            SpectralScalar(grid, to_spectral(grid, pointwise)))
 
 
 def _electric_residue(u: SpectralVector, grad_phi: SpectralVector) -> SpectralVector:
     """Nonstiff part of d/dt grad(phi): -Q(u * lap(phi))."""
-    lap_phi = divergence(grad_phi)
     grid = u.grid
-    prod = SpectralVector(grid, tuple(product(u[a], lap_phi) for a in range(grid.dims)))
-    return -leray_q(prod)
+    lap_phi = to_physical(grid, divergence(grad_phi).coeffs)
+    return -leray_q(vector_from_samples(
+        grid, [to_physical(grid, c.coeffs) * lap_phi for c in u]))
 
 
 def _pack(rho, pu, qu, gphi, theta):
@@ -273,8 +284,10 @@ def run_nsp(initial: NSPState, params: PhysParams, lam: float, t_end: float,
         sub = (target - t) / nsub
         for _ in range(nsub):
             state = nsp_step(state, params, lam, sub, _ops=ops)
-            if sobolev_norm(state.u, 1) > guard:
-                raise BlowUpError(f"NSP solution blew up near t = {target:.4f}")
+            fields = (state.rho.coeffs, state.theta.coeffs) + tuple(c.coeffs for c in state.u)
+            if not all_finite(fields) or sobolev_norm(state.u, 1) > guard:
+                raise BlowUpError(
+                    f"NSP solution blew up or is not finite near t = {target:.4f}")
         t = target
         times.append(t)
         states.append(state)

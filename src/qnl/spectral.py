@@ -6,10 +6,24 @@ Fourier-series coefficients under the convention
     f_hat(k) = (2*pi)^(-N) * integral over T^N of f(x) exp(-i k.x) dx,
 
 so analytic test fields have exactly representable coefficients (e.g.
-sin(x1) -> -+ i/2 at k = +-e1).  Linear operators act mode-wise and are exact
-on the retained spectrum; nonlinear products are formed pointwise in physical
-space with 2/3-rule dealiasing of both factors and of the result.  The
-Nyquist column is zeroed by differentiation to keep real fields real.
+sin(x1) -> -+ i/2 at k = +-e1).  Coefficient arrays hold the full Hermitian
+spectrum; linear operators act mode-wise and are exact on it.
+
+Every transform is a real FFT behind two helpers: `to_physical` reads the
+half spectrum k_N >= 0 into real samples (numpy.fft.irfftn), and
+`to_spectral` turns real samples into the full Hermitian spectrum
+(numpy.fft.rfftn, mirrored).  `physical_derivative` is `to_physical` of a
+derivative, with the symbol applied to the half spectrum only.
+
+Nonlinear terms follow the transform method.  An RHS evaluation
+inverse-transforms each 2/3-dealiased field and derivative it needs once,
+forms every product pointwise, sums the products that enter one tendency
+and forward-transforms that sum once, masking the result.  By linearity
+this equals the sum of separately dealiased products.  A factor that is
+itself a dealiased product (a pressure, a heat term) is forward-transformed,
+masked and sampled again before the next product.  `product` is the
+single-product form of the same rule.  The Nyquist column is zeroed by
+differentiation to keep real fields real.
 """
 
 from __future__ import annotations
@@ -70,6 +84,19 @@ class TorusGrid:
         for ki in self.k:
             mask &= np.abs(ki) <= cutoff
         self.dealias_mask = mask
+
+        # Real transforms: the half spectrum k_N = 0 ... n/2 along the last
+        # axis, and the flat indices (into it) of -k for the modes
+        # k_N = -(n/2 - 1) ... -1 that complete the Hermitian spectrum.
+        self.axes = tuple(range(dims))
+        self.half = n // 2 + 1
+        self.half_mask = mask[..., :self.half]
+        half_shape = self.shape[:-1] + (self.half,)
+        neg = (-np.arange(n)) % n
+        mirror = np.ix_(*((neg,) * (dims - 1) + (np.arange(n // 2 - 1, 0, -1),)))
+        self.mirror_index = np.arange(np.prod(half_shape)).reshape(half_shape)[mirror]
+        # Dealiased derivative symbols on the half spectrum.
+        self.half_ik = [ik[..., :self.half] * self.half_mask for ik in self.ik]
 
     def collocation_points(self):
         """Physical-space coordinate arrays, shape-matched to the fields."""
@@ -189,19 +216,68 @@ class SpectralVector:
         return SpectralVector(self.grid, tuple(-c for c in self.components))
 
 
+def _inverse(grid: TorusGrid, half: np.ndarray) -> np.ndarray:
+    return np.fft.irfftn(half, s=grid.shape, axes=grid.axes, norm="forward")
+
+
+def to_physical(grid: TorusGrid, coeffs: np.ndarray, masked: bool = True) -> np.ndarray:
+    """Real collocation samples of a full coefficient array.
+
+    Only the half spectrum k_N >= 0 is read (one irfftn); when masked the
+    2/3 mask is applied to it first.
+    """
+    half = coeffs[..., :grid.half]
+    return _inverse(grid, half * grid.half_mask if masked else half)
+
+
+def physical_derivative(grid: TorusGrid, coeffs: np.ndarray, axis: int) -> np.ndarray:
+    """Dealiased samples of the derivative along axis, one irfftn; equal to
+    to_physical(grid, grid.ik[axis] * coeffs) without the full-size product."""
+    return _inverse(grid, coeffs[..., :grid.half] * grid.half_ik[axis])
+
+
+def to_spectral(grid: TorusGrid, samples: np.ndarray, masked: bool = True) -> np.ndarray:
+    """Full Hermitian coefficient array of real collocation samples.
+
+    One rfftn gives the half spectrum; the modes with k_N < 0 are the
+    conjugates of their mirror images.  When masked the result is
+    2/3-dealiased.
+    """
+    half = np.fft.rfftn(samples, axes=grid.axes, norm="forward")
+    if masked:
+        half *= grid.half_mask
+    full = np.empty(grid.shape, dtype=np.complex128)
+    full[..., :grid.half] = half
+    np.conjugate(np.take(half, grid.mirror_index), out=full[..., grid.half:])
+    return full
+
+
+def vector_from_samples(grid: TorusGrid, samples) -> SpectralVector:
+    """Dealiased vector field from per-component samples, one forward
+    transform each."""
+    return SpectralVector(grid, tuple(SpectralScalar(grid, to_spectral(grid, s))
+                                      for s in samples))
+
+
+def physical_gradient(u: SpectralVector):
+    """Dealiased samples g[a][b] of d_a u_b, one inverse transform each."""
+    grid = u.grid
+    return [[physical_derivative(grid, c.coeffs, a) for c in u.components]
+            for a in range(grid.dims)]
+
+
 def transform_forward(grid: TorusGrid, samples: np.ndarray) -> SpectralScalar:
-    """Collocation samples -> Fourier-series coefficients."""
+    """Real collocation samples -> Fourier-series coefficients."""
     samples = np.asarray(samples)
     if samples.shape != grid.shape:
         raise ValueError(
             f"sample shape {samples.shape} does not match grid {grid.shape}")
-    coeffs = np.fft.fftn(samples) / samples.size
-    return SpectralScalar(grid, coeffs)
+    return SpectralScalar(grid, to_spectral(grid, samples, masked=False))
 
 
 def transform_inverse(f: SpectralScalar) -> np.ndarray:
     """Fourier coefficients -> real collocation samples."""
-    return np.real(np.fft.ifftn(f.coeffs)) * f.coeffs.size
+    return to_physical(f.grid, f.coeffs, masked=False)
 
 
 def scalar_from_function(grid: TorusGrid, fn) -> SpectralScalar:
@@ -274,10 +350,8 @@ def product(f: SpectralScalar, g: SpectralScalar) -> SpectralScalar:
     """Dealiased pointwise product of two scalar fields."""
     _check_same_grid(f, g)
     grid = f.grid
-    fp = np.real(np.fft.ifftn(f.coeffs * grid.dealias_mask))
-    gp = np.real(np.fft.ifftn(g.coeffs * grid.dealias_mask))
-    coeffs = np.fft.fftn(fp * gp) * (fp.size)  # (1/M) fft of M^2-scaled samples
-    return SpectralScalar(grid, coeffs * grid.dealias_mask)
+    samples = to_physical(grid, f.coeffs) * to_physical(grid, g.coeffs)
+    return SpectralScalar(grid, to_spectral(grid, samples))
 
 
 def advect(u: SpectralVector, f):

@@ -6,7 +6,7 @@ import pytest
 from qnl.ansatz import (CorrectorForcings, OscillationFields, assemble_ansatz,
                         build_oscillation, corrector_forcings, corrector_rhs,
                         corrector_state, osc_rhs, solve_osc)
-from qnl.errors import NonZeroMeanError
+from qnl.errors import BlowUpError, NonZeroMeanError
 from qnl.limit_solver import LimitState, PhysParams, run_limit
 from qnl.oscillation import GradientPair
 from qnl.projections import leray_p, leray_q
@@ -82,6 +82,13 @@ class TestSolveOsc:
             for g in (pair.grad_q, pair.grad_psi):
                 assert sobolev_norm(leray_q(g) - g, 0) <= 1e-10 * max(1.0, sobolev_norm(g, 0))
             assert sobolev_norm(pair, 2.0) <= traj.growth_factor * sobolev_norm(pair0, 2.0) + 1e-12
+
+    def test_non_finite_pair_raises_blow_up(self, grid2d, rng):
+        pair0 = gradient_pair(grid2d, rng)
+        pair0.grad_q[0].coeffs[2, 1] = np.nan
+        with pytest.raises(BlowUpError):
+            solve_osc(pair0, None, PhysParams(0.05, 0, 0), 0.2, dt=0.1,
+                      snapshot_times=[0.0, 0.2])
 
 
 class TestBuildOscillation:

@@ -79,6 +79,24 @@ class TestConfig:
         with pytest.raises(InvalidConfigError):
             RunConfig(dims=3, resolution=16, s_norm=3.0).validate()
 
+    @pytest.mark.parametrize("dt_max", [0.0, -0.01])
+    def test_nonpositive_dt_max_rejected(self, dt_max):
+        with pytest.raises(InvalidConfigError, match="dt_max"):
+            RunConfig(dt_max=dt_max).validate()
+
+    @pytest.mark.parametrize("limit_dt", [0.0, -0.01])
+    def test_nonpositive_limit_dt_rejected(self, limit_dt):
+        with pytest.raises(InvalidConfigError, match="limit_dt"):
+            RunConfig(limit_dt=limit_dt).validate()
+
+    def test_negative_mu_rejected(self):
+        with pytest.raises(InvalidConfigError, match="mu"):
+            RunConfig(mu=-0.05).validate()
+
+    def test_negative_kappa_rejected(self):
+        with pytest.raises(InvalidConfigError, match="kappa"):
+            RunConfig(kappa=-0.05).validate()
+
     def test_euler_mode_zeroes_limit_dissipation(self):
         cfg = RunConfig(euler_mode=True, mu=0.3, nu=0.1, kappa=0.2)
         assert cfg.limit_params() == PhysParams(0.0, 0.0, 0.0)
@@ -327,6 +345,11 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "PASS" in out and "FAIL" not in out
+
+    def test_negative_dt_max_exits_instead_of_hanging(self, tmp_path, capsys):
+        path = self._write_config(tmp_path, dt_max=-0.01)
+        assert cli_main(["run", "--config", str(path)]) == 2
+        assert "dt_max" in capsys.readouterr().err
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"

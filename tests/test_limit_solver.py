@@ -169,6 +169,31 @@ class TestStepping:
         with pytest.raises(BlowUpError):
             run_limit(state, PhysParams(0, 0, 0), 20.0, dt=1.0)
 
+    def test_non_finite_state_raises_blow_up(self, grid2d):
+        theta = constant_scalar(grid2d, 2.0)
+        theta.coeffs[0, 3] = np.nan
+        state = LimitState(taylor_green(grid2d), theta)
+        with pytest.raises(BlowUpError):
+            run_limit(state, PhysParams(0.05, 0, 0.05), 0.05, dt=0.01)
+
+    def test_first_stage_reused_at_nodes(self, grid2d, monkeypatch):
+        # four RHS evaluations per step plus one at t = 0: the tendency at
+        # each node serves as its Hermite slope and as the next first stage
+        import qnl.limit_solver as limit_solver
+        calls = []
+
+        def counted(state, params):
+            calls.append(1)
+            return ns_rhs(state, params)
+
+        monkeypatch.setattr(limit_solver, "ns_rhs", counted)
+        state = LimitState(taylor_green(grid2d), constant_scalar(grid2d, 1.0))
+        traj = run_limit(state, PhysParams(0.05, 0, 0.05), 0.1, dt=0.01,
+                         snapshot_times=[0.0, 0.05, 0.1])
+        steps = len(traj.times) - 1
+        assert steps >= 10
+        assert len(calls) == 4 * steps + 1
+
     def test_positivity_monitor(self, grid2d):
         theta = scalar_from_function(grid2d, lambda x, y: 0.5 + np.sin(x))
         state = LimitState(zeros_vector(grid2d), theta)

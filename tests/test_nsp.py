@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qnl.errors import (DegenerateDensityError, MassDefectError,
+from qnl.errors import (BlowUpError, DegenerateDensityError, MassDefectError,
                         NonpositiveTemperatureError)
 from qnl.harness import default_base_fields, gen_initial_data
 from qnl.limit_solver import PhysParams, strain_dissipation
@@ -207,6 +207,13 @@ class TestRunNsp:
         state = NSPState(constant_scalar(grid2d, 1.0), zeros_vector(grid2d), theta)
         with pytest.raises(NonpositiveTemperatureError):
             run_nsp(state, PhysParams(0, 0, 0), 0.1, 0.05)
+
+    def test_non_finite_state_raises_blow_up(self):
+        grid = make_grid(2, 16)
+        initial = gen_initial_data("ill", 0.05, default_base_fields(grid, "ill"))
+        initial.u[0].coeffs[1, 2] = np.nan
+        with pytest.raises(BlowUpError):
+            run_nsp(initial, PhysParams(0.05, 0.0, 0.05), 0.05, 0.05, dt=0.01)
 
     def test_default_dt_policy(self, grid2d):
         state = NSPState(constant_scalar(grid2d, 1.0),

@@ -27,17 +27,16 @@ from math import cos, sin
 import numpy as np
 
 from .errors import BlowUpError
-from .limit_solver import PhysParams, strain_dissipation
+from .limit_solver import PhysParams, default_limit_dt, strain_dissipation
 from .nsp import NSPState
 from .oscillation import GradientPair, apply_group
 from .projections import leray_p, leray_q
-from .spectral import (SpectralScalar, SpectralVector, advect,
+from .spectral import (SpectralScalar, SpectralVector, advect, as_vector,
                        constant_scalar, divergence, gradient,
                        inverse_laplacian, laplacian, physical_gradient,
-                       product, sobolev_norm, to_physical, vector_from_samples)
-from .stepping import all_finite, lawson_rk4_step, substep_count
-
-BLOWUP_FACTOR = 1e6
+                       product, sobolev_norm, stack, to_physical,
+                       vector_from_samples, zeros_vector)
+from .stepping import BLOWUP_FACTOR, all_finite, integrate, time_grid, time_index
 
 
 def _transport(g: SpectralVector, vs, grad_v) -> SpectralVector:
@@ -81,21 +80,7 @@ class PairTrajectory:
     norm_s: float
 
     def pair_at(self, t: float) -> GradientPair:
-        idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[idx] - t) > 1e-9:
-            raise ValueError(f"time {t} is not a snapshot time")
-        return self.pairs[idx]
-
-
-def _pair_pack(pair: GradientPair):
-    return tuple(c.coeffs for c in pair.grad_q) + tuple(c.coeffs for c in pair.grad_psi)
-
-
-def _pair_unpack(grid, y) -> GradientPair:
-    n = grid.dims
-    q = SpectralVector(grid, tuple(SpectralScalar(grid, y[a]) for a in range(n)))
-    p = SpectralVector(grid, tuple(SpectralScalar(grid, y[n + a]) for a in range(n)))
-    return GradientPair(q, p)
+        return self.pairs[time_index(self.times, t)]
 
 
 def solve_osc(pair0: GradientPair, v_source, params: PhysParams, t_end: float,
@@ -107,71 +92,48 @@ def solve_osc(pair0: GradientPair, v_source, params: PhysParams, t_end: float,
     or None for v identically zero.
     """
     grid = pair0.grid
+    n = grid.dims
     coeff = params.mu + 0.5 * params.nu
-    k_sq = grid.k_sq
+    times = time_grid(snapshot_times, t_end)
 
     if v_source is None:
-        def v_at(_t):
-            return None
+        zero = zeros_vector(grid)
+        v_at = lambda _t: zero  # noqa: E731
     else:
         v_at = v_source.v_at
-
-    if snapshot_times is None:
-        snapshot_times = np.array([0.0, t_end])
-    snapshot_times = np.asarray(sorted(set(float(t) for t in snapshot_times)))
-    if snapshot_times[0] > 0.0:
-        snapshot_times = np.concatenate([[0.0], snapshot_times])
     if dt is None:
-        if v_source is None:
-            dt = t_end
-        else:
-            vmax = max(np.abs(c.samples()).max() for c in v_source.v_at(0.0))
-            dt = 0.5 * grid.spacing / max(vmax, 1e-12)
+        dt = t_end if v_source is None else default_limit_dt(v_source.state_at(0.0))
+
+    def pair_of(y) -> GradientPair:
+        return GradientPair(as_vector(grid, y[:n]), as_vector(grid, y[n:]))
 
     def explicit(y, t):
-        pair = _pair_unpack(grid, y)
-        v_now = v_at(t)
-        if v_now is None:
-            v_now = _zero_like(grid)
-        tend = osc_rhs(pair, v_now, params)
-        parts = [c.coeffs + coeff * k_sq * y[i]
-                 for i, c in enumerate(tuple(tend.grad_q) + tuple(tend.grad_psi))]
-        return tuple(parts)
+        tend = osc_rhs(pair_of(y), v_at(t), params)
+        return tuple(c + coeff * grid.k_sq * yi
+                     for c, yi in zip(stack(tend.grad_q, tend.grad_psi), y))
 
     def propagate(y, delta):
         if coeff == 0.0:
             return y
-        f = np.exp(-coeff * k_sq * delta)
+        f = np.exp(-coeff * grid.k_sq * delta)
         return tuple(f * yi for yi in y)
 
     norm0 = max(sobolev_norm(pair0, norm_s), 1e-300)
     guard = BLOWUP_FACTOR * max(norm0, 1e-8)
     growth = 1.0
-    pairs = [pair0.copy()]
-    pair = pair0.copy()
-    t = 0.0
-    for target in snapshot_times[1:]:
-        nsub = substep_count(target - t, dt)
-        sub = (target - t) / nsub
-        span_start = t
-        for i in range(1, nsub + 1):
-            y = lawson_rk4_step(_pair_pack(pair), t, sub, explicit, propagate)
-            pair = _pair_unpack(grid, y)
-            t = target if i == nsub else span_start + i * sub
-            norm = sobolev_norm(pair, norm_s)
-            if not all_finite(y) or norm > guard:
-                raise BlowUpError(
-                    f"oscillating pair blew up or is not finite at t = {t:.4f}")
-            growth = max(growth, norm / norm0)
-        t = target
-        pairs.append(pair.copy())
-    return PairTrajectory(snapshot_times, pairs, growth, norm_s)
 
+    def settle(y, t):
+        nonlocal growth
+        norm = sobolev_norm(pair_of(y), norm_s)
+        if not all_finite(y) or norm > guard:
+            raise BlowUpError(
+                f"oscillating pair blew up or is not finite at t = {t:.4f}")
+        growth = max(growth, norm / norm0)
+        return y, None
 
-def _zero_like(grid) -> SpectralVector:
-    return SpectralVector(grid, tuple(
-        SpectralScalar(grid, np.zeros(grid.shape, dtype=np.complex128))
-        for _ in range(grid.dims)))
+    y0 = stack(pair0.grad_q.copy(), pair0.grad_psi.copy())
+    pairs = list(map(pair_of, integrate(y0, times, dt, explicit, propagate, settle)))
+    return PairTrajectory(times, pairs, growth, norm_s)
 
 
 @dataclass(eq=False)

@@ -20,7 +20,6 @@ files.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +38,7 @@ from .spectral import (SpectralScalar, SpectralVector, constant_scalar,
                        divergence, gradient, laplacian, make_grid,
                        scalar_from_function, sobolev_norm, transform_forward,
                        vector_from_functions, write_snapshot)
+from .stepping import time_grid
 
 ERROR_CHANNELS = ("E_rho", "E_u", "E_theta", "E_phi")
 
@@ -72,7 +72,6 @@ class RunConfig:
     ic_random_amp: float = 0.0
     seed: int = 0
     output_dir: str = "qnl_out"
-    workers: int = 1
     dt_max: float = 0.01
     phase_resolution: int = 16
     limit_dt: float | None = None
@@ -100,8 +99,6 @@ class RunConfig:
             raise InvalidConfigError("need at least 2 snapshots")
         if self.ic not in ("ill", "well"):
             raise InvalidConfigError(f"ic must be 'ill' or 'well', got {self.ic!r}")
-        if self.workers < 1:
-            raise InvalidConfigError("workers must be >= 1")
         if self.phase_resolution < 4:
             raise InvalidConfigError("phase_resolution must be >= 4")
         if not self.dt_max > 0:
@@ -111,16 +108,19 @@ class RunConfig:
         if self.mu < 0 or self.kappa < 0:
             raise InvalidConfigError(
                 f"mu and kappa must be non-negative, got mu={self.mu}, kappa={self.kappa}")
+        for params in [self.limit_params()] + [self.nsp_params(lam) for lam in lams]:
+            try:
+                params.validate(self.dims)
+            except ValueError as exc:
+                raise InvalidConfigError(str(exc)) from exc
 
     def resolved_snapshot_times(self) -> np.ndarray:
-        if self.snapshot_times is not None:
-            times = np.asarray(sorted(set(float(t) for t in self.snapshot_times)))
-            if times[0] < 0 or times[-1] > self.t_end + 1e-12:
-                raise InvalidConfigError("snapshot_times must lie in [0, t_end]")
-            if times[0] > 0:
-                times = np.concatenate([[0.0], times])
-            return times
-        return np.linspace(0.0, self.t_end, self.snapshots)
+        if self.snapshot_times is None:
+            return np.linspace(0.0, self.t_end, self.snapshots)
+        times = time_grid(self.snapshot_times, self.t_end)
+        if times[0] < 0 or times[-1] > self.t_end + 1e-12:
+            raise InvalidConfigError("snapshot_times must lie in [0, t_end]")
+        return times
 
     def limit_params(self) -> PhysParams:
         if self.euler_mode:
@@ -184,7 +184,6 @@ _CONFIG_PARSERS = {
     "ic_random_amp": float,
     "seed": int,
     "output_dir": lambda s: s.strip(),
-    "workers": int,
     "dt_max": float,
     "phase_resolution": int,
     "limit_dt": float,
@@ -469,19 +468,10 @@ def run_sweep(config: RunConfig) -> ConvergenceReport:
                           dt=limit_dt, snapshot_times=snapshot_times,
                           norm_s=config.s_norm)
 
-    lams = [float(x) for x in config.lambda_list]
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(
-                lambda lam: _run_one_lambda(config, base, limit_traj, pair_traj,
-                                            lam, snapshot_times), lams))
-    else:
-        results = [_run_one_lambda(config, base, limit_traj, pair_traj,
-                                   lam, snapshot_times) for lam in lams]
-
-    order = sorted(range(len(lams)), key=lambda i: -lams[i])
-    rows = [results[i][0] for i in order]
-    trajectories = [results[i][1] for i in order]
+    results = [_run_one_lambda(config, base, limit_traj, pair_traj,
+                               float(lam), snapshot_times)
+               for lam in config.lambda_list]  # strictly decreasing
+    rows, trajectories = map(list, zip(*results))
     report = ConvergenceReport(config, rows, fit_all_rates(rows),
                                pair_traj.growth_factor)
     _write_outputs(config, report, trajectories)

@@ -15,19 +15,19 @@ the Euler case (all coefficients zero) degenerates to classical RK4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BlowUpError, NonpositiveTemperatureError
 from .projections import leray_p
-from .spectral import (SpectralScalar, SpectralVector, advect, divergence,
-                       inverse_laplacian, laplacian, physical_derivative,
-                       physical_gradient, sobolev_norm, to_physical,
-                       to_spectral, vector_from_samples)
-from .stepping import all_finite, lawson_rk4_step, substep_count
+from .spectral import (SpectralScalar, SpectralVector, advect, as_vector,
+                       divergence, inverse_laplacian, laplacian,
+                       physical_derivative, physical_gradient, sobolev_norm,
+                       stack, to_physical, to_spectral, vector_from_samples)
+from .stepping import (BLOWUP_FACTOR, all_finite, integrate, lawson_rk4_step,
+                       time_grid, time_index)
 
-BLOWUP_FACTOR = 1e6
 DIV_TOL = 1e-10
 
 
@@ -125,45 +125,44 @@ def recover_pressure(state: LimitState, params: PhysParams | None = None) -> Spe
     return inverse_laplacian(-divergence(unprojected))
 
 
-def _pack(state: LimitState):
-    return tuple(c.coeffs for c in state.v) + (state.theta.coeffs,)
-
-
-def _unpack(grid, y) -> LimitState:
-    n = grid.dims
-    v = SpectralVector(grid, tuple(SpectralScalar(grid, y[a]) for a in range(n)))
-    return LimitState(leray_p(v), SpectralScalar(grid, y[n]))
-
-
-def _make_ops(grid, params: PhysParams):
+def _make_ops(grid, params: PhysParams, guard: float = np.inf):
+    """explicit, propagate and settle of the (v, theta) state for integrate."""
     k_sq = grid.k_sq
     n = grid.dims
 
     def explicit(y, t):
-        state = _unpack(grid, y)
+        state = LimitState(leray_p(as_vector(grid, y[:n])), SpectralScalar(grid, y[n]))
         dv, dtheta = ns_rhs(state, params)
-        parts = [dv[a].coeffs + params.mu * k_sq * state.v[a].coeffs for a in range(n)]
-        parts.append(dtheta.coeffs + params.kappa * k_sq * y[n])
-        return tuple(parts)
+        return (*(dv[a].coeffs + params.mu * k_sq * state.v[a].coeffs for a in range(n)),
+                dtheta.coeffs + params.kappa * k_sq * y[n])
 
     def propagate(y, delta):
         fv = np.exp(-params.mu * k_sq * delta) if params.mu else None
         ft = np.exp(-params.kappa * k_sq * delta) if params.kappa else None
-        parts = [y[a] if fv is None else fv * y[a] for a in range(n)]
-        parts.append(y[n] if ft is None else ft * y[n])
-        return tuple(parts)
+        return (*(c if fv is None else fv * c for c in y[:n]),
+                y[n] if ft is None else ft * y[n])
 
-    return explicit, propagate
+    def settle(y, t):
+        v, theta = leray_p(as_vector(grid, y[:n])), SpectralScalar(grid, y[n])
+        if not all_finite(y) or sobolev_norm(v, 1) > guard:
+            raise BlowUpError(f"limit solution blew up or is not finite at t = {t:.4f}")
+        if theta.samples().min() <= 0.0:
+            raise NonpositiveTemperatureError(
+                f"limit temperature lost positivity at t = {t:.4f}")
+        return stack(v, theta), None
+
+    return explicit, propagate, settle
 
 
-def limit_step(state: LimitState, params: PhysParams, dt: float,
-               _ops=None) -> LimitState:
+def limit_step(state: LimitState, params: PhysParams, dt: float) -> LimitState:
     """One integrating-factor RK4 step; velocity re-projected afterwards."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    explicit, propagate = _ops if _ops is not None else _make_ops(state.grid, params)
-    y = lawson_rk4_step(_pack(state), 0.0, dt, explicit, propagate)
-    return _unpack(state.grid, y)
+    grid = state.grid
+    explicit, propagate, settle = _make_ops(grid, params)
+    y, _ = settle(lawson_rk4_step(stack(state.v, state.theta), 0.0, dt,
+                                  explicit, propagate), dt)
+    return LimitState(as_vector(grid, y[:grid.dims]), SpectralScalar(grid, y[-1]))
 
 
 def default_limit_dt(state: LimitState) -> float:
@@ -184,31 +183,19 @@ class LimitTrajectory:
     theta_nodes: list       # per node: shape complex array
     dv_nodes: list          # per node: (dims, *shape) tendency of v
     snapshot_times: np.ndarray
-    states: dict = field(default_factory=dict)  # time -> LimitState with pi
+    states: list            # per snapshot time: LimitState with pi
 
     def _vector(self, block) -> SpectralVector:
-        return SpectralVector(
-            self.grid, tuple(SpectralScalar(self.grid, block[a].copy())
-                             for a in range(self.grid.dims)))
-
-    def node_index(self, t: float) -> int:
-        idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[idx] - t) > 1e-9:
-            raise ValueError(f"time {t} is not a trajectory node")
-        return idx
+        return as_vector(self.grid, [row.copy() for row in block])
 
     def state_at(self, t: float) -> LimitState:
-        idx = self.node_index(t)
+        idx = time_index(self.times, t, "trajectory node")
         return LimitState(self._vector(self.v_nodes[idx]),
                           SpectralScalar(self.grid, self.theta_nodes[idx].copy()))
 
     def snapshot_state(self, t: float) -> LimitState:
         """Stored snapshot (with recovered pressure) nearest to t."""
-        idx = int(np.argmin(np.abs(self.snapshot_times - t)))
-        key = float(self.snapshot_times[idx])
-        if abs(key - t) > 1e-9:
-            raise ValueError(f"time {t} is not a snapshot time")
-        return self.states[key]
+        return self.states[time_index(self.snapshot_times, t)]
 
     def v_at(self, t: float) -> SpectralVector:
         """Cubic Hermite interpolation of the velocity between nodes."""
@@ -240,58 +227,33 @@ def run_limit(initial: LimitState, params: PhysParams, t_end: float,
     initial.validate()
     if t_end <= 0:
         raise ValueError("t_end must be positive")
-    if snapshot_times is None:
-        snapshot_times = np.array([0.0, t_end])
-    snapshot_times = np.asarray(sorted(set(float(t) for t in snapshot_times)))
-    if snapshot_times[0] > 0.0:
-        snapshot_times = np.concatenate([[0.0], snapshot_times])
+    times = time_grid(snapshot_times, t_end)
     if dt is None:
         dt = default_limit_dt(initial)
 
-    explicit, propagate = _make_ops(grid, params)
     guard = BLOWUP_FACTOR * max(sobolev_norm(initial.v, 1), 1e-8)
+    explicit, propagate, settle_state = _make_ops(grid, params, guard)
     n = grid.dims
+    node_times, v_nodes, theta_nodes, dv_nodes = [], [], [], []
 
-    def node(y, t):
-        # First-stage tendency at a node (reused by the next step) and the
-        # node's velocity slope dv/dt for the Hermite interpolation.
+    def settle(y, t):
+        # The first-stage tendency at a node is reused by the next step and
+        # gives the node's velocity slope for the Hermite interpolation.
+        y, _ = settle_state(y, t)
         n1 = explicit(y, t)
-        return n1, np.stack(n1[:n]) - params.mu * grid.k_sq * np.stack(y[:n])
+        v = np.stack(y[:n])
+        node_times.append(t)
+        v_nodes.append(v)
+        theta_nodes.append(y[n].copy())
+        dv_nodes.append(np.stack(n1[:n]) - params.mu * grid.k_sq * v)
+        return y, n1
 
-    times = [0.0]
-    state = LimitState(leray_p(initial.v), initial.theta.copy())
-    y = _pack(state)
-    n1, slope = node(y, 0.0)
-    v_nodes = [np.stack(y[:n])]
-    theta_nodes = [y[n].copy()]
-    dv_nodes = [slope]
+    def snapshot(y):
+        state = LimitState(as_vector(grid, y[:n]), SpectralScalar(grid, y[n]))
+        state.pi = recover_pressure(state, params)
+        return state
 
-    t = 0.0
-    for target in snapshot_times[1:]:
-        nsub = substep_count(target - t, dt)
-        sub = (target - t) / nsub
-        span_start = t
-        for i in range(1, nsub + 1):
-            y = lawson_rk4_step(y, t, sub, explicit, propagate, n1=n1)
-            state = _unpack(grid, y)
-            t = target if i == nsub else span_start + i * sub
-            if not all_finite(y) or sobolev_norm(state.v, 1) > guard:
-                raise BlowUpError(
-                    f"limit solution blew up or is not finite at t = {t:.4f}")
-            if state.theta.samples().min() <= 0.0:
-                raise NonpositiveTemperatureError(
-                    f"limit temperature lost positivity at t = {t:.4f}")
-            y = _pack(state)
-            n1, slope = node(y, t)
-            times.append(t)
-            v_nodes.append(np.stack(y[:n]))
-            theta_nodes.append(y[n].copy())
-            dv_nodes.append(slope)
-
-    traj = LimitTrajectory(grid, params, np.asarray(times), v_nodes,
-                           theta_nodes, dv_nodes, snapshot_times)
-    for ts in snapshot_times:
-        snap = traj.state_at(ts)
-        snap.pi = recover_pressure(snap, params)
-        traj.states[float(ts)] = snap
-    return traj
+    y0 = stack(initial.v, initial.theta.copy())
+    states = list(map(snapshot, integrate(y0, times, dt, explicit, propagate, settle)))
+    return LimitTrajectory(grid, params, np.asarray(node_times), v_nodes,
+                           theta_nodes, dv_nodes, times, states)

@@ -24,14 +24,15 @@ from .errors import (BlowUpError, DegenerateDensityError, MassDefectError,
 from .limit_solver import PhysParams, strain_heating
 from .oscillation import rotate_slots
 from .projections import decompose, leray_q
-from .spectral import (MEAN_TOL, SpectralScalar, SpectralVector,
+from .spectral import (MEAN_TOL, SpectralScalar, SpectralVector, as_vector,
                        constant_scalar, divergence, gradient, laplacian,
                        physical_derivative, physical_gradient, sobolev_norm,
-                       to_physical, to_spectral, vector_from_samples)
-from .stepping import all_finite, lawson_rk4_step, substep_count
+                       stack, to_physical, to_spectral, vector_from_samples,
+                       zeros_scalar)
+from .stepping import (BLOWUP_FACTOR, all_finite, integrate, lawson_rk4_step,
+                       time_grid, time_index)
 
 RHO_FLOOR = 1e-6
-BLOWUP_FACTOR = 1e6
 DEFAULT_DT_MAX = 0.01
 DEFAULT_PHASE_RESOLUTION = 16
 
@@ -138,73 +139,71 @@ def _electric_residue(u: SpectralVector, grad_phi: SpectralVector) -> SpectralVe
         grid, [to_physical(grid, c.coeffs) * lap_phi for c in u]))
 
 
-def _pack(rho, pu, qu, gphi, theta):
-    return ((rho.coeffs,) + tuple(c.coeffs for c in pu) + tuple(c.coeffs for c in qu)
-            + tuple(c.coeffs for c in gphi) + (theta.coeffs,))
+def _make_ops(grid, params: PhysParams, lam: float, guard: float = np.inf):
+    """explicit, propagate and settle of the NSP state for integrate.
 
-
-def _unpack(grid, y):
-    n = grid.dims
-    rho = SpectralScalar(grid, y[0])
-    pu = SpectralVector(grid, tuple(SpectralScalar(grid, y[1 + a]) for a in range(n)))
-    qu = SpectralVector(grid, tuple(SpectralScalar(grid, y[1 + n + a]) for a in range(n)))
-    gphi = SpectralVector(grid, tuple(SpectralScalar(grid, y[1 + 2 * n + a])
-                                      for a in range(n)))
-    theta = SpectralScalar(grid, y[1 + 3 * n])
-    return rho, pu, qu, gphi, theta
-
-
-def _make_ops(grid, params: PhysParams, lam: float):
+    The state is stack(rho, Pu, Qu, grad phi, theta); settle accepts any
+    split of u between the Pu and Qu slots and ignores the grad phi slot.
+    """
     k_sq = grid.k_sq
     n = grid.dims
+    pu_, qu_, gphi_ = slice(1, 1 + n), slice(1 + n, 1 + 2 * n), slice(1 + 2 * n, 1 + 3 * n)
 
     def explicit(y, t):
-        rho, pu, qu, gphi, theta = _unpack(grid, y)
+        rho, theta = SpectralScalar(grid, y[0]), SpectralScalar(grid, y[-1])
+        pu, qu, gphi = (as_vector(grid, y[part]) for part in (pu_, qu_, gphi_))
         u = pu + qu
-        drho, du, dtheta = nsp_rhs_nonstiff(
-            NSPState(rho, u, theta, None), params, lam)
+        drho, du, dtheta = nsp_rhs_nonstiff(NSPState(rho, u, theta, None), params, lam)
         duq = leray_q(du)
-        parts = [drho.coeffs]
-        parts += [du[a].coeffs - duq[a].coeffs + params.mu * k_sq * pu[a].coeffs
-                  for a in range(n)]
-        parts += [c.coeffs for c in duq]
-        residue = _electric_residue(u, gphi)
-        parts += [c.coeffs for c in residue]
-        parts.append(dtheta.coeffs + params.kappa * k_sq * theta.coeffs)
-        return tuple(parts)
+        dpu = [du[a].coeffs - duq[a].coeffs + params.mu * k_sq * pu[a].coeffs
+               for a in range(n)]
+        return (drho.coeffs, *dpu, *stack(duq, _electric_residue(u, gphi)),
+                dtheta.coeffs + params.kappa * k_sq * theta.coeffs)
 
     def propagate(y, delta):
         fv = np.exp(-params.mu * k_sq * delta) if params.mu else None
         ft = np.exp(-params.kappa * k_sq * delta) if params.kappa else None
-        rho, pu, qu, gphi, theta = _unpack(grid, y)
-        qu_rot, gphi_rot = rotate_slots(delta / lam, qu, gphi)
-        parts = [rho.coeffs]
-        parts += [pu[a].coeffs if fv is None else fv * pu[a].coeffs for a in range(n)]
-        parts += [c.coeffs for c in qu_rot]
-        parts += [c.coeffs for c in gphi_rot]
-        parts.append(theta.coeffs if ft is None else ft * theta.coeffs)
-        return tuple(parts)
+        pu = [c if fv is None else fv * c for c in y[pu_]]
+        qu, gphi = (as_vector(grid, y[part]) for part in (qu_, gphi_))
+        qu, gphi = rotate_slots(delta / lam, qu, gphi)
+        return (y[0], *pu, *stack(qu, gphi), y[-1] if ft is None else ft * y[-1])
 
-    return explicit, propagate
+    def settle(y, t):
+        state = _state(grid, y, lam)
+        if state.theta.samples().min() <= 0.0:
+            raise NonpositiveTemperatureError(
+                f"NSP temperature not positive at t = {t:.4f}")
+        if not all_finite(y) or sobolev_norm(state.u, 1) > guard:
+            raise BlowUpError(f"NSP solution blew up or is not finite at t = {t:.4f}")
+        pu, qu, _ = decompose(state.u)
+        return stack(state.rho, pu, qu, gradient(state.phi), state.theta), None
+
+    return explicit, propagate, settle
 
 
-def nsp_step(state: NSPState, params: PhysParams, lam: float, dt: float,
-             _ops=None) -> NSPState:
+def _unsettled(state: NSPState) -> tuple:
+    """The NSP state layout with all of u in the Pu slot; settle splits it."""
+    zero = zeros_scalar(state.grid)
+    return stack(state.rho, state.u, *(zero,) * (2 * state.grid.dims), state.theta)
+
+
+def _state(grid, y, lam: float) -> NSPState:
+    """The NSPState of a state tuple, phi re-solved from rho."""
+    n = grid.dims
+    rho = SpectralScalar(grid, y[0])
+    u = as_vector(grid, y[1:1 + n]) + as_vector(grid, y[1 + n:1 + 2 * n])
+    return NSPState(rho, u, SpectralScalar(grid, y[-1]), poisson_solve(rho, lam))
+
+
+def nsp_step(state: NSPState, params: PhysParams, lam: float, dt: float) -> NSPState:
     """One Lawson step; phi re-solved from the updated density afterwards."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     grid = state.grid
-    explicit, propagate = _ops if _ops is not None else _make_ops(grid, params, lam)
-    phi = state.phi if state.phi is not None else poisson_solve(state.rho, lam)
-    pu, qu, _ = decompose(state.u)
-    y = lawson_rk4_step(_pack(state.rho, pu, qu, gradient(phi), state.theta),
-                        0.0, dt, explicit, propagate)
-    rho, pu, qu, _, theta = _unpack(grid, y)
-    new_phi = poisson_solve(rho, lam)
-    new = NSPState(rho, pu + qu, theta, new_phi)
-    if new.theta.samples().min() <= 0.0:
-        raise NonpositiveTemperatureError("temperature lost positivity in nsp_step")
-    return new
+    explicit, propagate, settle = _make_ops(grid, params, lam)
+    y, _ = settle(_unsettled(state), 0.0)
+    y, _ = settle(lawson_rk4_step(y, 0.0, dt, explicit, propagate), dt)
+    return _state(grid, y, lam)
 
 
 def default_nsp_dt(state: NSPState, lam: float,
@@ -228,10 +227,7 @@ class NSPTrajectory:
     diagnostics: list = field(default_factory=list)
 
     def state_at(self, t: float) -> NSPState:
-        idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[idx] - t) > 1e-9:
-            raise ValueError(f"time {t} is not a snapshot time")
-        return self.states[idx]
+        return self.states[time_index(self.times, t)]
 
 
 def _diagnostic_row(t, state: NSPState, lam: float, norm_s: float):
@@ -259,37 +255,13 @@ def run_nsp(initial: NSPState, params: PhysParams, lam: float, t_end: float,
         raise ValueError(f"lambda must be positive, got {lam}")
     if t_end <= 0:
         raise ValueError("t_end must be positive")
-    if snapshot_times is None:
-        snapshot_times = np.array([0.0, t_end])
-    snapshot_times = np.asarray(sorted(set(float(t) for t in snapshot_times)))
-    if snapshot_times[0] > 0.0:
-        snapshot_times = np.concatenate([[0.0], snapshot_times])
+    times = time_grid(snapshot_times, t_end)
     if dt is None:
         dt = default_nsp_dt(initial, lam, phase_resolution, dt_max)
 
-    state = NSPState(initial.rho.copy(), initial.u.copy(), initial.theta.copy(),
-                     poisson_solve(initial.rho, lam))
-    if state.theta.samples().min() <= 0.0:
-        raise NonpositiveTemperatureError("initial temperature not positive")
-    explicit, propagate = _make_ops(grid, params, lam)
-    ops = (explicit, propagate)
-    guard = BLOWUP_FACTOR * max(sobolev_norm(state.u, 1), sobolev_norm(state.rho, 1), 1e-8)
-
-    times = [0.0]
-    states = [state]
-    diag = [_diagnostic_row(0.0, state, lam, norm_s)]
-    t = 0.0
-    for target in snapshot_times[1:]:
-        nsub = substep_count(target - t, dt)
-        sub = (target - t) / nsub
-        for _ in range(nsub):
-            state = nsp_step(state, params, lam, sub, _ops=ops)
-            fields = (state.rho.coeffs, state.theta.coeffs) + tuple(c.coeffs for c in state.u)
-            if not all_finite(fields) or sobolev_norm(state.u, 1) > guard:
-                raise BlowUpError(
-                    f"NSP solution blew up or is not finite near t = {target:.4f}")
-        t = target
-        times.append(t)
-        states.append(state)
-        diag.append(_diagnostic_row(t, state, lam, norm_s))
-    return NSPTrajectory(lam, params, np.asarray(times), states, diag)
+    guard = BLOWUP_FACTOR * max(sobolev_norm(initial.u, 1), sobolev_norm(initial.rho, 1), 1e-8)
+    explicit, propagate, settle = _make_ops(grid, params, lam, guard)
+    states = list(map(lambda y: _state(grid, y, lam), integrate(
+        _unsettled(initial), times, dt, explicit, propagate, settle)))
+    diag = [_diagnostic_row(t, state, lam, norm_s) for t, state in zip(times, states)]
+    return NSPTrajectory(lam, params, times, states, diag)

@@ -16,7 +16,7 @@ from math import cos, sin
 
 from .errors import NotGradientError
 from .projections import leray_q
-from .spectral import SpectralScalar, SpectralVector, sobolev_norm
+from .spectral import SpectralVector, as_vector, sobolev_norm
 
 GRADIENT_TOL = 1e-10
 
@@ -66,11 +66,8 @@ def rotate_slots(tau: float, a: SpectralVector, b: SpectralVector):
     """Slot rotation (a, b) -> (a cos - b sin, a sin + b cos), no validation."""
     c, s = cos(tau), sin(tau)
     grid = a.grid
-    new_a = tuple(
-        SpectralScalar(grid, c * ai.coeffs - s * bi.coeffs) for ai, bi in zip(a, b))
-    new_b = tuple(
-        SpectralScalar(grid, s * ai.coeffs + c * bi.coeffs) for ai, bi in zip(a, b))
-    return SpectralVector(grid, new_a), SpectralVector(grid, new_b)
+    return (as_vector(grid, [c * ai.coeffs - s * bi.coeffs for ai, bi in zip(a, b)]),
+            as_vector(grid, [s * ai.coeffs + c * bi.coeffs for ai, bi in zip(a, b)]))
 
 
 def generator(pair: GradientPair) -> GradientPair:

@@ -7,7 +7,7 @@ constants are divergence-free and scalar potentials are mean-zero.
 
 from __future__ import annotations
 
-from .spectral import SpectralScalar, SpectralVector
+from .spectral import SpectralScalar, SpectralVector, as_vector
 
 
 def _q_coeffs(u: SpectralVector):
@@ -22,24 +22,22 @@ def _q_coeffs(u: SpectralVector):
 def leray_q(u: SpectralVector) -> SpectralVector:
     """Gradient part: (Qu)_k = k (k . u_k) / |k|^2, zero at k = 0."""
     grid = u.grid
-    return SpectralVector(grid, tuple(SpectralScalar(grid, c) for c in _q_coeffs(u)))
+    return as_vector(grid, _q_coeffs(u))
 
 
 def leray_p(u: SpectralVector) -> SpectralVector:
     """Divergence-free part P = I - Q."""
     grid = u.grid
     qc = _q_coeffs(u)
-    return SpectralVector(
-        grid, tuple(SpectralScalar(grid, u[a].coeffs - qc[a]) for a in range(grid.dims)))
+    return as_vector(grid, [u[a].coeffs - qc[a] for a in range(grid.dims)])
 
 
 def decompose(u: SpectralVector):
     """Split u = Pu + Qu and return (Pu, Qu, potential) with grad(potential) = Qu."""
     grid = u.grid
     qc = _q_coeffs(u)
-    p_part = SpectralVector(
-        grid, tuple(SpectralScalar(grid, u[a].coeffs - qc[a]) for a in range(grid.dims)))
-    q_part = SpectralVector(grid, tuple(SpectralScalar(grid, c) for c in qc))
+    p_part = as_vector(grid, [u[a].coeffs - qc[a] for a in range(grid.dims)])
+    q_part = as_vector(grid, qc)
     k_dot_u = sum(grid.kd[a] * u[a].coeffs for a in range(grid.dims))
     potential = SpectralScalar(grid, -1j * k_dot_u * grid.inv_kd_sq)
     return p_part, q_part, potential

@@ -255,8 +255,7 @@ def to_spectral(grid: TorusGrid, samples: np.ndarray, masked: bool = True) -> np
 def vector_from_samples(grid: TorusGrid, samples) -> SpectralVector:
     """Dealiased vector field from per-component samples, one forward
     transform each."""
-    return SpectralVector(grid, tuple(SpectralScalar(grid, to_spectral(grid, s))
-                                      for s in samples))
+    return as_vector(grid, [to_spectral(grid, s) for s in samples])
 
 
 def physical_gradient(u: SpectralVector):
@@ -297,6 +296,18 @@ def zeros_scalar(grid: TorusGrid) -> SpectralScalar:
 
 def zeros_vector(grid: TorusGrid) -> SpectralVector:
     return SpectralVector(grid, tuple(zeros_scalar(grid) for _ in range(grid.dims)))
+
+
+def as_vector(grid: TorusGrid, arrays) -> SpectralVector:
+    """Vector field whose components view the given coefficient arrays."""
+    return SpectralVector(grid, tuple(SpectralScalar(grid, c) for c in arrays))
+
+
+def stack(*fields) -> tuple:
+    """The coefficient arrays of scalar and vector fields, in order, as one
+    flat tuple (the solvers' state layout); nothing is copied."""
+    return tuple(c for f in fields for c in (
+        (f.coeffs,) if isinstance(f, SpectralScalar) else (g.coeffs for g in f)))
 
 
 def constant_scalar(grid: TorusGrid, value: float) -> SpectralScalar:
@@ -424,8 +435,7 @@ def read_snapshot(path):
             raw = np.frombuffer(fh.read(16 * count), dtype="<f8")
             if raw.size != 2 * count:
                 raise ValueError("truncated snapshot payload")
-            coeffs = (raw[0::2] + 1j * raw[1::2]).reshape(grid.shape)
-            comps.append(SpectralScalar(grid, coeffs))
+            comps.append((raw[0::2] + 1j * raw[1::2]).reshape(grid.shape))
     if kind == _KIND_SCALAR:
-        return comps[0]
-    return SpectralVector(grid, tuple(comps))
+        return SpectralScalar(grid, comps[0])
+    return as_vector(grid, comps)

@@ -1,4 +1,5 @@
-"""Integrating-factor (Lawson) Runge-Kutta 4 stepping on tuples of arrays.
+"""Integrating-factor (Lawson) Runge-Kutta 4 stepping on tuples of arrays,
+and the one time loop all solvers share.
 
 The solvers split their dynamics as y' = A y + N(y, t) where the flow of A
 is known in closed form (diffusion factors per mode, or the oscillation
@@ -12,15 +13,26 @@ rotation).  One step of the classical Lawson scheme reads
 with E2 = exp(A h/2), E1 = exp(A h) and N4 = N(Y4, t + h).  The scheme is
 fourth order for any split and reduces to classical RK4 when A = 0.
 
-N1 is the tendency at the step's starting point.  A caller that needs it
-anyway (the limit solve stores it as the Hermite slope of each node) passes
-it in, so the last evaluation of one step is reused as the first of the
-next (first-same-as-last).
+N1 is the tendency at the step's starting point.  A solver that needs it
+anyway (the limit solve stores it as the Hermite slope of each node) hands
+it to the next step, so the last evaluation of one step is reused as the
+first of the next (first-same-as-last).
+
+`integrate` is the one time loop of the limit, pair and NSP solves.  It
+steps through the `time_grid` of snapshot times with equal substeps of at
+most dt, ending exactly on each snapshot time, where it yields the state.
+The solver's `settle(y, t)` runs on the initial state and after every step:
+it puts the state back on its constraints, raises the solver's typed error
+when a guard trips, and returns the state with its first-stage tendency
+(or None).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# A solve whose state norm exceeds this multiple of its initial norm has blown up.
+BLOWUP_FACTOR = 1e6
 
 
 def _axpy(y, a, g):
@@ -64,6 +76,44 @@ def substep_count(span: float, dt_target: float) -> int:
     while span / count > dt_target * (1.0 + 1e-12):
         count += 1
     return count
+
+
+def time_grid(snapshot_times, t_end: float) -> np.ndarray:
+    """Sorted distinct snapshot times with 0 added; [0, t_end] if None."""
+    if snapshot_times is None:
+        snapshot_times = (t_end,)
+    return np.array(sorted({0.0, *map(float, snapshot_times)}))
+
+
+def time_index(times, t: float, what: str = "snapshot time") -> int:
+    """Index of t in the time grid times (to 1e-9); ValueError otherwise."""
+    idx = int(np.argmin(np.abs(times - t)))
+    if abs(times[idx] - t) > 1e-9:
+        raise ValueError(f"time {t} is not a {what}")
+    return idx
+
+
+def integrate(y, times, dt, explicit, propagate, settle):
+    """Yield the settled state at each of times, stepping from times[0].
+
+    explicit and propagate are the split of lawson_rk4_step; settle(y, t)
+    returns (state, tendency or None) and raises to stop the run.  Callers
+    consume it with map: the loop variable of a comprehension would keep the
+    last yielded state, with the slots the snapshot does not store, alive
+    through the following steps.
+    """
+    t = times[0]
+    y, n1 = settle(y, t)
+    yield y
+    for target in times[1:]:
+        nsub = substep_count(target - t, dt)
+        sub = (target - t) / nsub
+        start = t
+        for i in range(1, nsub + 1):
+            y = lawson_rk4_step(y, t, sub, explicit, propagate, n1=n1)
+            t = target if i == nsub else start + i * sub
+            y, n1 = settle(y, t)
+        yield y
 
 
 def all_finite(y) -> bool:

@@ -97,6 +97,12 @@ class TestConfig:
         with pytest.raises(InvalidConfigError, match="kappa"):
             RunConfig(kappa=-0.05).validate()
 
+    def test_workers_key_removed(self, tmp_path):
+        path = tmp_path / "old.cfg"
+        path.write_text("workers = 2\n")
+        with pytest.raises(InvalidConfigError, match="unknown key 'workers'"):
+            load_config(path)
+
     def test_euler_mode_zeroes_limit_dissipation(self):
         cfg = RunConfig(euler_mode=True, mu=0.3, nu=0.1, kappa=0.2)
         assert cfg.limit_params() == PhysParams(0.0, 0.0, 0.0)
@@ -295,14 +301,6 @@ class TestRunSweep:
         assert statuses[1:] == ["ok", "ok", "ok"]
         assert report.rate("E_u") is not None  # fit over surviving rows
 
-    def test_workers_do_not_change_results(self, tmp_path):
-        cfg1 = RunConfig(output_dir=str(tmp_path / "a"), workers=1, **SMALL_SWEEP)
-        cfg2 = RunConfig(output_dir=str(tmp_path / "b"), workers=3, **SMALL_SWEEP)
-        run_sweep(cfg1)
-        run_sweep(cfg2)
-        assert (tmp_path / "a" / "report.csv").read_text() \
-            == (tmp_path / "b" / "report.csv").read_text()
-
     def test_snapshot_files_written_when_requested(self, tmp_path):
         from qnl.spectral import read_snapshot
         cfg = RunConfig(output_dir=str(tmp_path / "out"), save_snapshots=True,
@@ -350,6 +348,19 @@ class TestCli:
         path = self._write_config(tmp_path, dt_max=-0.01)
         assert cli_main(["run", "--config", str(path)]) == 2
         assert "dt_max" in capsys.readouterr().err
+
+    # each used to end in a ValueError traceback from PhysParams.validate
+    @pytest.mark.parametrize("keys", [
+        {"mu": 0, "kappa": 0.05},
+        {"nu": -1},
+        {"euler_mode": "true", "dissipation_coupling": -0.2},
+    ])
+    def test_bad_physical_parameters_are_config_errors(self, tmp_path, capsys, keys):
+        path = self._write_config(tmp_path, **keys)
+        with pytest.raises(InvalidConfigError):
+            load_config(path)
+        assert cli_main(["run", "--config", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"

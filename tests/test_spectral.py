@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from qnl.errors import InvalidResolutionError, NonZeroMeanError
-from qnl.spectral import (SpectralScalar, constant_scalar, dealias,
+from qnl.spectral import (SpectralScalar, as_vector, constant_scalar, dealias,
                           derivative, divergence, gradient, inverse_laplacian,
                           laplacian, make_grid, product, read_snapshot,
                           scalar_from_function, sobolev_norm,
-                          transform_forward, transform_inverse,
+                          stack, transform_forward, transform_inverse,
                           vector_from_functions, write_snapshot)
 
 from conftest import band_limited_scalar, smooth_scalar, smooth_vector
@@ -251,3 +251,13 @@ def test_divergence_of_gradient_is_laplacian(grid2d, rng):
     # gradient/divergence zero the Nyquist column, so compare on a clean field
     f = SpectralScalar(grid2d, f.coeffs * grid2d.dealias_mask)
     assert sobolev_norm(divergence(gradient(f)) - laplacian(f), 0) < 1e-12
+
+
+def test_stack_and_as_vector_share_arrays(grid2d, rng):
+    f, u = smooth_scalar(grid2d, rng), smooth_vector(grid2d, rng)
+    y = stack(f, u, f)
+    assert len(y) == 2 + grid2d.dims
+    assert y[0] is f.coeffs and y[-1] is f.coeffs
+    assert all(a is c.coeffs for a, c in zip(y[1:-1], u))
+    v = as_vector(grid2d, y[1:-1])
+    assert all(c.coeffs is a for c, a in zip(v, y[1:-1]))

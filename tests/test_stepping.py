@@ -1,9 +1,11 @@
-"""Lawson RK4 stepping: first-same-as-last reuse and substep counts."""
+"""Lawson RK4 stepping, the integrate driver and its snapshot time grid."""
 
 import numpy as np
 import pytest
 
-from qnl.stepping import all_finite, lawson_rk4_step, substep_count
+from qnl.errors import BlowUpError
+from qnl.stepping import (all_finite, integrate, lawson_rk4_step, substep_count,
+                          time_grid, time_index)
 
 
 def _linear_problem():
@@ -81,3 +83,87 @@ def test_all_finite():
     bad[1] = complex(0.0, np.inf)
     assert not all_finite(good + (bad,))
     assert not all_finite((np.array([np.nan]),))
+
+
+def _recording_settle(log, tendency=None):
+    def settle(y, t):
+        log.append(t)
+        return y, (None if tendency is None else tendency(y, t))
+    return settle
+
+
+def test_settle_runs_on_initial_state_and_after_every_step():
+    rhs, propagate, calls = _linear_problem()
+    settled = []
+    times = np.array([0.0, 0.25, 0.5])
+    states = list(integrate((np.array([1.0, -0.5]),), times, 0.1, rhs, propagate,
+                            _recording_settle(settled)))
+    # 3 substeps of 1/12 to 0.25, then 3 more to 0.5
+    assert len(states) == len(times)
+    assert len(settled) == 1 + 6
+    assert settled[0] == 0.0
+    assert len(calls) == 4 * 6
+
+
+def test_step_ends_land_exactly_on_snapshot_times():
+    rhs, propagate, calls = _linear_problem()
+    settled = []
+    # 0.1 + 3 * (0.2 / 3) rounds to 0.30000000000000004, not to 0.3
+    times = np.array([0.0, 0.1, 0.3, 0.35, 1.3])
+    list(integrate((np.array([1.0, -0.5]),), times, 0.07, rhs, propagate,
+                   _recording_settle(settled)))
+    for target in times:
+        assert target in settled  # exact equality, not approximate
+    assert settled == sorted(settled)
+    steps = np.diff(settled)
+    assert steps.max() <= 0.07 * (1.0 + 1e-12)
+
+
+def test_yielded_states_equal_plain_steps():
+    rhs, propagate, _ = _linear_problem()
+    y = (np.array([1.0, -0.5]),)
+    got = list(integrate(y, np.array([0.0, 0.2]), 0.1, rhs, propagate,
+                         _recording_settle([])))
+    expected = lawson_rk4_step(lawson_rk4_step(y, 0.0, 0.1, rhs, propagate),
+                               0.1, 0.1, rhs, propagate)
+    assert np.array_equal(got[0][0], y[0])
+    assert np.array_equal(got[1][0], expected[0])
+
+
+def test_settle_tendency_is_the_next_first_stage():
+    rhs, propagate, calls = _linear_problem()
+    settled = []
+    list(integrate((np.array([1.0, -0.5]),), np.array([0.0, 0.5]), 0.1, rhs,
+                   propagate, _recording_settle(settled, rhs)))
+    # settle evaluates N once per node (6 nodes), each step only N2, N3, N4
+    nsteps = len(settled) - 1
+    assert nsteps == 5
+    assert len(calls) - len(settled) == 3 * nsteps
+
+
+def test_error_raised_in_settle_propagates():
+    rhs, propagate, _ = _linear_problem()
+
+    def settle(y, t):
+        if t > 0.15:
+            raise BlowUpError(f"guard tripped at t = {t}")
+        return y, None
+
+    run = integrate((np.array([1.0, -0.5]),), np.array([0.0, 0.1, 0.3]), 0.05,
+                    rhs, propagate, settle)
+    assert len([next(run), next(run)]) == 2
+    with pytest.raises(BlowUpError, match="guard tripped"):
+        next(run)
+
+
+def test_time_grid_sorts_dedups_and_prepends_zero():
+    assert time_grid(None, 0.5).tolist() == [0.0, 0.5]
+    assert time_grid([0.5, 0.25, 0.5], 0.5).tolist() == [0.0, 0.25, 0.5]
+    assert time_grid((0.0, 0.3), 0.3).tolist() == [0.0, 0.3]
+
+
+def test_time_index():
+    times = time_grid([0.1, 0.2], 0.2)
+    assert time_index(times, 0.2 + 1e-12) == 2
+    with pytest.raises(ValueError, match="not a snapshot time"):
+        time_index(times, 0.15)

@@ -29,16 +29,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_limit(args) -> int:
-    from .harness import default_base_fields
-    from .limit_solver import LimitState, run_limit
-    from .spectral import make_grid, sobolev_norm, write_snapshot
+    from .harness import base_fields, solve_limit
+    from .spectral import sobolev_norm, write_snapshot
 
     config = load_config(args.config)
-    grid = make_grid(config.dims, config.resolution)
-    base = default_base_fields(grid, config.ic, config.ic_random_amp, config.seed)
-    traj = run_limit(LimitState(base.v0, base.theta0), config.limit_params(),
-                     config.t_end, dt=config.limit_dt,
-                     snapshot_times=config.resolved_snapshot_times())
+    traj, _ = solve_limit(config, base_fields(config))
     os.makedirs(config.output_dir, exist_ok=True)
     path = os.path.join(config.output_dir, "limit.csv")
     with open(path, "w", encoding="utf-8") as fh:

@@ -20,7 +20,7 @@ files.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -167,28 +167,12 @@ def _parse_float_list(text: str) -> tuple:
     return tuple(float(s) for s in items)
 
 
-_CONFIG_PARSERS = {
-    "dims": int,
-    "resolution": int,
-    "s_norm": float,
-    "lambda_list": _parse_float_list,
-    "mu": float,
-    "nu": float,
-    "kappa": float,
-    "euler_mode": _parse_bool,
-    "dissipation_coupling": float,
-    "t_end": float,
-    "snapshots": int,
-    "snapshot_times": _parse_float_list,
-    "ic": lambda s: s.strip(),
-    "ic_random_amp": float,
-    "seed": int,
-    "output_dir": lambda s: s.strip(),
-    "dt_max": float,
-    "phase_resolution": int,
-    "limit_dt": float,
-    "save_snapshots": _parse_bool,
-}
+# One parser per RunConfig field, from its annotation; an optional field
+# parses as its base type.
+_PARSERS_BY_TYPE = {"int": int, "float": float, "bool": _parse_bool,
+                    "str": str.strip, "tuple": _parse_float_list}
+_CONFIG_PARSERS = {f.name: _PARSERS_BY_TYPE[f.type.removesuffix(" | None")]
+                   for f in fields(RunConfig)}
 
 
 def load_config(path: str) -> RunConfig:
@@ -262,6 +246,12 @@ def default_base_fields(grid, kind: str = "ill", random_amp: float = 0.0,
         zero_v = 0.0 * v0
         return BaseFields(v0, theta0, zero_v, 0.0 * phi0)
     return BaseFields(v0, theta0, gradient(chi), phi0)
+
+
+def base_fields(config: RunConfig) -> BaseFields:
+    """The configured default base fields on the configured grid."""
+    grid = make_grid(config.dims, config.resolution)
+    return default_base_fields(grid, config.ic, config.ic_random_amp, config.seed)
 
 
 def random_smooth_scalar(grid, rng, decay: float = 4.0) -> SpectralScalar:
@@ -448,23 +438,27 @@ def _run_one_lambda(config: RunConfig, base: BaseFields, limit_traj, pair_traj,
         return ReportRow(lam, status=status), None
 
 
+def solve_limit(config: RunConfig, base: BaseFields):
+    """The limit solve from the base fields over the snapshot grid, and its
+    step: limit_dt, or else the limit CFL step capped at 0.005."""
+    initial = LimitState(base.v0.copy(), base.theta0.copy())
+    dt = config.limit_dt
+    if dt is None:
+        dt = min(default_limit_dt(initial), 0.005)
+    traj = run_limit(initial, config.limit_params(), config.t_end, dt=dt,
+                     snapshot_times=config.resolved_snapshot_times())
+    return traj, dt
+
+
 def run_sweep(config: RunConfig) -> ConvergenceReport:
     """Full lambda sweep; writes report.csv, rates.csv and meta.txt."""
     config.validate()
-    grid = make_grid(config.dims, config.resolution)
-    base = default_base_fields(grid, config.ic, config.ic_random_amp, config.seed)
+    base = base_fields(config)
     snapshot_times = config.resolved_snapshot_times()
-
-    limit_params = config.limit_params()
-    limit_initial = LimitState(base.v0.copy(), base.theta0.copy())
-    limit_dt = config.limit_dt
-    if limit_dt is None:
-        limit_dt = min(default_limit_dt(limit_initial), 0.005)
-    limit_traj = run_limit(limit_initial, limit_params, config.t_end,
-                           dt=limit_dt, snapshot_times=snapshot_times)
+    limit_traj, limit_dt = solve_limit(config, base)
 
     pair0 = GradientPair(base.qu0.copy(), gradient(base.phi0))
-    pair_traj = solve_osc(pair0, limit_traj, limit_params, config.t_end,
+    pair_traj = solve_osc(pair0, limit_traj, config.limit_params(), config.t_end,
                           dt=limit_dt, snapshot_times=snapshot_times,
                           norm_s=config.s_norm)
 

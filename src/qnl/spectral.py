@@ -6,14 +6,18 @@ Fourier-series coefficients under the convention
     f_hat(k) = (2*pi)^(-N) * integral over T^N of f(x) exp(-i k.x) dx,
 
 so analytic test fields have exactly representable coefficients (e.g.
-sin(x1) -> -+ i/2 at k = +-e1).  Coefficient arrays hold the full Hermitian
-spectrum; linear operators act mode-wise and are exact on it.
+sin(x1) -> -+ i/2 at k = +-e1).  Fields are real, so the modes with k_N < 0
+are the conjugates of their mirror images and are not stored: a coefficient
+array is the real-FFT half spectrum k_N = 0 ... n/2, of shape
+`grid.spectral_shape`.  Linear operators act mode-wise and are exact on it;
+sums over the spectrum (`sobolev_norm`, `l2_inner`) take the Hermitian
+weight `grid.weight`, so they equal the sums over the full spectrum.  Only
+`write_snapshot` expands to the full spectrum, for the QNL1 file layout.
 
-Every transform is a real FFT behind two helpers: `to_physical` reads the
-half spectrum k_N >= 0 into real samples (numpy.fft.irfftn), and
-`to_spectral` turns real samples into the full Hermitian spectrum
-(numpy.fft.rfftn, mirrored).  `physical_derivative` is `to_physical` of a
-derivative, with the symbol applied to the half spectrum only.
+Every transform is a real FFT behind two helpers: `to_physical` turns a
+coefficient array into real samples (numpy.fft.irfftn) and `to_spectral`
+real samples into a coefficient array (numpy.fft.rfftn), each optionally
+2/3-masked.  `physical_derivative` is `to_physical` of a derivative.
 
 Nonlinear terms follow the transform method.  An RHS evaluation
 inverse-transforms each 2/3-dealiased field and derivative it needs once,
@@ -22,7 +26,7 @@ and forward-transforms that sum once, masking the result.  By linearity
 this equals the sum of separately dealiased products.  A factor that is
 itself a dealiased product (a pressure, a heat term) is forward-transformed,
 masked and sampled again before the next product.  `product` is the
-single-product form of the same rule.  The Nyquist column is zeroed by
+single-product form of the same rule.  The Nyquist planes are zeroed by
 differentiation to keep real fields real.
 """
 
@@ -45,9 +49,13 @@ _KIND_VECTOR = 2
 class TorusGrid:
     """Uniform collocation grid on [0, 2*pi)^dims with integer wavenumbers.
 
-    Wavenumbers per axis run through -n/2 ... n/2 - 1 in FFT layout.  The
+    Samples have `shape`, n^dims; coefficient arrays have `spectral_shape`,
+    n^(dims-1) x (n/2 + 1).  Wavenumbers run through -n/2 ... n/2 - 1 in
+    FFT layout on the leading axes and through 0 ... n/2 on the last.  The
     grid precomputes broadcastable wavenumber arrays, |k|^2, the inverse
-    Laplacian symbol and the 2/3-rule dealiasing mask.
+    Laplacian symbol, the 2/3-rule dealiasing mask and the Hermitian weight:
+    1 on the k_N = 0 and k_N = n/2 planes, which hold their own mirror
+    images, and 2 elsewhere, where each mode stands for itself and -k.
     """
 
     def __init__(self, dims: int, resolution: int):
@@ -59,11 +67,14 @@ class TorusGrid:
         self.dims = dims
         self.resolution = resolution
         self.shape = (resolution,) * dims
+        self.spectral_shape = (resolution,) * (dims - 1) + (resolution // 2 + 1,)
+        self.axes = tuple(range(dims))
 
         n = resolution
-        k1d = np.fft.fftfreq(n, d=1.0 / n)  # 0, 1, ..., n/2-1, -n/2, ..., -1
-        mesh = np.meshgrid(*(k1d,) * dims, indexing="ij")
-        self.k = [ki.astype(np.float64) for ki in mesh]
+        # 0, 1, ..., n/2-1, -n/2, ..., -1 on the leading axes, 0, 1, ..., n/2
+        # on the last.
+        k1d = [np.fft.fftfreq(n, d=1.0 / n)] * (dims - 1) + [np.fft.rfftfreq(n, d=1.0 / n)]
+        self.k = np.meshgrid(*k1d, indexing="ij")
         self.k_sq = sum(ki ** 2 for ki in self.k)
         with np.errstate(divide="ignore"):
             inv = np.where(self.k_sq > 0, 1.0 / np.where(self.k_sq > 0, self.k_sq, 1.0), 0.0)
@@ -71,32 +82,18 @@ class TorusGrid:
 
         # Derivative symbols with the unmatched Nyquist mode removed; the
         # projections reuse them so curl(Q u) and div(P u) vanish exactly.
-        k1d_deriv = k1d.copy()
-        k1d_deriv[n // 2] = 0.0
-        mesh_d = np.meshgrid(*(k1d_deriv,) * dims, indexing="ij")
-        self.kd = [ki.astype(np.float64) for ki in mesh_d]
+        k1d_deriv = [np.where(np.abs(ki) == n // 2, 0.0, ki) for ki in k1d]
+        self.kd = np.meshgrid(*k1d_deriv, indexing="ij")
         self.ik = [1j * ki for ki in self.kd]
         kd_sq = sum(ki ** 2 for ki in self.kd)
         self.inv_kd_sq = np.where(kd_sq > 0, 1.0 / np.where(kd_sq > 0, kd_sq, 1.0), 0.0)
 
         cutoff = n // 3
-        mask = np.ones(self.shape, dtype=bool)
+        mask = np.ones(self.spectral_shape, dtype=bool)
         for ki in self.k:
             mask &= np.abs(ki) <= cutoff
         self.dealias_mask = mask
-
-        # Real transforms: the half spectrum k_N = 0 ... n/2 along the last
-        # axis, and the flat indices (into it) of -k for the modes
-        # k_N = -(n/2 - 1) ... -1 that complete the Hermitian spectrum.
-        self.axes = tuple(range(dims))
-        self.half = n // 2 + 1
-        self.half_mask = mask[..., :self.half]
-        half_shape = self.shape[:-1] + (self.half,)
-        neg = (-np.arange(n)) % n
-        mirror = np.ix_(*((neg,) * (dims - 1) + (np.arange(n // 2 - 1, 0, -1),)))
-        self.mirror_index = np.arange(np.prod(half_shape)).reshape(half_shape)[mirror]
-        # Dealiased derivative symbols on the half spectrum.
-        self.half_ik = [ik[..., :self.half] * self.half_mask for ik in self.ik]
+        self.weight = np.where((self.k[-1] == 0) | (self.k[-1] == n // 2), 1.0, 2.0)
 
     def collocation_points(self):
         """Physical-space coordinate arrays, shape-matched to the fields."""
@@ -137,9 +134,9 @@ class SpectralScalar:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.coeffs.shape != self.grid.shape:
-            raise ValueError(
-                f"coefficient shape {self.coeffs.shape} does not match grid {self.grid.shape}")
+        if self.coeffs.shape != self.grid.spectral_shape:
+            raise ValueError(f"coefficient shape {self.coeffs.shape} does not match "
+                             f"grid {self.grid.spectral_shape}")
         if self.coeffs.dtype != np.complex128:
             self.coeffs = self.coeffs.astype(np.complex128)
 
@@ -216,40 +213,25 @@ class SpectralVector:
         return SpectralVector(self.grid, tuple(-c for c in self.components))
 
 
-def _inverse(grid: TorusGrid, half: np.ndarray) -> np.ndarray:
-    return np.fft.irfftn(half, s=grid.shape, axes=grid.axes, norm="forward")
-
-
 def to_physical(grid: TorusGrid, coeffs: np.ndarray, masked: bool = True) -> np.ndarray:
-    """Real collocation samples of a full coefficient array.
-
-    Only the half spectrum k_N >= 0 is read (one irfftn); when masked the
-    2/3 mask is applied to it first.
-    """
-    half = coeffs[..., :grid.half]
-    return _inverse(grid, half * grid.half_mask if masked else half)
+    """Real collocation samples of a coefficient array, one irfftn; when
+    masked the 2/3 mask is applied first."""
+    return np.fft.irfftn(coeffs * grid.dealias_mask if masked else coeffs,
+                         s=grid.shape, axes=grid.axes, norm="forward")
 
 
 def physical_derivative(grid: TorusGrid, coeffs: np.ndarray, axis: int) -> np.ndarray:
-    """Dealiased samples of the derivative along axis, one irfftn; equal to
-    to_physical(grid, grid.ik[axis] * coeffs) without the full-size product."""
-    return _inverse(grid, coeffs[..., :grid.half] * grid.half_ik[axis])
+    """Dealiased samples of the derivative along axis, one irfftn."""
+    return to_physical(grid, grid.ik[axis] * coeffs)
 
 
 def to_spectral(grid: TorusGrid, samples: np.ndarray, masked: bool = True) -> np.ndarray:
-    """Full Hermitian coefficient array of real collocation samples.
-
-    One rfftn gives the half spectrum; the modes with k_N < 0 are the
-    conjugates of their mirror images.  When masked the result is
-    2/3-dealiased.
-    """
-    half = np.fft.rfftn(samples, axes=grid.axes, norm="forward")
+    """Coefficient array of real collocation samples, one rfftn; when masked
+    the result is 2/3-dealiased."""
+    coeffs = np.fft.rfftn(samples, axes=grid.axes, norm="forward")
     if masked:
-        half *= grid.half_mask
-    full = np.empty(grid.shape, dtype=np.complex128)
-    full[..., :grid.half] = half
-    np.conjugate(np.take(half, grid.mirror_index), out=full[..., grid.half:])
-    return full
+        coeffs *= grid.dealias_mask
+    return coeffs
 
 
 def vector_from_samples(grid: TorusGrid, samples) -> SpectralVector:
@@ -291,7 +273,7 @@ def vector_from_functions(grid: TorusGrid, *fns) -> SpectralVector:
 
 
 def zeros_scalar(grid: TorusGrid) -> SpectralScalar:
-    return SpectralScalar(grid, np.zeros(grid.shape, dtype=np.complex128))
+    return SpectralScalar(grid, np.zeros(grid.spectral_shape, dtype=np.complex128))
 
 
 def zeros_vector(grid: TorusGrid) -> SpectralVector:
@@ -381,7 +363,7 @@ def sobolev_norm(f, s: float) -> float:
         return float(np.hypot(sobolev_norm(f.grad_q, s), sobolev_norm(f.grad_psi, s)))
     if isinstance(f, SpectralVector):
         return float(np.sqrt(sum(sobolev_norm(c, s) ** 2 for c in f.components)))
-    weight = (1.0 + f.grid.k_sq) ** s
+    weight = f.grid.weight * (1.0 + f.grid.k_sq) ** s
     return float(np.sqrt(np.sum(weight * np.abs(f.coeffs) ** 2)))
 
 
@@ -390,15 +372,24 @@ def l2_inner(f, g) -> float:
     if isinstance(f, SpectralVector):
         return float(sum(l2_inner(a, b) for a, b in zip(f, g)))
     _check_same_grid(f, g)
-    return float(np.real(np.sum(np.conj(f.coeffs) * g.coeffs)))
+    return float(np.real(np.sum(f.grid.weight * np.conj(f.coeffs) * g.coeffs)))
+
+
+def _full_spectrum(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
+    """The full n^N spectrum of a coefficient array: the modes with k_N < 0
+    are the conjugates of their mirror images -k."""
+    n = grid.resolution
+    neg = (-np.arange(n)) % n
+    mirror = coeffs[np.ix_(*(neg,) * (grid.dims - 1), np.arange(n // 2 - 1, 0, -1))]
+    return np.concatenate([coeffs, np.conj(mirror)], axis=-1)
 
 
 def write_snapshot(path, field) -> None:
     """Write a field to the self-describing little-endian binary format.
 
     Layout: magic "QNL1", then uint32 dims, resolution and kind (1 = scalar,
-    2 = vector), then row-major (re, im) float64 pairs, vector components in
-    axis order.
+    2 = vector), then the full n^N spectrum in FFT layout as row-major
+    (re, im) float64 pairs, vector components in axis order.
     """
     if isinstance(field, SpectralVector):
         kind, blocks = _KIND_VECTOR, [c.coeffs for c in field.components]
@@ -411,31 +402,28 @@ def write_snapshot(path, field) -> None:
         fh.write(_SNAPSHOT_MAGIC)
         fh.write(struct.pack("<III", grid.dims, grid.resolution, kind))
         for block in blocks:
-            flat = np.ascontiguousarray(block, dtype=np.complex128).ravel()
-            pairs = np.empty(2 * flat.size, dtype="<f8")
-            pairs[0::2] = flat.real
-            pairs[1::2] = flat.imag
-            fh.write(pairs.tobytes())
+            fh.write(_full_spectrum(grid, block).astype("<c16", copy=False).tobytes())
 
 
 def read_snapshot(path):
-    """Read a field written by write_snapshot."""
+    """Read a field written by write_snapshot, keeping the half spectrum."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _SNAPSHOT_MAGIC:
             raise ValueError(f"bad snapshot magic {magic!r}")
         dims, resolution, kind = struct.unpack("<III", fh.read(12))
         grid = make_grid(dims, resolution)
-        count = resolution ** dims
+        nbytes = 16 * resolution ** dims
         nblocks = {_KIND_SCALAR: 1, _KIND_VECTOR: dims}.get(kind)
         if nblocks is None:
             raise ValueError(f"unknown snapshot field kind {kind}")
         comps = []
         for _ in range(nblocks):
-            raw = np.frombuffer(fh.read(16 * count), dtype="<f8")
-            if raw.size != 2 * count:
+            raw = fh.read(nbytes)
+            if len(raw) != nbytes:
                 raise ValueError("truncated snapshot payload")
-            comps.append((raw[0::2] + 1j * raw[1::2]).reshape(grid.shape))
+            full = np.frombuffer(raw, dtype="<c16").reshape(grid.shape)
+            comps.append(full[..., :grid.spectral_shape[-1]].astype(np.complex128))
     if kind == _KIND_SCALAR:
         return SpectralScalar(grid, comps[0])
     return as_vector(grid, comps)

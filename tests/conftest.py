@@ -35,7 +35,7 @@ def smooth_vector(grid, rng, decay=4.0):
 def band_limited_scalar(grid, rng, kmax):
     """Random real field supported on |k_j| <= kmax per axis."""
     f = smooth_scalar(grid, rng, decay=100.0)
-    mask = np.ones(grid.shape, dtype=bool)
+    mask = np.ones(grid.spectral_shape, dtype=bool)
     for ki in grid.k:
         mask &= np.abs(ki) <= kmax
     return SpectralScalar(grid, f.coeffs * mask)

@@ -44,6 +44,37 @@ class TestConfig:
         assert cfg.euler_mode is True
         assert cfg.ic == "well"
 
+    def test_every_field_parses_from_its_key(self, tmp_path):
+        text = {"dims": "3", "resolution": "16", "s_norm": "3.5",
+                "lambda_list": "0.2, 0.1,", "mu": "0.02", "nu": "0.01",
+                "kappa": "0.03", "euler_mode": "No", "dissipation_coupling": "0.3",
+                "t_end": "0.25", "snapshots": "4", "snapshot_times": "0.1, 0.2",
+                "ic": "well", "ic_random_amp": "0.01", "seed": "7",
+                "output_dir": "out dir", "dt_max": "0.02", "phase_resolution": "8",
+                "limit_dt": "0.004", "save_snapshots": "on"}
+        assert set(text) == set(RunConfig.__dataclass_fields__)
+        path = tmp_path / "all.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in text.items()))
+        cfg = load_config(path)
+        assert cfg == RunConfig(
+            dims=3, resolution=16, s_norm=3.5, lambda_list=(0.2, 0.1), mu=0.02,
+            nu=0.01, kappa=0.03, euler_mode=False, dissipation_coupling=0.3,
+            t_end=0.25, snapshots=4, snapshot_times=(0.1, 0.2), ic="well",
+            ic_random_amp=0.01, seed=7, output_dir="out dir", dt_max=0.02,
+            phase_resolution=8, limit_dt=0.004, save_snapshots=True)
+        assert [type(getattr(cfg, k)) for k in ("dims", "mu", "euler_mode", "ic")] \
+            == [int, float, bool, str]
+
+    @pytest.mark.parametrize("line,match", [
+        ("resolution = 16.5", "resolution"), ("mu = fast", "mu"),
+        ("euler_mode = maybe", "boolean"), ("lambda_list = ,", "empty list"),
+        ("limit_dt = none", "limit_dt")])
+    def test_bad_values_name_the_key(self, tmp_path, line, match):
+        path = tmp_path / "bad.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(InvalidConfigError, match=match):
+            load_config(path)
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("not_a_key = 3\n")
@@ -337,6 +368,26 @@ class TestCli:
         assert code == 0
         text = (tmp_path / "out" / "limit.csv").read_text()
         assert text.startswith("t,v_hs,theta_hs,min_theta")
+
+    def test_limit_csv_matches_the_sweep_limit(self, tmp_path, monkeypatch):
+        # `qnl limit` used to step at the uncapped CFL dt, not the sweep's
+        import qnl.harness
+        solved = []
+
+        def recording_run_limit(*args, **kwargs):
+            solved.append(run_limit(*args, **kwargs))
+            return solved[-1]
+
+        monkeypatch.setattr(qnl.harness, "run_limit", recording_run_limit)
+        path = self._write_config(tmp_path, lambda_list=0.1)
+        run_sweep(load_config(path))
+        traj = solved[0]
+        assert cli_main(["limit", "--config", str(path)]) == 0
+        got = np.loadtxt(tmp_path / "out" / "limit.csv", delimiter=",", skiprows=1)
+        expected = [[t, sobolev_norm(state.v, 3.0), sobolev_norm(state.theta, 3.0),
+                     state.theta.samples().min()]
+                    for t, state in zip(traj.snapshot_times, traj.states)]
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 
     def test_check_subcommand(self, capsys):
         code = cli_main(["check", "--resolution", "16"])

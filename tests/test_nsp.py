@@ -101,7 +101,7 @@ class TestNonstiffRhs:
         phys = log_rho.samples()
         fd = (-np.roll(phys, -2, 0) + 8 * np.roll(phys, -1, 0)
               - 8 * np.roll(phys, 1, 0) + np.roll(phys, 2, 0)) / (12 * h)
-        m5 = np.sum(np.abs(grid.k[0]) ** 5 * np.abs(log_rho.coeffs))
+        m5 = np.sum(grid.weight * np.abs(grid.k[0]) ** 5 * np.abs(log_rho.coeffs))
         tol = 1.1 * h ** 4 * m5 / 30 + 1e-10
         assert np.abs(du[0].samples() + fd).max() <= tol
         assert np.abs(du[1].samples()).max() < 1e-12

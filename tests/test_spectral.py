@@ -1,14 +1,17 @@
 """Spectral core: transforms, derivatives, products, norms, snapshots."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from qnl.errors import InvalidResolutionError, NonZeroMeanError
 from qnl.spectral import (SpectralScalar, as_vector, constant_scalar, dealias,
                           derivative, divergence, gradient, inverse_laplacian,
-                          laplacian, make_grid, product, read_snapshot,
+                          l2_inner, laplacian, make_grid, product, read_snapshot,
                           scalar_from_function, sobolev_norm,
-                          stack, transform_forward, transform_inverse,
+                          stack, to_physical, to_spectral, transform_forward,
+                          transform_inverse,
                           vector_from_functions, write_snapshot)
 
 from conftest import band_limited_scalar, smooth_scalar, smooth_vector
@@ -25,6 +28,17 @@ class TestGrid:
     def test_3d(self):
         grid = make_grid(3, 16)
         assert grid.shape == (16, 16, 16)
+
+    @pytest.mark.parametrize("dims", [2, 3])
+    def test_half_spectrum_layout(self, dims):
+        grid = make_grid(dims, 16)
+        assert grid.spectral_shape == (16,) * (dims - 1) + (9,)
+        assert list(grid.k[-1].reshape(-1, 9)[0]) == list(range(9))
+        assert grid.weight.shape == grid.spectral_shape
+        assert set(grid.weight[..., 0].ravel()) == set(grid.weight[..., 8].ravel()) == {1.0}
+        assert set(grid.weight[..., 1:8].ravel()) == {2.0}
+        with pytest.raises(ValueError, match="coefficient shape"):
+            SpectralScalar(grid, np.zeros(grid.shape, dtype=complex))
 
     @pytest.mark.parametrize("res", [7, 9, 0, 2, 6, -8])
     def test_bad_resolution(self, res):
@@ -72,7 +86,8 @@ class TestTransforms:
         e = np.exp(-1j * np.outer(k, x))
         expected = np.einsum("ax,by,xy->ab", e, e, samples) / samples.size
         got = transform_forward(grid, samples).coeffs
-        assert np.abs(got - expected).max() < 1e-10
+        # the stored half spectrum is k_2 = 0 ... n/2 (FFT columns 0 ... n/2)
+        assert np.abs(got - expected[:, :n // 2 + 1]).max() < 1e-10
 
     def test_shape_mismatch(self, grid2d):
         with pytest.raises(ValueError):
@@ -104,7 +119,7 @@ class TestDerivative:
               - 8 * np.roll(phys, 1, 0) + np.roll(phys, 2, 0)) / (12 * h)
         spectral = derivative(f, 0).samples()
         # 4th-order truncation bound: h^4/30 * sup |d^5 f|
-        m5 = np.sum(np.abs(grid.k[0]) ** 5 * np.abs(f.coeffs))
+        m5 = np.sum(grid.weight * np.abs(grid.k[0]) ** 5 * np.abs(f.coeffs))
         assert np.abs(spectral - fd).max() <= 1.05 * h ** 4 * m5 / 30 + 1e-12
 
     def test_axis_out_of_range(self, grid2d):
@@ -118,10 +133,12 @@ class TestDerivative:
         assert np.abs(derivative(f, 0).coeffs).max() == 0.0
 
     def test_realness_preserved(self, grid2d, rng):
+        # a coefficient array is a real field's iff sampling it and
+        # transforming back returns it
         f = smooth_scalar(grid2d, rng)
         d = derivative(f, 1)
-        phys = np.fft.ifftn(d.coeffs) * d.coeffs.size
-        assert np.abs(phys.imag).max() < 1e-12
+        back = to_spectral(grid2d, to_physical(grid2d, d.coeffs, masked=False), masked=False)
+        assert np.abs(back - d.coeffs).max() < 1e-12
 
 
 class TestInverseLaplacian:
@@ -157,18 +174,17 @@ class TestProduct:
         f = band_limited_scalar(grid, rng, kmax=grid.resolution // 3)
         g = band_limited_scalar(grid, rng, kmax=grid.resolution // 3)
 
+        n = grid.resolution
+        idx = np.ix_(np.fft.fftfreq(n, d=1.0 / n).astype(int), np.arange(n // 2 + 1))
+
         def upsample(field):
-            out = np.zeros(fine.shape, dtype=complex)
-            n = grid.resolution
-            idx = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-            out[np.ix_(idx, idx)] = field.coeffs
+            out = np.zeros(fine.spectral_shape, dtype=complex)
+            out[idx] = field.coeffs
             return SpectralScalar(fine, out)
 
         exact_fine = np.fft.fftn(upsample(f).samples() * upsample(g).samples())
         exact_fine /= upsample(f).samples().size
-        n = grid.resolution
-        idx = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-        exact = exact_fine[np.ix_(idx, idx)] * grid.dealias_mask
+        exact = exact_fine[idx] * grid.dealias_mask
         got = product(f, g).coeffs
         assert np.abs(got - exact).max() < 1e-12
 
@@ -201,6 +217,46 @@ class TestSobolevNorm:
         assert abs(sobolev_norm(u, 0) - 1.0) < 1e-13
 
 
+def _full_spectrum(samples):
+    """Full-spectrum coefficients of real samples, made exactly Hermitian."""
+    full = np.fft.fftn(samples) / samples.size
+    mirror = np.roll(np.flip(full), 1, axis=tuple(range(samples.ndim)))
+    return (full + np.conj(mirror)) / 2
+
+
+def _full_k_sq(grid):
+    k1d = np.fft.fftfreq(grid.resolution, d=1.0 / grid.resolution)
+    return sum(k ** 2 for k in np.meshgrid(*(k1d,) * grid.dims, indexing="ij"))
+
+
+class TestHalfSpectrumSums:
+    """Sums over the stored half spectrum equal the sums over the full one.
+
+    White-noise samples put energy on every mode, the k_N = 0 and k_N = n/2
+    planes (weight 1) included."""
+
+    @pytest.mark.parametrize("dims,res", [(2, 16), (3, 8)])
+    @pytest.mark.parametrize("s", [0.0, 1.0, 3.5])
+    def test_sobolev_norm(self, rng, dims, res, s):
+        grid = make_grid(dims, res)
+        samples = rng.standard_normal(grid.shape)
+        f = transform_forward(grid, samples)
+        assert np.abs(f.coeffs[..., 0]).min() > 0 and np.abs(f.coeffs[..., -1]).min() > 0
+        full = np.fft.fftn(samples) / samples.size
+        expected = np.sqrt(np.sum((1.0 + _full_k_sq(grid)) ** s * np.abs(full) ** 2))
+        assert abs(sobolev_norm(f, s) - expected) <= 1e-13 * expected
+
+    @pytest.mark.parametrize("dims,res", [(2, 16), (3, 8)])
+    def test_l2_inner(self, rng, dims, res):
+        grid = make_grid(dims, res)
+        a, b = rng.standard_normal(grid.shape), rng.standard_normal(grid.shape)
+        expected = np.real(np.sum(np.conj(np.fft.fftn(a)) * np.fft.fftn(b))) / a.size ** 2
+        got = l2_inner(transform_forward(grid, a), transform_forward(grid, b))
+        assert abs(got - expected) < 1e-13
+        # Parseval on the samples as well
+        assert abs(got - np.mean(a * b)) < 1e-13
+
+
 class TestHermitianSymmetry:
     def test_operations_keep_fields_real(self, grid2d, rng):
         f = smooth_scalar(grid2d, rng)
@@ -208,8 +264,9 @@ class TestHermitianSymmetry:
         for out in (derivative(f, 0), laplacian(f), product(f, g),
                     inverse_laplacian(f - constant_scalar(grid2d, f.mean)),
                     dealias(f)):
-            phys = np.fft.ifftn(out.coeffs) * out.coeffs.size
-            assert np.abs(phys.imag).max() < 1e-11
+            back = to_spectral(grid2d, to_physical(grid2d, out.coeffs, masked=False),
+                               masked=False)
+            assert np.abs(back - out.coeffs).max() < 1e-11
 
 
 class TestSnapshots:
@@ -229,6 +286,26 @@ class TestSnapshots:
         assert back.grid == grid3d
         for a, b in zip(back, u):
             assert np.array_equal(a.coeffs, b.coeffs)
+
+    @pytest.mark.parametrize("dims,res", [(2, 16), (3, 8)])
+    def test_file_holds_full_spectrum(self, rng, tmp_path, dims, res):
+        grid = make_grid(dims, res)
+        blocks = [_full_spectrum(rng.standard_normal(grid.shape)) for _ in range(dims)]
+        half = [b[..., :res // 2 + 1] for b in blocks]
+        for field, kind, count in ((SpectralScalar(grid, half[0]), 1, 1),
+                                   (as_vector(grid, half), 2, dims)):
+            path = tmp_path / f"field{kind}.qnl"
+            write_snapshot(path, field)
+            expected = (b"QNL1" + struct.pack("<III", dims, res, kind)
+                        + b"".join(b.astype("<c16").tobytes() for b in blocks[:count]))
+            assert path.read_bytes() == expected
+
+    def test_read_write_same_bytes(self, grid3d, rng, tmp_path):
+        for i, field in enumerate((smooth_scalar(grid3d, rng), smooth_vector(grid3d, rng))):
+            first, second = tmp_path / f"a{i}.qnl", tmp_path / f"b{i}.qnl"
+            write_snapshot(first, field)
+            write_snapshot(second, read_snapshot(first))
+            assert first.read_bytes() == second.read_bytes()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.qnl"

@@ -11,7 +11,7 @@ from .ansatz import (CorrectorForcings, CorrectorState, OscillationFields,
                      PairTrajectory, assemble_ansatz, build_oscillation,
                      corrector_forcings, corrector_rhs, corrector_state,
                      osc_rhs, solve_osc)
-from .errors import (BlowUpError, DegenerateDensityError,
+from .errors import (BlowUpError, ChildLostError, DegenerateDensityError,
                      DensityNotPositiveError, InsufficientDataError,
                      InvalidConfigError, InvalidResolutionError,
                      MassDefectError, NonpositiveTemperatureError,
@@ -20,8 +20,9 @@ from .harness import (BaseFields, ConvergenceReport, RateFit, ReportRow,
                       RunConfig, default_base_fields, fit_rate,
                       gen_initial_data, load_config, measure_errors,
                       run_sweep)
-from .limit_solver import (LimitState, LimitTrajectory, PhysParams,
-                           limit_step, ns_rhs, recover_pressure, run_limit)
+from .limit_solver import (LimitSnapshots, LimitState, LimitTrajectory,
+                           PhysParams, limit_step, ns_rhs, recover_pressure,
+                           run_limit)
 from .nsp import (NSPState, NSPTrajectory, nsp_rhs_nonstiff, nsp_step,
                   poisson_solve, run_nsp)
 from .oscillation import GradientPair, apply_group, filter_state, generator

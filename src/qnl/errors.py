@@ -43,3 +43,7 @@ class InsufficientDataError(QnlError):
 
 class InvalidConfigError(QnlError):
     """Run configuration file is malformed or inconsistent."""
+
+
+class ChildLostError(QnlError):
+    """A forked child process ended without sending its result."""

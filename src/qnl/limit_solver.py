@@ -173,7 +173,20 @@ def default_limit_dt(state: LimitState) -> float:
 
 
 @dataclass(eq=False)
-class LimitTrajectory:
+class LimitSnapshots:
+    """The limit solution at its snapshot times, without the interpolation
+    nodes: all that the error measurement reads."""
+
+    snapshot_times: np.ndarray
+    states: list            # per snapshot time: LimitState with pi
+
+    def snapshot_state(self, t: float) -> LimitState:
+        """Stored snapshot (with recovered pressure) nearest to t."""
+        return self.states[time_index(self.snapshot_times, t)]
+
+
+@dataclass(eq=False)
+class LimitTrajectory(LimitSnapshots):
     """Dense limit solve with stored tendencies for Hermite interpolation."""
 
     grid: object
@@ -182,8 +195,6 @@ class LimitTrajectory:
     v_nodes: list           # per node: (dims, *shape) complex array
     theta_nodes: list       # per node: shape complex array
     dv_nodes: list          # per node: (dims, *shape) tendency of v
-    snapshot_times: np.ndarray
-    states: list            # per snapshot time: LimitState with pi
 
     def _vector(self, block) -> SpectralVector:
         return as_vector(self.grid, [row.copy() for row in block])
@@ -192,10 +203,6 @@ class LimitTrajectory:
         idx = time_index(self.times, t, "trajectory node")
         return LimitState(self._vector(self.v_nodes[idx]),
                           SpectralScalar(self.grid, self.theta_nodes[idx].copy()))
-
-    def snapshot_state(self, t: float) -> LimitState:
-        """Stored snapshot (with recovered pressure) nearest to t."""
-        return self.states[time_index(self.snapshot_times, t)]
 
     def v_at(self, t: float) -> SpectralVector:
         """Cubic Hermite interpolation of the velocity between nodes."""
@@ -255,5 +262,5 @@ def run_limit(initial: LimitState, params: PhysParams, t_end: float,
 
     y0 = stack(initial.v, initial.theta.copy())
     states = list(map(snapshot, integrate(y0, times, dt, explicit, propagate, settle)))
-    return LimitTrajectory(grid, params, np.asarray(node_times), v_nodes,
-                           theta_nodes, dv_nodes, times, states)
+    return LimitTrajectory(times, states, grid, params, np.asarray(node_times),
+                           v_nodes, theta_nodes, dv_nodes)

@@ -112,6 +112,10 @@ class TorusGrid:
     def __hash__(self):
         return hash((self.dims, self.resolution))
 
+    def __reduce__(self):
+        # Pickled as its arguments: the wavenumber arrays are rebuilt, not sent.
+        return TorusGrid, (self.dims, self.resolution)
+
     def __repr__(self):
         return f"TorusGrid(dims={self.dims}, resolution={self.resolution})"
 

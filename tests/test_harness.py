@@ -1,5 +1,7 @@
 """Harness: config parsing, initial data, measurement, rates, CLI."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,13 @@ class TestConfig:
     def test_negative_kappa_rejected(self):
         with pytest.raises(InvalidConfigError, match="kappa"):
             RunConfig(kappa=-0.05).validate()
+
+    def test_readme_example_configuration_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "run.cfg"
+        path.write_text(block)
+        assert load_config(path) == RunConfig()
 
     def test_workers_key_removed(self, tmp_path):
         path = tmp_path / "old.cfg"
@@ -370,23 +379,27 @@ class TestCli:
         assert text.startswith("t,v_hs,theta_hs,min_theta")
 
     def test_limit_csv_matches_the_sweep_limit(self, tmp_path, monkeypatch):
-        # `qnl limit` used to step at the uncapped CFL dt, not the sweep's
+        # `qnl limit` used to step at the uncapped CFL dt, not the sweep's.
+        # The sweep solves its limit in a forked child, which inherits the
+        # patch and records the snapshots to a file.
+        import pickle
         import qnl.harness
-        solved = []
+        record = tmp_path / "sweep_limit.pkl"
 
         def recording_run_limit(*args, **kwargs):
-            solved.append(run_limit(*args, **kwargs))
-            return solved[-1]
+            traj = run_limit(*args, **kwargs)
+            record.write_bytes(pickle.dumps((traj.snapshot_times, traj.states)))
+            return traj
 
         monkeypatch.setattr(qnl.harness, "run_limit", recording_run_limit)
         path = self._write_config(tmp_path, lambda_list=0.1)
         run_sweep(load_config(path))
-        traj = solved[0]
+        snapshot_times, states = pickle.loads(record.read_bytes())
         assert cli_main(["limit", "--config", str(path)]) == 0
         got = np.loadtxt(tmp_path / "out" / "limit.csv", delimiter=",", skiprows=1)
         expected = [[t, sobolev_norm(state.v, 3.0), sobolev_norm(state.theta, 3.0),
                      state.theta.samples().min()]
-                    for t, state in zip(traj.snapshot_times, traj.states)]
+                    for t, state in zip(snapshot_times, states)]
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 
     def test_check_subcommand(self, capsys):

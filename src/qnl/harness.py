@@ -18,23 +18,33 @@ files.
 
 The lambda-independent stage (limit solve, then pair solve) shares nothing
 with the lambda runs until the measurement, so `run_sweep` forks one child
-(POSIX `os.fork`) that solves it while the parent runs the NSP solves.  The
-child pipes back, pickled, only what the measurement reads: the limit
-snapshots with their pressure and the pair trajectory.  The reason is
-memory as much as time.  The limit solve's Hermite nodes live and die in
-the child, so the parent's peak RSS falls (44.4 -> 41.1 MiB on a short 64^2
-sweep, 59.7 -> 53.5 MiB on a 24^3 one) and the child's (31 and 42 MiB)
-stays below it; a process pool over lambda would raise the peak instead.
-The outputs are those of the serial composition of the stages, byte for
-byte.  An exception in the child is re-raised in the parent; a child that
-ends without a result raises ChildLostError; the child is killed and reaped
-on every exit path.  `qnl limit` solves the limit in-process.
+(POSIX `os.fork`) that solves it and then runs a share of the lambda values
+while the parent runs the rest.  The share is fixed before the fork by
+longest-processing-time-first list scheduling (Graham 1969) on a cost in
+transforms: predicted steps (the solvers' own dt rules on the base fields;
+no initial data is generated) times the transforms of one step.  The child
+starts with the load of its stage.  On a short 64^2 sweep (four lambda) the
+stage takes 0.22 s and the NSP runs 0.10, 0.10, 0.10 and 0.18 s, so the
+child also runs lambda = 0.05; on a short 24^3 one (0.25 s against 0.08,
+0.08 and 0.15 s) it runs none.  The parent polls the pipe between its
+runs, so a failed child raises at once.  The child neither measures nor
+writes, so a failed sweep leaves no output directory: it pipes back,
+pickled, the limit snapshots with their pressure, the pair trajectory and
+its lambda runs, and the parent measures and writes every output as a
+serial sweep would, byte for byte.  The limit solve's Hermite nodes live
+and die in the child, which keeps the parent's peak RSS down (44.4 -> 41.1
+MiB on the 64^2 sweep, 59.7 -> 53.5 MiB on the 24^3 one, when the stage was
+first forked); a process pool over lambda would raise the peak instead.  An
+exception in the child is re-raised in the parent; a child that ends
+without a result raises ChildLostError; the child is killed and reaped on
+every exit path.  `qnl limit` solves the limit in-process.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import select
 import signal
 from dataclasses import dataclass, fields
 
@@ -45,16 +55,16 @@ from .errors import (BlowUpError, ChildLostError, DegenerateDensityError,
                      DensityNotPositiveError, InsufficientDataError,
                      InvalidConfigError, MassDefectError,
                      NonpositiveTemperatureError, QnlError)
-from .limit_solver import (LimitSnapshots, LimitState, PhysParams,
-                           default_limit_dt, run_limit)
-from .nsp import NSPState, NSPTrajectory, poisson_solve, run_nsp
+from .limit_solver import (LimitSnapshots, LimitState, PhysParams, advective_dt,
+                           run_limit)
+from .nsp import NSPState, NSPTrajectory, nsp_dt, poisson_solve, run_nsp
 from .oscillation import GradientPair, check_gradient
 from .projections import leray_p
 from .spectral import (SpectralScalar, SpectralVector, constant_scalar,
                        divergence, gradient, laplacian, make_grid,
                        scalar_from_function, sobolev_norm, transform_forward,
                        vector_from_functions, write_snapshot)
-from .stepping import time_grid
+from .stepping import step_count, time_grid
 
 ERROR_CHANNELS = ("E_rho", "E_u", "E_theta", "E_phi")
 
@@ -284,6 +294,12 @@ def random_smooth_vector(grid, rng, decay: float = 4.0) -> SpectralVector:
         random_smooth_scalar(grid, rng, decay) for _ in range(grid.dims)))
 
 
+def initial_velocity(kind: str, base: BaseFields) -> SpectralVector:
+    """The NSP initial velocity, the same at every lambda: v0 + qu0, or v0
+    for well-prepared data."""
+    return base.v0.copy() if kind == "well" else base.v0 + base.qu0
+
+
 def gen_initial_data(kind: str, lam: float, base: BaseFields) -> NSPState:
     """Initial NSP data matching the limit data with zero slack."""
     if kind not in ("ill", "well"):
@@ -303,7 +319,7 @@ def gen_initial_data(kind: str, lam: float, base: BaseFields) -> NSPState:
             raise ValueError(
                 "well-prepared data requires zero gradient part and potential")
         rho = constant_scalar(grid, 1.0)
-        return NSPState(rho, base.v0.copy(), base.theta0.copy(),
+        return NSPState(rho, initial_velocity(kind, base), base.theta0.copy(),
                         poisson_solve(rho, lam))
 
     check_gradient(base.qu0)
@@ -312,8 +328,8 @@ def gen_initial_data(kind: str, lam: float, base: BaseFields) -> NSPState:
     if min_rho <= 0.0:
         raise DensityNotPositiveError(
             f"lambda = {lam} makes min rho = {min_rho:.3e} <= 0")
-    u = base.v0 + base.qu0
-    return NSPState(rho, u, base.theta0.copy(), poisson_solve(rho, lam))
+    return NSPState(rho, initial_velocity(kind, base), base.theta0.copy(),
+                    poisson_solve(rho, lam))
 
 
 # ---------------------------------------------------------------------------
@@ -453,14 +469,20 @@ def _run_one_lambda(config: RunConfig, base: BaseFields, lam: float,
         return None, _STATUS_BY_ERROR.get(type(exc), f"error:{type(exc).__name__}")
 
 
+def stage_dt(config: RunConfig, base: BaseFields) -> float:
+    """The step of the limit and pair solves: limit_dt, or else the limit
+    CFL step of v0 capped at 0.005."""
+    if config.limit_dt is not None:
+        return config.limit_dt
+    return min(advective_dt(base.v0), 0.005)
+
+
 def solve_limit(config: RunConfig, base: BaseFields):
     """The limit solve from the base fields over the snapshot grid, and its
-    step: limit_dt, or else the limit CFL step capped at 0.005."""
-    initial = LimitState(base.v0.copy(), base.theta0.copy())
-    dt = config.limit_dt
-    if dt is None:
-        dt = min(default_limit_dt(initial), 0.005)
-    traj = run_limit(initial, config.limit_params(), config.t_end, dt=dt,
+    step (stage_dt)."""
+    dt = stage_dt(config, base)
+    traj = run_limit(LimitState(base.v0.copy(), base.theta0.copy()),
+                     config.limit_params(), config.t_end, dt=dt,
                      snapshot_times=config.resolved_snapshot_times())
     return traj, dt
 
@@ -476,10 +498,69 @@ def _lambda_independent_stage(config: RunConfig, base: BaseFields):
     return LimitSnapshots(limit_traj.snapshot_times, limit_traj.states), pair_traj
 
 
+def _child_share(config: RunConfig, base: BaseFields, lams):
+    """The forked child's part of a sweep: the lambda-independent stage,
+    then the NSP runs at lams; returns (limit, pair, {lam: (traj, status)})."""
+    limit, pair_traj = _lambda_independent_stage(config, base)
+    snapshot_times = config.resolved_snapshot_times()
+    return limit, pair_traj, {lam: _run_one_lambda(config, base, lam, snapshot_times)
+                              for lam in lams}
+
+
+# n-d transforms per step, by dims (NS and Euler parameters alike).  An NSP
+# step makes 4 RHS evaluations of 23 + 5 (3D: 33 + 7) transforms, the
+# electric residue included, and its settle samples theta once.  A limit
+# step makes 4 of 11 (19) plus that sample, a pair step 4 of 22 (42).
+# tests/test_sweep_fork.py pins these to counted transforms.
+NSP_STEP_TRANSFORMS = {2: 4 * (23 + 5) + 1, 3: 4 * (33 + 7) + 1}
+STAGE_STEP_TRANSFORMS = {2: 4 * 11 + 1 + 4 * 22, 3: 4 * 19 + 1 + 4 * 42}
+
+
+def predicted_steps(config: RunConfig, base: BaseFields):
+    """Steps of the limit solve (the pair solve takes as many) and of the
+    NSP run at each lambda of lambda_list, by the solvers' own dt rules.
+
+    Every NSP run starts from the same velocity, so one sample pass gives
+    the CFL step of all of them; no initial data is generated.
+    """
+    times = time_grid(config.resolved_snapshot_times(), config.t_end)
+    cfl = advective_dt(initial_velocity(config.ic, base))
+    nsp_steps = [step_count(times, nsp_dt(cfl, float(lam), config.phase_resolution,
+                                          config.dt_max))
+                 for lam in config.lambda_list]
+    return step_count(times, stage_dt(config, base)), nsp_steps
+
+
+def lpt_assign(costs, loads) -> list:
+    """Longest-processing-time-first list scheduling (Graham 1969): the jobs,
+    longest first, each go to the least loaded machine.  loads are the
+    machines' starting loads; ties go to the earlier job and the earlier
+    machine.  Returns each job's machine index."""
+    loads = list(loads)
+    machine_of = [0] * len(costs)
+    for job in sorted(range(len(costs)), key=lambda j: -costs[j]):
+        machine = loads.index(min(loads))
+        machine_of[job] = machine
+        loads[machine] += costs[job]
+    return machine_of
+
+
+def split_lambdas(config: RunConfig, base: BaseFields):
+    """(parent's, child's) lambda values, in lambda_list order: LPT over the
+    predicted transform costs, the child starting with the load of the
+    lambda-independent stage.  The parent keeps at least one lambda."""
+    stage_steps, nsp_steps = predicted_steps(config, base)
+    costs = [NSP_STEP_TRANSFORMS[config.dims] * steps for steps in nsp_steps]
+    machine_of = lpt_assign(costs, [0, STAGE_STEP_TRANSFORMS[config.dims] * stage_steps])
+    lams = [float(lam) for lam in config.lambda_list]
+    return ([lam for lam, m in zip(lams, machine_of) if m == 0],
+            [lam for lam, m in zip(lams, machine_of) if m == 1])
+
+
 def _send_and_exit(write_fd: int, fn, args):
-    """Child side of _Forked: pipe (True, result) or (False, exception)
-    and leave with os._exit, so the child never returns into the parent's
-    stack, atexit handlers or buffered output."""
+    """Child side of _Forked: compute fn(*args), pipe (True, result) or
+    (False, exception) and leave with os._exit, so the child never returns
+    into the parent's stack, atexit handlers or buffered output."""
     code = 1
     try:
         try:
@@ -496,11 +577,12 @@ def _send_and_exit(write_fd: int, fn, args):
 class _Forked:
     """fn(*args) computed in a forked child while the parent goes on.
 
-    `result()` returns its value or raises its exception; leaving the with
-    block kills and reaps the child, whether or not the result was read.
-    The sweep starts no threads, and OpenBLAS, whose idle pool numpy starts,
-    shuts it down across a fork, so the child holds no lock another thread
-    owned.
+    `result()` returns its value or raises its exception; `poll()` does so
+    only if the child's message (or its end) is already in the pipe.
+    Leaving the with block kills and reaps the child, whether or not the
+    result was read.  The sweep starts no threads, and OpenBLAS, whose idle
+    pool numpy starts, shuts it down across a fork, so the child holds no
+    lock another thread owned.
     """
 
     def __init__(self, fn, *args):
@@ -516,16 +598,25 @@ class _Forked:
             _send_and_exit(write_fd, fn, args)
         os.close(write_fd)
         self._pipe = os.fdopen(read_fd, "rb")
+        self._message = None
+
+    def poll(self):
+        """Read the child's message if it is waiting; raise its exception."""
+        if self._message is None and select.select([self._pipe], [], [], 0)[0]:
+            self.result()
 
     def result(self):
-        try:
-            ok, value = pickle.load(self._pipe)
-        except (EOFError, pickle.UnpicklingError):
-            _, status = os.waitpid(self.pid, 0)
-            self.pid = None
-            raise ChildLostError(
-                "the forked lambda-independent stage ended without a result "
-                f"(exit code {os.waitstatus_to_exitcode(status)})") from None
+        if self._message is None:
+            try:
+                self._message = pickle.load(self._pipe)
+            except (EOFError, pickle.UnpicklingError):
+                _, status = os.waitpid(self.pid, 0)
+                self.pid = None
+                raise ChildLostError(
+                    "the forked child (limit and pair stage, and its lambda runs) "
+                    "ended without a result "
+                    f"(exit code {os.waitstatus_to_exitcode(status)})") from None
+        ok, value = self._message
         if not ok:
             raise value
         return value
@@ -542,20 +633,26 @@ class _Forked:
 
 
 def run_sweep(config: RunConfig) -> ConvergenceReport:
-    """Full lambda sweep; writes report.csv, rates.csv and meta.txt.  The
-    lambda-independent stage runs in a forked child, concurrently with the
-    lambda runs (see the module docstring)."""
+    """Full lambda sweep; writes report.csv, rates.csv and meta.txt.  A
+    forked child solves the lambda-independent stage and then its share of
+    the lambda runs, concurrently with the parent's (see the module
+    docstring)."""
     config.validate()
     base = base_fields(config)
     snapshot_times = config.resolved_snapshot_times()
+    parent_lams, child_lams = split_lambdas(config, base)
+    runs = {}
+    with _Forked(_child_share, config, base, child_lams) as child:
+        for lam in parent_lams:
+            runs[lam] = _run_one_lambda(config, base, lam, snapshot_times)
+            child.poll()  # a failed child raises now, not after the last run
+        limit, pair_traj, child_runs = child.result()
+    runs.update(child_runs)
     lams = [float(lam) for lam in config.lambda_list]  # strictly decreasing
-    with _Forked(_lambda_independent_stage, config, base) as stage:
-        runs = [_run_one_lambda(config, base, lam, snapshot_times) for lam in lams]
-        limit, pair_traj = stage.result()
-    trajectories = [traj for traj, _ in runs]
-    rows = [ReportRow(lam, status=status) if traj is None
+    trajectories = [runs[lam][0] for lam in lams]
+    rows = [ReportRow(lam, status=runs[lam][1]) if traj is None
             else measure_errors(traj, limit, pair_traj, lam, config.s_norm)
-            for lam, (traj, status) in zip(lams, runs)]
+            for lam, traj in zip(lams, trajectories)]
     report = ConvergenceReport(config, rows, fit_all_rates(rows),
                                pair_traj.growth_factor)
     _write_outputs(config, report, trajectories)

@@ -165,11 +165,15 @@ def limit_step(state: LimitState, params: PhysParams, dt: float) -> LimitState:
     return LimitState(as_vector(grid, y[:grid.dims]), SpectralScalar(grid, y[-1]))
 
 
+def advective_dt(u: SpectralVector) -> float:
+    """Advective CFL bound 0.5 h / |u|_inf of a velocity."""
+    umax = max(np.abs(c.samples()).max() for c in u)
+    return 0.5 * u.grid.spacing / max(umax, 1e-12)
+
+
 def default_limit_dt(state: LimitState) -> float:
-    """Advective CFL bound 0.5 h / |v|_inf (diffusion is exact here)."""
-    vmax = max(np.abs(c.samples()).max() for c in state.v)
-    h = state.grid.spacing
-    return 0.5 * h / max(vmax, 1e-12)
+    """The advective CFL bound of the velocity (diffusion is exact here)."""
+    return advective_dt(state.v)
 
 
 @dataclass(eq=False)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (BlowUpError, DegenerateDensityError, MassDefectError,
                      NonpositiveTemperatureError)
-from .limit_solver import PhysParams, strain_heating
+from .limit_solver import PhysParams, advective_dt, strain_heating
 from .oscillation import rotate_slots
 from .projections import decompose, leray_q
 from .spectral import (MEAN_TOL, SpectralScalar, SpectralVector, as_vector,
@@ -206,14 +206,17 @@ def nsp_step(state: NSPState, params: PhysParams, lam: float, dt: float) -> NSPS
     return _state(grid, y, lam)
 
 
+def nsp_dt(cfl: float, lam: float, phase_resolution: int = DEFAULT_PHASE_RESOLUTION,
+           dt_max: float = DEFAULT_DT_MAX) -> float:
+    """min(cfl, one oscillation period / phase_resolution, dt_max)."""
+    return min(cfl, 2.0 * np.pi * lam / phase_resolution, dt_max)
+
+
 def default_nsp_dt(state: NSPState, lam: float,
                    phase_resolution: int = DEFAULT_PHASE_RESOLUTION,
                    dt_max: float = DEFAULT_DT_MAX) -> float:
-    """min(advective CFL, one oscillation period / phase_resolution, dt_max)."""
-    umax = max(np.abs(c.samples()).max() for c in state.u)
-    h = state.grid.spacing
-    cfl = 0.5 * h / max(umax, 1e-12)
-    return min(cfl, 2.0 * np.pi * lam / phase_resolution, dt_max)
+    """nsp_dt at the advective CFL step of the state's velocity."""
+    return nsp_dt(advective_dt(state.u), lam, phase_resolution, dt_max)
 
 
 @dataclass(eq=False)

@@ -39,3 +39,27 @@ def band_limited_scalar(grid, rng, kmax):
     for ki in grid.k:
         mask &= np.abs(ki) <= kmax
     return SpectralScalar(grid, f.coeffs * mask)
+
+
+TRANSFORMS = ("fftn", "ifftn", "rfftn", "irfftn", "fft2", "ifft2", "rfft2", "irfft2")
+
+
+@pytest.fixture
+def count_transforms(monkeypatch):
+    """Callable that runs fn and returns how many n-d transforms it made."""
+    calls = [0]
+    for name in TRANSFORMS:
+        original = getattr(np.fft, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls[0] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+
+    def run(fn):
+        calls[0] = 0
+        fn()
+        return calls[0]
+
+    return run

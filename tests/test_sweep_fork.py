@@ -1,8 +1,9 @@
-"""The sweep's forked lambda-independent stage: failures and equivalence.
+"""The sweep's forked child: schedule, failures and equivalence.
 
-`run_sweep` solves the limit and the pair system in a forked child while
-the parent runs the NSP solves.  A patch made here before the sweep is
-inherited by the child.  Every test ends with no child process left.
+`run_sweep` solves the limit and the pair system in a forked child, which
+then runs its share of the lambda values while the parent runs the rest.
+A patch made here before the sweep is inherited by the child.  Every test
+ends with no child process left.
 """
 
 import os
@@ -10,15 +11,21 @@ import signal
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import qnl.harness
+import qnl.stepping
 from qnl.ansatz import solve_osc
 from qnl.cli import main as cli_main
-from qnl.errors import ChildLostError, NonpositiveTemperatureError
-from qnl.harness import (ConvergenceReport, RunConfig, _write_outputs,
-                         base_fields, fit_all_rates, gen_initial_data,
-                         measure_errors, run_sweep, solve_limit)
+from qnl.errors import BlowUpError, ChildLostError, NonpositiveTemperatureError
+from qnl.harness import (NSP_STEP_TRANSFORMS, STAGE_STEP_TRANSFORMS,
+                         ConvergenceReport, ReportRow, RunConfig,
+                         _lambda_independent_stage, _run_one_lambda,
+                         _write_outputs, base_fields, fit_all_rates,
+                         gen_initial_data, lpt_assign, measure_errors,
+                         predicted_steps, run_sweep, solve_limit, split_lambdas)
+from qnl.limit_solver import advective_dt
 from qnl.nsp import run_nsp
 from qnl.oscillation import GradientPair
 from qnl.spectral import gradient
@@ -95,8 +102,9 @@ def test_parent_failure_kills_and_reaps_the_child(tmp_path, monkeypatch, deadlin
     assert_no_child_left()
 
 
-def serial_sweep(config: RunConfig):
-    """The sweep's stages composed in one process, outputs written."""
+def serial_sweep(config: RunConfig, run_nsp=run_nsp):
+    """The sweep's stages composed in one process, outputs written; a run
+    that raises BlowUpError becomes a blow_up row."""
     base = base_fields(config)
     times = config.resolved_snapshot_times()
     limit, limit_dt = solve_limit(config, base)
@@ -105,9 +113,14 @@ def serial_sweep(config: RunConfig):
                      snapshot_times=times, norm_s=config.s_norm)
     rows, trajectories = [], []
     for lam in config.lambda_list:
-        traj = run_nsp(gen_initial_data(config.ic, lam, base), config.nsp_params(lam),
-                       lam, config.t_end, snapshot_times=times, norm_s=config.s_norm,
-                       phase_resolution=config.phase_resolution, dt_max=config.dt_max)
+        try:
+            traj = run_nsp(gen_initial_data(config.ic, lam, base), config.nsp_params(lam),
+                           lam, config.t_end, snapshot_times=times, norm_s=config.s_norm,
+                           phase_resolution=config.phase_resolution, dt_max=config.dt_max)
+        except BlowUpError:
+            rows.append(ReportRow(lam, status="blow_up"))
+            trajectories.append(None)
+            continue
         rows.append(measure_errors(traj, limit, pair, lam, config.s_norm))
         trajectories.append(traj)
     _write_outputs(config, ConvergenceReport(config, rows, fit_all_rates(rows),
@@ -138,3 +151,221 @@ def test_sweep_outputs_equal_the_serial_stages_byte_for_byte(tmp_path, keys):
             if not line.startswith("output_dir = ")]
     assert meta == [line for line in serial["meta.txt"].decode().splitlines()
                     if not line.startswith("output_dir = ")]
+
+
+def test_failed_child_stage_raises_after_one_parent_run(tmp_path, monkeypatch,
+                                                        deadline):
+    # The parent polls the pipe between its lambda runs; it used to wait for
+    # all of them before reading the child's failure.
+    config = RunConfig(output_dir=str(tmp_path / "out"), **SMALL)
+    assert len(split_lambdas(config, base_fields(config))[0]) >= 2
+
+    def failing_solve_limit(config, base):
+        raise NonpositiveTemperatureError("limit temperature lost positivity")
+
+    calls = []
+
+    def slow_run_nsp(*args, **kwargs):
+        calls.append(1)  # counted in the parent only
+        time.sleep(0.5)
+
+    monkeypatch.setattr(qnl.harness, "solve_limit", failing_solve_limit)
+    monkeypatch.setattr(qnl.harness, "run_nsp", slow_run_nsp)
+    with pytest.raises(NonpositiveTemperatureError):
+        run_sweep(config)
+    assert len(calls) == 1
+    assert not (tmp_path / "out").exists()
+    assert_no_child_left()
+
+
+# -- schedule ----------------------------------------------------------------
+
+def test_lpt_assigns_longest_first_to_the_least_loaded_machine():
+    assert lpt_assign([3, 5, 4], [0, 0]) == [1, 0, 1]      # 5 | 4, then 3 on 4
+    # Ties: equal costs go in list order, equal loads to the earlier machine.
+    assert lpt_assign([2, 2, 2, 2], [0, 0]) == [0, 1, 0, 1]
+    assert lpt_assign([2, 2, 2], [0, 3]) == [0, 0, 1]         # 2, 4 | 3, 5
+    assert lpt_assign([1, 4, 1, 2], [0, 5]) == [1, 0, 0, 0]   # 4, 6, 7 | 5, 6
+    assert lpt_assign([1, 4, 1, 2], [0, 6]) == [0, 0, 1, 0]   # 4, 6, 7 | 6, 7
+    assert lpt_assign([6, 1, 1], [0, 2, 3]) == [0, 1, 1]      # 6 | 2, 3, 4 | 3
+    assert lpt_assign([], [0, 1]) == []
+
+
+def test_lpt_leaves_the_unloaded_machine_the_longest_job():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        costs = list(rng.integers(1, 50, size=rng.integers(1, 7)))
+        owner = lpt_assign(costs, [0, int(rng.integers(1, 200))])
+        assert owner[int(np.argmax(costs))] == 0
+
+
+STOCK_2D = dict(t_end=0.0625, snapshots=3, ic_random_amp=0.01)
+STOCK_3D = dict(dims=3, resolution=24, s_norm=3.5, lambda_list=(0.1, 0.05, 0.025),
+                t_end=0.01, snapshots=2, ic_random_amp=0.01)
+
+
+@pytest.mark.parametrize("keys, child", [
+    (STOCK_2D, [0.05]),
+    (dict(STOCK_2D, euler_mode=True), [0.05]),
+    ({}, [0.05]),
+    (STOCK_3D, []),
+], ids=["64sq-short", "64sq-euler", "64sq-stock", "24cube"])
+def test_split_of_the_benchmark_shaped_sweeps(keys, child):
+    config = RunConfig(**keys)
+    parent_lams, child_lams = split_lambdas(config, base_fields(config))
+    assert child_lams == child
+    assert sorted(parent_lams + child_lams, reverse=True) == list(config.lambda_list)
+
+
+@pytest.mark.parametrize("keys", [
+    dict(resolution=16, lambda_list=(0.1,), t_end=0.01, snapshots=2),
+    dict(resolution=16, lambda_list=(0.1, 0.0125), t_end=2.0, snapshots=2),
+    dict(resolution=16, lambda_list=(1.0, 0.5), limit_dt=1e-4, t_end=0.1, snapshots=2),
+    dict(SMALL, limit_dt=0.04),
+])
+def test_parent_keeps_at_least_one_lambda(keys):
+    config = RunConfig(**keys)
+    parent_lams, _ = split_lambdas(config, base_fields(config))
+    assert parent_lams
+
+
+@pytest.fixture
+def step_counter(monkeypatch):
+    """Counts the Lawson steps integrate takes, without doing their work:
+    integrate fixes dt before its loop, so the count does not depend on
+    what a step computes, and the settled state stays the initial one."""
+    steps = []
+    monkeypatch.setattr(qnl.stepping, "lawson_rk4_step",
+                        lambda y, *args, **kwargs: steps.append(1) or y)
+    return steps
+
+
+# The NSP CFL step (about 0.15 at 16^2) binds below the phase and dt_max bounds.
+CFL_BOUND = dict(resolution=16, lambda_list=(2.0, 1.0), phase_resolution=4,
+                 dt_max=1.0, t_end=1.0, snapshots=3)
+
+
+@pytest.mark.parametrize("keys", [
+    {},
+    dict(resolution=16, limit_dt=0.0123, t_end=0.2, snapshots=5),
+    dict(resolution=16, ic="well", t_end=0.2, snapshot_times=(0.05, 0.13)),
+    CFL_BOUND,
+    dict(dims=3, resolution=8, s_norm=3.5, t_end=0.03, snapshots=4),
+], ids=["default", "limit_dt", "well", "cfl", "3d"])
+def test_predicted_steps_equal_the_steps_taken(keys, step_counter):
+    config = RunConfig(**keys)
+    base = base_fields(config)
+    stage_steps, nsp_steps = predicted_steps(config, base)
+    _lambda_independent_stage(config, base)
+    assert len(step_counter) == 2 * stage_steps  # limit, then pair
+    times = config.resolved_snapshot_times()
+    for lam, steps in zip(config.lambda_list, nsp_steps):
+        step_counter.clear()
+        assert _run_one_lambda(config, base, lam, times)[1] == "ok"
+        assert len(step_counter) == steps, lam
+
+
+def test_cfl_case_is_cfl_bound():
+    config = RunConfig(**CFL_BOUND)
+    base = base_fields(config)
+    for lam in config.lambda_list:
+        cfl = advective_dt(gen_initial_data(config.ic, lam, base).u)
+        assert cfl < min(2 * np.pi * lam / config.phase_resolution, config.dt_max)
+
+
+@pytest.mark.parametrize("euler_mode", [False, True], ids=["ns", "euler"])
+@pytest.mark.parametrize("dims, resolution", [(2, 16), (3, 8)], ids=["2d", "3d"])
+def test_cost_weights_are_the_transforms_of_one_step(count_transforms, dims,
+                                                     resolution, euler_mode):
+    # One more step of each solve costs exactly the weight in transforms.
+    config = RunConfig(dims=dims, resolution=resolution, s_norm=3.5, snapshots=2,
+                       euler_mode=euler_mode)
+    base = base_fields(config)
+    lam, dt = 0.05, 1e-3
+    initial = gen_initial_data(config.ic, lam, base)
+
+    def nsp(steps):
+        return count_transforms(lambda: run_nsp(initial, config.nsp_params(lam), lam,
+                                                steps * dt, dt=dt))
+
+    def stage(steps):
+        return count_transforms(lambda: _lambda_independent_stage(
+            replace(config, t_end=steps * dt, limit_dt=dt), base))
+
+    assert nsp(2) - nsp(1) == nsp(3) - nsp(2) == NSP_STEP_TRANSFORMS[dims]
+    assert stage(2) - stage(1) == stage(3) - stage(2) == STAGE_STEP_TRANSFORMS[dims]
+
+
+# -- lambda runs in the child -------------------------------------------------
+
+FOUR_LAMBDAS = (0.1, 0.05, 0.025, 0.0125)
+CHILD_CASES = [
+    dict(dims=2, resolution=16, t_end=0.1, snapshots=3),
+    dict(dims=3, resolution=16, s_norm=3.5, t_end=0.02, snapshots=2),
+]
+
+
+def child_config(tmp_path, keys):
+    config = RunConfig(lambda_list=FOUR_LAMBDAS, ic_random_amp=0.01,
+                       save_snapshots=True, output_dir=str(tmp_path / "sweep"), **keys)
+    _, child_lams = split_lambdas(config, base_fields(config))
+    assert child_lams
+    return config, child_lams
+
+
+def assert_same_outputs(sweep_dir, serial_dir):
+    """Every output file equal byte for byte, meta.txt less its output_dir."""
+    def outputs(directory):
+        files = {p.name: p.read_bytes() for p in directory.iterdir()}
+        files["meta.txt"] = [line for line in files["meta.txt"].decode().splitlines()
+                             if not line.startswith("output_dir = ")]
+        return files
+
+    sweep, serial = outputs(sweep_dir), outputs(serial_dir)
+    assert sorted(sweep) == sorted(serial)
+    for name in sweep:
+        assert sweep[name] == serial[name], name
+
+
+@pytest.mark.parametrize("keys", CHILD_CASES, ids=["2d", "3d"])
+def test_child_lambda_runs_equal_the_serial_stages_byte_for_byte(tmp_path, keys):
+    config, _ = child_config(tmp_path, keys)
+    run_sweep(config)
+    assert_no_child_left()
+    serial_sweep(replace(config, output_dir=str(tmp_path / "serial")))
+    names = [p.name for p in (tmp_path / "sweep").iterdir()]
+    assert sum(name.startswith("diag_") for name in names) == 4
+    assert sum(name.endswith(".qnl") for name in names) == 4 * config.snapshots * 2
+    assert_same_outputs(tmp_path / "sweep", tmp_path / "serial")
+
+
+def failing_at(lams, error):
+    """run_nsp that raises error at the lambda values lams."""
+    def run(initial, params, lam, *args, **kwargs):
+        if lam in lams:
+            raise error(f"NSP run failed at lambda = {lam}")
+        return run_nsp(initial, params, lam, *args, **kwargs)
+    return run
+
+
+def test_child_blow_up_is_the_serial_blow_up_row(tmp_path, monkeypatch):
+    config, child_lams = child_config(tmp_path, CHILD_CASES[0])
+    blowing = failing_at(child_lams[:1], BlowUpError)
+    monkeypatch.setattr(qnl.harness, "run_nsp", blowing)
+    report = run_sweep(config)
+    assert_no_child_left()
+    assert [row.status == "blow_up" for row in report.rows] == [
+        lam == child_lams[0] for lam in config.lambda_list]
+    serial_sweep(replace(config, output_dir=str(tmp_path / "serial")), blowing)
+    assert_same_outputs(tmp_path / "sweep", tmp_path / "serial")
+
+
+def test_child_lambda_error_is_reraised_and_the_child_reaped(tmp_path, monkeypatch,
+                                                              deadline):
+    config, child_lams = child_config(tmp_path, CHILD_CASES[0])
+    monkeypatch.setattr(qnl.harness, "run_nsp", failing_at(child_lams, RuntimeError))
+    with pytest.raises(RuntimeError,
+                       match=rf"^NSP run failed at lambda = {child_lams[0]}$"):
+        run_sweep(config)
+    assert not (tmp_path / "sweep").exists()
+    assert_no_child_left()

@@ -30,7 +30,6 @@ PARAMS = {
     "inviscid": PhysParams(0.0, 0.0, 0.0),
 }
 GRIDS = {2: 32, 3: 16}
-TRANSFORMS = ("fftn", "ifftn", "rfftn", "irfftn", "fft2", "ifft2", "rfft2", "irfft2")
 
 
 # -- reference formulas: one product() per quadratic term ---------------------
@@ -173,27 +172,6 @@ def fields(request):
                         gradient(rough_scalar(grid, rng, 0.0, 0.3)))
     return Fields(leray_p(rough_vector(grid, rng, 0.5)),
                   rough_scalar(grid, rng, 2.0, 0.5), pair, nsp_state)
-
-
-@pytest.fixture
-def count_transforms(monkeypatch):
-    """Callable that runs fn and returns how many n-d transforms it made."""
-    calls = [0]
-    for name in TRANSFORMS:
-        original = getattr(np.fft, name)
-
-        def counted(*args, _original=original, **kwargs):
-            calls[0] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(np.fft, name, counted)
-
-    def run(fn):
-        calls[0] = 0
-        fn()
-        return calls[0]
-
-    return run
 
 
 # -- equivalence -------------------------------------------------------------

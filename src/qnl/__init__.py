@@ -8,8 +8,7 @@ for ill-prepared initial data.
 """
 
 from .ansatz import (CorrectorForcings, CorrectorState, OscillationFields,
-                     PairTrajectory, assemble_ansatz, build_oscillation,
-                     corrector_forcings, corrector_rhs, corrector_state,
+                     PairTrajectory, build_oscillation, corrector_state,
                      osc_rhs, solve_osc)
 from .errors import (BlowUpError, ChildLostError, DegenerateDensityError,
                      DensityNotPositiveError, InsufficientDataError,
@@ -25,7 +24,7 @@ from .limit_solver import (LimitSnapshots, LimitState, LimitTrajectory,
                            run_limit)
 from .nsp import (NSPState, NSPTrajectory, nsp_rhs_nonstiff, nsp_step,
                   poisson_solve, run_nsp)
-from .oscillation import GradientPair, apply_group, filter_state, generator
+from .oscillation import GradientPair, apply_group, generator
 from .projections import decompose, leray_p, leray_q
 from .spectral import (SpectralScalar, SpectralVector, TorusGrid, derivative,
                        divergence, gradient, inverse_laplacian, laplacian,

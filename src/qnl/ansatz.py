@@ -1,4 +1,4 @@
-"""Fast-oscillation ansatz: filtered pair system, correctors, assembly.
+"""Fast-oscillation ansatz: filtered pair system and corrector closed form.
 
 The filtered pair (grad_q, grad_p) obeys a lambda-independent linear system
 driven by the limit velocity,
@@ -8,15 +8,16 @@ driven by the limit velocity,
 
 one copy per slot, with initial data (Q u0, grad phi0).  The physical
 oscillation at Debye length lambda is the pair rotated by t/lambda, and the
-oscillating density is rho_osc = -lap(phi_osc).  The O(lambda) correctors
-solve a forced rotation in the fast time tau = t/lambda with the slow-time
-fields frozen, which has the closed-form Duhamel solution
+oscillating density is rho_osc = -lap(phi_osc).
+
+`corrector_state` is the closed-form Duhamel solution, at fast time tau,
+of the forced rotation d(u_cor)/dtau = -gphi_cor + k4, d(gphi_cor)/dtau =
+u_cor + m, d(theta_cor)/dtau = k5 from zero data with constant forcings:
 
     u_cor   = sin(tau) k4 - (1 - cos(tau)) m
     gphi_cor = (1 - cos(tau)) k4 + sin(tau) m,      m = grad((-lap)^-1 k2),
 
-and theta_cor = tau * k5.  Correctors vanish identically at tau = 0 and for
-well-prepared data.
+and theta_cor = tau * k5.
 """
 
 from __future__ import annotations
@@ -27,15 +28,12 @@ from math import cos, sin
 import numpy as np
 
 from .errors import BlowUpError
-from .limit_solver import PhysParams, default_limit_dt, strain_dissipation
-from .nsp import NSPState
+from .limit_solver import PhysParams, default_limit_dt
 from .oscillation import GradientPair, apply_group
-from .projections import leray_p, leray_q
-from .spectral import (SpectralScalar, SpectralVector, advect, as_vector,
-                       constant_scalar, divergence, gradient,
-                       inverse_laplacian, laplacian, physical_gradient,
-                       product, sobolev_norm, stack, to_physical,
-                       vector_from_samples, zeros_vector)
+from .projections import leray_q
+from .spectral import (SpectralScalar, SpectralVector, as_vector, divergence,
+                       gradient, physical_gradient, sobolev_norm, stack,
+                       to_physical, vector_from_samples, zeros_vector)
 from .stepping import BLOWUP_FACTOR, all_finite, integrate, time_grid, time_index
 
 
@@ -164,45 +162,6 @@ class CorrectorForcings:
     m: SpectralVector  # grad((-lap)^-1 k2)
 
 
-def corrector_forcings(v: SpectralVector, theta: SpectralScalar,
-                       osc: OscillationFields,
-                       params: PhysParams) -> CorrectorForcings:
-    """Assemble k2, k4, k5 from the frozen slow-time fields."""
-    grid = v.grid
-    u_osc, gphi, rho_osc = osc.u_osc, osc.grad_phi_osc, osc.rho_osc
-    visc2 = params.mu + 0.5 * params.nu
-    lap_phi = divergence(gphi)
-    div_uo = divergence(u_osc)
-
-    w = v + u_osc
-    flux = SpectralVector(grid, tuple(product(rho_osc, w[a]) for a in range(grid.dims)))
-    bracket = advect(v, gphi) + advect(gphi, v) + SpectralVector(
-        grid, tuple(product(v[a], lap_phi) for a in range(grid.dims)))
-    k2 = divergence(flux) + 0.5 * divergence(bracket)
-    if visc2 != 0.0:
-        k2 = k2 - visc2 * laplacian(lap_phi)
-
-    sym = advect(v, u_osc) + advect(u_osc, v)
-    anti = SpectralVector(grid, tuple(product(v[a], div_uo) for a in range(grid.dims)))
-    k3 = 0.5 * leray_q(sym - anti) + advect(u_osc, u_osc) + leray_p(sym)
-    if visc2 != 0.0:
-        k3 = k3 + visc2 * gradient(div_uo)
-
-    k4 = -k3 - gradient(theta)
-    if params.mu != 0.0 or params.nu != 0.0:
-        k4 = k4 + params.mu * laplacian(u_osc) \
-            + (params.mu + params.nu) * gradient(div_uo)
-
-    k5 = -advect(u_osc, theta) - product(theta, div_uo)
-    if params.nu != 0.0:
-        k5 = k5 + params.nu * product(div_uo, div_uo)
-    if params.mu != 0.0:
-        k5 = k5 + strain_dissipation(v + u_osc, params.mu)
-
-    m = -gradient(inverse_laplacian(k2))
-    return CorrectorForcings(k2, k4, k5, m)
-
-
 @dataclass(eq=False)
 class CorrectorState:
     """O(lambda) corrector fields at fast time tau, with their forcings."""
@@ -223,32 +182,3 @@ def corrector_state(tau: float, forcings: CorrectorForcings) -> CorrectorState:
     theta_cor = tau * forcings.k5
     rho_cor = -divergence(gphi_cor)
     return CorrectorState(tau, u_cor, gphi_cor, theta_cor, rho_cor, forcings)
-
-
-def corrector_rhs(state: CorrectorState):
-    """Fast-time tendencies (du_cor, dgrad_phi_cor, dtheta_cor)."""
-    f = state.forcings
-    du = -state.grad_phi_cor + f.k4
-    dgphi = state.u_cor + f.m
-    return du, dgphi, f.k5.copy()
-
-
-def assemble_ansatz(t: float, lam: float, limit_state, osc: OscillationFields,
-                    corrector: CorrectorState | None = None) -> NSPState:
-    """Truncated expansion state (leading order, plus correctors if given)."""
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    grid = osc.u_osc.grid
-    rho = constant_scalar(grid, 1.0) + lam * osc.rho_osc
-    u = limit_state.v + osc.u_osc
-    theta = limit_state.theta.copy()
-    phi = inverse_laplacian(divergence(osc.grad_phi_osc))
-    if corrector is not None:
-        if limit_state.pi is None:
-            raise ValueError("corrector assembly needs the recovered pressure Pi")
-        rho = rho + (lam ** 2) * (laplacian(limit_state.pi) + corrector.rho_cor)
-        u = u + lam * corrector.u_cor
-        theta = theta + lam * corrector.theta_cor
-        phi_cor = inverse_laplacian(divergence(corrector.grad_phi_cor))
-        phi = phi + lam * (limit_state.pi + phi_cor)
-    return NSPState(rho, u, theta, phi)

@@ -30,6 +30,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_limit(args) -> int:
     from .harness import base_fields, solve_limit
+    from .limit_solver import recover_pressure
     from .spectral import sobolev_norm, write_snapshot
 
     config = load_config(args.config)
@@ -47,7 +48,8 @@ def _cmd_limit(args) -> int:
             stem = os.path.join(config.output_dir, f"limit_t_{t:.6g}")
             write_snapshot(stem + "_v.qnl", state.v)
             write_snapshot(stem + "_theta.qnl", state.theta)
-            write_snapshot(stem + "_pi.qnl", state.pi)
+            write_snapshot(stem + "_pi.qnl",
+                           recover_pressure(state, config.limit_params()))
     print(f"wrote {path}")
     return 0
 

@@ -29,12 +29,12 @@ child also runs lambda = 0.05; on a short 24^3 one (0.25 s against 0.08,
 0.08 and 0.15 s) it runs none.  The parent polls the pipe between its
 runs, so a failed child raises at once.  The child neither measures nor
 writes, so a failed sweep leaves no output directory: it pipes back,
-pickled, the limit snapshots with their pressure, the pair trajectory and
-its lambda runs, and the parent measures and writes every output as a
-serial sweep would, byte for byte.  The limit solve's Hermite nodes live
-and die in the child, which keeps the parent's peak RSS down (44.4 -> 41.1
-MiB on the 64^2 sweep, 59.7 -> 53.5 MiB on the 24^3 one, when the stage was
-first forked); a process pool over lambda would raise the peak instead.  An
+pickled, the limit snapshots, the pair trajectory and its lambda runs,
+and the parent measures and writes every output as a serial sweep would,
+byte for byte.  The limit solve's Hermite nodes live and die in the child,
+which keeps the parent's peak RSS down (44.4 -> 41.1 MiB on the 64^2
+sweep, 59.7 -> 53.5 MiB on the 24^3 one, when the stage was first
+forked); a process pool over lambda would raise the peak instead.  An
 exception in the child is re-raised in the parent; a child that ends
 without a result raises ChildLostError; the child is killed and reaped on
 every exit path.  `qnl limit` solves the limit in-process.

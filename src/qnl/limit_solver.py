@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BlowUpError, NonpositiveTemperatureError
 from .projections import leray_p
-from .spectral import (SpectralScalar, SpectralVector, advect, as_vector,
+from .spectral import (SpectralScalar, SpectralVector, as_vector,
                        divergence, inverse_laplacian, laplacian,
                        physical_derivative, physical_gradient, sobolev_norm,
                        stack, to_physical, to_spectral, vector_from_samples)
@@ -55,11 +55,10 @@ class PhysParams:
 
 @dataclass(eq=False)
 class LimitState:
-    """Divergence-free velocity, positive temperature, optional pressure."""
+    """Divergence-free velocity and positive temperature."""
 
     v: SpectralVector
     theta: SpectralScalar
-    pi: SpectralScalar | None = None
 
     @property
     def grid(self):
@@ -85,10 +84,11 @@ def strain_heating(grad, mu: float) -> np.ndarray:
     return (0.5 * mu) * out
 
 
-def strain_dissipation(v: SpectralVector, mu: float) -> SpectralScalar:
-    """(mu/2) * sum_ij (d_i v_j + d_j v_i)^2, dealiased."""
-    heat = strain_heating(physical_gradient(v), mu)
-    return SpectralScalar(v.grid, to_spectral(v.grid, heat))
+def _advection(grid, vs, grad_v) -> SpectralVector:
+    """(v.grad)v from the samples vs[a] of v_a and grad_v[a][b] of d_a v_b,
+    one forward transform per component."""
+    return vector_from_samples(grid, [
+        sum(vs[a] * grad_v[a][b] for a in range(grid.dims)) for b in range(grid.dims)])
 
 
 def ns_rhs(state: LimitState, params: PhysParams):
@@ -101,9 +101,7 @@ def ns_rhs(state: LimitState, params: PhysParams):
     v, theta = state.v, state.theta
     vs = [to_physical(grid, c.coeffs) for c in v]
     grad_v = physical_gradient(v)
-    advection = vector_from_samples(grid, [
-        sum(vs[a] * grad_v[a][b] for a in range(grid.dims)) for b in range(grid.dims)])
-    dv = leray_p(-advection)
+    dv = leray_p(-_advection(grid, vs, grad_v))
     if params.mu != 0.0:
         dv = dv + params.mu * laplacian(v)
     pointwise = -sum(vs[a] * physical_derivative(grid, theta.coeffs, a)
@@ -117,11 +115,14 @@ def ns_rhs(state: LimitState, params: PhysParams):
 
 
 def recover_pressure(state: LimitState, params: PhysParams | None = None) -> SpectralScalar:
-    """Mean-zero Pi with lap(Pi) = -div((v.grad)v - mu lap(v))."""
+    """Mean-zero Pi with lap(Pi) = -div((v.grad)v - mu lap(v)); v and its
+    gradient are sampled once, as in ns_rhs."""
+    grid, v = state.grid, state.v
     mu = params.mu if params is not None else 0.0
-    unprojected = advect(state.v, state.v)
+    unprojected = _advection(grid, [to_physical(grid, c.coeffs) for c in v],
+                             physical_gradient(v))
     if mu != 0.0:
-        unprojected = unprojected - mu * laplacian(state.v)
+        unprojected = unprojected - mu * laplacian(v)
     return inverse_laplacian(-divergence(unprojected))
 
 
@@ -182,10 +183,10 @@ class LimitSnapshots:
     nodes: all that the error measurement reads."""
 
     snapshot_times: np.ndarray
-    states: list            # per snapshot time: LimitState with pi
+    states: list            # per snapshot time: LimitState
 
     def snapshot_state(self, t: float) -> LimitState:
-        """Stored snapshot (with recovered pressure) nearest to t."""
+        """Stored snapshot nearest to t."""
         return self.states[time_index(self.snapshot_times, t)]
 
 
@@ -259,12 +260,8 @@ def run_limit(initial: LimitState, params: PhysParams, t_end: float,
         dv_nodes.append(np.stack(n1[:n]) - params.mu * grid.k_sq * v)
         return y, n1
 
-    def snapshot(y):
-        state = LimitState(as_vector(grid, y[:n]), SpectralScalar(grid, y[n]))
-        state.pi = recover_pressure(state, params)
-        return state
-
     y0 = stack(initial.v, initial.theta.copy())
-    states = list(map(snapshot, integrate(y0, times, dt, explicit, propagate, settle)))
+    states = [LimitState(as_vector(grid, y[:n]), SpectralScalar(grid, y[n]))
+              for y in integrate(y0, times, dt, explicit, propagate, settle)]
     return LimitTrajectory(times, states, grid, params, np.asarray(node_times),
                            v_nodes, theta_nodes, dv_nodes)

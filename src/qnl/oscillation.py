@@ -81,11 +81,3 @@ def apply_group(tau: float, pair: GradientPair) -> GradientPair:
     _validated(pair)
     a, b = rotate_slots(tau, pair.grad_q, pair.grad_psi)
     return GradientPair(a, b)
-
-
-def filter_state(t: float, lam: float, u: SpectralVector,
-                 grad_phi: SpectralVector) -> GradientPair:
-    """Slow filtered variable: rotate (Qu, grad_phi) by -t/lambda."""
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    return apply_group(-t / lam, GradientPair(leray_q(u), grad_phi))

@@ -351,16 +351,6 @@ def product(f: SpectralScalar, g: SpectralScalar) -> SpectralScalar:
     return SpectralScalar(grid, to_spectral(grid, samples))
 
 
-def advect(u: SpectralVector, f):
-    """Advection u . grad(f) of a scalar, or componentwise of a vector."""
-    if isinstance(f, SpectralVector):
-        return SpectralVector(f.grid, tuple(advect(u, c) for c in f.components))
-    out = product(u[0], derivative(f, 0))
-    for a in range(1, f.grid.dims):
-        out = out + product(u[a], derivative(f, a))
-    return out
-
-
 def sobolev_norm(f, s: float) -> float:
     """H^s norm (sum over components for vectors and pairs of vectors)."""
     if hasattr(f, "grad_q"):  # GradientPair-like

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from qnl.spectral import (SpectralScalar, SpectralVector, make_grid,
-                          sobolev_norm, transform_forward)
+from qnl.spectral import (SpectralScalar, SpectralVector, derivative,
+                          make_grid, product, sobolev_norm, transform_forward)
 
 
 @pytest.fixture
@@ -39,6 +39,33 @@ def band_limited_scalar(grid, rng, kmax):
     for ki in grid.k:
         mask &= np.abs(ki) <= kmax
     return SpectralScalar(grid, f.coeffs * mask)
+
+
+# -- oracles: one separately dealiased product() per quadratic term ----------
+# The solvers form the same products pointwise and transform each field and
+# each tendency once (the transform method), so they agree to roundoff.
+
+def advect(u, f):
+    """Advection u . grad(f) of a scalar, or componentwise of a vector."""
+    if isinstance(f, SpectralVector):
+        return SpectralVector(f.grid, tuple(advect(u, c) for c in f.components))
+    out = product(u[0], derivative(f, 0))
+    for a in range(1, f.grid.dims):
+        out = out + product(u[a], derivative(f, a))
+    return out
+
+
+def strain_dissipation(v, mu):
+    """(mu/2) * sum_ij (d_i v_j + d_j v_i)^2, dealiased."""
+    out = None
+    for i in range(v.grid.dims):
+        for j in range(i, v.grid.dims):
+            sij = derivative(v[j], i) + derivative(v[i], j)
+            term = product(sij, sij)
+            if i != j:
+                term = term * 2.0
+            out = term if out is None else out + term
+    return out * (0.5 * mu)
 
 
 TRANSFORMS = ("fftn", "ifftn", "rfftn", "irfftn", "fft2", "ifft2", "rfft2", "irfft2")

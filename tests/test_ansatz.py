@@ -1,13 +1,13 @@
-"""Oscillation construction, corrector closed forms, expansion assembly."""
+"""Oscillation construction, corrector closed forms, leading-order ansatz."""
 
 import numpy as np
 import pytest
 
-from qnl.ansatz import (CorrectorForcings, OscillationFields, assemble_ansatz,
-                        build_oscillation, corrector_forcings, corrector_rhs,
-                        corrector_state, osc_rhs, solve_osc)
-from qnl.errors import BlowUpError, NonZeroMeanError
+from qnl.ansatz import (CorrectorForcings, build_oscillation, corrector_state,
+                        osc_rhs, solve_osc)
+from qnl.errors import BlowUpError
 from qnl.limit_solver import LimitState, PhysParams, run_limit
+from qnl.nsp import NSPState
 from qnl.oscillation import GradientPair
 from qnl.projections import leray_p, leray_q
 from qnl.spectral import (constant_scalar, divergence, gradient,
@@ -21,6 +21,14 @@ from conftest import smooth_scalar, smooth_vector
 def gradient_pair(grid, rng):
     return GradientPair(gradient(smooth_scalar(grid, rng)),
                         gradient(smooth_scalar(grid, rng)))
+
+
+def random_forcings(grid, rng):
+    k2 = smooth_scalar(grid, rng)
+    k2 = k2 - constant_scalar(grid, k2.mean)
+    return CorrectorForcings(k2, leray_q(smooth_vector(grid, rng)),
+                             smooth_scalar(grid, rng),
+                             -gradient(inverse_laplacian(k2)))
 
 
 class TestOscRhs:
@@ -169,57 +177,49 @@ class TestCorrector:
         assert sobolev_norm(state.theta_cor - 0.8 * k5, 0) < 1e-13
 
     def test_vanish_at_tau_zero(self, grid2d, rng):
-        v = leray_p(smooth_vector(grid2d, rng))
-        theta = constant_scalar(grid2d, 2.0) + smooth_scalar(grid2d, rng) * 0.1
-        pair = gradient_pair(grid2d, rng)
-        osc = build_oscillation(0.1, 0.05, pair)
-        forcings = corrector_forcings(v, theta, osc, PhysParams(0.05, 0.0, 0.05))
+        forcings = random_forcings(grid2d, rng)
         state = corrector_state(0.0, forcings)
         assert sobolev_norm(state.u_cor, 0) < 1e-15
         assert sobolev_norm(state.grad_phi_cor, 0) < 1e-15
         assert sobolev_norm(state.theta_cor, 0) < 1e-15
 
     def test_rhs_is_derivative_of_closed_form(self, grid2d, rng):
-        v = leray_p(smooth_vector(grid2d, rng))
-        theta = constant_scalar(grid2d, 2.0)
-        pair = gradient_pair(grid2d, rng)
-        osc = build_oscillation(0.0, 0.05, pair)
-        forcings = corrector_forcings(v, theta, osc, PhysParams(0.05, 0.0, 0.05))
+        # the closed form solves the forced rotation it stands for
+        forcings = random_forcings(grid2d, rng)
         tau, eps = 0.6, 1e-6
         mid = corrector_state(tau, forcings)
         lo = corrector_state(tau - eps, forcings)
         hi = corrector_state(tau + eps, forcings)
-        du, dgphi, dth = corrector_rhs(mid)
+        du = -mid.grad_phi_cor + forcings.k4
+        dgphi = mid.u_cor + forcings.m
         fd_u = (hi.u_cor - lo.u_cor) * (0.5 / eps)
         fd_g = (hi.grad_phi_cor - lo.grad_phi_cor) * (0.5 / eps)
         fd_t = (hi.theta_cor - lo.theta_cor) * (0.5 / eps)
         assert sobolev_norm(fd_u - du, 0) < 1e-6
         assert sobolev_norm(fd_g - dgphi, 0) < 1e-6
-        assert sobolev_norm(fd_t - dth, 0) < 1e-6
+        assert sobolev_norm(fd_t - forcings.k5, 0) < 1e-6
 
-    def test_k2_is_mean_zero_by_construction(self, grid2d, rng):
-        v = leray_p(smooth_vector(grid2d, rng))
-        theta = constant_scalar(grid2d, 2.0) + 0.3 * smooth_scalar(grid2d, rng)
-        pair = gradient_pair(grid2d, rng)
-        osc = build_oscillation(0.2, 0.05, pair)
-        forcings = corrector_forcings(v, theta, osc, PhysParams(0.05, 0.1, 0.02))
-        assert abs(forcings.k2.mean) < 1e-13
 
-    def test_mean_bearing_k2_is_rejected(self, grid2d):
-        # a doctored forcing with non-zero mean has no inverse Laplacian
-        bad_k2 = constant_scalar(grid2d, 0.3)
-        with pytest.raises(NonZeroMeanError):
-            inverse_laplacian(bad_k2)
+def leading_order_ansatz(t, lam, limit, pair):
+    """(1 + lam rho_osc, v + u_osc, theta, phi_osc) at (t, lambda)."""
+    grid = pair.grid
+    osc = build_oscillation(t, lam, pair)
+    return NSPState(constant_scalar(grid, 1.0) + lam * osc.rho_osc,
+                    limit.v + osc.u_osc, limit.theta.copy(),
+                    inverse_laplacian(divergence(osc.grad_phi_osc)))
 
 
 class TestAssembleAnsatz:
+    """The leading-order ansatz, assembled from the limit state and
+    build_oscillation; measure_errors compares u, theta and grad(phi) with
+    its fields."""
+
     def test_leading_order_with_zero_oscillation(self, grid2d, rng):
         v = leray_p(smooth_vector(grid2d, rng))
         theta = constant_scalar(grid2d, 2.0)
-        limit = LimitState(v, theta)
         zero = zeros_vector(grid2d)
-        osc = OscillationFields(zero, zero.copy(), zeros_scalar(grid2d))
-        state = assemble_ansatz(0.1, 0.05, limit, osc)
+        state = leading_order_ansatz(0.1, 0.05, LimitState(v, theta),
+                                     GradientPair(zero, zero.copy()))
         assert sobolev_norm(state.rho - constant_scalar(grid2d, 1.0), 0) < 1e-14
         assert sobolev_norm(state.u - v, 0) < 1e-14
         assert sobolev_norm(state.theta - theta, 0) < 1e-14
@@ -228,44 +228,18 @@ class TestAssembleAnsatz:
     def test_density_mean_is_one(self, grid2d, rng):
         limit = LimitState(leray_p(smooth_vector(grid2d, rng)),
                            constant_scalar(grid2d, 2.0))
-        pair = gradient_pair(grid2d, rng)
-        osc = build_oscillation(0.2, 0.1, pair)
-        state = assemble_ansatz(0.2, 0.1, limit, osc)
+        state = leading_order_ansatz(0.2, 0.1, limit, gradient_pair(grid2d, rng))
         assert abs(state.rho.mean - 1.0) < 1e-14
 
     def test_poisson_constraint_at_leading_order(self, grid2d, rng):
+        # holds because build_oscillation sets rho_osc = -div(grad_phi_osc)
         lam = 0.08
         limit = LimitState(leray_p(smooth_vector(grid2d, rng)),
                            constant_scalar(grid2d, 2.0))
         pair = gradient_pair(grid2d, rng)
-        osc = build_oscillation(0.15, lam, pair)
-        state = assemble_ansatz(0.15, lam, limit, osc)
+        state = leading_order_ansatz(0.15, lam, limit, pair)
         residual = (-lam) * laplacian(state.phi) - state.rho \
             + constant_scalar(grid2d, 1.0)
         assert sobolev_norm(residual, 0) < 1e-12
-
-    def test_corrector_terms_enter_at_lambda_order(self, grid2d, rng):
-        lam = 0.05
-        v = leray_p(smooth_vector(grid2d, rng))
-        theta = constant_scalar(grid2d, 2.0)
-        limit = LimitState(v, theta, pi=smooth_scalar(grid2d, rng))
-        pair = gradient_pair(grid2d, rng)
-        osc = build_oscillation(0.1, lam, pair)
-        forcings = corrector_forcings(v, theta, osc, PhysParams(0.05, 0.0, 0.05))
-        cor = corrector_state(0.1 / lam, forcings)
-        with_cor = assemble_ansatz(0.1, lam, limit, osc, cor)
-        without = assemble_ansatz(0.1, lam, limit, osc)
-        du = sobolev_norm(with_cor.u - without.u, 0)
-        assert du <= lam * sobolev_norm(cor.u_cor, 0) + 1e-13
-        assert du > 0.0
-
-    def test_requires_pressure_for_correctors(self, grid2d, rng):
-        v = leray_p(smooth_vector(grid2d, rng))
-        theta = constant_scalar(grid2d, 2.0)
-        limit = LimitState(v, theta)  # pi missing
-        pair = gradient_pair(grid2d, rng)
-        osc = build_oscillation(0.1, 0.05, pair)
-        forcings = corrector_forcings(v, theta, osc, PhysParams(0.05, 0.0, 0.05))
-        cor = corrector_state(2.0, forcings)
-        with pytest.raises(ValueError):
-            assemble_ansatz(0.1, 0.05, limit, osc, cor)
+        osc = build_oscillation(0.15, lam, pair)
+        assert sobolev_norm(gradient(state.phi) - osc.grad_phi_osc, 0) < 1e-12

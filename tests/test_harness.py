@@ -9,18 +9,18 @@ from qnl.ansatz import solve_osc
 from qnl.cli import main as cli_main
 from qnl.errors import (DensityNotPositiveError, InsufficientDataError,
                         InvalidConfigError, NonpositiveTemperatureError)
-from qnl.harness import (BaseFields, ReportRow, RunConfig,
+from qnl.harness import (ERROR_CHANNELS, BaseFields, ReportRow, RunConfig,
                          default_base_fields, fit_rate, gen_initial_data,
                          load_config, measure_errors, run_sweep)
 from qnl.limit_solver import LimitState, PhysParams, run_limit
 from qnl.nsp import NSPState, NSPTrajectory, poisson_solve
 from qnl.oscillation import GradientPair
 from qnl.ansatz import build_oscillation
-from qnl.spectral import (constant_scalar, gradient, laplacian,
-                          scalar_from_function, sobolev_norm,
+from qnl.spectral import (constant_scalar, divergence, gradient, laplacian,
+                          read_snapshot, scalar_from_function, sobolev_norm,
                           vector_from_functions)
 
-from conftest import smooth_vector
+from conftest import advect, smooth_vector
 
 
 class TestConfig:
@@ -341,8 +341,18 @@ class TestRunSweep:
         assert statuses[1:] == ["ok", "ok", "ok"]
         assert report.rate("E_u") is not None  # fit over surviving rows
 
+    def test_3d_rates_are_order_lambda(self, tmp_path):
+        # Slopes 1.07, 1.00, 0.905, 0.902 (E_rho, E_u, E_theta, E_phi); the
+        # same sweep at 24^3 gives 1.07, 1.00, 0.898, 0.897, so 16^3 is not
+        # a resolution floor.
+        cfg = RunConfig(dims=3, resolution=16, s_norm=3.5, t_end=0.5, snapshots=9,
+                        output_dir=str(tmp_path / "out"))
+        report = run_sweep(cfg)
+        assert report.all_ok
+        slopes = {c: report.rate(c).slope for c in ERROR_CHANNELS}
+        assert min(slopes.values()) >= 0.8, slopes
+
     def test_snapshot_files_written_when_requested(self, tmp_path):
-        from qnl.spectral import read_snapshot
         cfg = RunConfig(output_dir=str(tmp_path / "out"), save_snapshots=True,
                         resolution=16, lambda_list=(0.1, 0.05, 0.025),
                         t_end=0.05, snapshots=2)
@@ -401,6 +411,18 @@ class TestCli:
                      state.theta.samples().min()]
                     for t, state in zip(snapshot_times, states)]
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+
+    def test_limit_snapshots_hold_the_pressure(self, tmp_path):
+        path = self._write_config(tmp_path, save_snapshots="true")
+        assert cli_main(["limit", "--config", str(path)]) == 0
+        mu = load_config(path).limit_params().mu
+        pi_files = sorted((tmp_path / "out").glob("limit_t_*_pi.qnl"))
+        assert len(pi_files) == 3
+        for pi_path in pi_files:
+            v = read_snapshot(str(pi_path).replace("_pi.qnl", "_v.qnl"))
+            rhs = -divergence(advect(v, v) - mu * laplacian(v))
+            residual = laplacian(read_snapshot(pi_path)) - rhs
+            assert sobolev_norm(residual, 0) <= 1e-12 * sobolev_norm(rhs, 0)
 
     def test_check_subcommand(self, capsys):
         code = cli_main(["check", "--resolution", "16"])

@@ -5,14 +5,13 @@ import pytest
 
 from qnl.errors import BlowUpError, NonpositiveTemperatureError
 from qnl.limit_solver import (LimitState, PhysParams, default_limit_dt,
-                              limit_step, ns_rhs, recover_pressure, run_limit,
-                              strain_dissipation)
+                              limit_step, ns_rhs, recover_pressure, run_limit)
 from qnl.projections import leray_p
 from qnl.spectral import (constant_scalar, divergence, gradient, laplacian,
                           make_grid, scalar_from_function, sobolev_norm,
                           vector_from_functions, zeros_vector)
 
-from conftest import smooth_vector
+from conftest import advect, smooth_vector, strain_dissipation
 
 
 def taylor_green(grid):
@@ -75,7 +74,6 @@ class TestRecoverPressure:
         assert sobolev_norm(pi - expected, 0) < 1e-13
 
     def test_poisson_residual_single_mode(self, grid2d):
-        from qnl.spectral import advect
         v = vector_from_functions(grid2d,
                                   lambda x, y: np.sin(y),
                                   lambda x, y: np.zeros_like(y))
@@ -89,7 +87,6 @@ class TestRecoverPressure:
         params = PhysParams(0.07, 0.0, 0.0)
         v = leray_p(smooth_vector(grid2d, rng))
         state = LimitState(v, constant_scalar(grid2d, 1.0))
-        from qnl.spectral import advect
         full = -1.0 * advect(v, v) + params.mu * laplacian(v)
         dv, _ = ns_rhs(state, params)
         pi = recover_pressure(state, params)
@@ -242,11 +239,14 @@ class TestHermiteInterpolation:
 
 def test_strain_dissipation_shear_example(grid2d):
     # v = (sin y, 0): only cross term d_y v_x = cos y contributes,
-    # sum_ij (d_i v_j + d_j v_i)^2 = 2 cos^2 y
+    # sum_ij (d_i v_j + d_j v_i)^2 = 2 cos^2 y; with theta constant the
+    # heating is all of ns_rhs's temperature tendency
     v = vector_from_functions(grid2d,
                               lambda x, y: np.sin(y),
                               lambda x, y: np.zeros_like(x))
     mu = 0.3
-    out = strain_dissipation(v, mu)
     expected = scalar_from_function(grid2d, lambda x, y: mu * np.cos(y) ** 2)
-    assert sobolev_norm(out - expected, 0) < 1e-13
+    _, dtheta = ns_rhs(LimitState(v, constant_scalar(grid2d, 1.0)),
+                       PhysParams(mu, 0.0, 0.0))
+    assert sobolev_norm(strain_dissipation(v, mu) - expected, 0) < 1e-13
+    assert sobolev_norm(dtheta - expected, 0) < 1e-13

@@ -6,7 +6,7 @@ import pytest
 from qnl.errors import (BlowUpError, DegenerateDensityError, MassDefectError,
                         NonpositiveTemperatureError)
 from qnl.harness import default_base_fields, gen_initial_data
-from qnl.limit_solver import PhysParams, strain_dissipation
+from qnl.limit_solver import PhysParams
 from qnl.nsp import (NSPState, default_nsp_dt, nsp_rhs_nonstiff, nsp_step,
                      poisson_solve, run_nsp)
 from qnl.projections import leray_p
@@ -14,7 +14,7 @@ from qnl.spectral import (constant_scalar, gradient,
                           laplacian, make_grid, scalar_from_function,
                           sobolev_norm, transform_forward, zeros_vector)
 
-from conftest import smooth_scalar, smooth_vector
+from conftest import smooth_scalar, smooth_vector, strain_dissipation
 
 
 class TestPoissonSolve:

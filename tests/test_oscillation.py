@@ -1,12 +1,11 @@
-"""Rotation group on gradient pairs and the filtering map."""
+"""Rotation group on gradient pairs, and filtering by it."""
 
 import numpy as np
 import pytest
 
 from qnl.errors import NotGradientError
-from qnl.oscillation import (GradientPair, apply_group, filter_state,
-                             generator)
-from qnl.projections import leray_p, leray_q
+from qnl.oscillation import GradientPair, apply_group, generator
+from qnl.projections import leray_p
 from qnl.spectral import (constant_scalar, gradient, l2_inner, sobolev_norm)
 
 from conftest import smooth_scalar, smooth_vector
@@ -95,12 +94,7 @@ class TestApplyGroup:
 
 
 class TestFilterState:
-    def test_time_zero(self, grid2d, rng):
-        u = smooth_vector(grid2d, rng)
-        gphi = gradient(smooth_scalar(grid2d, rng))
-        pair = filter_state(0.0, 0.2, u, gphi)
-        assert sobolev_norm(pair.grad_q - leray_q(u), 0) < 1e-13
-        assert sobolev_norm(pair.grad_psi - gphi, 0) < 1e-13
+    """Filtering is the group at angle -t/lambda."""
 
     def test_free_rotation_is_filtered_to_constant(self, grid2d, rng):
         # u(t), gphi(t) rotating at frequency 1/lambda filter back to (a0, b0)
@@ -111,26 +105,9 @@ class TestFilterState:
             tau = t / lam
             u = float(np.cos(tau)) * a0 - float(np.sin(tau)) * b0
             gphi = float(np.sin(tau)) * a0 + float(np.cos(tau)) * b0
-            pair = filter_state(t, lam, u, gphi)
+            pair = apply_group(-t / lam, GradientPair(u, gphi))
             assert sobolev_norm(pair.grad_q - a0, 0) < 1e-12
             assert sobolev_norm(pair.grad_psi - b0, 0) < 1e-12
-
-    def test_divergence_free_velocity(self, grid2d, rng):
-        u = leray_p(smooth_vector(grid2d, rng))
-        gphi = gradient(smooth_scalar(grid2d, rng))
-        t, lam = 0.3, 0.1
-        pair = filter_state(t, lam, u, gphi)
-        tau = -t / lam
-        assert sobolev_norm(pair.grad_q + float(np.sin(tau)) * gphi, 0) < 1e-12
-        assert sobolev_norm(pair.grad_psi - float(np.cos(tau)) * gphi, 0) < 1e-12
-
-    def test_rejects_nonpositive_lambda(self, grid2d, rng):
-        u = smooth_vector(grid2d, rng)
-        gphi = gradient(smooth_scalar(grid2d, rng))
-        with pytest.raises(ValueError):
-            filter_state(0.1, 0.0, u, gphi)
-        with pytest.raises(ValueError):
-            filter_state(0.1, -1.0, u, gphi)
 
 
 def test_constant_fields_pass_gradient_check(grid2d):

@@ -1,7 +1,8 @@
 """Transform-once RHS: same discrete operator as the product() composition.
 
 The reference functions below are the RHS formulas written as sums of
-separately dealiased products (product(), advect()).  The solvers form the
+separately dealiased products (product() and the conftest oracles advect()
+and strain_dissipation()).  The solvers form the
 same products pointwise and transform each field and each tendency once, so
 the two must agree to roundoff.  The transform counts per RHS evaluation
 are pinned by wrapping the n-d entry points of numpy.fft.
@@ -16,11 +17,11 @@ from qnl.limit_solver import LimitState, PhysParams, ns_rhs
 from qnl.nsp import NSPState, _electric_residue, nsp_rhs_nonstiff, poisson_solve
 from qnl.oscillation import GradientPair
 from qnl.projections import leray_p, leray_q
-from qnl.spectral import (SpectralVector, advect, constant_scalar, derivative,
-                          divergence, gradient, laplacian, make_grid, product,
+from qnl.spectral import (SpectralVector, constant_scalar, divergence,
+                          gradient, laplacian, make_grid, product,
                           transform_forward)
 
-from conftest import smooth_scalar
+from conftest import advect, smooth_scalar, strain_dissipation
 
 RTOL = 1e-12
 LAM = 0.05
@@ -33,18 +34,6 @@ GRIDS = {2: 32, 3: 16}
 
 
 # -- reference formulas: one product() per quadratic term ---------------------
-
-def ref_strain_dissipation(v, mu):
-    out = None
-    for i in range(v.grid.dims):
-        for j in range(i, v.grid.dims):
-            sij = derivative(v[j], i) + derivative(v[i], j)
-            term = product(sij, sij)
-            if i != j:
-                term = term * 2.0
-            out = term if out is None else out + term
-    return out * (0.5 * mu)
-
 
 def ref_nsp_rhs(state, params):
     grid = state.grid
@@ -69,7 +58,7 @@ def ref_nsp_rhs(state, params):
         term = params.nu * product(div_u, div_u)
         heat = term if heat is None else heat + term
     if params.mu != 0.0:
-        term = ref_strain_dissipation(u, params.mu)
+        term = strain_dissipation(u, params.mu)
         heat = term if heat is None else heat + term
     if heat is not None:
         dtheta = dtheta + product(inv_rho, heat)
@@ -90,7 +79,7 @@ def ref_ns_rhs(state, params):
     if params.kappa != 0.0:
         dtheta = dtheta + params.kappa * laplacian(theta)
     if params.mu != 0.0:
-        dtheta = dtheta + ref_strain_dissipation(v, params.mu)
+        dtheta = dtheta + strain_dissipation(v, params.mu)
     return dv, dtheta
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from qnl.ansatz import (CorrectorForcings, build_oscillation, corrector_state,
                         osc_rhs, solve_osc)
-from qnl.errors import BlowUpError
+from qnl.errors import BlowUpError, NonZeroMeanError
 from qnl.limit_solver import LimitState, PhysParams, run_limit
 from qnl.nsp import NSPState
 from qnl.oscillation import GradientPair
@@ -182,6 +182,12 @@ class TestCorrector:
         assert sobolev_norm(state.u_cor, 0) < 1e-15
         assert sobolev_norm(state.grad_phi_cor, 0) < 1e-15
         assert sobolev_norm(state.theta_cor, 0) < 1e-15
+
+    def test_mean_bearing_k2_is_rejected(self, grid2d):
+        # a doctored forcing with non-zero mean has no inverse Laplacian
+        bad_k2 = constant_scalar(grid2d, 0.3)
+        with pytest.raises(NonZeroMeanError):
+            inverse_laplacian(bad_k2)
 
     def test_rhs_is_derivative_of_closed_form(self, grid2d, rng):
         # the closed form solves the forced rotation it stands for

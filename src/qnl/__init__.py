@@ -20,10 +20,9 @@ from .harness import (BaseFields, ConvergenceReport, RateFit, ReportRow,
                       gen_initial_data, load_config, measure_errors,
                       run_sweep)
 from .limit_solver import (LimitSnapshots, LimitState, LimitTrajectory,
-                           PhysParams, limit_step, ns_rhs, recover_pressure,
-                           run_limit)
-from .nsp import (NSPState, NSPTrajectory, nsp_rhs_nonstiff, nsp_step,
-                  poisson_solve, run_nsp)
+                           PhysParams, ns_rhs, recover_pressure, run_limit)
+from .nsp import (NSPState, NSPTrajectory, nsp_rhs_nonstiff, poisson_solve,
+                  run_nsp)
 from .oscillation import GradientPair, apply_group, generator
 from .projections import decompose, leray_p, leray_q
 from .spectral import (SpectralScalar, SpectralVector, TorusGrid, derivative,

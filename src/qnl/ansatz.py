@@ -28,12 +28,12 @@ from math import cos, sin
 import numpy as np
 
 from .errors import BlowUpError
-from .limit_solver import PhysParams, default_limit_dt
+from .limit_solver import LimitTrajectory, PhysParams
 from .oscillation import GradientPair, apply_group
 from .projections import leray_q
 from .spectral import (SpectralScalar, SpectralVector, as_vector, divergence,
                        gradient, physical_gradient, sobolev_norm, stack,
-                       to_physical, vector_from_samples, zeros_vector)
+                       to_physical, vector_from_samples)
 from .stepping import BLOWUP_FACTOR, all_finite, integrate, time_grid, time_index
 
 
@@ -75,38 +75,26 @@ class PairTrajectory:
     times: np.ndarray
     pairs: list
     growth_factor: float
-    norm_s: float
 
     def pair_at(self, t: float) -> GradientPair:
         return self.pairs[time_index(self.times, t)]
 
 
-def solve_osc(pair0: GradientPair, v_source, params: PhysParams, t_end: float,
-              dt: float | None = None, snapshot_times=None,
+def solve_osc(pair0: GradientPair, limit: LimitTrajectory, params: PhysParams,
+              t_end: float, dt: float, snapshot_times=None,
               norm_s: float = 3.0) -> PairTrajectory:
-    """Integrate the pair system with v interpolated from the limit solve.
-
-    v_source may be a LimitTrajectory (cubic Hermite interpolation in time)
-    or None for v identically zero.
-    """
+    """Integrate the pair system with steps of at most dt, the velocity
+    interpolated in time from the limit solve (limit.v_at)."""
     grid = pair0.grid
     n = grid.dims
     coeff = params.mu + 0.5 * params.nu
     times = time_grid(snapshot_times, t_end)
 
-    if v_source is None:
-        zero = zeros_vector(grid)
-        v_at = lambda _t: zero  # noqa: E731
-    else:
-        v_at = v_source.v_at
-    if dt is None:
-        dt = t_end if v_source is None else default_limit_dt(v_source.state_at(0.0))
-
     def pair_of(y) -> GradientPair:
         return GradientPair(as_vector(grid, y[:n]), as_vector(grid, y[n:]))
 
     def explicit(y, t):
-        tend = osc_rhs(pair_of(y), v_at(t), params)
+        tend = osc_rhs(pair_of(y), limit.v_at(t), params)
         return tuple(c + coeff * grid.k_sq * yi
                      for c, yi in zip(stack(tend.grad_q, tend.grad_psi), y))
 
@@ -131,7 +119,7 @@ def solve_osc(pair0: GradientPair, v_source, params: PhysParams, t_end: float,
 
     y0 = stack(pair0.grad_q.copy(), pair0.grad_psi.copy())
     pairs = list(map(pair_of, integrate(y0, times, dt, explicit, propagate, settle)))
-    return PairTrajectory(times, pairs, growth, norm_s)
+    return PairTrajectory(times, pairs, growth)
 
 
 @dataclass(eq=False)

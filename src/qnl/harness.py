@@ -57,13 +57,14 @@ from .errors import (BlowUpError, ChildLostError, DegenerateDensityError,
                      NonpositiveTemperatureError, QnlError)
 from .limit_solver import (LimitSnapshots, LimitState, PhysParams, advective_dt,
                            run_limit)
-from .nsp import NSPState, NSPTrajectory, nsp_dt, poisson_solve, run_nsp
+from .nsp import (DEFAULT_DT_MAX, DEFAULT_PHASE_RESOLUTION, NSPState,
+                  NSPTrajectory, nsp_dt, poisson_solve, run_nsp)
 from .oscillation import GradientPair, check_gradient
 from .projections import leray_p
 from .spectral import (SpectralScalar, SpectralVector, constant_scalar,
-                       divergence, gradient, laplacian, make_grid,
-                       scalar_from_function, sobolev_norm, transform_forward,
-                       vector_from_functions, write_snapshot)
+                       gradient, laplacian, make_grid, scalar_from_function,
+                       sobolev_norm, transform_forward, vector_from_functions,
+                       write_snapshot)
 from .stepping import step_count, time_grid
 
 ERROR_CHANNELS = ("E_rho", "E_u", "E_theta", "E_phi")
@@ -98,8 +99,8 @@ class RunConfig:
     ic_random_amp: float = 0.0
     seed: int = 0
     output_dir: str = "qnl_out"
-    dt_max: float = 0.01
-    phase_resolution: int = 16
+    dt_max: float = DEFAULT_DT_MAX
+    phase_resolution: int = DEFAULT_PHASE_RESOLUTION
     limit_dt: float | None = None
     save_snapshots: bool = False
 
@@ -125,6 +126,11 @@ class RunConfig:
             raise InvalidConfigError("need at least 2 snapshots")
         if self.ic not in ("ill", "well"):
             raise InvalidConfigError(f"ic must be 'ill' or 'well', got {self.ic!r}")
+        if self.ic_random_amp < 0:
+            raise InvalidConfigError(
+                f"ic_random_amp must be non-negative, got {self.ic_random_amp}")
+        if self.seed < 0:
+            raise InvalidConfigError(f"seed must be non-negative, got {self.seed}")
         if self.phase_resolution < 4:
             raise InvalidConfigError("phase_resolution must be >= 4")
         if not self.dt_max > 0:
@@ -307,11 +313,7 @@ def gen_initial_data(kind: str, lam: float, base: BaseFields) -> NSPState:
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
     grid = base.v0.grid
-    div_norm = sobolev_norm(divergence(base.v0), 0)
-    if div_norm > 1e-10 * max(1.0, sobolev_norm(base.v0, 0)):
-        raise ValueError(f"base velocity is not divergence-free: {div_norm:.3e}")
-    if base.theta0.samples().min() <= 0.0:
-        raise NonpositiveTemperatureError("base temperature must be positive")
+    LimitState(base.v0, base.theta0).validate()
 
     if kind == "well":
         residual = sobolev_norm(base.qu0, 0) + sobolev_norm(gradient(base.phi0), 0)

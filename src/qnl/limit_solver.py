@@ -25,8 +25,7 @@ from .spectral import (SpectralScalar, SpectralVector, as_vector,
                        divergence, inverse_laplacian, laplacian,
                        physical_derivative, physical_gradient, sobolev_norm,
                        stack, to_physical, to_spectral, vector_from_samples)
-from .stepping import (BLOWUP_FACTOR, all_finite, integrate, lawson_rk4_step,
-                       time_grid, time_index)
+from .stepping import BLOWUP_FACTOR, all_finite, integrate, time_grid, time_index
 
 DIV_TOL = 1e-10
 
@@ -126,7 +125,7 @@ def recover_pressure(state: LimitState, params: PhysParams | None = None) -> Spe
     return inverse_laplacian(-divergence(unprojected))
 
 
-def _make_ops(grid, params: PhysParams, guard: float = np.inf):
+def _make_ops(grid, params: PhysParams, guard: float):
     """explicit, propagate and settle of the (v, theta) state for integrate."""
     k_sq = grid.k_sq
     n = grid.dims
@@ -155,26 +154,10 @@ def _make_ops(grid, params: PhysParams, guard: float = np.inf):
     return explicit, propagate, settle
 
 
-def limit_step(state: LimitState, params: PhysParams, dt: float) -> LimitState:
-    """One integrating-factor RK4 step; velocity re-projected afterwards."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    grid = state.grid
-    explicit, propagate, settle = _make_ops(grid, params)
-    y, _ = settle(lawson_rk4_step(stack(state.v, state.theta), 0.0, dt,
-                                  explicit, propagate), dt)
-    return LimitState(as_vector(grid, y[:grid.dims]), SpectralScalar(grid, y[-1]))
-
-
 def advective_dt(u: SpectralVector) -> float:
     """Advective CFL bound 0.5 h / |u|_inf of a velocity."""
     umax = max(np.abs(c.samples()).max() for c in u)
     return 0.5 * u.grid.spacing / max(umax, 1e-12)
-
-
-def default_limit_dt(state: LimitState) -> float:
-    """The advective CFL bound of the velocity (diffusion is exact here)."""
-    return advective_dt(state.v)
 
 
 @dataclass(eq=False)
@@ -192,22 +175,16 @@ class LimitSnapshots:
 
 @dataclass(eq=False)
 class LimitTrajectory(LimitSnapshots):
-    """Dense limit solve with stored tendencies for Hermite interpolation."""
+    """The limit snapshots plus the velocity and its tendency at every step
+    node, from which v_at interpolates the velocity at any time."""
 
     grid: object
-    params: PhysParams
     times: np.ndarray
     v_nodes: list           # per node: (dims, *shape) complex array
-    theta_nodes: list       # per node: shape complex array
     dv_nodes: list          # per node: (dims, *shape) tendency of v
 
     def _vector(self, block) -> SpectralVector:
         return as_vector(self.grid, [row.copy() for row in block])
-
-    def state_at(self, t: float) -> LimitState:
-        idx = time_index(self.times, t, "trajectory node")
-        return LimitState(self._vector(self.v_nodes[idx]),
-                          SpectralScalar(self.grid, self.theta_nodes[idx].copy()))
 
     def v_at(self, t: float) -> SpectralVector:
         """Cubic Hermite interpolation of the velocity between nodes."""
@@ -230,23 +207,20 @@ class LimitTrajectory(LimitSnapshots):
         return self._vector(block)
 
 
-def run_limit(initial: LimitState, params: PhysParams, t_end: float,
-              dt: float | None = None,
+def run_limit(initial: LimitState, params: PhysParams, t_end: float, dt: float,
               snapshot_times=None) -> LimitTrajectory:
-    """Integrate the limit system, recording every node for interpolation."""
+    """Integrate the limit system with steps of at most dt, recording every
+    node's velocity for interpolation."""
     grid = initial.grid
     params.validate(grid.dims)
     initial.validate()
     if t_end <= 0:
         raise ValueError("t_end must be positive")
     times = time_grid(snapshot_times, t_end)
-    if dt is None:
-        dt = default_limit_dt(initial)
-
     guard = BLOWUP_FACTOR * max(sobolev_norm(initial.v, 1), 1e-8)
     explicit, propagate, settle_state = _make_ops(grid, params, guard)
     n = grid.dims
-    node_times, v_nodes, theta_nodes, dv_nodes = [], [], [], []
+    node_times, v_nodes, dv_nodes = [], [], []
 
     def settle(y, t):
         # The first-stage tendency at a node is reused by the next step and
@@ -256,12 +230,10 @@ def run_limit(initial: LimitState, params: PhysParams, t_end: float,
         v = np.stack(y[:n])
         node_times.append(t)
         v_nodes.append(v)
-        theta_nodes.append(y[n].copy())
         dv_nodes.append(np.stack(n1[:n]) - params.mu * grid.k_sq * v)
         return y, n1
 
     y0 = stack(initial.v, initial.theta.copy())
     states = [LimitState(as_vector(grid, y[:n]), SpectralScalar(grid, y[n]))
               for y in integrate(y0, times, dt, explicit, propagate, settle)]
-    return LimitTrajectory(times, states, grid, params, np.asarray(node_times),
-                           v_nodes, theta_nodes, dv_nodes)
+    return LimitTrajectory(times, states, grid, np.asarray(node_times), v_nodes, dv_nodes)

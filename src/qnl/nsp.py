@@ -29,8 +29,7 @@ from .spectral import (MEAN_TOL, SpectralScalar, SpectralVector, as_vector,
                        physical_derivative, physical_gradient, sobolev_norm,
                        stack, to_physical, to_spectral, vector_from_samples,
                        zeros_scalar)
-from .stepping import (BLOWUP_FACTOR, all_finite, integrate, lawson_rk4_step,
-                       time_grid, time_index)
+from .stepping import BLOWUP_FACTOR, all_finite, integrate, time_grid, time_index
 
 RHO_FLOOR = 1e-6
 DEFAULT_DT_MAX = 0.01
@@ -139,7 +138,7 @@ def _electric_residue(u: SpectralVector, grad_phi: SpectralVector) -> SpectralVe
         grid, [to_physical(grid, c.coeffs) * lap_phi for c in u]))
 
 
-def _make_ops(grid, params: PhysParams, lam: float, guard: float = np.inf):
+def _make_ops(grid, params: PhysParams, lam: float, guard: float):
     """explicit, propagate and settle of the NSP state for integrate.
 
     The state is stack(rho, Pu, Qu, grad phi, theta); settle accepts any
@@ -195,36 +194,15 @@ def _state(grid, y, lam: float) -> NSPState:
     return NSPState(rho, u, SpectralScalar(grid, y[-1]), poisson_solve(rho, lam))
 
 
-def nsp_step(state: NSPState, params: PhysParams, lam: float, dt: float) -> NSPState:
-    """One Lawson step; phi re-solved from the updated density afterwards."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    grid = state.grid
-    explicit, propagate, settle = _make_ops(grid, params, lam)
-    y, _ = settle(_unsettled(state), 0.0)
-    y, _ = settle(lawson_rk4_step(y, 0.0, dt, explicit, propagate), dt)
-    return _state(grid, y, lam)
-
-
-def nsp_dt(cfl: float, lam: float, phase_resolution: int = DEFAULT_PHASE_RESOLUTION,
-           dt_max: float = DEFAULT_DT_MAX) -> float:
+def nsp_dt(cfl: float, lam: float, phase_resolution: int, dt_max: float) -> float:
     """min(cfl, one oscillation period / phase_resolution, dt_max)."""
     return min(cfl, 2.0 * np.pi * lam / phase_resolution, dt_max)
-
-
-def default_nsp_dt(state: NSPState, lam: float,
-                   phase_resolution: int = DEFAULT_PHASE_RESOLUTION,
-                   dt_max: float = DEFAULT_DT_MAX) -> float:
-    """nsp_dt at the advective CFL step of the state's velocity."""
-    return nsp_dt(advective_dt(state.u), lam, phase_resolution, dt_max)
 
 
 @dataclass(eq=False)
 class NSPTrajectory:
     """Snapshot states plus per-snapshot diagnostics of one NSP run."""
 
-    lam: float
-    params: PhysParams
     times: np.ndarray
     states: list
     diagnostics: list = field(default_factory=list)
@@ -251,7 +229,8 @@ def run_nsp(initial: NSPState, params: PhysParams, lam: float, t_end: float,
             dt: float | None = None, snapshot_times=None, norm_s: float = 3.0,
             phase_resolution: int = DEFAULT_PHASE_RESOLUTION,
             dt_max: float = DEFAULT_DT_MAX) -> NSPTrajectory:
-    """Integrate to t_end, recording snapshots and diagnostics."""
+    """Integrate to t_end, recording snapshots and diagnostics; dt defaults
+    to nsp_dt at the advective CFL step of the initial velocity."""
     grid = initial.grid
     params.validate(grid.dims)
     if lam <= 0:
@@ -260,11 +239,11 @@ def run_nsp(initial: NSPState, params: PhysParams, lam: float, t_end: float,
         raise ValueError("t_end must be positive")
     times = time_grid(snapshot_times, t_end)
     if dt is None:
-        dt = default_nsp_dt(initial, lam, phase_resolution, dt_max)
+        dt = nsp_dt(advective_dt(initial.u), lam, phase_resolution, dt_max)
 
     guard = BLOWUP_FACTOR * max(sobolev_norm(initial.u, 1), sobolev_norm(initial.rho, 1), 1e-8)
     explicit, propagate, settle = _make_ops(grid, params, lam, guard)
     states = list(map(lambda y: _state(grid, y, lam), integrate(
         _unsettled(initial), times, dt, explicit, propagate, settle)))
     diag = [_diagnostic_row(t, state, lam, norm_s) for t, state in zip(times, states)]
-    return NSPTrajectory(lam, params, times, states, diag)
+    return NSPTrajectory(times, states, diag)

@@ -6,7 +6,7 @@ import numpy as np
 
 from .harness import random_smooth_scalar, random_smooth_vector
 from .limit_solver import PhysParams
-from .nsp import NSPState, nsp_step, poisson_solve
+from .nsp import NSPState, poisson_solve, run_nsp
 from .oscillation import GradientPair, apply_group
 from .projections import decompose, leray_p, leray_q
 from .spectral import (constant_scalar, gradient, laplacian, make_grid,
@@ -58,7 +58,7 @@ def run_checks(resolution: int = 32, seed: int = 0, verbose: bool = False) -> in
 
     theta = constant_scalar(grid, 1.5)
     eq = NSPState(constant_scalar(grid, 1.0), zeros_vector(grid), theta)
-    stepped = nsp_step(eq, PhysParams(0.05, 0.0, 0.05), 0.2, 0.01)
+    stepped = run_nsp(eq, PhysParams(0.05, 0.0, 0.05), 0.2, 0.01, dt=0.01).states[-1]
     drift = (sobolev_norm(stepped.rho - eq.rho, 0)
              + sobolev_norm(stepped.u, 0)
              + sobolev_norm(stepped.theta - theta, 0))

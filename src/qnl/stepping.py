@@ -90,11 +90,11 @@ def step_count(times, dt: float) -> int:
     return sum(substep_count(b - a, dt) for a, b in zip(times, times[1:]))
 
 
-def time_index(times, t: float, what: str = "snapshot time") -> int:
+def time_index(times, t: float) -> int:
     """Index of t in the time grid times (to 1e-9); ValueError otherwise."""
     idx = int(np.argmin(np.abs(times - t)))
     if abs(times[idx] - t) > 1e-9:
-        raise ValueError(f"time {t} is not a {what}")
+        raise ValueError(f"time {t} is not a snapshot time")
     return idx
 
 

@@ -14,7 +14,7 @@ from qnl.ansatz import (CorrectorForcings, build_oscillation, corrector_state,
 from qnl.harness import (BaseFields, RunConfig, default_base_fields,
                          gen_initial_data, measure_errors, run_sweep)
 from qnl.limit_solver import LimitState, PhysParams, run_limit
-from qnl.nsp import NSPState, nsp_step, poisson_solve, run_nsp
+from qnl.nsp import NSPState, poisson_solve, run_nsp
 from qnl.oscillation import GradientPair, apply_group
 from qnl.projections import leray_p, leray_q
 from qnl.spectral import (SpectralScalar, SpectralVector, constant_scalar,
@@ -193,7 +193,7 @@ def test_criterion_7_analytic_oracles():
     norm0 = sobolev_norm(state.v, 0)
     traj = run_limit(state, PhysParams(mu, 0, 0), 1.0, dt=1e-3,
                      snapshot_times=[0.0, 1.0])
-    tg_err = abs(sobolev_norm(traj.state_at(1.0).v, 0)
+    tg_err = abs(sobolev_norm(traj.snapshot_state(1.0).v, 0)
                  - np.exp(-2 * mu) * norm0) / (np.exp(-2 * mu) * norm0)
 
     # heat-mode temperature decay
@@ -204,7 +204,7 @@ def test_criterion_7_analytic_oracles():
                      snapshot_times=[0.0, 1.0])
     expected = scalar_from_function(
         grid, lambda x, y: 2.0 + np.exp(-kappa) * np.sin(x))
-    heat_err = sobolev_norm(heat.state_at(1.0).theta - expected, 0)
+    heat_err = sobolev_norm(heat.snapshot_state(1.0).theta - expected, 0)
 
     # forced-corrector closed forms
     from qnl.spectral import zeros_scalar
@@ -235,11 +235,7 @@ def test_criterion_8_temporal_self_convergence():
     for m in (1, 2, 4):
         n = 8 * m
         dt = 0.16 / n
-        state = NSPState(initial.rho.copy(), initial.u.copy(),
-                         initial.theta.copy(), initial.phi.copy())
-        for _ in range(n):
-            state = nsp_step(state, params, lam, dt)
-        ends[m] = state
+        ends[m] = run_nsp(initial, params, lam, 0.16, dt=dt).states[-1]
 
     def dist(a, b):
         return (sobolev_norm(a.u - b.u, 0) + sobolev_norm(a.rho - b.rho, 0)

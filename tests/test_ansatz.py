@@ -18,6 +18,12 @@ from qnl.spectral import (constant_scalar, divergence, gradient,
 from conftest import smooth_scalar, smooth_vector
 
 
+def still_limit(grid, t_end, dt):
+    """A limit trajectory with v identically zero."""
+    return run_limit(LimitState(zeros_vector(grid), constant_scalar(grid, 1.0)),
+                     PhysParams(0, 0, 0), t_end, dt=dt)
+
+
 def gradient_pair(grid, rng):
     return GradientPair(gradient(smooth_scalar(grid, rng)),
                         gradient(smooth_scalar(grid, rng)))
@@ -57,8 +63,8 @@ class TestOscRhs:
 class TestSolveOsc:
     def test_constant_without_velocity(self, grid2d, rng):
         pair0 = gradient_pair(grid2d, rng)
-        traj = solve_osc(pair0, None, PhysParams(0, 0, 0), 1.0,
-                         dt=0.1, snapshot_times=[0.0, 0.5, 1.0])
+        traj = solve_osc(pair0, still_limit(grid2d, 1.0, 0.1), PhysParams(0, 0, 0),
+                         1.0, dt=0.1, snapshot_times=[0.0, 0.5, 1.0])
         for t in traj.times:
             pair = traj.pair_at(t)
             assert sobolev_norm(pair.grad_q - pair0.grad_q, 0) < 1e-13
@@ -68,8 +74,8 @@ class TestSolveOsc:
         g = gradient(scalar_from_function(grid2d, lambda x, y: np.sin(x)))
         pair0 = GradientPair(g, g.copy())
         params = PhysParams(0.3, 0.0, 0.0)  # mu + nu/2 = 0.3
-        traj = solve_osc(pair0, None, params, 1.0, dt=0.25,
-                         snapshot_times=[0.0, 1.0])
+        traj = solve_osc(pair0, still_limit(grid2d, 1.0, 0.25), params, 1.0,
+                         dt=0.25, snapshot_times=[0.0, 1.0])
         end = traj.pair_at(1.0)
         factor = np.exp(-0.3)
         assert sobolev_norm(end.grad_q - factor * g, 0) < 1e-12
@@ -95,8 +101,8 @@ class TestSolveOsc:
         pair0 = gradient_pair(grid2d, rng)
         pair0.grad_q[0].coeffs[2, 1] = np.nan
         with pytest.raises(BlowUpError):
-            solve_osc(pair0, None, PhysParams(0.05, 0, 0), 0.2, dt=0.1,
-                      snapshot_times=[0.0, 0.2])
+            solve_osc(pair0, still_limit(grid2d, 0.2, 0.1), PhysParams(0.05, 0, 0),
+                      0.2, dt=0.1, snapshot_times=[0.0, 0.2])
 
 
 class TestBuildOscillation:

@@ -228,7 +228,7 @@ def _aligned_trajectories(grid, lam, times):
         rho = constant_scalar(grid, 1.0)
         states.append(NSPState(rho, lim.v + osc.u_osc, lim.theta.copy(),
                                poisson_solve(rho, lam)))
-    synthetic = NSPTrajectory(lam, params, np.asarray(times), states)
+    synthetic = NSPTrajectory(np.asarray(times), states)
     return limit, pair, synthetic
 
 
@@ -352,6 +352,19 @@ class TestRunSweep:
         slopes = {c: report.rate(c).slope for c in ERROR_CHANNELS}
         assert min(slopes.values()) >= 0.8, slopes
 
+    def test_halving_every_step_barely_moves_the_errors(self, tmp_path):
+        # The discretisation floor at the smallest stock lambda: halving the
+        # NSP, limit and pair steps moves each E by at most 1.1e-5 relative
+        # here (2.2e-4 at t_end = 0.5), so the fitted rates measure the PDE.
+        settings = dict(lambda_list=(0.0125,), t_end=0.125, snapshots=5)
+        stock = run_sweep(RunConfig(output_dir=str(tmp_path / "stock"), **settings))
+        halved = run_sweep(RunConfig(output_dir=str(tmp_path / "halved"), dt_max=0.005,
+                                     phase_resolution=32, limit_dt=0.0025, **settings))
+        assert stock.all_ok and halved.all_ok
+        moves = {c: abs(halved.rows[0].channel(c) / stock.rows[0].channel(c) - 1.0)
+                 for c in ERROR_CHANNELS}
+        assert max(moves.values()) <= 1e-2, moves
+
     def test_snapshot_files_written_when_requested(self, tmp_path):
         cfg = RunConfig(output_dir=str(tmp_path / "out"), save_snapshots=True,
                         resolution=16, lambda_list=(0.1, 0.05, 0.025),
@@ -447,6 +460,18 @@ class TestCli:
             load_config(path)
         assert cli_main(["run", "--config", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    # seed = -1 used to escape as numpy's ValueError traceback (exit 1), and
+    # a negative ic_random_amp ran as 0 while meta.txt echoed it
+    @pytest.mark.parametrize("keys", [
+        {"seed": -1, "ic_random_amp": 0.01},
+        {"ic_random_amp": -0.5},
+    ])
+    def test_bad_initial_data_keys_are_config_errors(self, tmp_path, capsys, keys):
+        path = self._write_config(tmp_path, **keys)
+        assert cli_main(["run", "--config", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from qnl.errors import BlowUpError, NonpositiveTemperatureError
-from qnl.limit_solver import (LimitState, PhysParams, default_limit_dt,
-                              limit_step, ns_rhs, recover_pressure, run_limit)
+from qnl.limit_solver import (LimitState, PhysParams, advective_dt, ns_rhs,
+                              recover_pressure, run_limit)
 from qnl.projections import leray_p
 from qnl.spectral import (constant_scalar, divergence, gradient, laplacian,
                           make_grid, scalar_from_function, sobolev_norm,
@@ -102,7 +102,7 @@ class TestStepping:
         state = LimitState(taylor_green(grid), constant_scalar(grid, 1.0))
         norm0 = sobolev_norm(state.v, 0)
         traj = run_limit(state, params, 1.0, dt=1e-3, snapshot_times=[0.0, 1.0])
-        end = traj.state_at(1.0)
+        end = traj.snapshot_state(1.0)
         expected = np.exp(-2.0 * mu * 1.0) * norm0
         assert abs(sobolev_norm(end.v, 0) - expected) <= 1e-6 * expected
 
@@ -113,7 +113,7 @@ class TestStepping:
         e0 = sobolev_norm(state.v, 0)
         traj = run_limit(state, PhysParams(0, 0, 0), 1.0, dt=0.01,
                          snapshot_times=[0.0, 1.0])
-        e1 = sobolev_norm(traj.state_at(1.0).v, 0)
+        e1 = sobolev_norm(traj.snapshot_state(1.0).v, 0)
         assert abs(e1 - e0) <= 1e-8 * e0
 
     def test_heat_mode_exact_decay(self):
@@ -125,7 +125,7 @@ class TestStepping:
                          snapshot_times=[0.0, 1.0])
         expected = scalar_from_function(
             grid, lambda x, y: 2.0 + np.exp(-kappa) * np.sin(x))
-        assert sobolev_norm(traj.state_at(1.0).theta - expected, 0) < 1e-8
+        assert sobolev_norm(traj.snapshot_state(1.0).theta - expected, 0) < 1e-8
 
     def test_divergence_free_every_step(self, grid2d, rng):
         params = PhysParams(0.05, 0.0, 0.05)
@@ -133,15 +133,16 @@ class TestStepping:
                            constant_scalar(grid2d, 2.0))
         traj = run_limit(state, params, 0.1, dt=0.01)
         for t in traj.times:
-            v = traj.state_at(t).v
+            v = traj.v_at(t)
             assert sobolev_norm(divergence(v), 0) <= 1e-10 * max(1.0, sobolev_norm(v, 0))
 
     def test_mean_temperature_increases_by_dissipation(self, grid2d, rng):
         params = PhysParams(0.05, 0.0, 0.05)
         state = LimitState(leray_p(smooth_vector(grid2d, rng)),
                            constant_scalar(grid2d, 2.0))
-        traj = run_limit(state, params, 0.2, dt=0.01)
-        means = [traj.state_at(t).theta.mean for t in traj.times]
+        traj = run_limit(state, params, 0.2, dt=0.01,
+                         snapshot_times=np.linspace(0, 0.2, 21))
+        means = [snap.theta.mean for snap in traj.states]
         diffs = np.diff(means)
         assert np.all(diffs >= -1e-12)
         assert means[-1] > means[0]
@@ -154,7 +155,7 @@ class TestStepping:
         for dt in (0.02, 0.01, 0.005):
             traj = run_limit(LimitState(v0.copy(), theta0.copy()), params, 0.2,
                              dt=dt, snapshot_times=[0.0, 0.2])
-            ends[dt] = traj.state_at(0.2).v
+            ends[dt] = traj.snapshot_state(0.2).v
         e1 = sobolev_norm(ends[0.02] - ends[0.01], 0)
         e2 = sobolev_norm(ends[0.01] - ends[0.005], 0)
         assert np.log2(e1 / e2) >= 3.5
@@ -205,13 +206,13 @@ class TestStepping:
 
     def test_limit_step_single(self, grid2d):
         state = LimitState(taylor_green(grid2d), constant_scalar(grid2d, 1.0))
-        out = limit_step(state, PhysParams(0.1, 0.0, 0.0), 1e-3)
+        out = run_limit(state, PhysParams(0.1, 0.0, 0.0), 1e-3, dt=1e-3).states[-1]
         decay = np.exp(-2.0 * 0.1 * 1e-3)
         assert sobolev_norm(out.v - decay * state.v, 0) < 1e-12
 
     def test_default_dt_is_advective(self, grid2d):
         state = LimitState(taylor_green(grid2d), constant_scalar(grid2d, 1.0))
-        dt = default_limit_dt(state)
+        dt = advective_dt(state.v)
         vmax = max(np.abs(c.samples()).max() for c in state.v)
         assert abs(dt - 0.5 * grid2d.spacing / vmax) < 1e-12
 
@@ -232,9 +233,9 @@ class TestHermiteInterpolation:
         params = PhysParams(0.02, 0.0, 0.0)
         state = LimitState(leray_p(smooth_vector(grid2d, rng)),
                            constant_scalar(grid2d, 2.0))
-        traj = run_limit(state, params, 0.1, dt=0.01)
-        t = traj.times[3]
-        assert sobolev_norm(traj.v_at(t) - traj.state_at(t).v, 0) < 1e-14
+        traj = run_limit(state, params, 0.1, dt=0.01,
+                         snapshot_times=np.linspace(0, 0.1, 11))
+        assert sobolev_norm(traj.v_at(0.03) - traj.snapshot_state(0.03).v, 0) < 1e-14
 
 
 def test_strain_dissipation_shear_example(grid2d):

@@ -6,9 +6,8 @@ import pytest
 from qnl.errors import (BlowUpError, DegenerateDensityError, MassDefectError,
                         NonpositiveTemperatureError)
 from qnl.harness import default_base_fields, gen_initial_data
-from qnl.limit_solver import PhysParams
-from qnl.nsp import (NSPState, default_nsp_dt, nsp_rhs_nonstiff, nsp_step,
-                     poisson_solve, run_nsp)
+from qnl.limit_solver import PhysParams, advective_dt
+from qnl.nsp import NSPState, nsp_dt, nsp_rhs_nonstiff, poisson_solve, run_nsp
 from qnl.projections import leray_p
 from qnl.spectral import (constant_scalar, gradient,
                           laplacian, make_grid, scalar_from_function,
@@ -118,7 +117,7 @@ class TestNspStep:
     def test_equilibrium_fixed_point(self, grid2d):
         theta = constant_scalar(grid2d, 1.3)
         state = NSPState(constant_scalar(grid2d, 1.0), zeros_vector(grid2d), theta)
-        out = nsp_step(state, PhysParams(0.05, 0.0, 0.05), 0.25, 0.02)
+        out = run_nsp(state, PhysParams(0.05, 0.0, 0.05), 0.25, 0.02, dt=0.02).states[-1]
         assert sobolev_norm(out.rho - state.rho, 0) == 0.0
         assert sobolev_norm(out.u, 0) == 0.0
         assert sobolev_norm(out.theta - theta, 0) == 0.0
@@ -154,11 +153,7 @@ class TestNspStep:
         for m in (1, 2, 4):
             n = 8 * m
             dt = 0.16 / n
-            state = NSPState(initial.rho.copy(), initial.u.copy(),
-                             initial.theta.copy(), initial.phi.copy())
-            for _ in range(n):
-                state = nsp_step(state, params, lam, dt)
-            ends[m] = state
+            ends[m] = run_nsp(initial, params, lam, 0.16, dt=dt).states[-1]
         def dist(a, b):
             return (sobolev_norm(a.u - b.u, 0) + sobolev_norm(a.rho - b.rho, 0)
                     + sobolev_norm(a.theta - b.theta, 0))
@@ -169,7 +164,7 @@ class TestNspStep:
         state = NSPState(constant_scalar(grid2d, 1.0), zeros_vector(grid2d),
                          constant_scalar(grid2d, 1.0))
         with pytest.raises(ValueError):
-            nsp_step(state, PhysParams(0, 0, 0), 0.1, 0.0)
+            run_nsp(state, PhysParams(0, 0, 0), 0.1, 0.1, dt=0.0)
 
 
 class TestRunNsp:
@@ -216,12 +211,11 @@ class TestRunNsp:
             run_nsp(initial, PhysParams(0.05, 0.0, 0.05), 0.05, 0.05, dt=0.01)
 
     def test_default_dt_policy(self, grid2d):
-        state = NSPState(constant_scalar(grid2d, 1.0),
-                         zeros_vector(grid2d), constant_scalar(grid2d, 1.0))
+        cfl = advective_dt(zeros_vector(grid2d))
         lam = 0.001
-        dt = default_nsp_dt(state, lam, phase_resolution=16, dt_max=0.01)
+        dt = nsp_dt(cfl, lam, phase_resolution=16, dt_max=0.01)
         assert abs(dt - 2 * np.pi * lam / 16) < 1e-15
-        dt2 = default_nsp_dt(state, 10.0, phase_resolution=16, dt_max=0.01)
+        dt2 = nsp_dt(cfl, 10.0, phase_resolution=16, dt_max=0.01)
         assert dt2 == 0.01
 
 
@@ -233,6 +227,6 @@ def test_three_dimensional_step_smoke(grid3d, rng):
     rho = constant_scalar(grid3d, 1.0) + 0.05 * laplacian(pot) * -1.0 * lam
     u = leray_p(smooth_vector(grid3d, rng)) * 0.3
     state = NSPState(rho, u, constant_scalar(grid3d, 2.0), poisson_solve(rho, lam))
-    out = nsp_step(state, PhysParams(0.05, 0.0, 0.05), lam, 0.005)
+    out = run_nsp(state, PhysParams(0.05, 0.0, 0.05), lam, 0.005, dt=0.005).states[-1]
     assert abs(out.rho.mean - 1.0) < 1e-13
     assert out.poisson_residual(lam) < 1e-12

@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import cos, sin
 
-import numpy as np
-
 from .errors import BlowUpError
 from .limit_solver import LimitTrajectory, PhysParams
 from .oscillation import GradientPair, apply_group
@@ -34,7 +32,8 @@ from .projections import leray_q
 from .spectral import (SpectralScalar, SpectralVector, as_vector, divergence,
                        gradient, physical_gradient, sobolev_norm, stack,
                        to_physical, vector_from_samples)
-from .stepping import BLOWUP_FACTOR, all_finite, integrate, time_grid, time_index
+from .stepping import (BLOWUP_FACTOR, Snapshots, all_finite, diffusion,
+                       integrate, time_grid)
 
 
 def _transport(g: SpectralVector, vs, grad_v) -> SpectralVector:
@@ -69,22 +68,19 @@ def osc_rhs(pair: GradientPair, v_now: SpectralVector,
 
 
 @dataclass(eq=False)
-class PairTrajectory:
-    """Filtered pair sampled at snapshot times (lambda-independent)."""
+class PairTrajectory(Snapshots):
+    """The filtered pair (lambda-independent) at the snapshot times, and the
+    largest ratio of its H^s norm to the initial one at any step."""
 
-    times: np.ndarray
-    pairs: list
     growth_factor: float
-
-    def pair_at(self, t: float) -> GradientPair:
-        return self.pairs[time_index(self.times, t)]
 
 
 def solve_osc(pair0: GradientPair, limit: LimitTrajectory, params: PhysParams,
               t_end: float, dt: float, snapshot_times=None,
               norm_s: float = 3.0) -> PairTrajectory:
     """Integrate the pair system with steps of at most dt, the velocity
-    interpolated in time from the limit solve (limit.v_at)."""
+    interpolated in time from the limit solve (limit.v_at); the pairs at the
+    snapshot times and the H^norm_s growth factor."""
     grid = pair0.grid
     n = grid.dims
     coeff = params.mu + 0.5 * params.nu
@@ -97,12 +93,6 @@ def solve_osc(pair0: GradientPair, limit: LimitTrajectory, params: PhysParams,
         tend = osc_rhs(pair_of(y), limit.v_at(t), params)
         return tuple(c + coeff * grid.k_sq * yi
                      for c, yi in zip(stack(tend.grad_q, tend.grad_psi), y))
-
-    def propagate(y, delta):
-        if coeff == 0.0:
-            return y
-        f = np.exp(-coeff * grid.k_sq * delta)
-        return tuple(f * yi for yi in y)
 
     norm0 = max(sobolev_norm(pair0, norm_s), 1e-300)
     guard = BLOWUP_FACTOR * max(norm0, 1e-8)
@@ -118,6 +108,7 @@ def solve_osc(pair0: GradientPair, limit: LimitTrajectory, params: PhysParams,
         return y, None
 
     y0 = stack(pair0.grad_q.copy(), pair0.grad_psi.copy())
+    propagate = diffusion(grid.k_sq, (coeff,) * (2 * n))
     pairs = list(map(pair_of, integrate(y0, times, dt, explicit, propagate, settle)))
     return PairTrajectory(times, pairs, growth)
 

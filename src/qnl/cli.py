@@ -39,12 +39,12 @@ def _cmd_limit(args) -> int:
     path = os.path.join(config.output_dir, "limit.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,v_hs,theta_hs,min_theta\n")
-        for t, state in zip(traj.snapshot_times, traj.states):
+        for t, state in zip(traj.times, traj.states):
             fh.write(f"{t:.12e},{sobolev_norm(state.v, config.s_norm):.12e},"
                      f"{sobolev_norm(state.theta, config.s_norm):.12e},"
                      f"{state.theta.samples().min():.12e}\n")
     if config.save_snapshots:
-        for t, state in zip(traj.snapshot_times, traj.states):
+        for t, state in zip(traj.times, traj.states):
             stem = os.path.join(config.output_dir, f"limit_t_{t:.6g}")
             write_snapshot(stem + "_v.qnl", state.v)
             write_snapshot(stem + "_theta.qnl", state.theta)

@@ -55,17 +55,15 @@ from .errors import (BlowUpError, ChildLostError, DegenerateDensityError,
                      DensityNotPositiveError, InsufficientDataError,
                      InvalidConfigError, MassDefectError,
                      NonpositiveTemperatureError, QnlError)
-from .limit_solver import (LimitSnapshots, LimitState, PhysParams, advective_dt,
-                           run_limit)
-from .nsp import (DEFAULT_DT_MAX, DEFAULT_PHASE_RESOLUTION, NSPState,
-                  NSPTrajectory, nsp_dt, poisson_solve, run_nsp)
+from .limit_solver import LimitState, PhysParams, advective_dt, run_limit
+from .nsp import NSPState, nsp_dt, poisson_solve, run_nsp
 from .oscillation import GradientPair, check_gradient
 from .projections import leray_p
 from .spectral import (SpectralScalar, SpectralVector, constant_scalar,
                        gradient, laplacian, make_grid, scalar_from_function,
                        sobolev_norm, transform_forward, vector_from_functions,
                        write_snapshot)
-from .stepping import step_count, time_grid
+from .stepping import Snapshots, step_count, time_grid
 
 ERROR_CHANNELS = ("E_rho", "E_u", "E_theta", "E_phi")
 
@@ -99,12 +97,17 @@ class RunConfig:
     ic_random_amp: float = 0.0
     seed: int = 0
     output_dir: str = "qnl_out"
-    dt_max: float = DEFAULT_DT_MAX
-    phase_resolution: int = DEFAULT_PHASE_RESOLUTION
+    dt_max: float = 0.01
+    phase_resolution: int = 16
     limit_dt: float | None = None
     save_snapshots: bool = False
 
     def validate(self) -> None:
+        for f in fields(self):  # float and float-tuple fields; None is unset
+            value = getattr(self, f.name)
+            if (f.type.startswith(("float", "tuple")) and value is not None
+                    and not np.isfinite(value).all()):
+                raise InvalidConfigError(f"{f.name} must be finite, got {value!r}")
         if self.dims not in (2, 3):
             raise InvalidConfigError(f"dims must be 2 or 3, got {self.dims}")
         if self.resolution % 2 != 0 or self.resolution < 8:
@@ -286,18 +289,18 @@ def base_fields(config: RunConfig) -> BaseFields:
     return default_base_fields(grid, config.ic, config.ic_random_amp, config.seed)
 
 
-def random_smooth_scalar(grid, rng, decay: float = 4.0) -> SpectralScalar:
-    """Unit-scale random field with a Gaussian spectral envelope."""
+def random_smooth_scalar(grid, rng) -> SpectralScalar:
+    """Unit-scale random field with the Gaussian envelope exp(-|k|^2 / 8)."""
     raw = transform_forward(grid, rng.standard_normal(grid.shape))
-    envelope = np.exp(-grid.k_sq / (2.0 * decay))
+    envelope = np.exp(-grid.k_sq / (2.0 * 4.0))
     f = SpectralScalar(grid, raw.coeffs * envelope)
     scale = sobolev_norm(f, 0)
     return f * (1.0 / scale) if scale > 0 else f
 
 
-def random_smooth_vector(grid, rng, decay: float = 4.0) -> SpectralVector:
+def random_smooth_vector(grid, rng) -> SpectralVector:
     return SpectralVector(grid, tuple(
-        random_smooth_scalar(grid, rng, decay) for _ in range(grid.dims)))
+        random_smooth_scalar(grid, rng) for _ in range(grid.dims)))
 
 
 def initial_velocity(kind: str, base: BaseFields) -> SpectralVector:
@@ -352,7 +355,7 @@ class ReportRow:
                 "E_theta": self.e_theta, "E_phi": self.e_phi}[name]
 
 
-def measure_errors(nsp_traj: NSPTrajectory, limit_traj, pair_traj,
+def measure_errors(nsp_traj: Snapshots, limit_traj, pair_traj,
                    lam: float, s: float) -> ReportRow:
     """One sweep row: sup-in-time Sobolev errors over the snapshot grid."""
     e = {name: 0.0 for name in ERROR_CHANNELS}
@@ -360,8 +363,8 @@ def measure_errors(nsp_traj: NSPTrajectory, limit_traj, pair_traj,
     grid = nsp_traj.states[0].grid
     one = constant_scalar(grid, 1.0)
     for t, state in zip(nsp_traj.times, nsp_traj.states):
-        lim = limit_traj.snapshot_state(t)
-        osc = build_oscillation(t, lam, pair_traj.pair_at(t))
+        lim = limit_traj.at(t)
+        osc = build_oscillation(t, lam, pair_traj.at(t))
         e["E_rho"] = max(e["E_rho"], sobolev_norm(state.rho - one, s))
         e["E_u"] = max(e["E_u"], sobolev_norm(state.u - lim.v - osc.u_osc, s))
         e["E_theta"] = max(e["E_theta"], sobolev_norm(state.theta - lim.theta, s))
@@ -459,13 +462,13 @@ class ConvergenceReport:
 
 def _run_one_lambda(config: RunConfig, base: BaseFields, lam: float,
                     snapshot_times):
-    """The NSP run at one lambda and "ok", or None and its failure status."""
+    """The NSP run at one lambda, with the nsp_dt step at the CFL step of
+    its initial velocity, and "ok"; or None and its failure status."""
     try:
         initial = gen_initial_data(config.ic, lam, base)
-        traj = run_nsp(initial, config.nsp_params(lam), lam, config.t_end,
-                       snapshot_times=snapshot_times, norm_s=config.s_norm,
-                       phase_resolution=config.phase_resolution,
-                       dt_max=config.dt_max)
+        dt = nsp_dt(advective_dt(initial.u), lam, config.phase_resolution, config.dt_max)
+        traj = run_nsp(initial, config.nsp_params(lam), lam, config.t_end, dt,
+                       snapshot_times)
         return traj, "ok"
     except QnlError as exc:
         return None, _STATUS_BY_ERROR.get(type(exc), f"error:{type(exc).__name__}")
@@ -497,7 +500,7 @@ def _lambda_independent_stage(config: RunConfig, base: BaseFields):
     pair_traj = solve_osc(pair0, limit_traj, config.limit_params(), config.t_end,
                           dt=limit_dt, snapshot_times=config.resolved_snapshot_times(),
                           norm_s=config.s_norm)
-    return LimitSnapshots(limit_traj.snapshot_times, limit_traj.states), pair_traj
+    return Snapshots(limit_traj.times, limit_traj.states), pair_traj
 
 
 def _child_share(config: RunConfig, base: BaseFields, lams):
@@ -661,12 +664,17 @@ def run_sweep(config: RunConfig) -> ConvergenceReport:
     return report
 
 
-def _diag_csv(traj: NSPTrajectory) -> str:
-    header = ("t,mass,min_rho,min_theta,rho_hs,u_hs,theta_hs,"
-              "grad_phi_hs1,poisson_residual")
-    lines = [header]
-    for row in traj.diagnostics:
-        lines.append(",".join(f"{row[key]:.12e}" for key in header.split(",")))
+def _diag_csv(traj: Snapshots, lam: float, s: float) -> str:
+    """The diag_*.csv text of one NSP run: mass, positivity minima, H^s
+    norms and Poisson residual of each snapshot state."""
+    lines = ["t,mass,min_rho,min_theta,rho_hs,u_hs,theta_hs,"
+             "grad_phi_hs1,poisson_residual"]
+    for t, state in zip(traj.times, traj.states):
+        row = (t, state.mass(), state.rho.samples().min(), state.theta.samples().min(),
+               sobolev_norm(state.rho, s), sobolev_norm(state.u, s),
+               sobolev_norm(state.theta, s), sobolev_norm(gradient(state.phi), s + 1.0),
+               state.poisson_residual(lam))
+        lines.append(",".join(f"{value:.12e}" for value in row))
     return "\n".join(lines) + "\n"
 
 
@@ -684,7 +692,7 @@ def _write_outputs(config: RunConfig, report: ConvergenceReport, trajectories):
             continue
         name = f"diag_lambda_{row.lam:.6g}.csv"
         with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
-            fh.write(_diag_csv(traj))
+            fh.write(_diag_csv(traj, row.lam, config.s_norm))
         if config.save_snapshots:
             for t, state in zip(traj.times, traj.states):
                 stem = f"snapshot_lambda_{row.lam:.6g}_t_{t:.6g}"

@@ -25,7 +25,8 @@ from .spectral import (SpectralScalar, SpectralVector, as_vector,
                        divergence, inverse_laplacian, laplacian,
                        physical_derivative, physical_gradient, sobolev_norm,
                        stack, to_physical, to_spectral, vector_from_samples)
-from .stepping import BLOWUP_FACTOR, all_finite, integrate, time_grid, time_index
+from .stepping import (BLOWUP_FACTOR, Snapshots, all_finite, diffusion,
+                       integrate, time_grid)
 
 DIV_TOL = 1e-10
 
@@ -136,12 +137,6 @@ def _make_ops(grid, params: PhysParams, guard: float):
         return (*(dv[a].coeffs + params.mu * k_sq * state.v[a].coeffs for a in range(n)),
                 dtheta.coeffs + params.kappa * k_sq * y[n])
 
-    def propagate(y, delta):
-        fv = np.exp(-params.mu * k_sq * delta) if params.mu else None
-        ft = np.exp(-params.kappa * k_sq * delta) if params.kappa else None
-        return (*(c if fv is None else fv * c for c in y[:n]),
-                y[n] if ft is None else ft * y[n])
-
     def settle(y, t):
         v, theta = leray_p(as_vector(grid, y[:n])), SpectralScalar(grid, y[n])
         if not all_finite(y) or sobolev_norm(v, 1) > guard:
@@ -151,7 +146,7 @@ def _make_ops(grid, params: PhysParams, guard: float):
                 f"limit temperature lost positivity at t = {t:.4f}")
         return stack(v, theta), None
 
-    return explicit, propagate, settle
+    return explicit, diffusion(k_sq, (params.mu,) * n + (params.kappa,)), settle
 
 
 def advective_dt(u: SpectralVector) -> float:
@@ -161,25 +156,13 @@ def advective_dt(u: SpectralVector) -> float:
 
 
 @dataclass(eq=False)
-class LimitSnapshots:
-    """The limit solution at its snapshot times, without the interpolation
-    nodes: all that the error measurement reads."""
-
-    snapshot_times: np.ndarray
-    states: list            # per snapshot time: LimitState
-
-    def snapshot_state(self, t: float) -> LimitState:
-        """Stored snapshot nearest to t."""
-        return self.states[time_index(self.snapshot_times, t)]
-
-
-@dataclass(eq=False)
-class LimitTrajectory(LimitSnapshots):
-    """The limit snapshots plus the velocity and its tendency at every step
-    node, from which v_at interpolates the velocity at any time."""
+class LimitTrajectory(Snapshots):
+    """The limit states at the snapshot times, plus the velocity and its
+    tendency at every step node (at node_times), from which v_at
+    interpolates the velocity at any time."""
 
     grid: object
-    times: np.ndarray
+    node_times: np.ndarray
     v_nodes: list           # per node: (dims, *shape) complex array
     dv_nodes: list          # per node: (dims, *shape) tendency of v
 
@@ -188,7 +171,7 @@ class LimitTrajectory(LimitSnapshots):
 
     def v_at(self, t: float) -> SpectralVector:
         """Cubic Hermite interpolation of the velocity between nodes."""
-        times = self.times
+        times = self.node_times
         if t <= times[0]:
             return self._vector(self.v_nodes[0])
         if t >= times[-1]:
@@ -209,8 +192,8 @@ class LimitTrajectory(LimitSnapshots):
 
 def run_limit(initial: LimitState, params: PhysParams, t_end: float, dt: float,
               snapshot_times=None) -> LimitTrajectory:
-    """Integrate the limit system with steps of at most dt, recording every
-    node's velocity for interpolation."""
+    """Integrate the limit system with steps of at most dt; the states at the
+    snapshot times, with every node's velocity for interpolation."""
     grid = initial.grid
     params.validate(grid.dims)
     initial.validate()

@@ -15,13 +15,13 @@ constraint manifold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (BlowUpError, DegenerateDensityError, MassDefectError,
                      NonpositiveTemperatureError)
-from .limit_solver import PhysParams, advective_dt, strain_heating
+from .limit_solver import PhysParams, strain_heating
 from .oscillation import rotate_slots
 from .projections import decompose, leray_q
 from .spectral import (MEAN_TOL, SpectralScalar, SpectralVector, as_vector,
@@ -29,11 +29,10 @@ from .spectral import (MEAN_TOL, SpectralScalar, SpectralVector, as_vector,
                        physical_derivative, physical_gradient, sobolev_norm,
                        stack, to_physical, to_spectral, vector_from_samples,
                        zeros_scalar)
-from .stepping import BLOWUP_FACTOR, all_finite, integrate, time_grid, time_index
+from .stepping import (BLOWUP_FACTOR, Snapshots, all_finite, diffusion,
+                       integrate, time_grid)
 
 RHO_FLOOR = 1e-6
-DEFAULT_DT_MAX = 0.01
-DEFAULT_PHASE_RESOLUTION = 16
 
 
 @dataclass(eq=False)
@@ -60,13 +59,12 @@ class NSPState:
         return sobolev_norm(res, 0)
 
 
-def poisson_solve(rho: SpectralScalar, lam: float,
-                  mean_tol: float = MEAN_TOL) -> SpectralScalar:
+def poisson_solve(rho: SpectralScalar, lam: float) -> SpectralScalar:
     """Mean-zero phi with -lambda*lap(phi) = rho - 1."""
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
     defect = abs(rho.mean - 1.0)
-    if defect > mean_tol:
+    if defect > MEAN_TOL:
         raise MassDefectError(f"density mean differs from 1 by {defect:.3e}")
     grid = rho.grid
     coeffs = rho.coeffs * grid.inv_k_sq / lam  # k = 0 mode killed by inv_k_sq
@@ -159,13 +157,13 @@ def _make_ops(grid, params: PhysParams, lam: float, guard: float):
         return (drho.coeffs, *dpu, *stack(duq, _electric_residue(u, gphi)),
                 dtheta.coeffs + params.kappa * k_sq * theta.coeffs)
 
+    diffuse = diffusion(k_sq, (0.0, *(params.mu,) * n, *(0.0,) * (2 * n), params.kappa))
+
     def propagate(y, delta):
-        fv = np.exp(-params.mu * k_sq * delta) if params.mu else None
-        ft = np.exp(-params.kappa * k_sq * delta) if params.kappa else None
-        pu = [c if fv is None else fv * c for c in y[pu_]]
         qu, gphi = (as_vector(grid, y[part]) for part in (qu_, gphi_))
         qu, gphi = rotate_slots(delta / lam, qu, gphi)
-        return (y[0], *pu, *stack(qu, gphi), y[-1] if ft is None else ft * y[-1])
+        y = diffuse(y, delta)
+        return (*y[:qu_.start], *stack(qu, gphi), y[-1])
 
     def settle(y, t):
         state = _state(grid, y, lam)
@@ -199,38 +197,10 @@ def nsp_dt(cfl: float, lam: float, phase_resolution: int, dt_max: float) -> floa
     return min(cfl, 2.0 * np.pi * lam / phase_resolution, dt_max)
 
 
-@dataclass(eq=False)
-class NSPTrajectory:
-    """Snapshot states plus per-snapshot diagnostics of one NSP run."""
-
-    times: np.ndarray
-    states: list
-    diagnostics: list = field(default_factory=list)
-
-    def state_at(self, t: float) -> NSPState:
-        return self.states[time_index(self.times, t)]
-
-
-def _diagnostic_row(t, state: NSPState, lam: float, norm_s: float):
-    return {
-        "t": t,
-        "mass": state.mass(),
-        "min_rho": float(state.rho.samples().min()),
-        "min_theta": float(state.theta.samples().min()),
-        "rho_hs": sobolev_norm(state.rho, norm_s),
-        "u_hs": sobolev_norm(state.u, norm_s),
-        "theta_hs": sobolev_norm(state.theta, norm_s),
-        "grad_phi_hs1": sobolev_norm(gradient(state.phi), norm_s + 1.0),
-        "poisson_residual": state.poisson_residual(lam),
-    }
-
-
 def run_nsp(initial: NSPState, params: PhysParams, lam: float, t_end: float,
-            dt: float | None = None, snapshot_times=None, norm_s: float = 3.0,
-            phase_resolution: int = DEFAULT_PHASE_RESOLUTION,
-            dt_max: float = DEFAULT_DT_MAX) -> NSPTrajectory:
-    """Integrate to t_end, recording snapshots and diagnostics; dt defaults
-    to nsp_dt at the advective CFL step of the initial velocity."""
+            dt: float, snapshot_times=None) -> Snapshots:
+    """Integrate to t_end with steps of at most dt (the sweep takes nsp_dt);
+    the states at the snapshot times, phi re-solved from rho in each."""
     grid = initial.grid
     params.validate(grid.dims)
     if lam <= 0:
@@ -238,12 +208,8 @@ def run_nsp(initial: NSPState, params: PhysParams, lam: float, t_end: float,
     if t_end <= 0:
         raise ValueError("t_end must be positive")
     times = time_grid(snapshot_times, t_end)
-    if dt is None:
-        dt = nsp_dt(advective_dt(initial.u), lam, phase_resolution, dt_max)
-
     guard = BLOWUP_FACTOR * max(sobolev_norm(initial.u, 1), sobolev_norm(initial.rho, 1), 1e-8)
     explicit, propagate, settle = _make_ops(grid, params, lam, guard)
     states = list(map(lambda y: _state(grid, y, lam), integrate(
         _unsettled(initial), times, dt, explicit, propagate, settle)))
-    diag = [_diagnostic_row(t, state, lam, norm_s) for t, state in zip(times, states)]
-    return NSPTrajectory(times, states, diag)
+    return Snapshots(times, states)

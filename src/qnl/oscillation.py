@@ -47,11 +47,11 @@ class GradientPair:
     __rmul__ = __mul__
 
 
-def check_gradient(u: SpectralVector, tol: float = GRADIENT_TOL) -> None:
+def check_gradient(u: SpectralVector) -> None:
     """Raise NotGradientError unless u is (numerically) a fixed point of Q."""
     residual = sobolev_norm(leray_q(u) - u, 0)
     scale = max(1.0, sobolev_norm(u, 0))
-    if residual > tol * scale:
+    if residual > GRADIENT_TOL * scale:
         raise NotGradientError(
             f"field is not curl-free: Q fixed-point residual {residual:.3e}")
 

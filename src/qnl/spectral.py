@@ -327,10 +327,10 @@ def laplacian(f):
     return SpectralScalar(f.grid, -f.grid.k_sq * f.coeffs)
 
 
-def inverse_laplacian(f: SpectralScalar, mean_tol: float = MEAN_TOL) -> SpectralScalar:
+def inverse_laplacian(f: SpectralScalar) -> SpectralScalar:
     """Mean-zero solution g of lap(g) = f; requires mean-zero input."""
     mean = abs(f.coeffs[(0,) * f.grid.dims])
-    if mean > mean_tol:
+    if mean > MEAN_TOL:
         raise NonZeroMeanError(
             f"inverse Laplacian needs mean-zero input, |f_0| = {mean:.3e}")
     return SpectralScalar(f.grid, -f.grid.inv_k_sq * f.coeffs)

@@ -24,10 +24,13 @@ most dt, ending exactly on each snapshot time, where it yields the state.
 The solver's `settle(y, t)` runs on the initial state and after every step:
 it puts the state back on its constraints, raises the solver's typed error
 when a guard trips, and returns the state with its first-stage tendency
-(or None).
+(or None).  `diffusion` is the solvers' exact diffusion flow, and every
+solve returns its states at the snapshot times as `Snapshots`.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,6 +99,27 @@ def time_index(times, t: float) -> int:
     if abs(times[idx] - t) > 1e-9:
         raise ValueError(f"time {t} is not a snapshot time")
     return idx
+
+
+@dataclass(eq=False)
+class Snapshots:
+    """The states of one solve at its snapshot times."""
+
+    times: np.ndarray
+    states: list
+
+    def at(self, t: float):
+        """The state at snapshot time t (to 1e-9); ValueError otherwise."""
+        return self.states[time_index(self.times, t)]
+
+
+def diffusion(k_sq, rates):
+    """propagate(y, delta) of exact diffusion: slot i times exp(-rates[i] *
+    k_sq * delta), one factor per distinct rate; a rate-0 slot passes."""
+    def propagate(y, delta):
+        factors = {r: np.exp(-r * k_sq * delta) for r in set(rates) if r}
+        return tuple(factors[r] * yi if r else yi for r, yi in zip(rates, y))
+    return propagate
 
 
 def integrate(y, times, dt, explicit, propagate, settle):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from qnl.limit_solver import advective_dt
+from qnl.nsp import nsp_dt
 from qnl.spectral import (SpectralScalar, SpectralVector, derivative,
                           make_grid, product, sobolev_norm, transform_forward)
 
@@ -18,6 +20,12 @@ def grid3d():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240101)
+
+
+def default_nsp_dt(u, lam):
+    """The sweep's NSP step for the initial velocity u at the default
+    phase_resolution (16) and dt_max (0.01)."""
+    return nsp_dt(advective_dt(u), lam, 16, 0.01)
 
 
 def smooth_scalar(grid, rng, decay=4.0):

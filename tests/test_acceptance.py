@@ -13,8 +13,8 @@ from qnl.ansatz import (CorrectorForcings, build_oscillation, corrector_state,
                         solve_osc)
 from qnl.harness import (BaseFields, RunConfig, default_base_fields,
                          gen_initial_data, measure_errors, run_sweep)
-from qnl.limit_solver import LimitState, PhysParams, run_limit
-from qnl.nsp import NSPState, poisson_solve, run_nsp
+from qnl.limit_solver import LimitState, PhysParams, advective_dt, run_limit
+from qnl.nsp import NSPState, nsp_dt, poisson_solve, run_nsp
 from qnl.oscillation import GradientPair, apply_group
 from qnl.projections import leray_p, leray_q
 from qnl.spectral import (SpectralScalar, SpectralVector, constant_scalar,
@@ -22,6 +22,8 @@ from qnl.spectral import (SpectralScalar, SpectralVector, constant_scalar,
                           scalar_from_function, sobolev_norm,
                           transform_forward, vector_from_functions,
                           zeros_vector)
+
+from conftest import default_nsp_dt
 
 
 def _report(number, name, passed, detail):
@@ -84,10 +86,11 @@ def test_criterion_3_well_prepared_degeneration(tmp_path):
                       params, 0.5, dt=0.005, snapshot_times=snaps)
     pair = solve_osc(GradientPair(base_well.qu0.copy(), gradient(base_well.phi0)),
                      limit, params, 0.5, dt=0.005, snapshot_times=snaps)
-    sup_uosc = max(sobolev_norm(build_oscillation(t, lam, pair.pair_at(t)).u_osc, s)
+    sup_uosc = max(sobolev_norm(build_oscillation(t, lam, pair.at(t)).u_osc, s)
                    for t in snaps)
-    traj_well = run_nsp(gen_initial_data("well", lam, base_well), params, lam,
-                        0.5, snapshot_times=snaps, norm_s=s)
+    initial_well = gen_initial_data("well", lam, base_well)
+    traj_well = run_nsp(initial_well, params, lam, 0.5,
+                        default_nsp_dt(initial_well.u, lam), snaps)
     e_u_well = measure_errors(traj_well, limit, pair, lam, s).e_u
 
     # ill-prepared comparison with O(1) oscillation sources (the pinned
@@ -96,9 +99,10 @@ def test_criterion_3_well_prepared_degeneration(tmp_path):
     chi = scalar_from_function(grid, lambda x, y: 1.6 * np.cos(y))
     phi0 = scalar_from_function(grid, lambda x, y: 1.2 * np.sin(x))
     base_ill = BaseFields(base_well.v0, base_well.theta0, gradient(chi), phi0)
-    traj_ill = run_nsp(gen_initial_data("ill", lam, base_ill), params, lam,
-                       0.5, snapshot_times=snaps, norm_s=s)
-    raw_ill = max(sobolev_norm(traj_ill.state_at(t).u - limit.snapshot_state(t).v, s)
+    initial_ill = gen_initial_data("ill", lam, base_ill)
+    traj_ill = run_nsp(initial_ill, params, lam, 0.5,
+                       default_nsp_dt(initial_ill.u, lam), snaps)
+    raw_ill = max(sobolev_norm(traj_ill.at(t).u - limit.at(t).v, s)
                   for t in snaps)
 
     ratio = raw_ill / e_u_well
@@ -154,11 +158,12 @@ def test_criterion_6_conservation_and_constraint():
     grid = make_grid(2, 64)
     base = default_base_fields(grid, "ill")
     lam = 0.05
-    traj = run_nsp(gen_initial_data("ill", lam, base), PhysParams(0.05, 0, 0.05),
-                   lam, 0.5, snapshot_times=np.linspace(0, 0.5, 17), norm_s=3.0)
-    masses = [row["mass"] for row in traj.diagnostics]
+    initial = gen_initial_data("ill", lam, base)
+    traj = run_nsp(initial, PhysParams(0.05, 0, 0.05), lam, 0.5,
+                   default_nsp_dt(initial.u, lam), np.linspace(0, 0.5, 17))
+    masses = [state.mass() for state in traj.states]
     mass_drift = max(abs(m - masses[0]) for m in masses) / abs(masses[0])
-    max_residual = max(row["poisson_residual"] for row in traj.diagnostics)
+    max_residual = max(state.poisson_residual(lam) for state in traj.states)
 
     # part c: linearized pair rotation returns after one period 2 pi lambda
     grid32 = make_grid(2, 32)
@@ -169,8 +174,8 @@ def test_criterion_6_conservation_and_constraint():
     state = NSPState(rho, u, constant_scalar(grid32, 1.0), poisson_solve(rho, lam2))
     period = 2 * np.pi * lam2
     lin = run_nsp(state, PhysParams(0, 0, 0), lam2, period,
-                  snapshot_times=[0.0, period], phase_resolution=512)
-    end = lin.state_at(period)
+                  nsp_dt(advective_dt(u), lam2, 512, 0.01), [0.0, period])
+    end = lin.at(period)
     ret_u = sobolev_norm(end.u - u, 0) / sobolev_norm(u, 0)
     ret_phi = sobolev_norm(gradient(end.phi) - gradient(state.phi), 0) \
         / sobolev_norm(gradient(state.phi), 0)
@@ -193,7 +198,7 @@ def test_criterion_7_analytic_oracles():
     norm0 = sobolev_norm(state.v, 0)
     traj = run_limit(state, PhysParams(mu, 0, 0), 1.0, dt=1e-3,
                      snapshot_times=[0.0, 1.0])
-    tg_err = abs(sobolev_norm(traj.snapshot_state(1.0).v, 0)
+    tg_err = abs(sobolev_norm(traj.at(1.0).v, 0)
                  - np.exp(-2 * mu) * norm0) / (np.exp(-2 * mu) * norm0)
 
     # heat-mode temperature decay
@@ -204,7 +209,7 @@ def test_criterion_7_analytic_oracles():
                      snapshot_times=[0.0, 1.0])
     expected = scalar_from_function(
         grid, lambda x, y: 2.0 + np.exp(-kappa) * np.sin(x))
-    heat_err = sobolev_norm(heat.snapshot_state(1.0).theta - expected, 0)
+    heat_err = sobolev_norm(heat.at(1.0).theta - expected, 0)
 
     # forced-corrector closed forms
     from qnl.spectral import zeros_scalar

@@ -66,7 +66,7 @@ class TestSolveOsc:
         traj = solve_osc(pair0, still_limit(grid2d, 1.0, 0.1), PhysParams(0, 0, 0),
                          1.0, dt=0.1, snapshot_times=[0.0, 0.5, 1.0])
         for t in traj.times:
-            pair = traj.pair_at(t)
+            pair = traj.at(t)
             assert sobolev_norm(pair.grad_q - pair0.grad_q, 0) < 1e-13
             assert sobolev_norm(pair.grad_psi - pair0.grad_psi, 0) < 1e-13
 
@@ -76,7 +76,7 @@ class TestSolveOsc:
         params = PhysParams(0.3, 0.0, 0.0)  # mu + nu/2 = 0.3
         traj = solve_osc(pair0, still_limit(grid2d, 1.0, 0.25), params, 1.0,
                          dt=0.25, snapshot_times=[0.0, 1.0])
-        end = traj.pair_at(1.0)
+        end = traj.at(1.0)
         factor = np.exp(-0.3)
         assert sobolev_norm(end.grad_q - factor * g, 0) < 1e-12
         assert sobolev_norm(end.grad_psi - factor * g, 0) < 1e-12
@@ -92,7 +92,7 @@ class TestSolveOsc:
                          snapshot_times=np.linspace(0, 0.4, 5), norm_s=2.0)
         assert np.isfinite(traj.growth_factor)
         for t in traj.times:
-            pair = traj.pair_at(t)
+            pair = traj.at(t)
             for g in (pair.grad_q, pair.grad_psi):
                 assert sobolev_norm(leray_q(g) - g, 0) <= 1e-10 * max(1.0, sobolev_norm(g, 0))
             assert sobolev_norm(pair, 2.0) <= traj.growth_factor * sobolev_norm(pair0, 2.0) + 1e-12

@@ -1,20 +1,35 @@
-"""The names bench/ takes from qnl exist.
+"""The names bench/ takes from qnl exist, and its child process runs.
 
 bench/child.py and bench/run.py import qnl names, and bench/tracer.py wraps
 the qnl functions named in its SPANS and COUNTED tables by name.  A qnl
 change that removes or renames one of them breaks `bench/run.py` (its
 `--trace 1` mode for the tracer's names) without failing any other test.
+The tracer also patches `LimitTrajectory.v_at` and reads the limit
+trajectory's lists, and the micro mode calls the RHS functions directly, so
+both modes of the child are run on a small sweep.
 """
 
 import ast
 import importlib
 import importlib.util
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import qnl
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
+
+
+def bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def qnl_imports():
@@ -51,8 +66,28 @@ def test_bench_qnl_imports_resolve():
 
 
 def test_tracer_targets_exist():
-    spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = bench_module("tracer")
     targets = set(tracer.SPANS) | set(tracer.COUNTED) | {"write_snapshot"}
     assert targets - qnl_functions() == set()
+
+
+def test_child_trace_and_micro_modes_run(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("resolution = 16\nlambda_list = 0.1, 0.05, 0.025\n"
+                      f"t_end = 0.05\nsnapshots = 2\noutput_dir = {tmp_path / 'out'}\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    for mode in ("trace", "micro"):
+        done = subprocess.run(
+            [sys.executable, str(BENCH / "child.py"), mode, str(config), str(tmp_path / mode)],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert json.loads((tmp_path / mode).read_text())["rc"] == 0
+
+    micro = json.loads((tmp_path / "micro").read_text())["micro_us"]
+    assert set(micro) == {"nsp.rhs_us", "limit_solver.rhs_us", "ansatz.rhs_us",
+                          "spectral.product_us", "spectral.fft_roundtrip_us"}
+    trace = json.loads((tmp_path / "trace.trace").read_text())
+    metrics = bench_module("tracer").layer_metrics(trace, 0)
+    assert metrics["nsp.steps"][0] > 0
+    assert metrics["nsp.fft_per_step"][0] == 112

@@ -13,12 +13,13 @@ from qnl.harness import (ERROR_CHANNELS, BaseFields, ReportRow, RunConfig,
                          default_base_fields, fit_rate, gen_initial_data,
                          load_config, measure_errors, run_sweep)
 from qnl.limit_solver import LimitState, PhysParams, run_limit
-from qnl.nsp import NSPState, NSPTrajectory, poisson_solve
+from qnl.nsp import NSPState, poisson_solve
 from qnl.oscillation import GradientPair
 from qnl.ansatz import build_oscillation
 from qnl.spectral import (constant_scalar, divergence, gradient, laplacian,
                           read_snapshot, scalar_from_function, sobolev_norm,
                           vector_from_functions)
+from qnl.stepping import Snapshots
 
 from conftest import advect, smooth_vector
 
@@ -223,12 +224,12 @@ def _aligned_trajectories(grid, lam, times):
                      snapshot_times=times)
     states = []
     for t in times:
-        lim = limit.snapshot_state(t)
-        osc = build_oscillation(t, lam, pair.pair_at(t))
+        lim = limit.at(t)
+        osc = build_oscillation(t, lam, pair.at(t))
         rho = constant_scalar(grid, 1.0)
         states.append(NSPState(rho, lim.v + osc.u_osc, lim.theta.copy(),
                                poisson_solve(rho, lam)))
-    synthetic = NSPTrajectory(np.asarray(times), states)
+    synthetic = Snapshots(np.asarray(times), states)
     return limit, pair, synthetic
 
 
@@ -240,7 +241,7 @@ class TestMeasureErrors:
         # phi of the manufactured states equals phi_osc only if rho matches;
         # rebuild phi so every channel is exactly aligned
         for i, t in enumerate(times):
-            osc = build_oscillation(t, lam, pair.pair_at(t))
+            osc = build_oscillation(t, lam, pair.at(t))
             from qnl.spectral import divergence, inverse_laplacian
             phi_osc = inverse_laplacian(divergence(osc.grad_phi_osc))
             synthetic.states[i].phi = phi_osc
@@ -411,7 +412,7 @@ class TestCli:
 
         def recording_run_limit(*args, **kwargs):
             traj = run_limit(*args, **kwargs)
-            record.write_bytes(pickle.dumps((traj.snapshot_times, traj.states)))
+            record.write_bytes(pickle.dumps((traj.times, traj.states)))
             return traj
 
         monkeypatch.setattr(qnl.harness, "run_limit", recording_run_limit)
@@ -471,6 +472,22 @@ class TestCli:
         path = self._write_config(tmp_path, **keys)
         assert cli_main(["run", "--config", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    # at 16^2, s_norm = nan and ic_random_amp = nan used to run with exit 0
+    # (E = 0 in every row, and no perturbation); the t_end, snapshot_times
+    # and ic_random_amp = inf cases ended in a ValueError traceback; a nan
+    # lambda wrote a blow_up row; mu and nu = nan exited 2 on a BlowUpError
+    @pytest.mark.parametrize("key, value", [
+        ("s_norm", "nan"), ("ic_random_amp", "nan"), ("t_end", "nan"),
+        ("t_end", "inf"), ("snapshot_times", "nan"), ("ic_random_amp", "inf"),
+        ("lambda_list", "0.1, 0.05, nan"), ("mu", "nan"), ("nu", "nan"),
+    ])
+    def test_non_finite_values_are_config_errors(self, tmp_path, capsys, key, value):
+        path = self._write_config(tmp_path, **{key: value})
+        assert cli_main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
         assert not (tmp_path / "out").exists()
 
     def test_bad_config_exit_code(self, tmp_path, capsys):

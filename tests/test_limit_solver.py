@@ -102,7 +102,7 @@ class TestStepping:
         state = LimitState(taylor_green(grid), constant_scalar(grid, 1.0))
         norm0 = sobolev_norm(state.v, 0)
         traj = run_limit(state, params, 1.0, dt=1e-3, snapshot_times=[0.0, 1.0])
-        end = traj.snapshot_state(1.0)
+        end = traj.at(1.0)
         expected = np.exp(-2.0 * mu * 1.0) * norm0
         assert abs(sobolev_norm(end.v, 0) - expected) <= 1e-6 * expected
 
@@ -113,7 +113,7 @@ class TestStepping:
         e0 = sobolev_norm(state.v, 0)
         traj = run_limit(state, PhysParams(0, 0, 0), 1.0, dt=0.01,
                          snapshot_times=[0.0, 1.0])
-        e1 = sobolev_norm(traj.snapshot_state(1.0).v, 0)
+        e1 = sobolev_norm(traj.at(1.0).v, 0)
         assert abs(e1 - e0) <= 1e-8 * e0
 
     def test_heat_mode_exact_decay(self):
@@ -125,14 +125,14 @@ class TestStepping:
                          snapshot_times=[0.0, 1.0])
         expected = scalar_from_function(
             grid, lambda x, y: 2.0 + np.exp(-kappa) * np.sin(x))
-        assert sobolev_norm(traj.snapshot_state(1.0).theta - expected, 0) < 1e-8
+        assert sobolev_norm(traj.at(1.0).theta - expected, 0) < 1e-8
 
     def test_divergence_free_every_step(self, grid2d, rng):
         params = PhysParams(0.05, 0.0, 0.05)
         state = LimitState(leray_p(smooth_vector(grid2d, rng)),
                            constant_scalar(grid2d, 2.0))
         traj = run_limit(state, params, 0.1, dt=0.01)
-        for t in traj.times:
+        for t in traj.node_times:
             v = traj.v_at(t)
             assert sobolev_norm(divergence(v), 0) <= 1e-10 * max(1.0, sobolev_norm(v, 0))
 
@@ -155,7 +155,7 @@ class TestStepping:
         for dt in (0.02, 0.01, 0.005):
             traj = run_limit(LimitState(v0.copy(), theta0.copy()), params, 0.2,
                              dt=dt, snapshot_times=[0.0, 0.2])
-            ends[dt] = traj.snapshot_state(0.2).v
+            ends[dt] = traj.at(0.2).v
         e1 = sobolev_norm(ends[0.02] - ends[0.01], 0)
         e2 = sobolev_norm(ends[0.01] - ends[0.005], 0)
         assert np.log2(e1 / e2) >= 3.5
@@ -188,7 +188,7 @@ class TestStepping:
         state = LimitState(taylor_green(grid2d), constant_scalar(grid2d, 1.0))
         traj = run_limit(state, PhysParams(0.05, 0, 0.05), 0.1, dt=0.01,
                          snapshot_times=[0.0, 0.05, 0.1])
-        steps = len(traj.times) - 1
+        steps = len(traj.node_times) - 1
         assert steps >= 10
         assert len(calls) == 4 * steps + 1
 
@@ -235,7 +235,7 @@ class TestHermiteInterpolation:
                            constant_scalar(grid2d, 2.0))
         traj = run_limit(state, params, 0.1, dt=0.01,
                          snapshot_times=np.linspace(0, 0.1, 11))
-        assert sobolev_norm(traj.v_at(0.03) - traj.snapshot_state(0.03).v, 0) < 1e-14
+        assert sobolev_norm(traj.v_at(0.03) - traj.at(0.03).v, 0) < 1e-14
 
 
 def test_strain_dissipation_shear_example(grid2d):

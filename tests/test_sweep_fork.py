@@ -26,9 +26,10 @@ from qnl.harness import (NSP_STEP_TRANSFORMS, STAGE_STEP_TRANSFORMS,
                          gen_initial_data, lpt_assign, measure_errors,
                          predicted_steps, run_sweep, solve_limit, split_lambdas)
 from qnl.limit_solver import advective_dt
-from qnl.nsp import run_nsp
+from qnl.nsp import nsp_dt, run_nsp
 from qnl.oscillation import GradientPair
 from qnl.spectral import gradient
+from qnl.stepping import Snapshots
 
 SMALL = dict(resolution=16, lambda_list=(0.1, 0.05, 0.025), t_end=0.05,
              snapshots=2)
@@ -113,10 +114,10 @@ def serial_sweep(config: RunConfig, run_nsp=run_nsp):
                      snapshot_times=times, norm_s=config.s_norm)
     rows, trajectories = [], []
     for lam in config.lambda_list:
+        initial = gen_initial_data(config.ic, lam, base)
+        dt = nsp_dt(advective_dt(initial.u), lam, config.phase_resolution, config.dt_max)
         try:
-            traj = run_nsp(gen_initial_data(config.ic, lam, base), config.nsp_params(lam),
-                           lam, config.t_end, snapshot_times=times, norm_s=config.s_norm,
-                           phase_resolution=config.phase_resolution, dt_max=config.dt_max)
+            traj = run_nsp(initial, config.nsp_params(lam), lam, config.t_end, dt, times)
         except BlowUpError:
             rows.append(ReportRow(lam, status="blow_up"))
             trajectories.append(None)
@@ -151,6 +152,16 @@ def test_sweep_outputs_equal_the_serial_stages_byte_for_byte(tmp_path, keys):
             if not line.startswith("output_dir = ")]
     assert meta == [line for line in serial["meta.txt"].decode().splitlines()
                     if not line.startswith("output_dir = ")]
+
+
+def test_stage_returns_the_limit_snapshots_without_the_nodes():
+    # The stage's result is piped to the parent; the Hermite nodes of the
+    # limit solve must not go with it.
+    config = RunConfig(**SMALL)
+    limit, pair = _lambda_independent_stage(config, base_fields(config))
+    assert type(limit) is Snapshots and not hasattr(limit, "v_nodes")
+    np.testing.assert_array_equal(limit.times, config.resolved_snapshot_times())
+    assert len(limit.states) == len(pair.states) == len(limit.times)
 
 
 def test_failed_child_stage_raises_after_one_parent_run(tmp_path, monkeypatch,

@@ -46,7 +46,7 @@ import os
 import pickle
 import select
 import signal
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -349,17 +349,26 @@ class ReportRow:
     e_phi: float = float("nan")
     status: str = "ok"
     sup_state_norm: float = float("nan")
+    # state_norms of the run, which its diag_*.csv reuses
+    hs_norms: list = field(default_factory=list, repr=False, compare=False)
 
     def channel(self, name: str) -> float:
         return {"E_rho": self.e_rho, "E_u": self.e_u,
                 "E_theta": self.e_theta, "E_phi": self.e_phi}[name]
 
 
+def state_norms(traj: Snapshots, s: float) -> list:
+    """(|rho|, |u|, |theta|) in H^s at each snapshot: the rho_hs, u_hs and
+    theta_hs columns of diag_*.csv, whose maximum is sup_state_norm."""
+    return [(sobolev_norm(state.rho, s), sobolev_norm(state.u, s),
+             sobolev_norm(state.theta, s)) for state in traj.states]
+
+
 def measure_errors(nsp_traj: Snapshots, limit_traj, pair_traj,
                    lam: float, s: float) -> ReportRow:
-    """One sweep row: sup-in-time Sobolev errors over the snapshot grid."""
+    """One sweep row: sup-in-time Sobolev errors over the snapshot grid,
+    with the state_norms of the run."""
     e = {name: 0.0 for name in ERROR_CHANNELS}
-    sup_norm = 0.0
     grid = nsp_traj.states[0].grid
     one = constant_scalar(grid, 1.0)
     for t, state in zip(nsp_traj.times, nsp_traj.states):
@@ -370,10 +379,10 @@ def measure_errors(nsp_traj: Snapshots, limit_traj, pair_traj,
         e["E_theta"] = max(e["E_theta"], sobolev_norm(state.theta - lim.theta, s))
         e["E_phi"] = max(e["E_phi"],
                          sobolev_norm(gradient(state.phi) - osc.grad_phi_osc, s + 1.0))
-        sup_norm = max(sup_norm, sobolev_norm(state.rho, s),
-                       sobolev_norm(state.u, s), sobolev_norm(state.theta, s))
+    norms = state_norms(nsp_traj, s)
+    sup_norm = max([0.0, *(value for hs in norms for value in hs)])
     return ReportRow(lam, e["E_rho"], e["E_u"], e["E_theta"], e["E_phi"],
-                     "ok", sup_norm)
+                     "ok", sup_norm, norms)
 
 
 @dataclass(frozen=True)
@@ -512,12 +521,14 @@ def _child_share(config: RunConfig, base: BaseFields, lams):
                               for lam in lams}
 
 
-# n-d transforms per step, by dims (NS and Euler parameters alike).  An NSP
-# step makes 4 RHS evaluations of 23 + 5 (3D: 33 + 7) transforms, the
-# electric residue included, and its settle samples theta once.  A limit
-# step makes 4 of 11 (19) plus that sample, a pair step 4 of 22 (42).
+# Transforms per step, by dims (NS and Euler parameters alike); a masked
+# transform's 1-D passes count as one.  An NSP step makes 4 RHS evaluations
+# of 23 + 3 (3D: 33 + 4) transforms: the electric residue reuses the RHS's
+# samples of u and adds the samples of lap(phi) and one forward transform
+# per component.  Its settle samples theta once.  A limit step makes 4 of
+# 11 (19) plus that sample, a pair step 4 of 22 (42).
 # tests/test_sweep_fork.py pins these to counted transforms.
-NSP_STEP_TRANSFORMS = {2: 4 * (23 + 5) + 1, 3: 4 * (33 + 7) + 1}
+NSP_STEP_TRANSFORMS = {2: 4 * (23 + 3) + 1, 3: 4 * (33 + 4) + 1}
 STAGE_STEP_TRANSFORMS = {2: 4 * 11 + 1 + 4 * 22, 3: 4 * 19 + 1 + 4 * 42}
 
 
@@ -664,15 +675,15 @@ def run_sweep(config: RunConfig) -> ConvergenceReport:
     return report
 
 
-def _diag_csv(traj: Snapshots, lam: float, s: float) -> str:
+def _diag_csv(traj: Snapshots, lam: float, s: float, norms) -> str:
     """The diag_*.csv text of one NSP run: mass, positivity minima, H^s
-    norms and Poisson residual of each snapshot state."""
+    norms (norms are its state_norms) and Poisson residual of each snapshot
+    state."""
     lines = ["t,mass,min_rho,min_theta,rho_hs,u_hs,theta_hs,"
              "grad_phi_hs1,poisson_residual"]
-    for t, state in zip(traj.times, traj.states):
+    for t, state, hs in zip(traj.times, traj.states, norms, strict=True):
         row = (t, state.mass(), state.rho.samples().min(), state.theta.samples().min(),
-               sobolev_norm(state.rho, s), sobolev_norm(state.u, s),
-               sobolev_norm(state.theta, s), sobolev_norm(gradient(state.phi), s + 1.0),
+               *hs, sobolev_norm(gradient(state.phi), s + 1.0),
                state.poisson_residual(lam))
         lines.append(",".join(f"{value:.12e}" for value in row))
     return "\n".join(lines) + "\n"
@@ -692,7 +703,7 @@ def _write_outputs(config: RunConfig, report: ConvergenceReport, trajectories):
             continue
         name = f"diag_lambda_{row.lam:.6g}.csv"
         with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
-            fh.write(_diag_csv(traj, row.lam, config.s_norm))
+            fh.write(_diag_csv(traj, row.lam, config.s_norm, row.hs_norms))
         if config.save_snapshots:
             for t, state in zip(traj.times, traj.states):
                 stem = f"snapshot_lambda_{row.lam:.6g}_t_{t:.6g}"

@@ -84,11 +84,10 @@ def strain_heating(grad, mu: float) -> np.ndarray:
     return (0.5 * mu) * out
 
 
-def _advection(grid, vs, grad_v) -> SpectralVector:
-    """(v.grad)v from the samples vs[a] of v_a and grad_v[a][b] of d_a v_b,
-    one forward transform per component."""
-    return vector_from_samples(grid, [
-        sum(vs[a] * grad_v[a][b] for a in range(grid.dims)) for b in range(grid.dims)])
+def _advection(grid, vs, grad_v) -> list:
+    """Samples of (v.grad)v from the samples vs[a] of v_a and grad_v[a][b]
+    of d_a v_b, one array per component."""
+    return [sum(vs[a] * grad_v[a][b] for a in range(grid.dims)) for b in range(grid.dims)]
 
 
 def ns_rhs(state: LimitState, params: PhysParams):
@@ -101,7 +100,7 @@ def ns_rhs(state: LimitState, params: PhysParams):
     v, theta = state.v, state.theta
     vs = [to_physical(grid, c.coeffs) for c in v]
     grad_v = physical_gradient(v)
-    dv = leray_p(-_advection(grid, vs, grad_v))
+    dv = leray_p(-vector_from_samples(grid, _advection(grid, vs, grad_v)))
     if params.mu != 0.0:
         dv = dv + params.mu * laplacian(v)
     pointwise = -sum(vs[a] * physical_derivative(grid, theta.coeffs, a)
@@ -119,8 +118,13 @@ def recover_pressure(state: LimitState, params: PhysParams | None = None) -> Spe
     gradient are sampled once, as in ns_rhs."""
     grid, v = state.grid, state.v
     mu = params.mu if params is not None else 0.0
-    unprojected = _advection(grid, [to_physical(grid, c.coeffs) for c in v],
-                             physical_gradient(v))
+    # The full n-d transform, then the mask: the pruned one writes +0 past
+    # the band where this leaves signed zeros, and those reach the Nyquist
+    # planes of Pi, which qnl limit's snapshot files keep bit for bit.
+    unprojected = as_vector(grid, [
+        to_spectral(grid, a, masked=False) * grid.dealias_mask
+        for a in _advection(grid, [to_physical(grid, c.coeffs) for c in v],
+                            physical_gradient(v))])
     if mu != 0.0:
         unprojected = unprojected - mu * laplacian(v)
     return inverse_laplacian(-divergence(unprojected))

@@ -23,7 +23,7 @@ from .errors import (BlowUpError, DegenerateDensityError, MassDefectError,
                      NonpositiveTemperatureError)
 from .limit_solver import PhysParams, strain_heating
 from .oscillation import rotate_slots
-from .projections import decompose, leray_q
+from .projections import leray_q
 from .spectral import (MEAN_TOL, SpectralScalar, SpectralVector, as_vector,
                        constant_scalar, divergence, gradient, laplacian,
                        physical_derivative, physical_gradient, sobolev_norm,
@@ -81,7 +81,7 @@ def _inverse_density(rho: SpectralScalar) -> np.ndarray:
     return to_physical(grid, to_spectral(grid, 1.0 / samples, masked=False))
 
 
-def nsp_rhs_nonstiff(state: NSPState, params: PhysParams, lam: float):
+def nsp_rhs_nonstiff(state: NSPState, params: PhysParams, lam: float, us=None):
     """Tendencies (drho, du, dtheta) excluding the 1/lambda skew exchange.
 
     The momentum tendency omits the electric term -(1/lambda) grad(phi)
@@ -89,7 +89,8 @@ def nsp_rhs_nonstiff(state: NSPState, params: PhysParams, lam: float):
     including the density-weighted viscous terms, is assembled here.  Each
     field and first derivative is sampled once, every tendency component is
     forward-transformed once, and the nested products (pressure and heat
-    times 1/rho) keep their dealiasing round trip.
+    times 1/rho) keep their dealiasing round trip.  us are the dealiased
+    samples of u, if the caller has them already; sampled here otherwise.
     """
     grid = state.grid
     dims = grid.dims
@@ -97,7 +98,8 @@ def nsp_rhs_nonstiff(state: NSPState, params: PhysParams, lam: float):
     rho, u, theta = state.rho, state.u, state.theta
     inv_rho = _inverse_density(rho)
     rs = to_physical(grid, rho.coeffs)
-    us = [to_physical(grid, c.coeffs) for c in u]
+    if us is None:
+        us = [to_physical(grid, c.coeffs) for c in u]
     grad_u = physical_gradient(u)
     div_u = sum(grad_u[a][a] for a in range(dims))
 
@@ -128,12 +130,12 @@ def nsp_rhs_nonstiff(state: NSPState, params: PhysParams, lam: float):
             SpectralScalar(grid, to_spectral(grid, pointwise)))
 
 
-def _electric_residue(u: SpectralVector, grad_phi: SpectralVector) -> SpectralVector:
-    """Nonstiff part of d/dt grad(phi): -Q(u * lap(phi))."""
-    grid = u.grid
+def _electric_residue(us, grad_phi: SpectralVector) -> SpectralVector:
+    """Nonstiff part of d/dt grad(phi): -Q(u * lap(phi)), from the
+    dealiased samples us of u."""
+    grid = grad_phi.grid
     lap_phi = to_physical(grid, divergence(grad_phi).coeffs)
-    return -leray_q(vector_from_samples(
-        grid, [to_physical(grid, c.coeffs) * lap_phi for c in u]))
+    return -leray_q(vector_from_samples(grid, [s * lap_phi for s in us]))
 
 
 def _make_ops(grid, params: PhysParams, lam: float, guard: float):
@@ -150,11 +152,12 @@ def _make_ops(grid, params: PhysParams, lam: float, guard: float):
         rho, theta = SpectralScalar(grid, y[0]), SpectralScalar(grid, y[-1])
         pu, qu, gphi = (as_vector(grid, y[part]) for part in (pu_, qu_, gphi_))
         u = pu + qu
-        drho, du, dtheta = nsp_rhs_nonstiff(NSPState(rho, u, theta, None), params, lam)
+        us = [to_physical(grid, c.coeffs) for c in u]
+        drho, du, dtheta = nsp_rhs_nonstiff(NSPState(rho, u, theta, None), params, lam, us)
         duq = leray_q(du)
         dpu = [du[a].coeffs - duq[a].coeffs + params.mu * k_sq * pu[a].coeffs
                for a in range(n)]
-        return (drho.coeffs, *dpu, *stack(duq, _electric_residue(u, gphi)),
+        return (drho.coeffs, *dpu, *stack(duq, _electric_residue(us, gphi)),
                 dtheta.coeffs + params.kappa * k_sq * theta.coeffs)
 
     diffuse = diffusion(k_sq, (0.0, *(params.mu,) * n, *(0.0,) * (2 * n), params.kappa))
@@ -172,8 +175,8 @@ def _make_ops(grid, params: PhysParams, lam: float, guard: float):
                 f"NSP temperature not positive at t = {t:.4f}")
         if not all_finite(y) or sobolev_norm(state.u, 1) > guard:
             raise BlowUpError(f"NSP solution blew up or is not finite at t = {t:.4f}")
-        pu, qu, _ = decompose(state.u)
-        return stack(state.rho, pu, qu, gradient(state.phi), state.theta), None
+        qu = leray_q(state.u)
+        return stack(state.rho, state.u - qu, qu, gradient(state.phi), state.theta), None
 
     return explicit, propagate, settle
 

@@ -15,9 +15,15 @@ weight `grid.weight`, so they equal the sums over the full spectrum.  Only
 `write_snapshot` expands to the full spectrum, for the QNL1 file layout.
 
 Every transform is a real FFT behind two helpers: `to_physical` turns a
-coefficient array into real samples (numpy.fft.irfftn) and `to_spectral`
-real samples into a coefficient array (numpy.fft.rfftn), each optionally
-2/3-masked.  `physical_derivative` is `to_physical` of a derivative.
+coefficient array into real samples and `to_spectral` real samples into a
+coefficient array, each optionally 2/3-masked.  An unmasked transform is one
+numpy.fft.irfftn or rfftn.  A masked one is pruned (Markel 1971): the 2/3
+mask zeroes every last-axis column past `grid.band` = n/3 + 1, so it runs as
+a chain of 1-D passes over those columns only, in the axis order of
+irfftn/rfftn, and its samples and in-band coefficients are bitwise those of
+the masked n-d transform.  The inverse ends with numpy.fft.irfft, which
+zero-pads the band back to n/2 + 1; the forward starts with numpy.fft.rfft,
+sliced to the band.  `physical_derivative` is `to_physical` of a derivative.
 
 Nonlinear terms follow the transform method.  An RHS evaluation
 inverse-transforms each 2/3-dealiased field and derivative it needs once,
@@ -93,6 +99,12 @@ class TorusGrid:
         for ki in self.k:
             mask &= np.abs(ki) <= cutoff
         self.dealias_mask = mask
+        # The last-axis columns k_N = 0 ... n/3 the mask keeps, and the mask
+        # on them: the masked transforms touch no other column.  It is held
+        # as complex 1 and 0, the values a bool mask is cast to in a product,
+        # so multiplying by it needs no cast buffer.
+        self.band = cutoff + 1
+        self.band_mask = mask[..., :self.band].astype(np.complex128)
         self.weight = np.where((self.k[-1] == 0) | (self.k[-1] == n // 2), 1.0, 2.0)
 
     def collocation_points(self):
@@ -218,23 +230,35 @@ class SpectralVector:
 
 
 def to_physical(grid: TorusGrid, coeffs: np.ndarray, masked: bool = True) -> np.ndarray:
-    """Real collocation samples of a coefficient array, one irfftn; when
-    masked the 2/3 mask is applied first."""
-    return np.fft.irfftn(coeffs * grid.dealias_mask if masked else coeffs,
-                         s=grid.shape, axes=grid.axes, norm="forward")
+    """Real collocation samples of a coefficient array, one inverse
+    transform; when masked the 2/3 mask is applied first."""
+    if not masked:
+        return np.fft.irfftn(coeffs, s=grid.shape, axes=grid.axes, norm="forward")
+    band = coeffs[..., :grid.band] * grid.band_mask
+    for axis in grid.axes[:-1]:
+        np.fft.ifft(band, axis=axis, norm="forward", out=band)
+    return np.fft.irfft(band, grid.resolution, axis=-1, norm="forward")
 
 
 def physical_derivative(grid: TorusGrid, coeffs: np.ndarray, axis: int) -> np.ndarray:
-    """Dealiased samples of the derivative along axis, one irfftn."""
+    """Dealiased samples of the derivative along axis, one inverse transform."""
     return to_physical(grid, grid.ik[axis] * coeffs)
 
 
 def to_spectral(grid: TorusGrid, samples: np.ndarray, masked: bool = True) -> np.ndarray:
-    """Coefficient array of real collocation samples, one rfftn; when masked
-    the result is 2/3-dealiased."""
-    coeffs = np.fft.rfftn(samples, axes=grid.axes, norm="forward")
-    if masked:
-        coeffs *= grid.dealias_mask
+    """Coefficient array of real collocation samples, one forward transform;
+    when masked the result is 2/3-dealiased."""
+    if not masked:
+        return np.fft.rfftn(samples, axes=grid.axes, norm="forward")
+    # The first pass reads the band of the last-axis output, which is freed
+    # before the coefficient array is allocated.
+    band = np.fft.fft(np.fft.rfft(samples, axis=-1, norm="forward")[..., :grid.band],
+                      axis=-2, norm="forward")
+    for axis in reversed(grid.axes[:-2]):
+        np.fft.fft(band, axis=axis, norm="forward", out=band)
+    band *= grid.band_mask
+    coeffs = np.zeros(grid.spectral_shape, dtype=np.complex128)
+    coeffs[..., :grid.band] = band
     return coeffs
 
 

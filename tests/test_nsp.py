@@ -5,7 +5,7 @@ import pytest
 
 from qnl.errors import (BlowUpError, DegenerateDensityError, MassDefectError,
                         NonpositiveTemperatureError)
-from qnl.harness import _diag_csv, default_base_fields, gen_initial_data
+from qnl.harness import _diag_csv, default_base_fields, gen_initial_data, state_norms
 from qnl.limit_solver import PhysParams, advective_dt
 from qnl.nsp import NSPState, nsp_dt, nsp_rhs_nonstiff, poisson_solve, run_nsp
 from qnl.projections import leray_p
@@ -177,7 +177,8 @@ class TestRunNsp:
         initial = gen_initial_data("ill", lam, base)
         traj = run_nsp(initial, PhysParams(0.05, 0.0, 0.05), lam, 0.2,
                        default_nsp_dt(initial.u, lam), np.linspace(0, 0.2, 5))
-        return [line.split(",") for line in _diag_csv(traj, lam, 3.0).splitlines()]
+        return [line.split(",") for line in
+                _diag_csv(traj, lam, 3.0, state_norms(traj, 3.0)).splitlines()]
 
     @staticmethod
     def column(lines, name):

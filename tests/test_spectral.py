@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qnl.errors import InvalidResolutionError, NonZeroMeanError
 from qnl.spectral import (SpectralScalar, as_vector, constant_scalar, dealias,
@@ -98,6 +100,44 @@ class TestTransforms:
         phys = f.samples()
         quad = np.sqrt(np.sum(phys ** 2) * grid2d.spacing ** 2)
         assert abs(quad - (2 * np.pi) * sobolev_norm(f, 0)) < 1e-12
+
+
+PRUNED_GRIDS = [(2, 8), (2, 10), (2, 16), (2, 24), (2, 64),
+                (3, 8), (3, 10), (3, 16), (3, 24), (3, 64)]
+
+
+class TestPrunedTransforms:
+    """The masked transforms run as 1-D passes over the 2/3 band; they must
+    equal the masked n-d transforms bit for bit, n not divisible by 3 and
+    coefficients on the Nyquist planes included."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=st.sampled_from(PRUNED_GRIDS), seed=st.integers(0, 2 ** 32 - 1))
+    def test_inverse_equals_masked_irfftn(self, case, seed):
+        grid = make_grid(*case)
+        rng = np.random.default_rng(seed)
+        coeffs = (rng.standard_normal(grid.spectral_shape)
+                  + 1j * rng.standard_normal(grid.spectral_shape))
+        expected = np.fft.irfftn(coeffs * grid.dealias_mask, s=grid.shape,
+                                 axes=grid.axes, norm="forward")
+        assert np.array_equal(to_physical(grid, coeffs), expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=st.sampled_from(PRUNED_GRIDS), seed=st.integers(0, 2 ** 32 - 1))
+    def test_forward_equals_masked_rfftn(self, case, seed):
+        grid = make_grid(*case)
+        samples = np.random.default_rng(seed).standard_normal(grid.shape)
+        expected = np.fft.rfftn(samples, axes=grid.axes, norm="forward") * grid.dealias_mask
+        assert np.array_equal(to_spectral(grid, samples), expected)
+
+    @pytest.mark.parametrize("masked", [True, False], ids=["masked", "unmasked"])
+    @pytest.mark.parametrize("dims", [2, 3])
+    def test_each_call_counts_as_one_transform(self, count_transforms, rng, dims, masked):
+        grid = make_grid(dims, 16)
+        samples = rng.standard_normal(grid.shape)
+        coeffs = to_spectral(grid, samples, masked=False)
+        assert count_transforms(lambda: to_physical(grid, coeffs, masked=masked)) == 1
+        assert count_transforms(lambda: to_spectral(grid, samples, masked=masked)) == 1
 
 
 class TestDerivative:

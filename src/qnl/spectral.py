@@ -23,7 +23,9 @@ a chain of 1-D passes over those columns only, in the axis order of
 irfftn/rfftn, and its samples and in-band coefficients are bitwise those of
 the masked n-d transform.  The inverse ends with numpy.fft.irfft, which
 zero-pads the band back to n/2 + 1; the forward starts with numpy.fft.rfft,
-sliced to the band.  `physical_derivative` is `to_physical` of a derivative.
+sliced to the band, and writes +0 past it, where the n-d transform times the
+mask leaves signed zeros.  `physical_derivative` is `to_physical` of a
+derivative.
 
 Nonlinear terms follow the transform method.  An RHS evaluation
 inverse-transforms each 2/3-dealiased field and derivative it needs once,

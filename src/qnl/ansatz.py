@@ -27,7 +27,7 @@ from math import cos, sin
 
 from .errors import BlowUpError
 from .limit_solver import LimitTrajectory, PhysParams
-from .oscillation import GradientPair, apply_group
+from .oscillation import GradientPair, rotate_slots
 from .projections import leray_q
 from .spectral import (SpectralScalar, SpectralVector, as_vector, divergence,
                        gradient, physical_gradient, sobolev_norm, stack,
@@ -123,12 +123,14 @@ class OscillationFields:
 
 
 def build_oscillation(t: float, lam: float, pair: GradientPair) -> OscillationFields:
-    """Rotate the pair to physical variables and derive rho_osc = -lap(phi_osc)."""
+    """Rotate the pair to physical variables and derive rho_osc = -lap(phi_osc).
+
+    The pair is not re-validated: the pair solve keeps it a gradient pair, and
+    two curl checks per snapshot dominated measure_errors."""
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    rotated = apply_group(t / lam, pair)
-    rho_osc = -divergence(rotated.grad_psi)
-    return OscillationFields(rotated.grad_q, rotated.grad_psi, rho_osc)
+    u_osc, grad_phi_osc = rotate_slots(t / lam, pair.grad_q, pair.grad_psi)
+    return OscillationFields(u_osc, grad_phi_osc, -divergence(grad_phi_osc))
 
 
 @dataclass(eq=False)

@@ -29,7 +29,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_limit(args) -> int:
-    from .harness import base_fields, solve_limit
+    from .harness import base_fields, file_tag, solve_limit
     from .limit_solver import recover_pressure
     from .spectral import sobolev_norm, write_snapshot
 
@@ -45,7 +45,7 @@ def _cmd_limit(args) -> int:
                      f"{state.theta.samples().min():.12e}\n")
     if config.save_snapshots:
         for t, state in zip(traj.times, traj.states):
-            stem = os.path.join(config.output_dir, f"limit_t_{t:.6g}")
+            stem = os.path.join(config.output_dir, f"limit_t_{file_tag(t)}")
             write_snapshot(stem + "_v.qnl", state.v)
             write_snapshot(stem + "_theta.qnl", state.theta)
             write_snapshot(stem + "_pi.qnl",

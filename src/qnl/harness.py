@@ -79,6 +79,23 @@ _STATUS_BY_ERROR = {
 # ---------------------------------------------------------------------------
 # configuration
 
+def file_tag(value: float) -> str:
+    """The lambda or snapshot-time part of an output file name."""
+    return f"{value:.6g}"
+
+
+def _check_distinct_tags(name: str, values) -> None:
+    """InvalidConfigError if two values share a file_tag: their output files
+    would overwrite each other."""
+    seen = {}
+    for value in map(float, values):
+        first = seen.setdefault(file_tag(value), value)
+        if first != value:
+            raise InvalidConfigError(
+                f"{name} values {first!r} and {value!r} share the file name tag "
+                f"{file_tag(value)!r}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     dims: int = 2
@@ -120,6 +137,7 @@ class RunConfig:
             raise InvalidConfigError("lambda values must be positive")
         if any(b >= a for a, b in zip(lams, lams[1:])):
             raise InvalidConfigError("lambda_list must be strictly decreasing")
+        _check_distinct_tags("lambda_list", lams)
         if self.s_norm < self.dims / 2.0 + 2.0:
             raise InvalidConfigError(
                 f"s_norm must be at least N/2 + 2 = {self.dims / 2 + 2}, got {self.s_norm}")
@@ -148,6 +166,9 @@ class RunConfig:
                 params.validate(self.dims)
             except ValueError as exc:
                 raise InvalidConfigError(str(exc)) from exc
+        if self.save_snapshots:
+            _check_distinct_tags("snapshot time", time_grid(
+                self.resolved_snapshot_times(), self.t_end))
 
     def resolved_snapshot_times(self) -> np.ndarray:
         if self.snapshot_times is None:
@@ -701,11 +722,11 @@ def _write_outputs(config: RunConfig, report: ConvergenceReport, trajectories):
     for row, traj in zip(report.rows, trajectories):
         if traj is None:
             continue
-        name = f"diag_lambda_{row.lam:.6g}.csv"
+        name = f"diag_lambda_{file_tag(row.lam)}.csv"
         with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
             fh.write(_diag_csv(traj, row.lam, config.s_norm, row.hs_norms))
         if config.save_snapshots:
             for t, state in zip(traj.times, traj.states):
-                stem = f"snapshot_lambda_{row.lam:.6g}_t_{t:.6g}"
+                stem = f"snapshot_lambda_{file_tag(row.lam)}_t_{file_tag(t)}"
                 write_snapshot(os.path.join(out, stem + "_rho.qnl"), state.rho)
                 write_snapshot(os.path.join(out, stem + "_u.qnl"), state.u)

@@ -91,6 +91,13 @@ def nsp_rhs_nonstiff(state: NSPState, params: PhysParams, lam: float, us=None):
     forward-transformed once, and the nested products (pressure and heat
     times 1/rho) keep their dealiasing round trip.  us are the dealiased
     samples of u, if the caller has them already; sampled here otherwise.
+
+    Each sample array is dropped once its last product is formed, and each
+    tendency is forward-transformed as soon as it is complete: the samples
+    of rho go with the pressure, those of theta and the heating terms with
+    dtheta, and each du[b] is transformed before du[b + 1] is formed.  The
+    samples of u and its gradient stay until the last du.  Every output's
+    arithmetic is that of the formula, so the order changes no bit.
     """
     grid = state.grid
     dims = grid.dims
@@ -104,10 +111,25 @@ def nsp_rhs_nonstiff(state: NSPState, params: PhysParams, lam: float, us=None):
     div_u = sum(grad_u[a][a] for a in range(dims))
 
     drho = -sum(ik[a] * to_spectral(grid, rs * us[a]) for a in range(dims))
-
-    # Pressure gradient and viscous stress enter as one factor of 1/rho.
     ts = to_physical(grid, theta.coeffs)
     pressure = to_spectral(grid, rs * ts)
+    del rs
+
+    pointwise = -ts * div_u - sum(us[a] * physical_derivative(grid, theta.coeffs, a)
+                                  for a in range(dims))
+    del ts
+    if not params.is_euler:
+        heat = params.kappa * laplacian(theta).coeffs
+        if params.mu != 0.0 or params.nu != 0.0:
+            heat = heat + to_spectral(
+                grid, strain_heating(grad_u, params.mu) + params.nu * div_u * div_u)
+        pointwise = pointwise + inv_rho * to_physical(grid, heat)
+        del heat
+    del div_u
+    dtheta = to_spectral(grid, pointwise)
+    del pointwise
+
+    # Pressure gradient and viscous stress enter as one factor of 1/rho.
     div_coeffs = divergence(u).coeffs
     du = []
     for b in range(dims):
@@ -115,19 +137,10 @@ def nsp_rhs_nonstiff(state: NSPState, params: PhysParams, lam: float, us=None):
         if params.mu != 0.0 or params.nu != 0.0:
             force = force + params.mu * laplacian(u[b]).coeffs \
                 + (params.mu + params.nu) * ik[b] * div_coeffs
-        du.append(inv_rho * to_physical(grid, force)
-                  - sum(us[a] * grad_u[a][b] for a in range(dims)))
-
-    pointwise = -ts * div_u - sum(us[a] * physical_derivative(grid, theta.coeffs, a)
-                                  for a in range(dims))
-    if not params.is_euler:
-        heat = params.kappa * laplacian(theta).coeffs
-        if params.mu != 0.0 or params.nu != 0.0:
-            quadratic = strain_heating(grad_u, params.mu) + params.nu * div_u * div_u
-            heat = heat + to_spectral(grid, quadratic)
-        pointwise = pointwise + inv_rho * to_physical(grid, heat)
-    return (SpectralScalar(grid, drho), vector_from_samples(grid, du),
-            SpectralScalar(grid, to_spectral(grid, pointwise)))
+        du.append(to_spectral(grid, inv_rho * to_physical(grid, force)
+                              - sum(us[a] * grad_u[a][b] for a in range(dims))))
+    return (SpectralScalar(grid, drho), as_vector(grid, du),
+            SpectralScalar(grid, dtheta))
 
 
 def _electric_residue(us, grad_phi: SpectralVector) -> SpectralVector:

@@ -13,6 +13,14 @@ rotation).  One step of the classical Lawson scheme reads
 with E2 = exp(A h/2), E1 = exp(A h) and N4 = N(Y4, t + h).  The scheme is
 fourth order for any split and reduces to classical RK4 when A = 0.
 
+A step holds two state-sized tuples of its own while N runs: the stage
+input and one running sum of the propagated tendencies, as in low-storage
+Runge-Kutta schemes (Williamson, J. Comput. Phys. 1980).  The sum is
+accumulated as ((E1 N1 + 2 E2 N2) + 2 E2 N3) + N4, then scaled by h/6 and
+added to E1 y, which is formed a second time after N4 rather than held
+through it.  That is the formula's arithmetic in the formula's order, so the
+step is bitwise the formula, at the cost of one extra flow per step.
+
 N1 is the tendency at the step's starting point.  A solver that needs it
 anyway (the limit solve stores it as the Hermite slope of each node) hands
 it to the next step, so the last evaluation of one step is reused as the
@@ -50,23 +58,41 @@ def lawson_rk4_step(y, t, dt, rhs, propagate, n1=None):
     propagate(y, delta): exact flow of the linear part over delta, a linear
         map applied slotwise (must distribute over addition).
     n1: rhs(y, t) if the caller has it already; computed otherwise.
+
+    Apart from y, the only state-sized tuples alive during each rhs call are
+    the stage input and the running sum acc; each tendency is dropped once
+    its propagated form is in acc, and E1 y is formed twice (seven flows per
+    step, not six).  Nothing is written into y, n1 or an array that
+    propagate returned: a rate-0 slot of `diffusion` passes through
+    uncopied.  acc owns its arrays only after its first _axpy, and only then
+    is it updated in place.
     """
     half = 0.5 * dt
     if n1 is None:
         n1 = rhs(y, t)
-    n2 = rhs(propagate(_axpy(y, half, n1), half), t + half)
-    n3 = rhs(_axpy(propagate(y, half), half, n2), t + half)
-    # Each flow is applied once, and the stages and raw tendencies are
-    # dropped as soon as only their propagated forms are needed: every
-    # state-sized tuple alive here adds to the solvers' peak memory.
-    e1_n1, e2_n2, e2_n3 = propagate(n1, dt), propagate(n2, half), propagate(n3, half)
-    del n1, n2, n3
-    e1_y = propagate(y, dt)
-    n4 = rhs(_axpy(e1_y, dt, e2_n3), t + dt)
+    stage = propagate(_axpy(y, half, n1), half)
+    acc = propagate(n1, dt)
+    del n1
+    n2 = rhs(stage, t + half)
+    del stage
+    acc = _axpy(acc, 2.0, propagate(n2, half))
+    stage = _axpy(propagate(y, half), half, n2)
+    del n2
+    e2_n3 = propagate(rhs(stage, t + half), half)
+    del stage
+    acc = _axpy(acc, 2.0, e2_n3)
+    stage = _axpy(propagate(y, dt), dt, e2_n3)
+    del e2_n3
+    n4 = rhs(stage, t + dt)
+    del stage
+    # acc + n4, times h/6, plus E1 y: the formula's additions and product
+    # with their operands swapped, which leaves every bit unchanged.
     sixth = dt / 6.0
-    return tuple(
-        oi + sixth * (a + 2.0 * b + 2.0 * c + d)
-        for oi, a, b, c, d in zip(e1_y, e1_n1, e2_n2, e2_n3, n4))
+    for a, d, o in zip(acc, n4, propagate(y, dt)):
+        a += d
+        a *= sixth
+        a += o
+    return acc
 
 
 def substep_count(span: float, dt_target: float) -> int:

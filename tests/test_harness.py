@@ -152,6 +152,19 @@ class TestConfig:
         assert nsp.nu == pytest.approx(0.02)
         assert nsp.kappa == pytest.approx(0.02)
 
+    # 0.1 and 0.09999999 both wrote diag_lambda_0.1.csv: three report rows,
+    # two diag files, exit 0
+    def test_lambda_values_sharing_a_file_tag_rejected(self):
+        with pytest.raises(InvalidConfigError, match="0.1 and 0.09999999"):
+            RunConfig(lambda_list=(0.1, 0.09999999, 0.05)).validate()
+        RunConfig(lambda_list=(0.1, 0.0999999, 0.05)).validate()
+
+    def test_saved_snapshot_times_sharing_a_file_tag_rejected(self):
+        times = (0.25, 0.2500000001, 0.5)
+        RunConfig(snapshot_times=times).validate()  # no snapshot files
+        with pytest.raises(InvalidConfigError, match="0.25 and 0.2500000001"):
+            RunConfig(snapshot_times=times, save_snapshots=True).validate()
+
     def test_snapshot_times_resolution(self):
         cfg = RunConfig(t_end=1.0, snapshots=5)
         np.testing.assert_allclose(cfg.resolved_snapshot_times(),
@@ -260,6 +273,19 @@ class TestMeasureErrors:
             state.theta = state.theta + lam * bump
         row = measure_errors(synthetic, limit, pair, lam, 3.0)
         assert abs(row.e_theta - lam * sobolev_norm(bump, 3.0)) < 1e-12
+
+    def test_pair_is_not_revalidated_per_snapshot(self, grid2d, monkeypatch):
+        # build_oscillation used to check both pair slots for curl at every
+        # snapshot, most of measure_errors' time on a 24^3 sweep
+        import qnl.oscillation
+        times = np.linspace(0.0, 0.1, 3)
+        limit, pair, synthetic = _aligned_trajectories(grid2d, 0.05, times)
+        calls = []
+        original = qnl.oscillation.check_gradient
+        monkeypatch.setattr(qnl.oscillation, "check_gradient",
+                            lambda u: calls.append(u) or original(u))
+        measure_errors(synthetic, limit, pair, 0.05, 3.0)
+        assert calls == []
 
     def test_time_grid_mismatch_rejected(self, grid2d):
         times = np.linspace(0.0, 0.1, 3)
@@ -488,6 +514,17 @@ class TestCli:
         assert cli_main(["run", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, keys", [
+        ("run", {"lambda_list": "0.1, 0.09999999, 0.05"}),
+        ("run", {"snapshot_times": "0.05, 0.0500000001, 0.1", "save_snapshots": "true"}),
+        ("limit", {"snapshot_times": "0.05, 0.0500000001, 0.1", "save_snapshots": "true"}),
+    ])
+    def test_colliding_file_names_are_config_errors(self, tmp_path, capsys, command, keys):
+        path = self._write_config(tmp_path, **keys)
+        assert cli_main([command, "--config", str(path)]) == 2
+        assert "share the file name tag" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_bad_config_exit_code(self, tmp_path, capsys):

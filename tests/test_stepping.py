@@ -1,9 +1,18 @@
 """Lawson RK4 stepping, the integrate driver and its snapshot time grid."""
 
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import qnl.ansatz
+from qnl import limit_solver, nsp
 from qnl.errors import BlowUpError
+from qnl.harness import default_base_fields, gen_initial_data
+from qnl.limit_solver import PhysParams
+from qnl.oscillation import GradientPair
+from qnl.spectral import gradient, make_grid, stack
 from qnl.stepping import (all_finite, integrate, lawson_rk4_step, substep_count,
                           time_grid, time_index)
 
@@ -47,8 +56,10 @@ def test_step_matches_reference_formula_exactly():
     y = (np.array([1.0, -0.5]),)
     got = lawson_rk4_step(y, 0.3, 0.1, rhs, counted_propagate)
     assert np.array_equal(got[0], _reference_step(y, 0.3, 0.1, rhs, propagate)[0])
-    # one flow each: y over h/2 and over h, the first stage, n1, n2 and n3
-    assert len(flows) == 6
+    # one flow each for y over h/2, the first stage, n1, n2 and n3, and two
+    # for y over h: E1 y is formed again after N4 instead of being held
+    # through it, which keeps one state-sized tuple fewer alive
+    assert len(flows) == 7
 
 
 def test_precomputed_first_stage_gives_identical_step():
@@ -61,6 +72,95 @@ def test_precomputed_first_stage_gives_identical_step():
     reused = lawson_rk4_step(y, 0.3, 0.1, rhs, propagate, n1=n1)
     assert len(calls) == 3
     assert np.array_equal(plain[0], reused[0])
+
+
+def _limit_ops(grid, params):
+    base = default_base_fields(grid, "ill", 0.01, 0)
+    explicit, propagate, settle = limit_solver._make_ops(grid, params, 1e300)
+    y, _ = settle(stack(base.v0, base.theta0), 0.0)
+    return y, explicit, propagate
+
+
+def _pair_ops(grid):
+    # the ops that solve_osc hands to integrate, with v frozen in time
+    base = default_base_fields(grid, "ill", 0.01, 0)
+    captured = {}
+
+    def capture(y, times, dt, explicit, propagate, settle):
+        captured.update(y=y, explicit=explicit, propagate=propagate)
+        return iter([y] * len(times))
+
+    pair = GradientPair(base.qu0, gradient(base.phi0))
+    saved, qnl.ansatz.integrate = qnl.ansatz.integrate, capture
+    try:
+        qnl.ansatz.solve_osc(pair, SimpleNamespace(v_at=lambda t: base.v0),
+                             PhysParams(0.05, 0.02, 0.05), 0.1, 0.01)
+    finally:
+        qnl.ansatz.integrate = saved
+    return captured["y"], captured["explicit"], captured["propagate"]
+
+
+def _nsp_ops(grid, lam=0.025):
+    base = default_base_fields(grid, "ill", 0.01, 0)
+    explicit, propagate, settle = nsp._make_ops(
+        grid, PhysParams(0.05, 0.0, 0.05), lam, 1e300)
+    y, _ = settle(nsp._unsettled(gen_initial_data("ill", lam, base)), 0.0)
+    return y, explicit, propagate
+
+
+SOLVER_OPS = {
+    # every slot has rate 0, so propagate returns its input arrays
+    "limit_euler": lambda: _limit_ops(make_grid(2, 16), PhysParams()),
+    "limit_ns": lambda: _limit_ops(make_grid(2, 16), PhysParams(0.05, 0.0, 0.05)),
+    "pair": lambda: _pair_ops(make_grid(2, 16)),
+    "nsp_2d": lambda: _nsp_ops(make_grid(2, 16)),
+    "nsp_3d": lambda: _nsp_ops(make_grid(3, 8)),
+}
+
+
+@pytest.mark.parametrize("given_n1", [False, True])
+@pytest.mark.parametrize("solver", sorted(SOLVER_OPS))
+def test_step_leaves_its_inputs_alone_and_matches_the_formula(solver, given_n1):
+    # the step updates its running sum in place; it must never write into
+    # y, a given n1 or an array that propagate passed through uncopied
+    y, explicit, propagate = SOLVER_OPS[solver]()
+    dt = 0.004
+    n1 = explicit(y, 0.1) if given_n1 else None
+    y_before = [a.copy() for a in y]
+    n1_before = [a.copy() for a in n1] if given_n1 else []
+    got = lawson_rk4_step(y, 0.1, dt, explicit, propagate, n1=n1)
+    for a, before in zip(y, y_before, strict=True):
+        assert np.array_equal(a, before)
+    for a, before in zip(n1 or (), n1_before, strict=True):
+        assert np.array_equal(a, before)
+    expected = _reference_step(y, 0.1, dt, explicit, propagate)
+    for a, b in zip(got, expected, strict=True):
+        assert np.array_equal(a, b)
+
+
+def _traced_peak(fn):
+    """Bytes that fn allocates at its peak above what was allocated before."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak
+
+
+def test_nsp_step_holds_two_states_beside_its_rhs():
+    # one NSP step at 16^3: its traced peak less that of one RHS call, in
+    # state sizes.  Holding E1 y, E1 N1, E2 N2 and E2 N3 through N4 read
+    # 4.94; a stage and one running sum read 2.02.
+    y, explicit, propagate = _nsp_ops(make_grid(3, 16))
+    state_bytes = sum(a.nbytes for a in y)
+    lawson_rk4_step(y, 0.0, 0.004, explicit, propagate)  # warm every cache
+    rhs_peak = _traced_peak(lambda: explicit(y, 0.0))
+    step_peak = _traced_peak(lambda: lawson_rk4_step(y, 0.0, 0.004, explicit, propagate))
+    assert (step_peak - rhs_peak) / state_bytes < 3.1
 
 
 @pytest.mark.parametrize("dt_target", [0.0, -0.01, float("nan")])

@@ -165,6 +165,23 @@ class TestConfig:
         with pytest.raises(InvalidConfigError, match="0.25 and 0.2500000001"):
             RunConfig(snapshot_times=times, save_snapshots=True).validate()
 
+    # (0.2, 0.7) with t_end = 0.5 used to pass validate and fail later, when
+    # the sweep resolved the snapshot times
+    def test_snapshot_times_outside_the_run_rejected(self, tmp_path):
+        with pytest.raises(InvalidConfigError, match=r"snapshot_times must lie in \[0, t_end\]"):
+            RunConfig(resolution=16, snapshot_times=(0.2, 0.7), t_end=0.5).validate()
+        path = tmp_path / "bad.cfg"
+        path.write_text("resolution = 16\nsnapshot_times = 0.2, 0.7\nt_end = 0.5\n")
+        with pytest.raises(InvalidConfigError, match="snapshot_times"):
+            load_config(path)
+
+    def test_lambda_list_holds_at_most_256_values(self):
+        # run_sweep's queue holds one byte per lambda value
+        lams = tuple(1.0 / k for k in range(1, 258))
+        RunConfig(lambda_list=lams[:256]).validate()
+        with pytest.raises(InvalidConfigError, match="at most 256 values, got 257"):
+            RunConfig(lambda_list=lams).validate()
+
     def test_snapshot_times_resolution(self):
         cfg = RunConfig(t_end=1.0, snapshots=5)
         np.testing.assert_allclose(cfg.resolved_snapshot_times(),
@@ -405,12 +422,10 @@ class TestRunSweep:
 
 class TestCli:
     def _write_config(self, tmp_path, **extra):
-        lines = ["resolution = 16", "lambda_list = 0.1, 0.05, 0.025",
-                 "t_end = 0.1", "snapshots = 3",
-                 f"output_dir = {tmp_path / 'out'}"]
-        lines += [f"{k} = {v}" for k, v in extra.items()]
+        keys = {"resolution": 16, "lambda_list": "0.1, 0.05, 0.025", "t_end": 0.1,
+                "snapshots": 3, "output_dir": tmp_path / "out", **extra}
         path = tmp_path / "run.cfg"
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
         return path
 
     def test_run_subcommand(self, tmp_path, capsys):
@@ -525,6 +540,15 @@ class TestCli:
         path = self._write_config(tmp_path, **keys)
         assert cli_main([command, "--config", str(path)]) == 2
         assert "share the file name tag" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    # the second value used to win silently
+    def test_repeated_key_is_a_config_error(self, tmp_path, capsys):
+        path = self._write_config(tmp_path)
+        path.write_text(path.read_text() + "resolution = 32\n")
+        assert cli_main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "key 'resolution' already set on line 1" in err and "run.cfg:6:" in err
         assert not (tmp_path / "out").exists()
 
     def test_bad_config_exit_code(self, tmp_path, capsys):

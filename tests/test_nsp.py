@@ -5,13 +5,15 @@ import pytest
 
 from qnl.errors import (BlowUpError, DegenerateDensityError, MassDefectError,
                         NonpositiveTemperatureError)
-from qnl.harness import _diag_csv, default_base_fields, gen_initial_data, state_norms
+from qnl.harness import (RunConfig, _diag_csv, base_fields, default_base_fields,
+                         gen_initial_data, state_norms)
 from qnl.limit_solver import PhysParams, advective_dt
 from qnl.nsp import NSPState, nsp_dt, nsp_rhs_nonstiff, poisson_solve, run_nsp
 from qnl.projections import leray_p
 from qnl.spectral import (constant_scalar, gradient,
                           laplacian, make_grid, scalar_from_function,
                           sobolev_norm, transform_forward, zeros_vector)
+from qnl.stepping import substep_count
 
 from conftest import default_nsp_dt, smooth_scalar, smooth_vector, strain_dissipation
 
@@ -159,6 +161,25 @@ class TestNspStep:
                     + sobolev_norm(a.theta - b.theta, 0))
         order = np.log2(dist(ends[1], ends[2]) / dist(ends[2], ends[4]))
         assert order >= 3.5
+
+    def test_dt_refinement_at_the_smallest_stock_lambda(self):
+        # At lambda = 0.0125 the stock step sits on the phase bound, h/lambda
+        # = 0.36 here.  Runs of n and 2n steps against one of 8n: the H^3
+        # error ratio was 15.3 (order 3.9) when measured; Lawson RK4 is of
+        # order 4 (Hochbruck & Ostermann, Acta Numerica 2010).
+        config = RunConfig()
+        lam, t_end = 0.0125, 0.05
+        initial = gen_initial_data(config.ic, lam, base_fields(config))
+        n = substep_count(t_end, default_nsp_dt(initial.u, lam))
+        ends = {m: run_nsp(initial, config.nsp_params(lam), lam, t_end,
+                           dt=t_end / (m * n)).states[-1] for m in (1, 2, 8)}
+
+        def error(a):
+            b = ends[8]
+            return (sobolev_norm(a.rho - b.rho, 3) + sobolev_norm(a.u - b.u, 3)
+                    + sobolev_norm(a.theta - b.theta, 3))
+
+        assert error(ends[1]) / error(ends[2]) >= 8.0
 
     def test_rejects_nonpositive_dt(self, grid2d):
         state = NSPState(constant_scalar(grid2d, 1.0), zeros_vector(grid2d),

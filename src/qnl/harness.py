@@ -18,24 +18,26 @@ files.
 
 The lambda-independent stage (limit solve, then pair solve) shares nothing
 with the lambda runs until the measurement, so `run_sweep` forks one child
-(POSIX `os.fork`) that solves it.  Parent and child then share the lambda
-runs through one queue, a pipe filled before the fork with the index of
-every lambda, smallest lambda first: every run starts from the same
-velocity and its step is bounded by 2 pi lambda / phase_resolution, so a
-smaller lambda never makes a shorter run, and taking the runs longest-first
-is the greedy list schedule (Graham 1966, 1969).  The parent
-takes a run whenever it is free and the child once its stage is done; both
-stop when the queue is empty.  The parent polls the child's pipe between
-its runs, so a failed child raises at once.  The child neither measures
-nor writes, so a failed sweep leaves no output directory: it pipes back,
+(POSIX `os.fork`) that solves it and then runs a share of the lambda values
+while the parent runs the rest.  The share is fixed before the fork by
+longest-processing-time-first list scheduling (Graham 1969) on a cost in
+transforms: predicted steps (the solvers' own dt rules on the base fields;
+no initial data is generated) times the transforms of one step.  The child
+starts with the load of its stage.  On a short 64^2 sweep (four lambda) the
+stage takes 0.22 s and the NSP runs 0.10, 0.10, 0.10 and 0.18 s, so the
+child also runs lambda = 0.05; on a short 24^3 one (0.25 s against 0.08,
+0.08 and 0.15 s) it runs none.  The parent polls the pipe between its
+runs, so a failed child raises at once.  The child neither measures nor
+writes, so a failed sweep leaves no output directory: it pipes back,
 pickled, the limit snapshots, the pair trajectory and its lambda runs,
 and the parent measures and writes every output as a serial sweep would,
 byte for byte.  The limit solve's Hermite nodes live and die in the child,
-which keeps the parent's peak RSS down; a process pool over lambda would
-raise the peak instead.  An exception in the child is re-raised in the
-parent; a child that ends without a result raises ChildLostError; the
-child is killed and reaped and the queue closed on every exit path.
-`qnl limit` solves the limit in-process.
+which keeps the parent's peak RSS down (44.4 -> 41.1 MiB on the 64^2
+sweep, 59.7 -> 53.5 MiB on the 24^3 one, when the stage was first
+forked); a process pool over lambda would raise the peak instead.  An
+exception in the child is re-raised in the parent; a child that ends
+without a result raises ChildLostError; the child is killed and reaped on
+every exit path.  `qnl limit` solves the limit in-process.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ import os
 import pickle
 import select
 import signal
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -62,7 +63,7 @@ from .spectral import (SpectralScalar, SpectralVector, constant_scalar,
                        gradient, laplacian, make_grid, scalar_from_function,
                        sobolev_norm, transform_forward, vector_from_functions,
                        write_snapshot)
-from .stepping import Snapshots, time_grid
+from .stepping import Snapshots, step_count, time_grid
 
 ERROR_CHANNELS = ("E_rho", "E_u", "E_theta", "E_phi")
 
@@ -131,9 +132,6 @@ class RunConfig:
                 f"resolution must be even and >= 8, got {self.resolution}")
         if not self.lambda_list:
             raise InvalidConfigError("lambda_list must not be empty")
-        if len(self.lambda_list) > 256:  # one byte per token of the sweep's queue
-            raise InvalidConfigError(
-                f"lambda_list may hold at most 256 values, got {len(self.lambda_list)}")
         lams = tuple(float(x) for x in self.lambda_list)
         if any(x <= 0 for x in lams):
             raise InvalidConfigError("lambda values must be positive")
@@ -539,37 +537,65 @@ def _lambda_independent_stage(config: RunConfig, base: BaseFields):
     return Snapshots(limit_traj.times, limit_traj.states), pair_traj
 
 
-@contextmanager
-def _lambda_queue(count: int):
-    """The sweep's queue of lambda runs: a pipe holding the indices into
-    lambda_list, last (smallest lambda, longest run) first, one byte each,
-    its write end already closed, so a one-byte read takes the next index
-    and an empty read ends the queue.  At most 256 tokens (RunConfig.validate)
-    fit in one write that cannot block (PIPE_BUF >= 512).  Yields the
-    unbuffered read end, closed on leaving the with block."""
-    read_fd, write_fd = os.pipe()
-    with open(read_fd, "rb", buffering=0) as queue:
-        with open(write_fd, "wb", buffering=0) as tokens:
-            tokens.write(bytes(reversed(range(count))))
-        yield queue
-
-
-def _queued_runs(config: RunConfig, base: BaseFields, queue):
-    """(lam, (traj, status)) of the NSP run at each lambda taken from queue,
-    one at a time, the next taken only when asked for, until it is empty."""
-    lams = [float(lam) for lam in config.lambda_list]
-    snapshot_times = config.resolved_snapshot_times()
-    while token := queue.read(1):
-        lam = lams[token[0]]
-        yield lam, _run_one_lambda(config, base, lam, snapshot_times)
-
-
-def _child_share(config: RunConfig, base: BaseFields, queue):
+def _child_share(config: RunConfig, base: BaseFields, lams):
     """The forked child's part of a sweep: the lambda-independent stage,
-    then the NSP runs it takes from queue; returns (limit, pair,
-    {lam: (traj, status)})."""
+    then the NSP runs at lams; returns (limit, pair, {lam: (traj, status)})."""
     limit, pair_traj = _lambda_independent_stage(config, base)
-    return limit, pair_traj, dict(_queued_runs(config, base, queue))
+    snapshot_times = config.resolved_snapshot_times()
+    return limit, pair_traj, {lam: _run_one_lambda(config, base, lam, snapshot_times)
+                              for lam in lams}
+
+
+# Transforms per step, by dims (NS and Euler parameters alike); a masked
+# transform's 1-D passes count as one.  An NSP step makes 4 RHS evaluations
+# of 23 + 3 (3D: 33 + 4) transforms: the electric residue reuses the RHS's
+# samples of u and adds the samples of lap(phi) and one forward transform
+# per component.  Its settle samples theta once.  A limit step makes 4 of
+# 11 (19) plus that sample, a pair step 4 of 22 (42).
+# tests/test_sweep_fork.py pins these to counted transforms.
+NSP_STEP_TRANSFORMS = {2: 4 * (23 + 3) + 1, 3: 4 * (33 + 4) + 1}
+STAGE_STEP_TRANSFORMS = {2: 4 * 11 + 1 + 4 * 22, 3: 4 * 19 + 1 + 4 * 42}
+
+
+def predicted_steps(config: RunConfig, base: BaseFields):
+    """Steps of the limit solve (the pair solve takes as many) and of the
+    NSP run at each lambda of lambda_list, by the solvers' own dt rules.
+
+    Every NSP run starts from the same velocity, so one sample pass gives
+    the CFL step of all of them; no initial data is generated.
+    """
+    times = time_grid(config.resolved_snapshot_times(), config.t_end)
+    cfl = advective_dt(initial_velocity(config.ic, base))
+    nsp_steps = [step_count(times, nsp_dt(cfl, float(lam), config.phase_resolution,
+                                          config.dt_max))
+                 for lam in config.lambda_list]
+    return step_count(times, stage_dt(config, base)), nsp_steps
+
+
+def lpt_assign(costs, loads) -> list:
+    """Longest-processing-time-first list scheduling (Graham 1969): the jobs,
+    longest first, each go to the least loaded machine.  loads are the
+    machines' starting loads; ties go to the earlier job and the earlier
+    machine.  Returns each job's machine index."""
+    loads = list(loads)
+    machine_of = [0] * len(costs)
+    for job in sorted(range(len(costs)), key=lambda j: -costs[j]):
+        machine = loads.index(min(loads))
+        machine_of[job] = machine
+        loads[machine] += costs[job]
+    return machine_of
+
+
+def split_lambdas(config: RunConfig, base: BaseFields):
+    """(parent's, child's) lambda values, in lambda_list order: LPT over the
+    predicted transform costs, the child starting with the load of the
+    lambda-independent stage.  The parent keeps at least one lambda."""
+    stage_steps, nsp_steps = predicted_steps(config, base)
+    costs = [NSP_STEP_TRANSFORMS[config.dims] * steps for steps in nsp_steps]
+    machine_of = lpt_assign(costs, [0, STAGE_STEP_TRANSFORMS[config.dims] * stage_steps])
+    lams = [float(lam) for lam in config.lambda_list]
+    return ([lam for lam, m in zip(lams, machine_of) if m == 0],
+            [lam for lam, m in zip(lams, machine_of) if m == 1])
 
 
 def _send_and_exit(write_fd: int, fn, args):
@@ -649,16 +675,17 @@ class _Forked:
 
 def run_sweep(config: RunConfig) -> ConvergenceReport:
     """Full lambda sweep; writes report.csv, rates.csv and meta.txt.  A
-    forked child solves the lambda-independent stage, and then it and the
-    parent take the lambda runs from one queue, longest first (see the
-    module docstring)."""
+    forked child solves the lambda-independent stage and then its share of
+    the lambda runs, concurrently with the parent's (see the module
+    docstring)."""
     config.validate()
     base = base_fields(config)
+    snapshot_times = config.resolved_snapshot_times()
+    parent_lams, child_lams = split_lambdas(config, base)
     runs = {}
-    with (_lambda_queue(len(config.lambda_list)) as queue,
-          _Forked(_child_share, config, base, queue) as child):
-        for lam, run in _queued_runs(config, base, queue):
-            runs[lam] = run
+    with _Forked(_child_share, config, base, child_lams) as child:
+        for lam in parent_lams:
+            runs[lam] = _run_one_lambda(config, base, lam, snapshot_times)
             child.poll()  # a failed child raises now, not after the last run
         limit, pair_traj, child_runs = child.result()
     runs.update(child_runs)

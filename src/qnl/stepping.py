@@ -114,6 +114,11 @@ def time_grid(snapshot_times, t_end: float) -> np.ndarray:
     return np.array(sorted({0.0, *map(float, snapshot_times)}))
 
 
+def step_count(times, dt: float) -> int:
+    """Steps that integrate takes through the time grid times with dt."""
+    return sum(substep_count(b - a, dt) for a, b in zip(times, times[1:]))
+
+
 def time_index(times, t: float) -> int:
     """Index of t in the time grid times (to 1e-9); ValueError otherwise."""
     idx = int(np.argmin(np.abs(times - t)))

@@ -175,13 +175,6 @@ class TestConfig:
         with pytest.raises(InvalidConfigError, match="snapshot_times"):
             load_config(path)
 
-    def test_lambda_list_holds_at_most_256_values(self):
-        # run_sweep's queue holds one byte per lambda value
-        lams = tuple(1.0 / k for k in range(1, 258))
-        RunConfig(lambda_list=lams[:256]).validate()
-        with pytest.raises(InvalidConfigError, match="at most 256 values, got 257"):
-            RunConfig(lambda_list=lams).validate()
-
     def test_snapshot_times_resolution(self):
         cfg = RunConfig(t_end=1.0, snapshots=5)
         np.testing.assert_allclose(cfg.resolved_snapshot_times(),

@@ -1,9 +1,9 @@
-"""The sweep's forked child: queue, failures and equivalence.
+"""The sweep's forked child: schedule, failures and equivalence.
 
-`run_sweep` solves the limit and the pair system in a forked child; then
-the child and the parent take the lambda runs from one queue.  A patch made
-here before the sweep is inherited by the child.  Every test ends with no
-child process left.
+`run_sweep` solves the limit and the pair system in a forked child, which
+then runs its share of the lambda values while the parent runs the rest.
+A patch made here before the sweep is inherited by the child.  Every test
+ends with no child process left.
 """
 
 import os
@@ -19,11 +19,12 @@ import qnl.stepping
 from qnl.ansatz import solve_osc
 from qnl.cli import main as cli_main
 from qnl.errors import BlowUpError, ChildLostError, NonpositiveTemperatureError
-from qnl.harness import (ConvergenceReport, ReportRow, RunConfig,
+from qnl.harness import (NSP_STEP_TRANSFORMS, STAGE_STEP_TRANSFORMS,
+                         ConvergenceReport, ReportRow, RunConfig,
                          _lambda_independent_stage, _run_one_lambda,
                          _write_outputs, base_fields, fit_all_rates,
-                         gen_initial_data, measure_errors, run_sweep,
-                         solve_limit)
+                         gen_initial_data, lpt_assign, measure_errors,
+                         predicted_steps, run_sweep, solve_limit, split_lambdas)
 from qnl.limit_solver import advective_dt
 from qnl.nsp import nsp_dt, run_nsp
 from qnl.oscillation import GradientPair
@@ -166,9 +167,9 @@ def test_stage_returns_the_limit_snapshots_without_the_nodes():
 def test_failed_child_stage_raises_after_one_parent_run(tmp_path, monkeypatch,
                                                         deadline):
     # The parent polls the pipe between its lambda runs; it used to wait for
-    # all of them before reading the child's failure.  The child fails
-    # before it takes a run, so the parent would take all three.
+    # all of them before reading the child's failure.
     config = RunConfig(output_dir=str(tmp_path / "out"), **SMALL)
+    assert len(split_lambdas(config, base_fields(config))[0]) >= 2
 
     def failing_solve_limit(config, base):
         raise NonpositiveTemperatureError("limit temperature lost positivity")
@@ -188,7 +189,56 @@ def test_failed_child_stage_raises_after_one_parent_run(tmp_path, monkeypatch,
     assert_no_child_left()
 
 
-# -- queue -------------------------------------------------------------------
+# -- schedule ----------------------------------------------------------------
+
+def test_lpt_assigns_longest_first_to_the_least_loaded_machine():
+    assert lpt_assign([3, 5, 4], [0, 0]) == [1, 0, 1]      # 5 | 4, then 3 on 4
+    # Ties: equal costs go in list order, equal loads to the earlier machine.
+    assert lpt_assign([2, 2, 2, 2], [0, 0]) == [0, 1, 0, 1]
+    assert lpt_assign([2, 2, 2], [0, 3]) == [0, 0, 1]         # 2, 4 | 3, 5
+    assert lpt_assign([1, 4, 1, 2], [0, 5]) == [1, 0, 0, 0]   # 4, 6, 7 | 5, 6
+    assert lpt_assign([1, 4, 1, 2], [0, 6]) == [0, 0, 1, 0]   # 4, 6, 7 | 6, 7
+    assert lpt_assign([6, 1, 1], [0, 2, 3]) == [0, 1, 1]      # 6 | 2, 3, 4 | 3
+    assert lpt_assign([], [0, 1]) == []
+
+
+def test_lpt_leaves_the_unloaded_machine_the_longest_job():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        costs = list(rng.integers(1, 50, size=rng.integers(1, 7)))
+        owner = lpt_assign(costs, [0, int(rng.integers(1, 200))])
+        assert owner[int(np.argmax(costs))] == 0
+
+
+STOCK_2D = dict(t_end=0.0625, snapshots=3, ic_random_amp=0.01)
+STOCK_3D = dict(dims=3, resolution=24, s_norm=3.5, lambda_list=(0.1, 0.05, 0.025),
+                t_end=0.01, snapshots=2, ic_random_amp=0.01)
+
+
+@pytest.mark.parametrize("keys, child", [
+    (STOCK_2D, [0.05]),
+    (dict(STOCK_2D, euler_mode=True), [0.05]),
+    ({}, [0.05]),
+    (STOCK_3D, []),
+], ids=["64sq-short", "64sq-euler", "64sq-stock", "24cube"])
+def test_split_of_the_benchmark_shaped_sweeps(keys, child):
+    config = RunConfig(**keys)
+    parent_lams, child_lams = split_lambdas(config, base_fields(config))
+    assert child_lams == child
+    assert sorted(parent_lams + child_lams, reverse=True) == list(config.lambda_list)
+
+
+@pytest.mark.parametrize("keys", [
+    dict(resolution=16, lambda_list=(0.1,), t_end=0.01, snapshots=2),
+    dict(resolution=16, lambda_list=(0.1, 0.0125), t_end=2.0, snapshots=2),
+    dict(resolution=16, lambda_list=(1.0, 0.5), limit_dt=1e-4, t_end=0.1, snapshots=2),
+    dict(SMALL, limit_dt=0.04),
+])
+def test_parent_keeps_at_least_one_lambda(keys):
+    config = RunConfig(**keys)
+    parent_lams, _ = split_lambdas(config, base_fields(config))
+    assert parent_lams
+
 
 @pytest.fixture
 def step_counter(monkeypatch):
@@ -213,17 +263,17 @@ CFL_BOUND = dict(resolution=16, lambda_list=(2.0, 1.0), phase_resolution=4,
     CFL_BOUND,
     dict(dims=3, resolution=8, s_norm=3.5, t_end=0.03, snapshots=4),
 ], ids=["default", "limit_dt", "well", "cfl", "3d"])
-def test_steps_never_increase_with_lambda(keys, step_counter):
-    # The queue hands out the smallest lambda first as the longest run.
+def test_predicted_steps_equal_the_steps_taken(keys, step_counter):
     config = RunConfig(**keys)
     base = base_fields(config)
+    stage_steps, nsp_steps = predicted_steps(config, base)
+    _lambda_independent_stage(config, base)
+    assert len(step_counter) == 2 * stage_steps  # limit, then pair
     times = config.resolved_snapshot_times()
-    steps = []
-    for lam in config.lambda_list:  # strictly decreasing
+    for lam, steps in zip(config.lambda_list, nsp_steps):
         step_counter.clear()
         assert _run_one_lambda(config, base, lam, times)[1] == "ok"
-        steps.append(len(step_counter))
-    assert steps == sorted(steps), steps
+        assert len(step_counter) == steps, lam
 
 
 def test_cfl_case_is_cfl_bound():
@@ -238,7 +288,7 @@ def test_cfl_case_is_cfl_bound():
 @pytest.mark.parametrize("dims, resolution", [(2, 16), (3, 8)], ids=["2d", "3d"])
 def test_cost_weights_are_the_transforms_of_one_step(count_transforms, dims,
                                                      resolution, euler_mode):
-    # One more step of each solve costs exactly these transforms.
+    # One more step of each solve costs exactly the weight in transforms.
     config = RunConfig(dims=dims, resolution=resolution, s_norm=3.5, snapshots=2,
                        euler_mode=euler_mode)
     base = base_fields(config)
@@ -253,8 +303,8 @@ def test_cost_weights_are_the_transforms_of_one_step(count_transforms, dims,
         return count_transforms(lambda: _lambda_independent_stage(
             replace(config, t_end=steps * dt, limit_dt=dt), base))
 
-    assert nsp(2) - nsp(1) == nsp(3) - nsp(2) == {2: 105, 3: 149}[dims]
-    assert stage(2) - stage(1) == stage(3) - stage(2) == {2: 133, 3: 245}[dims]
+    assert nsp(2) - nsp(1) == nsp(3) - nsp(2) == NSP_STEP_TRANSFORMS[dims]
+    assert stage(2) - stage(1) == stage(3) - stage(2) == STAGE_STEP_TRANSFORMS[dims]
 
 
 # -- lambda runs in the child -------------------------------------------------
@@ -267,50 +317,11 @@ CHILD_CASES = [
 
 
 def child_config(tmp_path, keys):
-    return RunConfig(lambda_list=FOUR_LAMBDAS, ic_random_amp=0.01,
-                     save_snapshots=True, output_dir=str(tmp_path / "sweep"), **keys)
-
-
-def wait_for(condition, timeout=30.0):
-    """Return once condition() holds; TimeoutError after timeout seconds."""
-    end = time.monotonic() + timeout
-    while not condition():
-        if time.monotonic() > end:
-            raise TimeoutError(f"waited {timeout} s in process {os.getpid()}")
-        time.sleep(0.005)
-
-
-class RunLog:
-    """The NSP runs of a sweep and the process that made each: run_nsp,
-    patched into the harness, first appends "parent <lam>" or "child <lam>"
-    to a file both processes share.
-
-    With parent_waits, each of the parent's runs waits until the child has
-    logged one, so the child surely takes a run.  With child_error, the
-    child's runs raise it instead of running.
-    """
-
-    def __init__(self, path, monkeypatch, parent_waits=False, child_error=None):
-        self.path = path
-        path.write_text("")
-        parent = os.getpid()
-
-        def logged(initial, params, lam, *args, **kwargs):
-            who = "parent" if os.getpid() == parent else "child"
-            with open(path, "a") as log:
-                log.write(f"{who} {lam!r}\n")
-            if who == "child" and child_error is not None:
-                raise child_error(f"NSP run failed at lambda = {lam}")
-            if who == "parent" and parent_waits:
-                wait_for(lambda: self.lams("child"))
-            return run_nsp(initial, params, lam, *args, **kwargs)
-
-        monkeypatch.setattr(qnl.harness, "run_nsp", logged)
-
-    def lams(self, who=None):
-        """The lambda values run, by either process or by who, in order."""
-        lines = [line.split() for line in self.path.read_text().splitlines()]
-        return [float(lam) for process, lam in lines if who in (None, process)]
+    config = RunConfig(lambda_list=FOUR_LAMBDAS, ic_random_amp=0.01,
+                       save_snapshots=True, output_dir=str(tmp_path / "sweep"), **keys)
+    _, child_lams = split_lambdas(config, base_fields(config))
+    assert child_lams
+    return config, child_lams
 
 
 def assert_same_outputs(sweep_dir, serial_dir):
@@ -328,39 +339,15 @@ def assert_same_outputs(sweep_dir, serial_dir):
 
 
 @pytest.mark.parametrize("keys", CHILD_CASES, ids=["2d", "3d"])
-def test_child_lambda_runs_equal_the_serial_stages_byte_for_byte(tmp_path, monkeypatch,
-                                                                 keys, deadline):
-    config = child_config(tmp_path, keys)
-    log = RunLog(tmp_path / "runs.log", monkeypatch, parent_waits=True)
+def test_child_lambda_runs_equal_the_serial_stages_byte_for_byte(tmp_path, keys):
+    config, _ = child_config(tmp_path, keys)
     run_sweep(config)
     assert_no_child_left()
-    assert log.lams("child")
     serial_sweep(replace(config, output_dir=str(tmp_path / "serial")))
     names = [p.name for p in (tmp_path / "sweep").iterdir()]
     assert sum(name.startswith("diag_") for name in names) == 4
     assert sum(name.endswith(".qnl") for name in names) == 4 * config.snapshots * 2
     assert_same_outputs(tmp_path / "sweep", tmp_path / "serial")
-
-
-@pytest.mark.parametrize("child_runs", [True, False], ids=["child_runs", "child_idle"])
-def test_every_lambda_runs_exactly_once(tmp_path, monkeypatch, deadline, child_runs):
-    config = child_config(tmp_path, CHILD_CASES[0])
-    log = RunLog(tmp_path / "runs.log", monkeypatch, parent_waits=child_runs)
-    if not child_runs:  # the child's stage ends once the parent has taken every run
-        stage = qnl.harness._lambda_independent_stage
-
-        def late_stage(*args):
-            wait_for(lambda: len(log.lams("parent")) == len(FOUR_LAMBDAS))
-            return stage(*args)
-
-        monkeypatch.setattr(qnl.harness, "_lambda_independent_stage", late_stage)
-    report = run_sweep(config)
-    assert_no_child_left()
-    assert sorted(log.lams(), reverse=True) == list(FOUR_LAMBDAS)
-    assert bool(log.lams("child")) == child_runs
-    if not child_runs:  # taken longest, that is smallest lambda, first
-        assert log.lams("parent") == sorted(FOUR_LAMBDAS)
-    assert [row.status for row in report.rows] == ["ok"] * len(FOUR_LAMBDAS)
 
 
 def failing_at(lams, error):
@@ -372,29 +359,25 @@ def failing_at(lams, error):
     return run
 
 
-def test_child_blow_up_is_the_serial_blow_up_row(tmp_path, monkeypatch, deadline):
-    config = child_config(tmp_path, CHILD_CASES[0])
-    log = RunLog(tmp_path / "runs.log", monkeypatch, parent_waits=True,
-                 child_error=BlowUpError)
+def test_child_blow_up_is_the_serial_blow_up_row(tmp_path, monkeypatch):
+    config, child_lams = child_config(tmp_path, CHILD_CASES[0])
+    blowing = failing_at(child_lams[:1], BlowUpError)
+    monkeypatch.setattr(qnl.harness, "run_nsp", blowing)
     report = run_sweep(config)
     assert_no_child_left()
-    child_lams = log.lams("child")
-    assert child_lams
     assert [row.status == "blow_up" for row in report.rows] == [
-        lam in child_lams for lam in config.lambda_list]
-    serial_sweep(replace(config, output_dir=str(tmp_path / "serial")),
-                 failing_at(child_lams, BlowUpError))
+        lam == child_lams[0] for lam in config.lambda_list]
+    serial_sweep(replace(config, output_dir=str(tmp_path / "serial")), blowing)
     assert_same_outputs(tmp_path / "sweep", tmp_path / "serial")
 
 
 def test_child_lambda_error_is_reraised_and_the_child_reaped(tmp_path, monkeypatch,
                                                               deadline):
-    config = child_config(tmp_path, CHILD_CASES[0])
-    log = RunLog(tmp_path / "runs.log", monkeypatch, parent_waits=True,
-                 child_error=RuntimeError)
-    with pytest.raises(RuntimeError, match=r"^NSP run failed at lambda = ") as raised:
+    config, child_lams = child_config(tmp_path, CHILD_CASES[0])
+    monkeypatch.setattr(qnl.harness, "run_nsp", failing_at(child_lams, RuntimeError))
+    with pytest.raises(RuntimeError,
+                       match=rf"^NSP run failed at lambda = {child_lams[0]}$"):
         run_sweep(config)
-    assert log.lams("child") == [float(str(raised.value).rpartition(" ")[2])]
     assert not (tmp_path / "sweep").exists()
     assert_no_child_left()
 

@@ -49,14 +49,18 @@ def _transport(g: SpectralVector, vs, grad_v) -> SpectralVector:
         + vs[b] * div_g for b in range(dims)]))
 
 
+def velocity_samples(v: SpectralVector):
+    """The dealiased samples (vs, grad_v) of v and its gradient that
+    osc_rhs reads."""
+    return [to_physical(v.grid, c.coeffs) for c in v], physical_gradient(v)
+
+
 def osc_rhs(pair: GradientPair, v_now: SpectralVector,
-            params: PhysParams) -> GradientPair:
+            params: PhysParams, samples=None) -> GradientPair:
     """Full tendency of the filtered pair system; v is sampled once for
-    both slots."""
+    both slots, or samples are its velocity_samples if the caller has them."""
     coeff = params.mu + 0.5 * params.nu
-    grid = pair.grid
-    vs = [to_physical(grid, c.coeffs) for c in v_now]
-    grad_v = physical_gradient(v_now)
+    vs, grad_v = velocity_samples(v_now) if samples is None else samples
 
     def one(g):
         out = -0.5 * _transport(g, vs, grad_v)
@@ -80,17 +84,32 @@ def solve_osc(pair0: GradientPair, limit: LimitTrajectory, params: PhysParams,
               norm_s: float = 3.0) -> PairTrajectory:
     """Integrate the pair system with steps of at most dt, the velocity
     interpolated in time from the limit solve (limit.v_at); the pairs at the
-    snapshot times and the H^norm_s growth factor."""
+    snapshot times and the H^norm_s growth factor.
+
+    The velocity and its samples are kept for the last two stage times: a
+    step's two midpoint stages share one, and its last stage shares its
+    time with the next step's first whenever the two sums of floats agree.
+    """
     grid = pair0.grid
     n = grid.dims
     coeff = params.mu + 0.5 * params.nu
     times = time_grid(snapshot_times, t_end)
+    recent = {}  # stage time -> (v, its velocity_samples)
 
     def pair_of(y) -> GradientPair:
         return GradientPair(as_vector(grid, y[:n]), as_vector(grid, y[n:]))
 
+    def velocity(t):
+        if t not in recent:
+            if len(recent) == 2:
+                del recent[min(recent)]
+            v = limit.v_at(t)
+            recent[t] = v, velocity_samples(v)
+        return recent[t]
+
     def explicit(y, t):
-        tend = osc_rhs(pair_of(y), limit.v_at(t), params)
+        v, samples = velocity(t)
+        tend = osc_rhs(pair_of(y), v, params, samples)
         return tuple(c + coeff * grid.k_sq * yi
                      for c, yi in zip(stack(tend.grad_q, tend.grad_psi), y))
 

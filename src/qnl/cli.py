@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
 
 from .errors import QnlError
@@ -62,6 +63,10 @@ def _cmd_check(args) -> int:
     return 0 if failures == 0 else 1
 
 
+def _exit_on_signal(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="qnl",
@@ -83,11 +88,15 @@ def main(argv=None) -> int:
     p_check.set_defaults(func=_cmd_check)
 
     args = parser.parse_args(argv)
+    # SIGTERM unwinds like Ctrl-C, so a sweep kills and reaps its child.
+    previous = signal.signal(signal.SIGTERM, _exit_on_signal)
     try:
         return args.func(args)
     except QnlError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

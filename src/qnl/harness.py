@@ -37,7 +37,8 @@ sweep, 59.7 -> 53.5 MiB on the 24^3 one, when the stage was first
 forked); a process pool over lambda would raise the peak instead.  An
 exception in the child is re-raised in the parent; a child that ends
 without a result raises ChildLostError; the child is killed and reaped on
-every exit path.  `qnl limit` solves the limit in-process.
+every exit path, and leaves by itself if its parent is killed outright.
+`qnl limit` solves the limit in-process.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from .errors import (BlowUpError, ChildLostError, DegenerateDensityError,
                      InvalidConfigError, MassDefectError,
                      NonpositiveTemperatureError, QnlError)
 from .limit_solver import LimitState, PhysParams, advective_dt, run_limit
-from .nsp import NSPState, nsp_dt, poisson_solve, run_nsp
+from .nsp import NSPState, nsp_dt, poisson_solve, run_nsp, viscous_dt
 from .oscillation import GradientPair, check_gradient
 from .projections import leray_p
 from .spectral import (SpectralScalar, SpectralVector, constant_scalar,
@@ -66,6 +67,12 @@ from .spectral import (SpectralScalar, SpectralVector, constant_scalar,
 from .stepping import Snapshots, step_count, time_grid
 
 ERROR_CHANNELS = ("E_rho", "E_u", "E_theta", "E_phi")
+
+# The most steps one solve of a sweep may take; the stock sweeps take at
+# most 112, and lambda = 0.00625 takes 224.
+MAX_STEPS = 10_000
+# The limit and pair solves step at most this far (stage_dt).
+STAGE_DT_CAP = 0.005
 
 _STATUS_BY_ERROR = {
     DensityNotPositiveError: "density_not_positive",
@@ -166,9 +173,23 @@ class RunConfig:
                 params.validate(self.dims)
             except ValueError as exc:
                 raise InvalidConfigError(str(exc)) from exc
-        times = self.resolved_snapshot_times()  # raises if outside [0, t_end]
+        times = time_grid(self.resolved_snapshot_times(), self.t_end)  # in [0, t_end]
         if self.save_snapshots:
-            _check_distinct_tags("snapshot time", time_grid(times, self.t_end))
+            _check_distinct_tags("snapshot time", times)
+        k_sq_max = self.dims * (self.resolution // 2) ** 2
+        with np.errstate(over="ignore"):
+            weight = np.float64(1.0 + k_sq_max) ** (self.s_norm + 1.0)
+        if not np.isfinite(weight):
+            raise InvalidConfigError(
+                f"s_norm = {self.s_norm} overflows the H^(s+1) weight (1 + |k|^2)^(s+1) "
+                f"at resolution {self.resolution}")
+        # The CFL step can only shorten the steps bounded here; run_sweep
+        # checks the steps it takes before it starts.
+        budgeted_steps("the limit and pair solves", times,
+                       STAGE_DT_CAP if self.limit_dt is None else self.limit_dt)
+        for lam in lams:
+            budgeted_steps(f"the NSP run at lambda = {lam!r}", times,
+                           nsp_dt(np.inf, lam, self.phase_resolution, self.dt_max))
 
     def resolved_snapshot_times(self) -> np.ndarray:
         if self.snapshot_times is None:
@@ -205,6 +226,19 @@ class RunConfig:
                 continue
             lines.append(f"{key} = {fmt(value)}")
         return lines
+
+
+def budgeted_steps(what: str, times, dt: float) -> int:
+    """The steps integrate takes through the time grid times with dt;
+    InvalidConfigError if that is more than MAX_STEPS."""
+    with np.errstate(over="ignore"):
+        least = (times[-1] - times[0]) / dt
+    steps = step_count(times, dt) if least <= MAX_STEPS else None
+    if steps is None or steps > MAX_STEPS:
+        raise InvalidConfigError(
+            f"{what} would take {least:.3g} steps or more of dt = {dt:.3g}; "
+            f"the limit is {MAX_STEPS}")
+    return steps
 
 
 def _parse_bool(text: str) -> bool:
@@ -392,22 +426,23 @@ def state_norms(traj: Snapshots, s: float) -> list:
 def measure_errors(nsp_traj: Snapshots, limit_traj, pair_traj,
                    lam: float, s: float) -> ReportRow:
     """One sweep row: sup-in-time Sobolev errors over the snapshot grid,
-    with the state_norms of the run."""
-    e = {name: 0.0 for name in ERROR_CHANNELS}
+    with the state_norms of the run; a non_finite_measurement row, which
+    the rate fit skips, if an error or a norm is not finite."""
     grid = nsp_traj.states[0].grid
     one = constant_scalar(grid, 1.0)
+    errors = []  # per snapshot, in ERROR_CHANNELS order
     for t, state in zip(nsp_traj.times, nsp_traj.states):
         lim = limit_traj.at(t)
         osc = build_oscillation(t, lam, pair_traj.at(t))
-        e["E_rho"] = max(e["E_rho"], sobolev_norm(state.rho - one, s))
-        e["E_u"] = max(e["E_u"], sobolev_norm(state.u - lim.v - osc.u_osc, s))
-        e["E_theta"] = max(e["E_theta"], sobolev_norm(state.theta - lim.theta, s))
-        e["E_phi"] = max(e["E_phi"],
-                         sobolev_norm(gradient(state.phi) - osc.grad_phi_osc, s + 1.0))
+        errors.append((sobolev_norm(state.rho - one, s),
+                       sobolev_norm(state.u - lim.v - osc.u_osc, s),
+                       sobolev_norm(state.theta - lim.theta, s),
+                       sobolev_norm(gradient(state.phi) - osc.grad_phi_osc, s + 1.0)))
     norms = state_norms(nsp_traj, s)
+    if not (np.isfinite(errors).all() and np.isfinite(norms).all()):
+        return ReportRow(lam, status="non_finite_measurement", hs_norms=norms)
     sup_norm = max([0.0, *(value for hs in norms for value in hs)])
-    return ReportRow(lam, e["E_rho"], e["E_u"], e["E_theta"], e["E_phi"],
-                     "ok", sup_norm, norms)
+    return ReportRow(lam, *map(max, zip(*errors)), "ok", sup_norm, norms)
 
 
 @dataclass(frozen=True)
@@ -494,15 +529,26 @@ class ConvergenceReport:
         return "\n".join(lines) + "\n"
 
 
+def lambda_dt(config: RunConfig, base: BaseFields, lam: float) -> float:
+    """The step of the NSP run at lam: nsp_dt at the CFL step of the initial
+    velocity, which is the same at every lambda, and at the viscous_dt of
+    the smallest initial density, 1 - lam max(lap phi0) (1 for
+    well-prepared data)."""
+    cfl = advective_dt(initial_velocity(config.ic, base))
+    lap_max = 0.0 if config.ic == "well" else float(laplacian(base.phi0).samples().max())
+    viscous = viscous_dt(config.nsp_params(lam), base.v0.grid, 1.0 - lam * lap_max)
+    return nsp_dt(cfl, lam, config.phase_resolution, config.dt_max, viscous)
+
+
 def _run_one_lambda(config: RunConfig, base: BaseFields, lam: float,
                     snapshot_times):
-    """The NSP run at one lambda, with the nsp_dt step at the CFL step of
-    its initial velocity, and "ok"; or None and its failure status."""
+    """The NSP run at one lambda with the lambda_dt step, and "ok"; or None
+    and its failure status.  run_nsp owns the initial data, whose velocity
+    and potential its first step replaces."""
     try:
-        initial = gen_initial_data(config.ic, lam, base)
-        dt = nsp_dt(advective_dt(initial.u), lam, config.phase_resolution, config.dt_max)
-        traj = run_nsp(initial, config.nsp_params(lam), lam, config.t_end, dt,
-                       snapshot_times)
+        dt = lambda_dt(config, base, lam)
+        traj = run_nsp(gen_initial_data(config.ic, lam, base), config.nsp_params(lam),
+                       lam, config.t_end, dt, snapshot_times)
         return traj, "ok"
     except QnlError as exc:
         return None, _STATUS_BY_ERROR.get(type(exc), f"error:{type(exc).__name__}")
@@ -510,19 +556,20 @@ def _run_one_lambda(config: RunConfig, base: BaseFields, lam: float,
 
 def stage_dt(config: RunConfig, base: BaseFields) -> float:
     """The step of the limit and pair solves: limit_dt, or else the limit
-    CFL step of v0 capped at 0.005."""
+    CFL step of v0 capped at STAGE_DT_CAP."""
     if config.limit_dt is not None:
         return config.limit_dt
-    return min(advective_dt(base.v0), 0.005)
+    return min(advective_dt(base.v0), STAGE_DT_CAP)
 
 
 def solve_limit(config: RunConfig, base: BaseFields):
     """The limit solve from the base fields over the snapshot grid, and its
-    step (stage_dt)."""
+    step (stage_dt); InvalidConfigError if it is over the step budget."""
     dt = stage_dt(config, base)
+    times = config.resolved_snapshot_times()
+    budgeted_steps("the limit solve", time_grid(times, config.t_end), dt)
     traj = run_limit(LimitState(base.v0.copy(), base.theta0.copy()),
-                     config.limit_params(), config.t_end, dt=dt,
-                     snapshot_times=config.resolved_snapshot_times())
+                     config.limit_params(), config.t_end, dt=dt, snapshot_times=times)
     return traj, dt
 
 
@@ -551,25 +598,27 @@ def _child_share(config: RunConfig, base: BaseFields, lams):
 # of 23 + 3 (3D: 33 + 4) transforms: the electric residue reuses the RHS's
 # samples of u and adds the samples of lap(phi) and one forward transform
 # per component.  Its settle samples theta once.  A limit step makes 4 of
-# 11 (19) plus that sample, a pair step 4 of 22 (42).
-# tests/test_sweep_fork.py pins these to counted transforms.
+# 11 (19) plus that sample, a pair step 4 of 22 (42) less the samples of v
+# and its gradient, 6 (12), at the two stage times it shares with another
+# stage.  Once per stage, the limit solve checks and settles its initial
+# state (a sample of theta, then 1 + 11 (19)) and the pair solve samples v
+# at t = 0.  tests/test_sweep_fork.py pins these to counted transforms.
 NSP_STEP_TRANSFORMS = {2: 4 * (23 + 3) + 1, 3: 4 * (33 + 4) + 1}
-STAGE_STEP_TRANSFORMS = {2: 4 * 11 + 1 + 4 * 22, 3: 4 * 19 + 1 + 4 * 42}
+STAGE_STEP_TRANSFORMS = {2: 4 * 11 + 1 + 4 * 22 - 2 * 6, 3: 4 * 19 + 1 + 4 * 42 - 2 * 12}
+STAGE_ONCE_TRANSFORMS = {2: 1 + 1 + 11 + 6, 3: 1 + 1 + 19 + 12}
 
 
 def predicted_steps(config: RunConfig, base: BaseFields):
     """Steps of the limit solve (the pair solve takes as many) and of the
-    NSP run at each lambda of lambda_list, by the solvers' own dt rules.
-
-    Every NSP run starts from the same velocity, so one sample pass gives
-    the CFL step of all of them; no initial data is generated.
-    """
+    NSP run at each lambda of lambda_list, by the solvers' own dt rules
+    (lambda_dt; no initial data is generated).  InvalidConfigError if a
+    solve is over the step budget, so a sweep fails before it forks."""
     times = time_grid(config.resolved_snapshot_times(), config.t_end)
-    cfl = advective_dt(initial_velocity(config.ic, base))
-    nsp_steps = [step_count(times, nsp_dt(cfl, float(lam), config.phase_resolution,
-                                          config.dt_max))
+    nsp_steps = [budgeted_steps(f"the NSP run at lambda = {lam!r}", times,
+                                lambda_dt(config, base, float(lam)))
                  for lam in config.lambda_list]
-    return step_count(times, stage_dt(config, base)), nsp_steps
+    return (budgeted_steps("the limit and pair solves", times, stage_dt(config, base)),
+            nsp_steps)
 
 
 def lpt_assign(costs, loads) -> list:
@@ -592,7 +641,8 @@ def split_lambdas(config: RunConfig, base: BaseFields):
     lambda-independent stage.  The parent keeps at least one lambda."""
     stage_steps, nsp_steps = predicted_steps(config, base)
     costs = [NSP_STEP_TRANSFORMS[config.dims] * steps for steps in nsp_steps]
-    machine_of = lpt_assign(costs, [0, STAGE_STEP_TRANSFORMS[config.dims] * stage_steps])
+    stage = STAGE_ONCE_TRANSFORMS[config.dims] + STAGE_STEP_TRANSFORMS[config.dims] * stage_steps
+    machine_of = lpt_assign(costs, [0, stage])
     lams = [float(lam) for lam in config.lambda_list]
     return ([lam for lam, m in zip(lams, machine_of) if m == 0],
             [lam for lam, m in zip(lams, machine_of) if m == 1])
@@ -615,6 +665,19 @@ def _send_and_exit(write_fd: int, fn, args):
         os._exit(code)
 
 
+def _leave_when_orphaned(parent: int) -> None:
+    """Child side of _Forked: every 0.1 s (SIGALRM), leave at once if the
+    parent is gone, as after a SIGKILL, which no __exit__ sees.  SIGTERM,
+    which the CLI turns into SystemExit, ends the child plainly."""
+    def check(signum, frame):
+        if os.getppid() != parent:
+            os._exit(1)
+
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGALRM, check)
+    signal.setitimer(signal.ITIMER_REAL, 0.1, 0.1)
+
+
 class _Forked:
     """fn(*args) computed in a forked child while the parent goes on.
 
@@ -627,6 +690,7 @@ class _Forked:
     """
 
     def __init__(self, fn, *args):
+        parent = os.getpid()
         read_fd, write_fd = os.pipe()
         try:
             self.pid = os.fork()
@@ -636,6 +700,7 @@ class _Forked:
             raise
         if self.pid == 0:
             os.close(read_fd)
+            _leave_when_orphaned(parent)
             _send_and_exit(write_fd, fn, args)
         os.close(write_fd)
         self._pipe = os.fdopen(read_fd, "rb")

@@ -3,27 +3,32 @@
 State is (rho, u, theta, phi) with the elliptic constraint
 -lambda * lap(phi) = rho - 1.  The singular 1/lambda coupling lives entirely
 in the skew exchange between the gradient velocity part Qu and the electric
-gradient grad(phi); the stepper advances that pair in rotated (filtered)
-variables so the exchange is integrated exactly, while everything else --
-transport, pressure, viscous and heating terms, and the O(1) electric
-residue of the continuity equation -- is advanced explicitly by RK4 with
-integrating factors for the constant-coefficient Laplacians on the
-divergence-free velocity part and the temperature.  After each step phi is
-re-solved from the Poisson equation, projecting the state back onto the
-constraint manifold.
+field grad(phi).  Both are gradients, so the stepper carries them by their
+potentials: its state is (rho, Pu, chi, phi, theta) with Qu = grad(chi),
+dims + 4 coefficient arrays where vector slots took 3 dims + 2.  The
+exchange is then the rotation of the scalar pair (chi, phi) at angular
+speed 1/lambda, which the stepper integrates exactly in rotated (filtered)
+variables, while everything else -- transport, pressure, viscous and
+heating terms, and the O(1) electric residue of the continuity equation --
+is advanced explicitly by RK4 with integrating factors for the
+constant-coefficient Laplacians on the divergence-free velocity part and
+the temperature.  The gradient part's viscous term stays explicit, which
+bounds the step (viscous_dt).  After each step u is re-split by its
+potential and phi is re-solved from the Poisson equation, projecting the
+state back onto the constraint manifold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import cos, sin
 
 import numpy as np
 
 from .errors import (BlowUpError, DegenerateDensityError, MassDefectError,
                      NonpositiveTemperatureError)
 from .limit_solver import PhysParams, strain_heating
-from .oscillation import rotate_slots
-from .projections import leray_q
+from .projections import gradient_potential
 from .spectral import (MEAN_TOL, SpectralScalar, SpectralVector, as_vector,
                        constant_scalar, divergence, gradient, laplacian,
                        physical_derivative, physical_gradient, sobolev_norm,
@@ -33,6 +38,16 @@ from .stepping import (BLOWUP_FACTOR, Snapshots, all_finite, diffusion,
                        integrate, time_grid)
 
 RHO_FLOOR = 1e-6
+# The gradient part's viscous term -(2 mu + nu) k^2 chi / rho is explicit,
+# and RK4 holds a decay rate a only while z = a h <= 2.785 (Hairer & Wanner,
+# Solving ODEs II, IV.2).  The exact (chi, phi) rotation raises that bound
+# on a linear 2x2 model (2.81 at h/lambda = 0.39, 3.34 at pi/2); bisected on
+# the solver at 64^2, 32^2 and 24^3, a step grew a seeded top-band
+# perturbation from z = 2.87 to 3.59.  The safety factor keeps z <= 2.09,
+# which RK4 holds with an advective part of up to 1.4i beside it and room
+# for the density to fall during a run.
+VISCOUS_Z = 2.785
+VISCOUS_SAFETY = 0.75
 
 
 @dataclass(eq=False)
@@ -143,43 +158,49 @@ def nsp_rhs_nonstiff(state: NSPState, params: PhysParams, lam: float, us=None):
             SpectralScalar(grid, dtheta))
 
 
-def _electric_residue(us, grad_phi: SpectralVector) -> SpectralVector:
-    """Nonstiff part of d/dt grad(phi): -Q(u * lap(phi)), from the
-    dealiased samples us of u."""
-    grid = grad_phi.grid
-    lap_phi = to_physical(grid, divergence(grad_phi).coeffs)
-    return -leray_q(vector_from_samples(grid, [s * lap_phi for s in us]))
+def _electric_residue(us, phi: SpectralScalar) -> SpectralScalar:
+    """Potential of the nonstiff part of d/dt grad(phi), -Q(u * lap(phi)),
+    from the dealiased samples us of u."""
+    grid = phi.grid
+    lap_phi = to_physical(grid, divergence(gradient(phi)).coeffs)
+    return -gradient_potential(vector_from_samples(grid, [s * lap_phi for s in us]))
 
 
 def _make_ops(grid, params: PhysParams, lam: float, guard: float):
     """explicit, propagate and settle of the NSP state for integrate.
 
-    The state is stack(rho, Pu, Qu, grad phi, theta); settle accepts any
-    split of u between the Pu and Qu slots and ignores the grad phi slot.
+    The state is stack(rho, Pu, chi, phi, theta), dims + 4 arrays: the
+    gradient part of u and the electric field are carried by their
+    potentials, Qu = grad(chi).  propagate rotates the pair (chi, phi) by
+    delta/lambda and diffuses Pu and theta; explicit returns the potentials
+    of the tendencies of the gradient slots.  settle accepts any split of u
+    between Pu and grad(chi), re-splits it by its potential and re-solves
+    phi from rho, so the phi slot it is given is ignored.
     """
-    k_sq = grid.k_sq
+    k_sq, ik = grid.k_sq, grid.ik
     n = grid.dims
-    pu_, qu_, gphi_ = slice(1, 1 + n), slice(1 + n, 1 + 2 * n), slice(1 + 2 * n, 1 + 3 * n)
+    chi_, phi_ = 1 + n, 2 + n
 
     def explicit(y, t):
         rho, theta = SpectralScalar(grid, y[0]), SpectralScalar(grid, y[-1])
-        pu, qu, gphi = (as_vector(grid, y[part]) for part in (pu_, qu_, gphi_))
-        u = pu + qu
+        u = as_vector(grid, [y[1 + a] + ik[a] * y[chi_] for a in range(n)])
         us = [to_physical(grid, c.coeffs) for c in u]
         drho, du, dtheta = nsp_rhs_nonstiff(NSPState(rho, u, theta, None), params, lam, us)
-        duq = leray_q(du)
-        dpu = [du[a].coeffs - duq[a].coeffs + params.mu * k_sq * pu[a].coeffs
+        dchi = gradient_potential(du).coeffs
+        dpu = [du[a].coeffs - ik[a] * dchi + params.mu * k_sq * y[1 + a]
                for a in range(n)]
-        return (drho.coeffs, *dpu, *stack(duq, _electric_residue(us, gphi)),
+        del du
+        dphi = _electric_residue(us, SpectralScalar(grid, y[phi_])).coeffs
+        return (drho.coeffs, *dpu, dchi, dphi,
                 dtheta.coeffs + params.kappa * k_sq * theta.coeffs)
 
-    diffuse = diffusion(k_sq, (0.0, *(params.mu,) * n, *(0.0,) * (2 * n), params.kappa))
+    diffuse = diffusion(k_sq, (0.0, *(params.mu,) * n, 0.0, 0.0, params.kappa))
 
     def propagate(y, delta):
-        qu, gphi = (as_vector(grid, y[part]) for part in (qu_, gphi_))
-        qu, gphi = rotate_slots(delta / lam, qu, gphi)
+        c, s = cos(delta / lam), sin(delta / lam)
         y = diffuse(y, delta)
-        return (*y[:qu_.start], *stack(qu, gphi), y[-1])
+        chi, phi = y[chi_], y[phi_]
+        return (*y[:chi_], c * chi - s * phi, s * chi + c * phi, y[-1])
 
     def settle(y, t):
         state = _state(grid, y, lam)
@@ -188,8 +209,8 @@ def _make_ops(grid, params: PhysParams, lam: float, guard: float):
                 f"NSP temperature not positive at t = {t:.4f}")
         if not all_finite(y) or sobolev_norm(state.u, 1) > guard:
             raise BlowUpError(f"NSP solution blew up or is not finite at t = {t:.4f}")
-        qu = leray_q(state.u)
-        return stack(state.rho, state.u - qu, qu, gradient(state.phi), state.theta), None
+        chi = gradient_potential(state.u)
+        return stack(state.rho, state.u - gradient(chi), chi, state.phi, state.theta), None
 
     return explicit, propagate, settle
 
@@ -197,20 +218,33 @@ def _make_ops(grid, params: PhysParams, lam: float, guard: float):
 def _unsettled(state: NSPState) -> tuple:
     """The NSP state layout with all of u in the Pu slot; settle splits it."""
     zero = zeros_scalar(state.grid)
-    return stack(state.rho, state.u, *(zero,) * (2 * state.grid.dims), state.theta)
+    return stack(state.rho, state.u, zero, zero, state.theta)
 
 
 def _state(grid, y, lam: float) -> NSPState:
     """The NSPState of a state tuple, phi re-solved from rho."""
     n = grid.dims
     rho = SpectralScalar(grid, y[0])
-    u = as_vector(grid, y[1:1 + n]) + as_vector(grid, y[1 + n:1 + 2 * n])
+    u = as_vector(grid, y[1:1 + n]) + gradient(SpectralScalar(grid, y[1 + n]))
     return NSPState(rho, u, SpectralScalar(grid, y[-1]), poisson_solve(rho, lam))
 
 
-def nsp_dt(cfl: float, lam: float, phase_resolution: int, dt_max: float) -> float:
-    """min(cfl, one oscillation period / phase_resolution, dt_max)."""
-    return min(cfl, 2.0 * np.pi * lam / phase_resolution, dt_max)
+def viscous_dt(params: PhysParams, grid, min_rho: float) -> float:
+    """The step bound VISCOUS_SAFETY * VISCOUS_Z / ((2 mu + nu) k^2_max /
+    min_rho) of the chi slot's explicit viscous decay, k^2_max the largest
+    |k|^2 the 2/3 mask keeps; inf if there is no decay or min_rho <= 0 (the
+    run then fails on its density)."""
+    rate = (2.0 * params.mu + params.nu) * grid.k_sq[grid.dealias_mask].max()
+    if rate <= 0.0 or min_rho <= 0.0:
+        return np.inf
+    return VISCOUS_SAFETY * VISCOUS_Z * min_rho / rate
+
+
+def nsp_dt(cfl: float, lam: float, phase_resolution: int, dt_max: float,
+           viscous: float = np.inf) -> float:
+    """min(cfl, one oscillation period / phase_resolution, dt_max, viscous),
+    viscous being the viscous_dt of the run."""
+    return min(cfl, 2.0 * np.pi * lam / phase_resolution, dt_max, viscous)
 
 
 def run_nsp(initial: NSPState, params: PhysParams, lam: float, t_end: float,
@@ -226,6 +260,6 @@ def run_nsp(initial: NSPState, params: PhysParams, lam: float, t_end: float,
     times = time_grid(snapshot_times, t_end)
     guard = BLOWUP_FACTOR * max(sobolev_norm(initial.u, 1), sobolev_norm(initial.rho, 1), 1e-8)
     explicit, propagate, settle = _make_ops(grid, params, lam, guard)
-    states = list(map(lambda y: _state(grid, y, lam), integrate(
-        _unsettled(initial), times, dt, explicit, propagate, settle)))
-    return Snapshots(times, states)
+    run = integrate(_unsettled(initial), times, dt, explicit, propagate, settle)
+    del initial  # the first settle replaces its u and phi; the run owns the rest
+    return Snapshots(times, list(map(lambda y: _state(grid, y, lam), run)))

@@ -32,12 +32,18 @@ def leray_p(u: SpectralVector) -> SpectralVector:
     return as_vector(grid, [u[a].coeffs - qc[a] for a in range(grid.dims)])
 
 
+def gradient_potential(u: SpectralVector) -> SpectralScalar:
+    """The mean-zero potential chi of the gradient part, grad(chi) = Qu:
+    chi_k = -i (k . u_k) / |k|^2 with the symbols of Q, so that gradient()
+    of it is Qu bit for bit."""
+    grid = u.grid
+    k_dot_u = sum(grid.kd[a] * u[a].coeffs for a in range(grid.dims))
+    return SpectralScalar(grid, -1j * k_dot_u * grid.inv_kd_sq)
+
+
 def decompose(u: SpectralVector):
     """Split u = Pu + Qu and return (Pu, Qu, potential) with grad(potential) = Qu."""
     grid = u.grid
     qc = _q_coeffs(u)
     p_part = as_vector(grid, [u[a].coeffs - qc[a] for a in range(grid.dims)])
-    q_part = as_vector(grid, qc)
-    k_dot_u = sum(grid.kd[a] * u[a].coeffs for a in range(grid.dims))
-    potential = SpectralScalar(grid, -1j * k_dot_u * grid.inv_kd_sq)
-    return p_part, q_part, potential
+    return p_part, as_vector(grid, qc), gradient_potential(u)

@@ -255,3 +255,33 @@ class TestAssembleAnsatz:
         assert sobolev_norm(residual, 0) < 1e-12
         osc = build_oscillation(0.15, lam, pair)
         assert sobolev_norm(gradient(state.phi) - osc.grad_phi_osc, 0) < 1e-12
+
+
+def test_pair_solve_samples_v_once_per_distinct_stage_time(grid2d, monkeypatch):
+    # A step's midpoint stages share a time, and its last stage the next
+    # step's first; steps of 1/32 add up exactly, so 4 steps sample v
+    # 1 + 2 * 4 times, not 16, and the pairs are those of sampling at
+    # every stage, bit for bit.
+    import qnl.ansatz
+    base_v = vector_from_functions(grid2d, lambda x, y: np.sin(x) * np.cos(y),
+                                   lambda x, y: -np.cos(x) * np.sin(y))
+    params = PhysParams(0.05, 0.02, 0.05)
+    limit = run_limit(LimitState(base_v, constant_scalar(grid2d, 1.0)), params,
+                      0.125, dt=1 / 32)
+    pair0 = GradientPair(gradient(scalar_from_function(grid2d, lambda x, y: 0.4 * np.cos(y))),
+                         gradient(scalar_from_function(grid2d, lambda x, y: 0.3 * np.sin(x))))
+    calls = []
+    sample = qnl.ansatz.velocity_samples
+    monkeypatch.setattr(qnl.ansatz, "velocity_samples",
+                        lambda v: calls.append(1) or sample(v))
+    cached = solve_osc(pair0, limit, params, 0.125, dt=1 / 32)
+    assert len(calls) == 1 + 2 * 4
+
+    rhs = qnl.ansatz.osc_rhs
+    monkeypatch.setattr(qnl.ansatz, "osc_rhs",
+                        lambda pair, v, params, samples=None: rhs(pair, v, params))
+    plain = solve_osc(pair0, limit, params, 0.125, dt=1 / 32)
+    for got, expected in zip(cached.states, plain.states, strict=True):
+        for a, b in zip(got.grad_q.components + got.grad_psi.components,
+                        expected.grad_q.components + expected.grad_psi.components):
+            assert np.array_equal(a.coeffs, b.coeffs)

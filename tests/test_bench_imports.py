@@ -96,3 +96,32 @@ def test_child_trace_and_micro_modes_run(tmp_path):
     # and the forward transform of 1/rho.  Every transform of the step is
     # 105, pinned by test_cost_weights_are_the_transforms_of_one_step.
     assert metrics["nsp.fft_per_step"][0] == 8
+
+
+def test_bench_pairs_verdicts():
+    # tools/bench_pairs.py: the claim rule and the bound rule on made-up pairs
+    spec = importlib.util.spec_from_file_location("bench_pairs",
+                                                  ROOT / "tools" / "bench_pairs.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+
+    def pairs(parent, change):
+        return [{"parent": {"m": p}, "change": {"m": c}} for p, c in zip(parent, change)]
+
+    parent = [10.0, 10.1, 10.2, 10.3, 10.4, 10.5, 10.6, 10.7, 10.8, 10.9]
+    lower = [p - 1.0 for p in parent]
+    gain = tool.summarize(pairs(parent, lower), "m", "lower", 0.05, claimed=True)
+    assert gain["verdict"] == "gain" and gain["change_better_pairs"] == 10
+    # nine wins suffice, eight do not; a tie counts for neither side
+    nine = lower[:9] + [parent[9]]
+    assert tool.summarize(pairs(parent, nine), "m", "lower", 0.05, True)["verdict"] == "gain"
+    eight = lower[:8] + parent[8:]
+    assert tool.summarize(pairs(parent, eight), "m", "lower", 0.05, True)["verdict"] == "not met"
+    # a median gap inside the parent's interquartile range is no gain
+    close = [p - 0.1 for p in parent]
+    assert tool.summarize(pairs(parent, close), "m", "lower", 0.05, True)["verdict"] == "not met"
+    assert tool.summarize(pairs(parent, lower), "m", "higher", 0.05, False)["verdict"] == "worse"
+    assert tool.summarize(pairs(parent, close), "m", "lower", 0.05, False)["verdict"] \
+        == "within bound"
+    assert tool.summarize(pairs(parent, close), "m", "lower", 0.01, False)["verdict"] \
+        == "unresolved"

@@ -1,9 +1,14 @@
 """Harness: config parsing, initial data, measurement, rates, CLI."""
 
+import contextlib
+import io
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qnl.ansatz import solve_osc
 from qnl.cli import main as cli_main
@@ -297,6 +302,19 @@ class TestMeasureErrors:
         measure_errors(synthetic, limit, pair, 0.05, 3.0)
         assert calls == []
 
+    def test_non_finite_state_gives_a_status_row(self, grid2d):
+        # max(0.0, nan) is 0.0: a NaN used to vanish from the sup or not,
+        # depending on the snapshot it fell in, and the row read ok
+        times = np.linspace(0.0, 0.1, 3)
+        limit, pair, synthetic = _aligned_trajectories(grid2d, 0.05, times)
+        synthetic.states[1].u[0].coeffs[1, 2] = np.nan
+        row = measure_errors(synthetic, limit, pair, 0.05, 3.0)
+        assert row.status == "non_finite_measurement"
+        assert all(np.isnan(row.channel(name)) for name in ERROR_CHANNELS)
+        assert len(row.hs_norms) == len(times)  # its diag_*.csv is still written
+        ok = [ReportRow(lam, e_u=2 * lam) for lam in (0.1, 0.05, 0.025)]
+        assert abs(fit_rate(ok + [row], "E_u").slope - 1.0) < 1e-12
+
     def test_time_grid_mismatch_rejected(self, grid2d):
         times = np.linspace(0.0, 0.1, 3)
         lam = 0.05
@@ -544,6 +562,34 @@ class TestCli:
         assert "key 'resolution' already set on line 1" in err and "run.cfg:6:" in err
         assert not (tmp_path / "out").exists()
 
+    # s_norm = 1e6 used to give ok rows with E_u = nan, the other channels
+    # 0, and exit code 0: (1 + k^2)^s overflowed in every norm
+    def test_overflowing_s_norm_is_a_config_error(self, tmp_path, capsys):
+        path = self._write_config(tmp_path, resolution=8, s_norm=1e6, t_end=0.02,
+                                  snapshots=2)
+        assert cli_main(["run", "--config", str(path)]) == 2
+        assert "s_norm" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    # each passed validate, and the sweep then ran without end; the last
+    # two are caught before the fork, where the CFL step is known
+    @pytest.mark.parametrize("command, keys", [
+        ("run", {"phase_resolution": 1000000000}),
+        ("run", {"dt_max": 1e-12}),
+        ("run", {"limit_dt": 1e-300}),
+        ("run", {"lambda_list": "0.1, 0.05, 1e-300"}),
+        ("run", {"ic_random_amp": 1e6, "ic": "well"}),
+        ("limit", {"ic_random_amp": 1e6, "ic": "well"}),
+    ])
+    def test_runs_over_the_step_budget_are_config_errors(self, tmp_path, capsys,
+                                                         command, keys):
+        path = self._write_config(tmp_path, resolution=8, **keys)
+        start = time.perf_counter()
+        assert cli_main([command, "--config", str(path)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "steps" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_config_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("bogus = 1\n")
@@ -565,3 +611,46 @@ def test_base_field_defaults_are_spec_values(grid2d):
     assert sobolev_norm(base.theta0 - theta, 0) < 1e-13
     assert sobolev_norm(base.qu0 - qu, 0) < 1e-13
     assert sobolev_norm(base.phi0 - phi, 0) < 1e-13
+
+
+# Small configs from which any key may take an extreme value; the slow
+# ones are those the step budget rejects before anything runs.
+CONFIG_KEYS = st.fixed_dictionaries({
+    "t_end": st.sampled_from([0.005, 0.02]),
+    "snapshots": st.sampled_from([2, 3]),
+}, optional={
+    "dims": st.sampled_from([2, 3]),
+    "s_norm": st.sampled_from([3.5, 10.0, 1e6]),
+    "lambda_list": st.sampled_from(["0.1, 0.05, 0.025", "2.0, 1.0, 0.5",
+                                    "0.1, 0.05, 1e-300"]),
+    "mu": st.sampled_from([0.0, 0.05, 0.4, 5.0]),
+    "nu": st.sampled_from([0.0, -0.05, 0.1]),
+    "kappa": st.sampled_from([0.0, 0.05]),
+    "euler_mode": st.sampled_from(["true", "false"]),
+    "ic": st.sampled_from(["ill", "well"]),
+    "ic_random_amp": st.sampled_from([0.0, 0.05, 5.0, 1e6]),
+    "dt_max": st.sampled_from([1.0, 0.01, 1e-12]),
+    "phase_resolution": st.sampled_from([4, 16, 1000000000]),
+    "limit_dt": st.sampled_from([0.01, 1e-300]),
+})
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(keys=CONFIG_KEYS)
+def test_small_configs_end_in_rows_or_a_status(tmp_path_factory, keys):
+    # exit 0, 1 or 2; an escaping exception (a traceback) fails here; no ok
+    # row holds a non-finite error
+    out = tmp_path_factory.mktemp("sweep")
+    keys = {"resolution": 8, "output_dir": out / "out", **keys}
+    path = out / "run.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli_main(["run", "--config", str(path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code != 2:
+        lines = (out / "out" / "report.csv").read_text().splitlines()[1:]
+        for fields in (line.split(",") for line in lines):
+            if fields[-1] == "ok":
+                assert np.isfinite([float(x) for x in fields[1:5]]).all(), fields

@@ -5,12 +5,14 @@ import pytest
 
 from qnl.errors import (BlowUpError, DegenerateDensityError, MassDefectError,
                         NonpositiveTemperatureError)
+from qnl import nsp
 from qnl.harness import (RunConfig, _diag_csv, base_fields, default_base_fields,
-                         gen_initial_data, state_norms)
+                         gen_initial_data, lambda_dt, state_norms)
 from qnl.limit_solver import PhysParams, advective_dt
-from qnl.nsp import NSPState, nsp_dt, nsp_rhs_nonstiff, poisson_solve, run_nsp
-from qnl.projections import leray_p
-from qnl.spectral import (constant_scalar, gradient,
+from qnl.nsp import (VISCOUS_SAFETY, VISCOUS_Z, NSPState, nsp_dt, nsp_rhs_nonstiff,
+                     poisson_solve, run_nsp, viscous_dt)
+from qnl.projections import leray_p, leray_q
+from qnl.spectral import (SpectralScalar, constant_scalar, gradient,
                           laplacian, make_grid, scalar_from_function,
                           sobolev_norm, transform_forward, zeros_vector)
 from qnl.stepping import substep_count
@@ -256,3 +258,61 @@ def test_three_dimensional_step_smoke(grid3d, rng):
     out = run_nsp(state, PhysParams(0.05, 0.0, 0.05), lam, 0.005, dt=0.005).states[-1]
     assert abs(out.rho.mean - 1.0) < 1e-13
     assert out.poisson_residual(lam) < 1e-12
+
+
+@pytest.mark.parametrize("dims, resolution, arrays", [(2, 16, 6), (3, 8, 7)],
+                         ids=["2d", "3d"])
+def test_state_carries_the_gradient_slots_as_potentials(dims, resolution, arrays):
+    # (rho, Pu, chi, phi, theta): Qu = grad(chi) and the field grad(phi)
+    # are held by their potentials, dims + 4 arrays instead of 3 dims + 2
+    grid = make_grid(dims, resolution)
+    lam = 0.05
+    initial = gen_initial_data("ill", lam, default_base_fields(grid, "ill", 0.01, 0))
+    _, propagate, settle = nsp._make_ops(grid, PhysParams(0.05, 0.0, 0.05), lam, 1e300)
+    y, _ = settle(nsp._unsettled(initial), 0.0)
+    assert len(y) == arrays
+    qu = leray_q(initial.u)
+    grad_chi = gradient(SpectralScalar(grid, y[1 + dims]))
+    for a in range(dims):
+        assert np.array_equal(grad_chi[a].coeffs, qu[a].coeffs)
+        assert np.array_equal(y[1 + a], initial.u[a].coeffs - qu[a].coeffs)
+    assert np.array_equal(y[2 + dims], poisson_solve(initial.rho, lam).coeffs)
+    # the pair (chi, phi) turns by delta / lambda; a full turn returns it
+    turned = propagate(y, 2 * np.pi * lam)
+    for i in (1 + dims, 2 + dims):
+        assert np.abs(turned[i] - y[i]).max() <= 1e-14 * np.abs(y[i]).max()
+
+
+class TestViscousStepBound:
+    # mu = 0.4 at 64^2: at dt_max the chi slot's explicit viscous term has
+    # z = (2 mu + nu) k^2_max dt = 7.1, and three of four rows used to end
+    # as degenerate_density
+    KEYS = dict(mu=0.4, t_end=0.125, snapshots=5)
+
+    def test_bound_binds_and_holds_z_below_the_threshold(self):
+        config = RunConfig(**self.KEYS)
+        base = base_fields(config)
+        grid = base.v0.grid
+        k_sq_max = grid.k_sq[grid.dealias_mask].max()
+        for lam in config.lambda_list:
+            dt = lambda_dt(config, base, lam)
+            initial = gen_initial_data(config.ic, lam, base)
+            assert dt < nsp_dt(advective_dt(initial.u), lam, config.phase_resolution,
+                               config.dt_max)
+            z = 2 * config.mu * k_sq_max * dt / initial.rho.samples().min()
+            assert z <= VISCOUS_SAFETY * VISCOUS_Z * (1 + 1e-9)
+            assert z >= VISCOUS_SAFETY * VISCOUS_Z * (1 - 1e-9)
+
+    def test_no_bound_without_viscosity(self, grid2d):
+        assert viscous_dt(PhysParams(0.0, 0.0, 0.0), grid2d, 1.0) == np.inf
+        assert viscous_dt(PhysParams(0.05, 0.0, 0.05), grid2d, 0.0) == np.inf
+
+    def test_sweep_is_ok_and_matches_a_finer_step(self, tmp_path):
+        from qnl.harness import ERROR_CHANNELS, run_sweep
+        reports = [run_sweep(RunConfig(output_dir=str(tmp_path / name), **keys))
+                   for name, keys in (("bound", self.KEYS),
+                                      ("fine", dict(self.KEYS, dt_max=0.002)))]
+        assert all(report.all_ok for report in reports)
+        for a, b in zip(*(report.rows for report in reports), strict=True):
+            for name in ERROR_CHANNELS:
+                assert a.channel(name) == pytest.approx(b.channel(name), rel=1e-4)

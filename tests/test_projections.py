@@ -108,3 +108,15 @@ class TestDecompose:
         p_part, q_part, potential = decompose(u)
         assert sobolev_norm(p_part + q_part - u, 0) <= 1e-12 * sobolev_norm(u, 0)
         assert sobolev_norm(gradient(potential) - q_part, 0) < 1e-11
+
+
+def test_gradient_of_the_potential_is_q_bit_for_bit(rng):
+    # the NSP state carries Qu by this potential; settle re-splits u with it
+    from qnl.projections import gradient_potential
+    from qnl.spectral import make_grid
+    for grid in (make_grid(2, 16), make_grid(3, 8)):
+        u = smooth_vector(grid, rng, decay=100.0)
+        got, expected = gradient(gradient_potential(u)), leray_q(u)
+        for a in range(grid.dims):
+            assert np.array_equal(got[a].coeffs, expected[a].coeffs)
+        assert gradient_potential(u).mean == 0.0

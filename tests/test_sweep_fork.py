@@ -8,6 +8,8 @@ ends with no child process left.
 
 import os
 import signal
+import subprocess
+import sys
 import time
 from dataclasses import replace
 
@@ -19,8 +21,8 @@ import qnl.stepping
 from qnl.ansatz import solve_osc
 from qnl.cli import main as cli_main
 from qnl.errors import BlowUpError, ChildLostError, NonpositiveTemperatureError
-from qnl.harness import (NSP_STEP_TRANSFORMS, STAGE_STEP_TRANSFORMS,
-                         ConvergenceReport, ReportRow, RunConfig,
+from qnl.harness import (NSP_STEP_TRANSFORMS, STAGE_ONCE_TRANSFORMS,
+                         STAGE_STEP_TRANSFORMS, ConvergenceReport, ReportRow, RunConfig,
                          _lambda_independent_stage, _run_one_lambda,
                          _write_outputs, base_fields, fit_all_rates,
                          gen_initial_data, lpt_assign, measure_errors,
@@ -305,6 +307,84 @@ def test_cost_weights_are_the_transforms_of_one_step(count_transforms, dims,
 
     assert nsp(2) - nsp(1) == nsp(3) - nsp(2) == NSP_STEP_TRANSFORMS[dims]
     assert stage(2) - stage(1) == stage(3) - stage(2) == STAGE_STEP_TRANSFORMS[dims]
+
+
+@pytest.mark.parametrize("euler_mode", [False, True], ids=["ns", "euler"])
+@pytest.mark.parametrize("dims, resolution", [(2, 16), (3, 8)], ids=["2d", "3d"])
+def test_stage_once_weight_is_the_transforms_of_a_one_step_stage(
+        count_transforms, dims, resolution, euler_mode):
+    config = RunConfig(dims=dims, resolution=resolution, s_norm=3.5, snapshots=2,
+                       euler_mode=euler_mode)
+    base, dt = base_fields(config), 1e-3
+    one_step = count_transforms(lambda: _lambda_independent_stage(
+        replace(config, t_end=dt, limit_dt=dt), base))
+    assert one_step == STAGE_ONCE_TRANSFORMS[dims] + STAGE_STEP_TRANSFORMS[dims]
+
+
+def test_predicted_steps_follow_the_viscous_bound(step_counter):
+    # mu = 0.4 at 64^2: the viscous bound, not dt_max, sets every NSP step
+    config = RunConfig(mu=0.4, t_end=0.125, snapshots=5)
+    base = base_fields(config)
+    _, nsp_steps = predicted_steps(config, base)
+    unbounded = predicted_steps(replace(config, mu=0.05), base)[1]
+    times = config.resolved_snapshot_times()
+    for lam, steps, fewer in zip(config.lambda_list, nsp_steps, unbounded, strict=True):
+        assert steps > fewer
+        step_counter.clear()
+        assert _run_one_lambda(config, base, lam, times)[1] == "ok"
+        assert len(step_counter) == steps, lam
+
+
+def _children(pid):
+    try:
+        with open(f"/proc/{pid}/task/{pid}/children", encoding="ascii") as fh:
+            return [int(word) for word in fh.read().split()]
+    except FileNotFoundError:
+        return []
+
+
+def _running(pid):
+    """False once pid has ended (a zombie waiting for its reaper counts)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+
+
+@pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+                    reason="needs Linux /proc child lists")
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGKILL], ids=["term", "kill"])
+def test_a_signalled_sweep_leaves_no_child(tmp_path, signum):
+    # SIGTERM used to end the parent alone, and its child, re-parented,
+    # computed on at full CPU.  Now the CLI unwinds on SIGTERM, killing
+    # and reaping the child, and a child whose parent is gone (SIGKILL)
+    # leaves within a tenth of a second.
+    path = tmp_path / "run.cfg"
+    path.write_text(f"output_dir = {tmp_path / 'out'}\n")  # the stock sweep, seconds long
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(qnl.harness.__file__)), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-m", "qnl.cli", "run", "--config", str(path)],
+                            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    try:
+        give_up = time.monotonic() + 30.0
+        while not _children(proc.pid) and time.monotonic() < give_up:
+            time.sleep(0.01)
+        children = _children(proc.pid)
+        assert children, "the sweep forked no child"
+        proc.send_signal(signum)
+        _, err = proc.communicate(timeout=10)
+    finally:
+        proc.kill()
+        proc.wait()
+    give_up = time.monotonic() + 2.0
+    while any(map(_running, children)) and time.monotonic() < give_up:
+        time.sleep(0.01)
+    assert not any(map(_running, children))
+    if signum == signal.SIGTERM:
+        assert proc.returncode == 128 + signal.SIGTERM
+        assert b"Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 # -- lambda runs in the child -------------------------------------------------

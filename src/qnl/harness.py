@@ -233,8 +233,8 @@ def budgeted_steps(what: str, times, dt: float) -> int:
     InvalidConfigError if that is more than MAX_STEPS."""
     with np.errstate(over="ignore"):
         least = (times[-1] - times[0]) / dt
-    steps = step_count(times, dt) if least <= MAX_STEPS else None
-    if steps is None or steps > MAX_STEPS:
+    steps = step_count(times, dt) if least <= MAX_STEPS else least
+    if steps > MAX_STEPS:
         raise InvalidConfigError(
             f"{what} would take {least:.3g} steps or more of dt = {dt:.3g}; "
             f"the limit is {MAX_STEPS}")

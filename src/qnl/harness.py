@@ -529,24 +529,25 @@ class ConvergenceReport:
         return "\n".join(lines) + "\n"
 
 
-def lambda_dt(config: RunConfig, base: BaseFields, lam: float) -> float:
-    """The step of the NSP run at lam: nsp_dt at the CFL step of the initial
-    velocity, which is the same at every lambda, and at the viscous_dt of
-    the smallest initial density, 1 - lam max(lap phi0) (1 for
-    well-prepared data)."""
+def lambda_dts(config: RunConfig, base: BaseFields) -> dict:
+    """The step of the NSP run at each lambda of lambda_list: nsp_dt at the
+    CFL step of the initial velocity, which is the same at every lambda,
+    and at the viscous_dt of the smallest initial density,
+    1 - lambda max(lap phi0) (1 for well-prepared data)."""
     cfl = advective_dt(initial_velocity(config.ic, base))
     lap_max = 0.0 if config.ic == "well" else float(laplacian(base.phi0).samples().max())
-    viscous = viscous_dt(config.nsp_params(lam), base.v0.grid, 1.0 - lam * lap_max)
-    return nsp_dt(cfl, lam, config.phase_resolution, config.dt_max, viscous)
+    return {lam: nsp_dt(cfl, lam, config.phase_resolution, config.dt_max,
+                        viscous_dt(config.nsp_params(lam), base.v0.grid, 1.0 - lam * lap_max))
+            for lam in map(float, config.lambda_list)}
 
 
 def _run_one_lambda(config: RunConfig, base: BaseFields, lam: float,
                     snapshot_times):
-    """The NSP run at one lambda with the lambda_dt step, and "ok"; or None
-    and its failure status.  run_nsp owns the initial data, whose velocity
-    and potential its first step replaces."""
+    """The NSP run at one lambda of lambda_list with its lambda_dts step, and
+    "ok"; or None and its failure status.  run_nsp owns the initial data,
+    whose velocity and potential its first step replaces."""
     try:
-        dt = lambda_dt(config, base, lam)
+        dt = lambda_dts(config, base)[lam]
         traj = run_nsp(gen_initial_data(config.ic, lam, base), config.nsp_params(lam),
                        lam, config.t_end, dt, snapshot_times)
         return traj, "ok"
@@ -611,12 +612,11 @@ STAGE_ONCE_TRANSFORMS = {2: 1 + 1 + 11 + 6, 3: 1 + 1 + 19 + 12}
 def predicted_steps(config: RunConfig, base: BaseFields):
     """Steps of the limit solve (the pair solve takes as many) and of the
     NSP run at each lambda of lambda_list, by the solvers' own dt rules
-    (lambda_dt; no initial data is generated).  InvalidConfigError if a
+    (lambda_dts; no initial data is generated).  InvalidConfigError if a
     solve is over the step budget, so a sweep fails before it forks."""
     times = time_grid(config.resolved_snapshot_times(), config.t_end)
-    nsp_steps = [budgeted_steps(f"the NSP run at lambda = {lam!r}", times,
-                                lambda_dt(config, base, float(lam)))
-                 for lam in config.lambda_list]
+    nsp_steps = [budgeted_steps(f"the NSP run at lambda = {lam!r}", times, dt)
+                 for lam, dt in lambda_dts(config, base).items()]
     return (budgeted_steps("the limit and pair solves", times, stage_dt(config, base)),
             nsp_steps)
 

@@ -7,7 +7,7 @@ from qnl.errors import (BlowUpError, DegenerateDensityError, MassDefectError,
                         NonpositiveTemperatureError)
 from qnl import nsp
 from qnl.harness import (RunConfig, _diag_csv, base_fields, default_base_fields,
-                         gen_initial_data, lambda_dt, state_norms)
+                         gen_initial_data, lambda_dts, state_norms)
 from qnl.limit_solver import PhysParams, advective_dt
 from qnl.nsp import (VISCOUS_SAFETY, VISCOUS_Z, NSPState, nsp_dt, nsp_rhs_nonstiff,
                      poisson_solve, run_nsp, viscous_dt)
@@ -294,8 +294,7 @@ class TestViscousStepBound:
         base = base_fields(config)
         grid = base.v0.grid
         k_sq_max = grid.k_sq[grid.dealias_mask].max()
-        for lam in config.lambda_list:
-            dt = lambda_dt(config, base, lam)
+        for lam, dt in lambda_dts(config, base).items():
             initial = gen_initial_data(config.ic, lam, base)
             assert dt < nsp_dt(advective_dt(initial.u), lam, config.phase_resolution,
                                config.dt_max)

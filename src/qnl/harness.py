@@ -31,10 +31,14 @@ runs, so a failed child raises at once.  The child neither measures nor
 writes, so a failed sweep leaves no output directory: it pipes back,
 pickled, the limit snapshots, the pair trajectory and its lambda runs,
 and the parent measures and writes every output as a serial sweep would,
-byte for byte.  The limit solve's Hermite nodes live and die in the child,
-which keeps the parent's peak RSS down (44.4 -> 41.1 MiB on the 64^2
-sweep, 59.7 -> 53.5 MiB on the 24^3 one, when the stage was first
-forked); a process pool over lambda would raise the peak instead.  An
+byte for byte.  A grid pickles as its `make_grid` call, so those fields
+unpickle onto the parent's own grid and the parent holds one grid per
+shape.  The limit solve's Hermite nodes live and die in the child, which
+keeps the parent's peak RSS down (44.4 -> 41.1 MiB on the 64^2 sweep,
+59.7 -> 53.5 MiB on the 24^3 one, when the stage was first forked); a
+process pool over lambda would raise the peak instead.  On a short 24^3
+sweep the parent's peak is set by its last lambda run
+(tools/sweep_memory.py prints the parent's memory phase by phase).  An
 exception in the child is re-raised in the parent; a child that ends
 without a result raises ChildLostError; the child is killed and reaped on
 every exit path, and leaves by itself if its parent is killed outright.

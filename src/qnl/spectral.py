@@ -14,6 +14,15 @@ sums over the spectrum (`sobolev_norm`, `l2_inner`) take the Hermitian
 weight `grid.weight`, so they equal the sums over the full spectrum.  Only
 `write_snapshot` expands to the full spectrum, for the QNL1 file layout.
 
+A process holds one `TorusGrid` per (dims, resolution): `make_grid` builds
+it on first use and returns it from then on.  A grid pickles as the call
+`make_grid(dims, resolution)`, so a field sent to another process, such as
+the sweep's forked child piping its snapshots back, arrives on the
+receiver's own grid, and `read_snapshot` reads onto it as well.  Its
+wavenumbers `k` and `kd` are open meshes, one n-vector per axis; the
+symbols they build (|k|^2, the masks, the weight, the derivative symbols
+`ik`) are full arrays, which the grid builds once (see `TorusGrid`).
+
 Every transform is a real FFT behind two helpers: `to_physical` turns a
 coefficient array into real samples and `to_spectral` real samples into a
 coefficient array, each optionally 2/3-masked.  An unmasked transform is one
@@ -59,11 +68,23 @@ class TorusGrid:
 
     Samples have `shape`, n^dims; coefficient arrays have `spectral_shape`,
     n^(dims-1) x (n/2 + 1).  Wavenumbers run through -n/2 ... n/2 - 1 in
-    FFT layout on the leading axes and through 0 ... n/2 on the last.  The
-    grid precomputes broadcastable wavenumber arrays, |k|^2, the inverse
-    Laplacian symbol, the 2/3-rule dealiasing mask and the Hermitian weight:
-    1 on the k_N = 0 and k_N = n/2 planes, which hold their own mirror
-    images, and 2 elsewhere, where each mode stands for itself and -k.
+    FFT layout on the leading axes and through 0 ... n/2 on the last.
+
+    The wavenumbers `k` and the Nyquist-zeroed derivative wavenumbers `kd`
+    are open meshes (`np.meshgrid(..., sparse=True)`): one array per axis,
+    of length n along that axis and 1 along the others.  They only enter
+    real-by-complex products with coefficient arrays, which broadcast them
+    to the same values at the same speed.  The symbols built from them are
+    full `spectral_shape` arrays: |k|^2, the inverse Laplacian symbols, the
+    2/3-rule dealiasing mask, the Hermitian weight (1 on the k_N = 0 and
+    k_N = n/2 planes, which hold their own mirror images, and 2 elsewhere,
+    where each mode stands for itself and -k) and the derivative symbols
+    `ik`.  `ik` stays full because a complex-by-complex product with an
+    open mesh runs at half the speed, and every derivative multiplies by it.
+
+    Build grids with `make_grid`, which returns one grid per (dims,
+    resolution) per process; a grid pickles as that call, so an unpickled
+    field shares the receiving process's grid.  The arrays are read-only.
     """
 
     def __init__(self, dims: int, resolution: int):
@@ -82,7 +103,7 @@ class TorusGrid:
         # 0, 1, ..., n/2-1, -n/2, ..., -1 on the leading axes, 0, 1, ..., n/2
         # on the last.
         k1d = [np.fft.fftfreq(n, d=1.0 / n)] * (dims - 1) + [np.fft.rfftfreq(n, d=1.0 / n)]
-        self.k = np.meshgrid(*k1d, indexing="ij")
+        self.k = np.meshgrid(*k1d, indexing="ij", sparse=True)
         self.k_sq = sum(ki ** 2 for ki in self.k)
         with np.errstate(divide="ignore"):
             inv = np.where(self.k_sq > 0, 1.0 / np.where(self.k_sq > 0, self.k_sq, 1.0), 0.0)
@@ -91,8 +112,8 @@ class TorusGrid:
         # Derivative symbols with the unmatched Nyquist mode removed; the
         # projections reuse them so curl(Q u) and div(P u) vanish exactly.
         k1d_deriv = [np.where(np.abs(ki) == n // 2, 0.0, ki) for ki in k1d]
-        self.kd = np.meshgrid(*k1d_deriv, indexing="ij")
-        self.ik = [1j * ki for ki in self.kd]
+        self.kd = np.meshgrid(*k1d_deriv, indexing="ij", sparse=True)
+        self.ik = [1j * np.broadcast_to(ki, self.spectral_shape) for ki in self.kd]
         kd_sq = sum(ki ** 2 for ki in self.kd)
         self.inv_kd_sq = np.where(kd_sq > 0, 1.0 / np.where(kd_sq > 0, kd_sq, 1.0), 0.0)
 
@@ -107,7 +128,11 @@ class TorusGrid:
         # so multiplying by it needs no cast buffer.
         self.band = cutoff + 1
         self.band_mask = mask[..., :self.band].astype(np.complex128)
-        self.weight = np.where((self.k[-1] == 0) | (self.k[-1] == n // 2), 1.0, 2.0)
+        self.weight = np.full(self.spectral_shape, 2.0)
+        self.weight[..., [0, n // 2]] = 1.0
+        for array in (*self.k, *self.kd, *self.ik, self.k_sq, self.inv_k_sq,
+                      self.inv_kd_sq, self.dealias_mask, self.band_mask, self.weight):
+            array.flags.writeable = False
 
     def collocation_points(self):
         """Physical-space coordinate arrays, shape-matched to the fields."""
@@ -127,16 +152,24 @@ class TorusGrid:
         return hash((self.dims, self.resolution))
 
     def __reduce__(self):
-        # Pickled as its arguments: the wavenumber arrays are rebuilt, not sent.
-        return TorusGrid, (self.dims, self.resolution)
+        # Pickled as the make_grid call: no array is sent, and unpickling
+        # returns the receiving process's own grid.
+        return make_grid, (self.dims, self.resolution)
 
     def __repr__(self):
         return f"TorusGrid(dims={self.dims}, resolution={self.resolution})"
 
 
+_GRIDS: dict = {}
+
+
 def make_grid(dims: int, resolution: int) -> TorusGrid:
-    """Validated grid constructor."""
-    return TorusGrid(dims, resolution)
+    """The process's one validated grid for (dims, resolution), built on
+    first use."""
+    key = (dims, resolution)
+    if key not in _GRIDS:
+        _GRIDS[key] = TorusGrid(dims, resolution)
+    return _GRIDS[key]
 
 
 def _check_same_grid(a, b):
@@ -378,12 +411,17 @@ def product(f: SpectralScalar, g: SpectralScalar) -> SpectralScalar:
 
 
 def sobolev_norm(f, s: float) -> float:
-    """H^s norm (sum over components for vectors and pairs of vectors)."""
+    """H^s norm (sum over components for vectors and pairs of vectors).
+    The weight is computed once per call and shared by the components."""
+    return _weighted_norm(f, f.grid.weight * (1.0 + f.grid.k_sq) ** s)
+
+
+def _weighted_norm(f, weight: np.ndarray) -> float:
     if hasattr(f, "grad_q"):  # GradientPair-like
-        return float(np.hypot(sobolev_norm(f.grad_q, s), sobolev_norm(f.grad_psi, s)))
+        return float(np.hypot(_weighted_norm(f.grad_q, weight),
+                              _weighted_norm(f.grad_psi, weight)))
     if isinstance(f, SpectralVector):
-        return float(np.sqrt(sum(sobolev_norm(c, s) ** 2 for c in f.components)))
-    weight = f.grid.weight * (1.0 + f.grid.k_sq) ** s
+        return float(np.sqrt(sum(_weighted_norm(c, weight) ** 2 for c in f.components)))
     return float(np.sqrt(np.sum(weight * np.abs(f.coeffs) ** 2)))
 
 

@@ -9,7 +9,7 @@ from qnl.limit_solver import (LimitState, PhysParams, advective_dt, ns_rhs,
 from qnl.projections import leray_p
 from qnl.spectral import (constant_scalar, divergence, gradient, laplacian,
                           make_grid, scalar_from_function, sobolev_norm,
-                          vector_from_functions, zeros_vector)
+                          transform_forward, vector_from_functions, zeros_vector)
 
 from conftest import advect, smooth_vector, strain_dissipation
 
@@ -251,3 +251,37 @@ def test_strain_dissipation_shear_example(grid2d):
                        PhysParams(mu, 0.0, 0.0))
     assert sobolev_norm(strain_dissipation(v, mu) - expected, 0) < 1e-13
     assert sobolev_norm(dtheta - expected, 0) < 1e-13
+
+
+def abc_flow(grid, a=1.0, b=0.8, c=0.6):
+    """The ABC flow (Arnold 1965; Dombre et al. 1986): a Beltrami field,
+    curl v = v, so (v.grad)v = grad(|v|^2/2) and P removes it."""
+    return vector_from_functions(grid,
+                                 lambda x, y, z: a * np.sin(z) + c * np.cos(y),
+                                 lambda x, y, z: b * np.sin(x) + a * np.cos(z),
+                                 lambda x, y, z: c * np.sin(y) + b * np.cos(x))
+
+
+class TestABCFlow3D:
+    """3D oracles; the limit solve runs the open-mesh kd through leray_p."""
+
+    @pytest.mark.parametrize("params", [PhysParams(0.05, 0.0, 0.05), PhysParams(0, 0, 0)],
+                             ids=["ns", "euler"])
+    def test_limit_solve_decays_exactly(self, params):
+        grid = make_grid(3, 16)
+        v0 = abc_flow(grid)
+        t_end = 0.5
+        traj = run_limit(LimitState(v0, constant_scalar(grid, 1.0)), params, t_end,
+                         dt=0.05, snapshot_times=[0.0, t_end])
+        expected = np.exp(-params.mu * t_end) * v0
+        error = sobolev_norm(traj.at(t_end).v - expected, 3)
+        assert error <= 1e-12 * sobolev_norm(expected, 3)
+
+    def test_pressure_is_minus_half_the_kinetic_energy_density(self):
+        grid = make_grid(3, 16)
+        v = abc_flow(grid)
+        pi = recover_pressure(LimitState(v, constant_scalar(grid, 1.0)),
+                              PhysParams(0.05, 0.0, 0.05))
+        energy = -0.5 * sum(c.samples() ** 2 for c in v)
+        expected = transform_forward(grid, energy - energy.mean())
+        assert sobolev_norm(pi - expected, 0) <= 1e-14 * sobolev_norm(expected, 0)

@@ -1,5 +1,6 @@
 """Spectral core: transforms, derivatives, products, norms, snapshots."""
 
+import pickle
 import struct
 
 import numpy as np
@@ -8,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qnl.errors import InvalidResolutionError, NonZeroMeanError
-from qnl.spectral import (SpectralScalar, as_vector, constant_scalar, dealias,
+from qnl.oscillation import GradientPair
+from qnl.projections import gradient_potential, leray_p, leray_q
+from qnl.spectral import (SpectralScalar, TorusGrid, as_vector, constant_scalar, dealias,
                           derivative, divergence, gradient, inverse_laplacian,
                           l2_inner, laplacian, make_grid, product, read_snapshot,
                           scalar_from_function, sobolev_norm,
@@ -41,6 +44,32 @@ class TestGrid:
         assert set(grid.weight[..., 1:8].ravel()) == {2.0}
         with pytest.raises(ValueError, match="coefficient shape"):
             SpectralScalar(grid, np.zeros(grid.shape, dtype=complex))
+
+    def test_one_grid_per_shape(self):
+        assert make_grid(2, 16) is make_grid(2, 16)
+        assert make_grid(3, 16) is not make_grid(2, 16)
+
+    @pytest.mark.parametrize("dims", [2, 3])
+    def test_pickled_fields_carry_the_process_grid(self, rng, dims):
+        grid = make_grid(dims, 16)
+        assert len(pickle.dumps(grid)) < 200  # the make_grid call, no arrays
+        f = smooth_scalar(grid, rng)
+        back = pickle.loads(pickle.dumps((f, smooth_vector(grid, rng))))
+        assert back[0].grid is grid and np.array_equal(back[0].coeffs, f.coeffs)
+        assert back[1].grid is grid
+        assert all(c.grid is grid for c in back[1])
+
+    @pytest.mark.parametrize("dims", [2, 3])
+    def test_wavenumbers_are_open_meshes(self, dims):
+        grid = make_grid(dims, 16)
+        for a in range(dims):
+            shape = [1] * dims
+            shape[a] = grid.spectral_shape[a]
+            assert grid.k[a].shape == grid.kd[a].shape == tuple(shape)
+            assert grid.ik[a].shape == grid.spectral_shape
+        for symbol in (grid.k_sq, grid.inv_k_sq, grid.inv_kd_sq, grid.dealias_mask):
+            assert symbol.shape == grid.spectral_shape
+            assert not symbol.flags.writeable
 
     @pytest.mark.parametrize("res", [7, 9, 0, 2, 6, -8])
     def test_bad_resolution(self, res):
@@ -256,6 +285,17 @@ class TestSobolevNorm:
                                   lambda x, y: np.sin(x))
         assert abs(sobolev_norm(u, 0) - 1.0) < 1e-13
 
+    @pytest.mark.parametrize("s", [0.0, 1.5, 3.5])
+    def test_vector_and_pair_norms_are_their_component_norms_bitwise(self, grid3d,
+                                                                       rng, s):
+        # one weight per call, the per-component arithmetic unchanged
+        u, w = smooth_vector(grid3d, rng), smooth_vector(grid3d, rng)
+        per_component = float(np.sqrt(sum(sobolev_norm(c, s) ** 2 for c in u)))
+        assert sobolev_norm(u, s) == per_component
+        pair = GradientPair(u, w)
+        assert sobolev_norm(pair, s) == float(np.hypot(sobolev_norm(u, s),
+                                                       sobolev_norm(w, s)))
+
 
 def _full_spectrum(samples):
     """Full-spectrum coefficients of real samples, made exactly Hermitian."""
@@ -297,6 +337,69 @@ class TestHalfSpectrumSums:
         assert abs(got - np.mean(a * b)) < 1e-13
 
 
+class FullMeshGrid(TorusGrid):
+    """A grid whose wavenumbers k and kd are full meshgrids, every symbol
+    built from them as before the open meshes: the reference they must
+    reproduce bit for bit."""
+
+    def __init__(self, dims, n):
+        super().__init__(dims, n)
+        k1d = [np.fft.fftfreq(n, d=1.0 / n)] * (dims - 1) + [np.fft.rfftfreq(n, d=1.0 / n)]
+        self.k = np.meshgrid(*k1d, indexing="ij")
+        self.k_sq = sum(ki ** 2 for ki in self.k)
+        self.inv_k_sq = np.where(self.k_sq > 0,
+                                 1.0 / np.where(self.k_sq > 0, self.k_sq, 1.0), 0.0)
+        k1d_deriv = [np.where(np.abs(ki) == n // 2, 0.0, ki) for ki in k1d]
+        self.kd = np.meshgrid(*k1d_deriv, indexing="ij")
+        self.ik = [1j * ki for ki in self.kd]
+        kd_sq = sum(ki ** 2 for ki in self.kd)
+        self.inv_kd_sq = np.where(kd_sq > 0, 1.0 / np.where(kd_sq > 0, kd_sq, 1.0), 0.0)
+        mask = np.ones(self.spectral_shape, dtype=bool)
+        for ki in self.k:
+            mask &= np.abs(ki) <= n // 3
+        self.dealias_mask = mask
+        self.band_mask = mask[..., :self.band].astype(np.complex128)
+        self.weight = np.where((self.k[-1] == 0) | (self.k[-1] == n // 2), 1.0, 2.0)
+
+
+class TestOpenMeshSymbols:
+    """The open-mesh wavenumbers change no bit of any operator."""
+
+    @pytest.mark.parametrize("dims,res", [(2, 32), (3, 16)])
+    def test_operators_equal_the_full_mesh_reference(self, rng, dims, res):
+        grid, ref = make_grid(dims, res), FullMeshGrid(dims, res)
+        for name in ("k", "kd", "ik"):
+            for a in range(dims):
+                assert np.array_equal(np.broadcast_to(getattr(grid, name)[a],
+                                                      grid.spectral_shape),
+                                      getattr(ref, name)[a])
+        for name in ("k_sq", "inv_k_sq", "inv_kd_sq", "weight", "dealias_mask",
+                     "band_mask"):
+            assert np.array_equal(getattr(grid, name), getattr(ref, name)), name
+
+        u = smooth_vector(grid, rng)
+        u_ref = as_vector(ref, [c.coeffs for c in u])
+        f, f_ref = u[0], u_ref[0]
+
+        def same(x, y):
+            if isinstance(x, SpectralScalar):
+                return np.array_equal(x.coeffs, y.coeffs)
+            return all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(x, y))
+
+        for a in range(dims):
+            assert same(derivative(f, a), derivative(f_ref, a))
+        assert same(divergence(u), divergence(u_ref))
+        assert same(laplacian(f), laplacian(f_ref))
+        assert same(laplacian(u), laplacian(u_ref))
+        assert same(leray_p(u), leray_p(u_ref))
+        assert same(leray_q(u), leray_q(u_ref))
+        assert same(gradient_potential(u), gradient_potential(u_ref))
+        assert same(dealias(u), dealias(u_ref))
+        for s in (0.0, 1.0, 3.5):
+            assert sobolev_norm(f, s) == sobolev_norm(f_ref, s)
+            assert sobolev_norm(u, s) == sobolev_norm(u_ref, s)
+
+
 class TestHermitianSymmetry:
     def test_operations_keep_fields_real(self, grid2d, rng):
         f = smooth_scalar(grid2d, rng)
@@ -315,7 +418,7 @@ class TestSnapshots:
         path = tmp_path / "field.qnl"
         write_snapshot(path, f)
         back = read_snapshot(path)
-        assert back.grid == grid2d
+        assert back.grid is grid2d
         assert np.array_equal(back.coeffs, f.coeffs)
 
     def test_vector_round_trip(self, grid3d, rng, tmp_path):
@@ -323,8 +426,9 @@ class TestSnapshots:
         path = tmp_path / "vec.qnl"
         write_snapshot(path, u)
         back = read_snapshot(path)
-        assert back.grid == grid3d
+        assert back.grid is grid3d
         for a, b in zip(back, u):
+            assert a.grid is grid3d
             assert np.array_equal(a.coeffs, b.coeffs)
 
     @pytest.mark.parametrize("dims,res", [(2, 16), (3, 8)])

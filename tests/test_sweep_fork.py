@@ -6,11 +6,13 @@ A patch made here before the sweep is inherited by the child.  Every test
 ends with no child process left.
 """
 
+import gc
 import os
 import signal
 import subprocess
 import sys
 import time
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -30,7 +32,7 @@ from qnl.harness import (NSP_STEP_TRANSFORMS, STAGE_ONCE_TRANSFORMS,
 from qnl.limit_solver import advective_dt
 from qnl.nsp import nsp_dt, run_nsp
 from qnl.oscillation import GradientPair
-from qnl.spectral import gradient
+from qnl.spectral import TorusGrid, gradient, make_grid
 from qnl.stepping import Snapshots
 
 SMALL = dict(resolution=16, lambda_list=(0.1, 0.05, 0.025), t_end=0.05,
@@ -164,6 +166,47 @@ def test_stage_returns_the_limit_snapshots_without_the_nodes():
     assert type(limit) is Snapshots and not hasattr(limit, "v_nodes")
     np.testing.assert_array_equal(limit.times, config.resolved_snapshot_times())
     assert len(limit.states) == len(pair.states) == len(limit.times)
+
+
+def grids_by_shape():
+    gc.collect()
+    return Counter((o.dims, o.resolution) for o in gc.get_objects()
+                   if type(o) is TorusGrid)
+
+
+def test_the_parent_holds_one_grid_per_shape(tmp_path, monkeypatch, deadline):
+    # An ns3d-shaped sweep: the limit and pair snapshots the child pipes
+    # back unpickle onto the parent's own grid, so no second grid is built.
+    config = RunConfig(dims=3, resolution=12, s_norm=3.5, lambda_list=(0.1, 0.05, 0.025),
+                       t_end=0.01, snapshots=2, ic_random_amp=0.01, save_snapshots=True,
+                       output_dir=str(tmp_path / "out"))
+    grid = make_grid(3, 12)
+    received, counts = [], []
+
+    def measuring(traj, limit, pair, lam, s):
+        received.append((limit, pair))
+        return measure_errors(traj, limit, pair, lam, s)
+
+    def writing(*args):
+        counts.append(grids_by_shape())
+        return _write_outputs(*args)
+
+    monkeypatch.setattr(qnl.harness, "measure_errors", measuring)
+    monkeypatch.setattr(qnl.harness, "_write_outputs", writing)
+    run_sweep(config)
+    assert_no_child_left()
+
+    assert len(received) == 3
+    for limit, pair in received:
+        for state in limit.states:
+            assert state.v.grid is grid and state.theta.grid is grid
+            assert all(c.grid is grid for c in state.v)
+        for state in pair.states:
+            assert state.grid is grid and state.grad_psi.grid is grid
+            assert all(c.grid is grid for c in (*state.grad_q, *state.grad_psi))
+    assert counts[0][(3, 12)] == 1
+    assert set(counts[0].values()) == {1}
+    assert set(grids_by_shape().values()) == {1}
 
 
 def test_failed_child_stage_raises_after_one_parent_run(tmp_path, monkeypatch,

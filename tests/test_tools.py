@@ -1,0 +1,32 @@
+"""The command-line tools under tools/ run."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_sweep_memory_reports_every_phase(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"resolution = 8\nlambda_list = 0.1, 0.05\nt_end = 0.02\n"
+                      f"snapshots = 2\noutput_dir = {tmp_path / 'out'}\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "sweep_memory.py"),
+                           str(config)], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    phases = [line[:28].strip() for line in lines[1:]]
+    # the split gives the parent at least one lambda; the child's runs are not reported
+    assert phases[0] == "base_fields"
+    assert phases[-4:] == ["measure_errors 0.1", "measure_errors 0.05", "_write_outputs",
+                           "child peak (ru_maxrss)"]
+    assert "child result" in phases
+    assert any(phase.startswith("lambda run ") for phase in phases)
+    rss, hwm = (float(x) for x in lines[1].split()[1:])
+    assert 0 < rss <= hwm
+    assert float(lines[-1].split()[-1]) > 0
+    assert (tmp_path / "out" / "report.csv").exists()

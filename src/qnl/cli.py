@@ -30,12 +30,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_limit(args) -> int:
-    from .harness import base_fields, file_tag, solve_limit
+    from .harness import base_fields, file_tag, plan_sweep, solve_limit
     from .limit_solver import recover_pressure
     from .spectral import sobolev_norm, write_snapshot
 
     config = load_config(args.config)
-    traj, _ = solve_limit(config, base_fields(config))
+    base = base_fields(config)
+    traj = solve_limit(config, base, plan_sweep(config, base).stage_step)
     os.makedirs(config.output_dir, exist_ok=True)
     path = os.path.join(config.output_dir, "limit.csv")
     with open(path, "w", encoding="utf-8") as fh:

@@ -19,11 +19,11 @@ files.
 The lambda-independent stage (limit solve, then pair solve) shares nothing
 with the lambda runs until the measurement, so `run_sweep` forks one child
 (POSIX `os.fork`) that solves it and then runs a share of the lambda values
-while the parent runs the rest.  The share is fixed before the fork by
-longest-processing-time-first list scheduling (Graham 1969) on a cost in
-transforms: predicted steps (the solvers' own dt rules on the base fields;
-no initial data is generated) times the transforms of one step.  The child
-starts with the load of its stage.  On a short 64^2 sweep (four lambda) the
+while the parent runs the rest.  Before the fork, one `plan_sweep` fixes
+every solve's step and step count, checks them against the step budget and
+fixes the share by longest-processing-time-first list scheduling (Graham
+1969) on a cost in transforms: planned steps times the transforms of one
+step.  The child starts with the load of its stage.  On a short 64^2 sweep (four lambda) the
 stage takes 0.22 s and the NSP runs 0.10, 0.10, 0.10 and 0.18 s, so the
 child also runs lambda = 0.05; on a short 24^3 one (0.25 s against 0.08,
 0.08 and 0.15 s) it runs none.  The parent polls the pipe between its
@@ -42,7 +42,7 @@ sweep the parent's peak is set by its last lambda run
 exception in the child is re-raised in the parent; a child that ends
 without a result raises ChildLostError; the child is killed and reaped on
 every exit path, and leaves by itself if its parent is killed outright.
-`qnl limit` solves the limit in-process.
+`qnl limit` solves the limit in-process, with the plan's stage step.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ ERROR_CHANNELS = ("E_rho", "E_u", "E_theta", "E_phi")
 # The most steps one solve of a sweep may take; the stock sweeps take at
 # most 112, and lambda = 0.00625 takes 224.
 MAX_STEPS = 10_000
-# The limit and pair solves step at most this far (stage_dt).
+# The limit and pair solves step at most this far (plan_sweep).
 STAGE_DT_CAP = 0.005
 
 _STATUS_BY_ERROR = {
@@ -187,13 +187,6 @@ class RunConfig:
             raise InvalidConfigError(
                 f"s_norm = {self.s_norm} overflows the H^(s+1) weight (1 + |k|^2)^(s+1) "
                 f"at resolution {self.resolution}")
-        # The CFL step can only shorten the steps bounded here; run_sweep
-        # checks the steps it takes before it starts.
-        budgeted_steps("the limit and pair solves", times,
-                       STAGE_DT_CAP if self.limit_dt is None else self.limit_dt)
-        for lam in lams:
-            budgeted_steps(f"the NSP run at lambda = {lam!r}", times,
-                           nsp_dt(np.inf, lam, self.phase_resolution, self.dt_max))
 
     def resolved_snapshot_times(self) -> np.ndarray:
         if self.snapshot_times is None:
@@ -230,19 +223,6 @@ class RunConfig:
                 continue
             lines.append(f"{key} = {fmt(value)}")
         return lines
-
-
-def budgeted_steps(what: str, times, dt: float) -> int:
-    """The steps integrate takes through the time grid times with dt;
-    InvalidConfigError if that is more than MAX_STEPS."""
-    with np.errstate(over="ignore"):
-        least = (times[-1] - times[0]) / dt
-    steps = step_count(times, dt) if least <= MAX_STEPS else least
-    if steps > MAX_STEPS:
-        raise InvalidConfigError(
-            f"{what} would take {least:.3g} steps or more of dt = {dt:.3g}; "
-            f"the limit is {MAX_STEPS}")
-    return steps
 
 
 def _parse_bool(text: str) -> bool:
@@ -533,71 +513,6 @@ class ConvergenceReport:
         return "\n".join(lines) + "\n"
 
 
-def lambda_dts(config: RunConfig, base: BaseFields) -> dict:
-    """The step of the NSP run at each lambda of lambda_list: nsp_dt at the
-    CFL step of the initial velocity, which is the same at every lambda,
-    and at the viscous_dt of the smallest initial density,
-    1 - lambda max(lap phi0) (1 for well-prepared data)."""
-    cfl = advective_dt(initial_velocity(config.ic, base))
-    lap_max = 0.0 if config.ic == "well" else float(laplacian(base.phi0).samples().max())
-    return {lam: nsp_dt(cfl, lam, config.phase_resolution, config.dt_max,
-                        viscous_dt(config.nsp_params(lam), base.v0.grid, 1.0 - lam * lap_max))
-            for lam in map(float, config.lambda_list)}
-
-
-def _run_one_lambda(config: RunConfig, base: BaseFields, lam: float,
-                    snapshot_times):
-    """The NSP run at one lambda of lambda_list with its lambda_dts step, and
-    "ok"; or None and its failure status.  run_nsp owns the initial data,
-    whose velocity and potential its first step replaces."""
-    try:
-        dt = lambda_dts(config, base)[lam]
-        traj = run_nsp(gen_initial_data(config.ic, lam, base), config.nsp_params(lam),
-                       lam, config.t_end, dt, snapshot_times)
-        return traj, "ok"
-    except QnlError as exc:
-        return None, _STATUS_BY_ERROR.get(type(exc), f"error:{type(exc).__name__}")
-
-
-def stage_dt(config: RunConfig, base: BaseFields) -> float:
-    """The step of the limit and pair solves: limit_dt, or else the limit
-    CFL step of v0 capped at STAGE_DT_CAP."""
-    if config.limit_dt is not None:
-        return config.limit_dt
-    return min(advective_dt(base.v0), STAGE_DT_CAP)
-
-
-def solve_limit(config: RunConfig, base: BaseFields):
-    """The limit solve from the base fields over the snapshot grid, and its
-    step (stage_dt); InvalidConfigError if it is over the step budget."""
-    dt = stage_dt(config, base)
-    times = config.resolved_snapshot_times()
-    budgeted_steps("the limit solve", time_grid(times, config.t_end), dt)
-    traj = run_limit(LimitState(base.v0.copy(), base.theta0.copy()),
-                     config.limit_params(), config.t_end, dt=dt, snapshot_times=times)
-    return traj, dt
-
-
-def _lambda_independent_stage(config: RunConfig, base: BaseFields):
-    """Limit solve, then pair solve on its interpolated velocity; returns
-    the limit snapshots, without the nodes, and the pair trajectory."""
-    limit_traj, limit_dt = solve_limit(config, base)
-    pair0 = GradientPair(base.qu0.copy(), gradient(base.phi0))
-    pair_traj = solve_osc(pair0, limit_traj, config.limit_params(), config.t_end,
-                          dt=limit_dt, snapshot_times=config.resolved_snapshot_times(),
-                          norm_s=config.s_norm)
-    return Snapshots(limit_traj.times, limit_traj.states), pair_traj
-
-
-def _child_share(config: RunConfig, base: BaseFields, lams):
-    """The forked child's part of a sweep: the lambda-independent stage,
-    then the NSP runs at lams; returns (limit, pair, {lam: (traj, status)})."""
-    limit, pair_traj = _lambda_independent_stage(config, base)
-    snapshot_times = config.resolved_snapshot_times()
-    return limit, pair_traj, {lam: _run_one_lambda(config, base, lam, snapshot_times)
-                              for lam in lams}
-
-
 # Transforms per step, by dims (NS and Euler parameters alike); a masked
 # transform's 1-D passes count as one.  An NSP step makes 4 RHS evaluations
 # of 23 + 3 (3D: 33 + 4) transforms: the electric residue reuses the RHS's
@@ -613,16 +528,60 @@ STAGE_STEP_TRANSFORMS = {2: 4 * 11 + 1 + 4 * 22 - 2 * 6, 3: 4 * 19 + 1 + 4 * 42 
 STAGE_ONCE_TRANSFORMS = {2: 1 + 1 + 11 + 6, 3: 1 + 1 + 19 + 12}
 
 
-def predicted_steps(config: RunConfig, base: BaseFields):
-    """Steps of the limit solve (the pair solve takes as many) and of the
-    NSP run at each lambda of lambda_list, by the solvers' own dt rules
-    (lambda_dts; no initial data is generated).  InvalidConfigError if a
-    solve is over the step budget, so a sweep fails before it forks."""
+@dataclass(frozen=True)
+class SweepPlan:
+    """A sweep's steps, fixed before the fork: the step and step count of the
+    limit and pair solves, the same of the NSP run at each lambda (dicts in
+    lambda_list order), and the lambda values the forked child runs."""
+
+    stage_step: float
+    stage_count: int
+    lam_step: dict
+    lam_count: dict
+    child_lams: tuple
+
+    @property
+    def parent_lams(self) -> tuple:
+        return tuple(lam for lam in self.lam_step if lam not in self.child_lams)
+
+
+def budgeted_steps(what: str, times, dt: float) -> int:
+    """The steps integrate takes through the time grid times with dt;
+    InvalidConfigError if that is more than MAX_STEPS."""
+    with np.errstate(over="ignore"):
+        least = (times[-1] - times[0]) / dt
+    steps = step_count(times, dt) if least <= MAX_STEPS else least
+    if steps > MAX_STEPS:
+        raise InvalidConfigError(
+            f"{what} would take {least:.3g} steps or more of dt = {dt:.3g}; "
+            f"the limit is {MAX_STEPS}")
+    return steps
+
+
+def plan_sweep(config: RunConfig, base: BaseFields) -> SweepPlan:
+    """A sweep's plan by the solvers' own dt rules on the base fields (no
+    initial data is generated).  The stage steps by limit_dt, or else by the
+    limit CFL step of v0 capped at STAGE_DT_CAP; each NSP run by nsp_dt at
+    the CFL step of the initial velocity, the same at every lambda, and at
+    the viscous_dt of its least initial density, 1 - lambda max(lap phi0).
+    InvalidConfigError if a solve is over the step budget.  The child's
+    share: LPT over the runs' transforms, the child loaded with its stage's."""
     times = time_grid(config.resolved_snapshot_times(), config.t_end)
-    nsp_steps = [budgeted_steps(f"the NSP run at lambda = {lam!r}", times, dt)
-                 for lam, dt in lambda_dts(config, base).items()]
-    return (budgeted_steps("the limit and pair solves", times, stage_dt(config, base)),
-            nsp_steps)
+    stage_step = (min(advective_dt(base.v0), STAGE_DT_CAP) if config.limit_dt is None
+                  else config.limit_dt)
+    stage_count = budgeted_steps("the limit and pair solves", times, stage_step)
+    cfl = advective_dt(initial_velocity(config.ic, base))
+    lap_max = 0.0 if config.ic == "well" else float(laplacian(base.phi0).samples().max())
+    lam_step = {lam: nsp_dt(cfl, lam, config.phase_resolution, config.dt_max,
+                            viscous_dt(config.nsp_params(lam), base.v0.grid, 1.0 - lam * lap_max))
+                for lam in map(float, config.lambda_list)}
+    lam_count = {lam: budgeted_steps(f"the NSP run at lambda = {lam!r}", times, dt)
+                 for lam, dt in lam_step.items()}
+    machine_of = lpt_assign(
+        [NSP_STEP_TRANSFORMS[config.dims] * steps for steps in lam_count.values()],
+        [0, STAGE_ONCE_TRANSFORMS[config.dims] + STAGE_STEP_TRANSFORMS[config.dims] * stage_count])
+    return SweepPlan(stage_step, stage_count, lam_step, lam_count,
+                     tuple(lam for lam, m in zip(lam_step, machine_of) if m == 1))
 
 
 def lpt_assign(costs, loads) -> list:
@@ -639,17 +598,48 @@ def lpt_assign(costs, loads) -> list:
     return machine_of
 
 
-def split_lambdas(config: RunConfig, base: BaseFields):
-    """(parent's, child's) lambda values, in lambda_list order: LPT over the
-    predicted transform costs, the child starting with the load of the
-    lambda-independent stage.  The parent keeps at least one lambda."""
-    stage_steps, nsp_steps = predicted_steps(config, base)
-    costs = [NSP_STEP_TRANSFORMS[config.dims] * steps for steps in nsp_steps]
-    stage = STAGE_ONCE_TRANSFORMS[config.dims] + STAGE_STEP_TRANSFORMS[config.dims] * stage_steps
-    machine_of = lpt_assign(costs, [0, stage])
-    lams = [float(lam) for lam in config.lambda_list]
-    return ([lam for lam, m in zip(lams, machine_of) if m == 0],
-            [lam for lam, m in zip(lams, machine_of) if m == 1])
+def _run_one_lambda(config: RunConfig, base: BaseFields, lam: float, dt: float,
+                    snapshot_times):
+    """The NSP run at one lambda of lambda_list with step dt, and "ok"; or
+    None and its failure status.  run_nsp owns the initial data, whose
+    velocity and potential its first step replaces."""
+    try:
+        traj = run_nsp(gen_initial_data(config.ic, lam, base), config.nsp_params(lam),
+                       lam, config.t_end, dt, snapshot_times)
+        return traj, "ok"
+    except QnlError as exc:
+        return None, _STATUS_BY_ERROR.get(type(exc), f"error:{type(exc).__name__}")
+
+
+def solve_limit(config: RunConfig, base: BaseFields, dt: float):
+    """The limit solve from the base fields over the snapshot grid with
+    step dt (the plan's stage_step)."""
+    return run_limit(LimitState(base.v0.copy(), base.theta0.copy()),
+                     config.limit_params(), config.t_end, dt=dt,
+                     snapshot_times=config.resolved_snapshot_times())
+
+
+def _lambda_independent_stage(config: RunConfig, base: BaseFields, dt: float):
+    """Limit solve, then pair solve on its interpolated velocity, both with
+    step dt; returns the limit snapshots, without the nodes, and the pair
+    trajectory."""
+    limit_traj = solve_limit(config, base, dt)
+    pair0 = GradientPair(base.qu0.copy(), gradient(base.phi0))
+    pair_traj = solve_osc(pair0, limit_traj, config.limit_params(), config.t_end,
+                          dt=dt, snapshot_times=config.resolved_snapshot_times(),
+                          norm_s=config.s_norm)
+    return Snapshots(limit_traj.times, limit_traj.states), pair_traj
+
+
+def _child_share(config: RunConfig, base: BaseFields, plan: SweepPlan):
+    """The forked child's part of a sweep: the lambda-independent stage,
+    then the NSP runs at plan.child_lams; returns (limit, pair, {lam:
+    (traj, status)})."""
+    limit, pair_traj = _lambda_independent_stage(config, base, plan.stage_step)
+    snapshot_times = config.resolved_snapshot_times()
+    return limit, pair_traj, {
+        lam: _run_one_lambda(config, base, lam, plan.lam_step[lam], snapshot_times)
+        for lam in plan.child_lams}
 
 
 def _send_and_exit(write_fd: int, fn, args):
@@ -750,11 +740,11 @@ def run_sweep(config: RunConfig) -> ConvergenceReport:
     config.validate()
     base = base_fields(config)
     snapshot_times = config.resolved_snapshot_times()
-    parent_lams, child_lams = split_lambdas(config, base)
+    plan = plan_sweep(config, base)
     runs = {}
-    with _Forked(_child_share, config, base, child_lams) as child:
-        for lam in parent_lams:
-            runs[lam] = _run_one_lambda(config, base, lam, snapshot_times)
+    with _Forked(_child_share, config, base, plan) as child:
+        for lam in plan.parent_lams:
+            runs[lam] = _run_one_lambda(config, base, lam, plan.lam_step[lam], snapshot_times)
             child.poll()  # a failed child raises now, not after the last run
         limit, pair_traj, child_runs = child.result()
     runs.update(child_runs)

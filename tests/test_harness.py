@@ -571,8 +571,9 @@ class TestCli:
         assert "s_norm" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    # each passed validate, and the sweep then ran without end; the last
-    # two are caught before the fork, where the CFL step is known
+    # each passed validate, and the sweep then ran without end; plan_sweep
+    # catches them all before the fork (and qnl limit before its solve),
+    # with the CFL step
     @pytest.mark.parametrize("command, keys", [
         ("run", {"phase_resolution": 1000000000}),
         ("run", {"dt_max": 1e-12}),

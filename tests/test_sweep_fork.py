@@ -23,16 +23,16 @@ import qnl.stepping
 from qnl.ansatz import solve_osc
 from qnl.cli import main as cli_main
 from qnl.errors import BlowUpError, ChildLostError, NonpositiveTemperatureError
-from qnl.harness import (NSP_STEP_TRANSFORMS, STAGE_ONCE_TRANSFORMS,
+from qnl.harness import (NSP_STEP_TRANSFORMS, STAGE_DT_CAP, STAGE_ONCE_TRANSFORMS,
                          STAGE_STEP_TRANSFORMS, ConvergenceReport, ReportRow, RunConfig,
                          _lambda_independent_stage, _run_one_lambda,
                          _write_outputs, base_fields, fit_all_rates,
                          gen_initial_data, lpt_assign, measure_errors,
-                         predicted_steps, run_sweep, solve_limit, split_lambdas)
+                         plan_sweep, run_sweep, solve_limit)
 from qnl.limit_solver import advective_dt
-from qnl.nsp import nsp_dt, run_nsp
+from qnl.nsp import nsp_dt, run_nsp, viscous_dt
 from qnl.oscillation import GradientPair
-from qnl.spectral import TorusGrid, gradient, make_grid
+from qnl.spectral import TorusGrid, gradient, laplacian, make_grid
 from qnl.stepping import Snapshots
 
 SMALL = dict(resolution=16, lambda_list=(0.1, 0.05, 0.025), t_end=0.05,
@@ -59,7 +59,7 @@ def assert_no_child_left():
 
 def test_child_exception_is_reraised_with_type_and_message(
         tmp_path, monkeypatch, capsys, deadline):
-    def failing_solve_limit(config, base):
+    def failing_solve_limit(config, base, dt):
         raise NonpositiveTemperatureError("limit temperature lost positivity at t = 0.0125")
 
     monkeypatch.setattr(qnl.harness, "solve_limit", failing_solve_limit)
@@ -79,7 +79,7 @@ def test_child_exception_is_reraised_with_type_and_message(
 
 
 def test_killed_child_raises_child_lost_error(tmp_path, monkeypatch, deadline):
-    def killed_solve_limit(config, base):
+    def killed_solve_limit(config, base, dt):
         os.kill(os.getpid(), signal.SIGKILL)  # runs in the child
 
     monkeypatch.setattr(qnl.harness, "solve_limit", killed_solve_limit)
@@ -95,7 +95,7 @@ def test_parent_failure_kills_and_reaps_the_child(tmp_path, monkeypatch, deadlin
                                                   error):
     # The child would outlive the test by far if the parent did not kill it.
     monkeypatch.setattr(qnl.harness, "solve_limit",
-                        lambda config, base: time.sleep(600))
+                        lambda config, base, dt: time.sleep(600))
 
     def failing_run_nsp(*args, **kwargs):
         raise error("NSP run failed")
@@ -109,17 +109,23 @@ def test_parent_failure_kills_and_reaps_the_child(tmp_path, monkeypatch, deadlin
 
 def serial_sweep(config: RunConfig, run_nsp=run_nsp):
     """The sweep's stages composed in one process, outputs written; a run
-    that raises BlowUpError becomes a blow_up row."""
+    that raises BlowUpError becomes a blow_up row.  Each step is composed
+    here from the solvers' bounds, not taken from plan_sweep."""
     base = base_fields(config)
     times = config.resolved_snapshot_times()
-    limit, limit_dt = solve_limit(config, base)
+    limit_dt = (min(advective_dt(base.v0), STAGE_DT_CAP) if config.limit_dt is None
+                else config.limit_dt)
+    limit = solve_limit(config, base, limit_dt)
     pair = solve_osc(GradientPair(base.qu0.copy(), gradient(base.phi0)), limit,
                      config.limit_params(), config.t_end, dt=limit_dt,
                      snapshot_times=times, norm_s=config.s_norm)
+    lap_max = laplacian(base.phi0).samples().max()
     rows, trajectories = [], []
     for lam in config.lambda_list:
         initial = gen_initial_data(config.ic, lam, base)
-        dt = nsp_dt(advective_dt(initial.u), lam, config.phase_resolution, config.dt_max)
+        viscous = viscous_dt(config.nsp_params(lam), base.v0.grid, 1.0 - lam * lap_max)
+        dt = nsp_dt(advective_dt(initial.u), lam, config.phase_resolution, config.dt_max,
+                    viscous)
         try:
             traj = run_nsp(initial, config.nsp_params(lam), lam, config.t_end, dt, times)
         except BlowUpError:
@@ -135,11 +141,13 @@ def serial_sweep(config: RunConfig, run_nsp=run_nsp):
 @pytest.mark.parametrize("keys", [
     dict(dims=2, resolution=16, t_end=0.1, snapshots=3),
     dict(dims=3, resolution=16, s_norm=3.5, t_end=0.02, snapshots=2),
-], ids=["2d", "3d"])
+    # the viscous bound sets every NSP step: 0.0051 where dt_max gives 0.01
+    dict(dims=2, resolution=16, mu=4.0, t_end=0.05, snapshots=3),
+], ids=["2d", "3d", "2d-viscous"])
 def test_sweep_outputs_equal_the_serial_stages_byte_for_byte(tmp_path, keys):
     config = RunConfig(lambda_list=(0.1, 0.05, 0.025), ic_random_amp=0.01,
                        save_snapshots=True, output_dir=str(tmp_path / "sweep"), **keys)
-    run_sweep(config)
+    assert run_sweep(config).all_ok
     assert_no_child_left()
     serial_sweep(replace(config, output_dir=str(tmp_path / "serial")))
 
@@ -162,7 +170,8 @@ def test_stage_returns_the_limit_snapshots_without_the_nodes():
     # The stage's result is piped to the parent; the Hermite nodes of the
     # limit solve must not go with it.
     config = RunConfig(**SMALL)
-    limit, pair = _lambda_independent_stage(config, base_fields(config))
+    base = base_fields(config)
+    limit, pair = _lambda_independent_stage(config, base, plan_sweep(config, base).stage_step)
     assert type(limit) is Snapshots and not hasattr(limit, "v_nodes")
     np.testing.assert_array_equal(limit.times, config.resolved_snapshot_times())
     assert len(limit.states) == len(pair.states) == len(limit.times)
@@ -214,9 +223,9 @@ def test_failed_child_stage_raises_after_one_parent_run(tmp_path, monkeypatch,
     # The parent polls the pipe between its lambda runs; it used to wait for
     # all of them before reading the child's failure.
     config = RunConfig(output_dir=str(tmp_path / "out"), **SMALL)
-    assert len(split_lambdas(config, base_fields(config))[0]) >= 2
+    assert len(plan_sweep(config, base_fields(config)).parent_lams) >= 2
 
-    def failing_solve_limit(config, base):
+    def failing_solve_limit(config, base, dt):
         raise NonpositiveTemperatureError("limit temperature lost positivity")
 
     calls = []
@@ -268,9 +277,9 @@ STOCK_3D = dict(dims=3, resolution=24, s_norm=3.5, lambda_list=(0.1, 0.05, 0.025
 ], ids=["64sq-short", "64sq-euler", "64sq-stock", "24cube"])
 def test_split_of_the_benchmark_shaped_sweeps(keys, child):
     config = RunConfig(**keys)
-    parent_lams, child_lams = split_lambdas(config, base_fields(config))
-    assert child_lams == child
-    assert sorted(parent_lams + child_lams, reverse=True) == list(config.lambda_list)
+    plan = plan_sweep(config, base_fields(config))
+    assert list(plan.child_lams) == child
+    assert sorted(plan.parent_lams + plan.child_lams, reverse=True) == list(config.lambda_list)
 
 
 @pytest.mark.parametrize("keys", [
@@ -281,8 +290,26 @@ def test_split_of_the_benchmark_shaped_sweeps(keys, child):
 ])
 def test_parent_keeps_at_least_one_lambda(keys):
     config = RunConfig(**keys)
-    parent_lams, _ = split_lambdas(config, base_fields(config))
-    assert parent_lams
+    plan = plan_sweep(config, base_fields(config))
+    assert len(plan.child_lams) < len(config.lambda_list)
+
+
+def test_the_parent_samples_the_cfl_steps_once_per_sweep(tmp_path, monkeypatch, deadline):
+    # plan_sweep takes the CFL steps of v0 and of the NSP initial velocity
+    # once, before the fork; every lambda run used to take its own, and the
+    # split took both again.  The child's calls land in its own copy of calls.
+    calls = []
+
+    def counted(u):
+        calls.append(1)
+        return advective_dt(u)
+
+    monkeypatch.setattr(qnl.harness, "advective_dt", counted)
+    config = RunConfig(resolution=16, lambda_list=FOUR_LAMBDAS, t_end=0.0625, snapshots=2,
+                       output_dir=str(tmp_path / "out"))
+    assert run_sweep(config).all_ok
+    assert_no_child_left()
+    assert len(calls) == 2
 
 
 @pytest.fixture
@@ -311,13 +338,13 @@ CFL_BOUND = dict(resolution=16, lambda_list=(2.0, 1.0), phase_resolution=4,
 def test_predicted_steps_equal_the_steps_taken(keys, step_counter):
     config = RunConfig(**keys)
     base = base_fields(config)
-    stage_steps, nsp_steps = predicted_steps(config, base)
-    _lambda_independent_stage(config, base)
-    assert len(step_counter) == 2 * stage_steps  # limit, then pair
+    plan = plan_sweep(config, base)
+    _lambda_independent_stage(config, base, plan.stage_step)
+    assert len(step_counter) == 2 * plan.stage_count  # limit, then pair
     times = config.resolved_snapshot_times()
-    for lam, steps in zip(config.lambda_list, nsp_steps):
+    for lam, steps in plan.lam_count.items():
         step_counter.clear()
-        assert _run_one_lambda(config, base, lam, times)[1] == "ok"
+        assert _run_one_lambda(config, base, lam, plan.lam_step[lam], times)[1] == "ok"
         assert len(step_counter) == steps, lam
 
 
@@ -346,7 +373,7 @@ def test_cost_weights_are_the_transforms_of_one_step(count_transforms, dims,
 
     def stage(steps):
         return count_transforms(lambda: _lambda_independent_stage(
-            replace(config, t_end=steps * dt, limit_dt=dt), base))
+            replace(config, t_end=steps * dt), base, dt))
 
     assert nsp(2) - nsp(1) == nsp(3) - nsp(2) == NSP_STEP_TRANSFORMS[dims]
     assert stage(2) - stage(1) == stage(3) - stage(2) == STAGE_STEP_TRANSFORMS[dims]
@@ -360,7 +387,7 @@ def test_stage_once_weight_is_the_transforms_of_a_one_step_stage(
                        euler_mode=euler_mode)
     base, dt = base_fields(config), 1e-3
     one_step = count_transforms(lambda: _lambda_independent_stage(
-        replace(config, t_end=dt, limit_dt=dt), base))
+        replace(config, t_end=dt), base, dt))
     assert one_step == STAGE_ONCE_TRANSFORMS[dims] + STAGE_STEP_TRANSFORMS[dims]
 
 
@@ -368,13 +395,13 @@ def test_predicted_steps_follow_the_viscous_bound(step_counter):
     # mu = 0.4 at 64^2: the viscous bound, not dt_max, sets every NSP step
     config = RunConfig(mu=0.4, t_end=0.125, snapshots=5)
     base = base_fields(config)
-    _, nsp_steps = predicted_steps(config, base)
-    unbounded = predicted_steps(replace(config, mu=0.05), base)[1]
+    plan = plan_sweep(config, base)
+    unbounded = plan_sweep(replace(config, mu=0.05), base).lam_count
     times = config.resolved_snapshot_times()
-    for lam, steps, fewer in zip(config.lambda_list, nsp_steps, unbounded, strict=True):
-        assert steps > fewer
+    for lam, steps in plan.lam_count.items():
+        assert steps > unbounded[lam]
         step_counter.clear()
-        assert _run_one_lambda(config, base, lam, times)[1] == "ok"
+        assert _run_one_lambda(config, base, lam, plan.lam_step[lam], times)[1] == "ok"
         assert len(step_counter) == steps, lam
 
 
@@ -442,7 +469,7 @@ CHILD_CASES = [
 def child_config(tmp_path, keys):
     config = RunConfig(lambda_list=FOUR_LAMBDAS, ic_random_amp=0.01,
                        save_snapshots=True, output_dir=str(tmp_path / "sweep"), **keys)
-    _, child_lams = split_lambdas(config, base_fields(config))
+    child_lams = plan_sweep(config, base_fields(config)).child_lams
     assert child_lams
     return config, child_lams
 
@@ -511,11 +538,11 @@ def open_descriptors():
                              else "/dev/fd"))
 
 
-def raise_nonpositive_temperature(config, base):
+def raise_nonpositive_temperature(config, base, dt):
     raise NonpositiveTemperatureError("limit temperature lost positivity")
 
 
-def kill_self(config, base):
+def kill_self(config, base, dt):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
@@ -523,7 +550,7 @@ def kill_self(config, base):
 # sweep raises.
 SWEEP_ENDINGS = {
     "ok": ({}, None),
-    "parent_error": ({"solve_limit": lambda config, base: time.sleep(600),
+    "parent_error": ({"solve_limit": lambda config, base, dt: time.sleep(600),
                       "run_nsp": failing_at(SMALL["lambda_list"], RuntimeError)},
                      RuntimeError),
     "child_error": ({"solve_limit": raise_nonpositive_temperature},

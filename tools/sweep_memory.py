@@ -55,7 +55,7 @@ def install(harness) -> None:
 
     harness.base_fields = after(harness.base_fields, lambda config: "base_fields")
     harness._run_one_lambda = after(harness._run_one_lambda,
-                                    lambda config, base, lam, times: f"lambda run {lam:g}")
+                                    lambda config, base, lam, dt, times: f"lambda run {lam:g}")
     harness.measure_errors = after(harness.measure_errors,
                                    lambda traj, limit, pair, lam, s: f"measure_errors {lam:g}")
     harness._write_outputs = after(harness._write_outputs,

@@ -1,8 +1,15 @@
-"""Command-line entry points: `qnl run`, `qnl limit`, `qnl check`."""
+"""Command-line entry points: `qnl run`, `qnl limit`, `qnl check`.
+
+`main` owns its process: before the subcommand runs it turns SIGTERM into
+`SystemExit`, and it sets glibc's allocator to keep freed heap pages
+(`keep_freed_heap`).  Code that calls `run_sweep` as a library keeps its
+own signal handlers and allocator policy.
+"""
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
 import signal
 import sys
@@ -64,6 +71,21 @@ def _cmd_check(args) -> int:
     return 0 if failures == 0 else 1
 
 
+def keep_freed_heap() -> None:
+    """Fix glibc's mmap threshold at 32 MiB and its trim threshold at 64 MiB,
+    the ceilings its dynamic thresholds move toward (mallopt(3)).  At 24^3
+    every coefficient and sample array sits just under the 128 KiB defaults,
+    so each RHS's frees shrank the heap and the next RHS faulted the same
+    pages back in.  Both are set: setting either ends the dynamic
+    adjustment.  Does nothing where libc has no `mallopt`."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def _exit_on_signal(signum, frame):
     raise SystemExit(128 + signum)
 
@@ -89,6 +111,7 @@ def main(argv=None) -> int:
     p_check.set_defaults(func=_cmd_check)
 
     args = parser.parse_args(argv)
+    keep_freed_heap()
     # SIGTERM unwinds like Ctrl-C, so a sweep kills and reaps its child.
     previous = signal.signal(signal.SIGTERM, _exit_on_signal)
     try:

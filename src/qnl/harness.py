@@ -42,6 +42,8 @@ sweep the parent's peak is set by its last lambda run
 exception in the child is re-raised in the parent; a child that ends
 without a result raises ChildLostError; the child is killed and reaped on
 every exit path, and leaves by itself if its parent is killed outright.
+Under `qnl run` the child inherits the allocator policy that `cli.main`
+sets (`cli.keep_freed_heap`), as it inherits the CLI's SIGTERM handler.
 `qnl limit` solves the limit in-process, with the plan's stage step.
 """
 

@@ -133,6 +133,18 @@ class TorusGrid:
         for array in (*self.k, *self.kd, *self.ik, self.k_sq, self.inv_k_sq,
                       self.inv_kd_sq, self.dealias_mask, self.band_mask, self.weight):
             array.flags.writeable = False
+        self._sobolev_weights = {}
+
+    def sobolev_weight(self, s: float) -> np.ndarray:
+        """`weight * (1 + |k|^2)^s`, the H^s norm's weight on the half
+        spectrum.  Built on the first call for each s and held, read-only:
+        a sweep uses four exponents (0, 1, s_norm and s_norm + 1)."""
+        weight = self._sobolev_weights.get(s)
+        if weight is None:
+            weight = self.weight * (1.0 + self.k_sq) ** s
+            weight.flags.writeable = False
+            self._sobolev_weights[s] = weight
+        return weight
 
     def collocation_points(self):
         """Physical-space coordinate arrays, shape-matched to the fields."""
@@ -411,9 +423,9 @@ def product(f: SpectralScalar, g: SpectralScalar) -> SpectralScalar:
 
 
 def sobolev_norm(f, s: float) -> float:
-    """H^s norm (sum over components for vectors and pairs of vectors).
-    The weight is computed once per call and shared by the components."""
-    return _weighted_norm(f, f.grid.weight * (1.0 + f.grid.k_sq) ** s)
+    """H^s norm (sum over components for vectors and pairs of vectors),
+    with the grid's held weight for s."""
+    return _weighted_norm(f, f.grid.sobolev_weight(s))
 
 
 def _weighted_norm(f, weight: np.ndarray) -> float:

@@ -260,6 +260,36 @@ def test_three_dimensional_step_smoke(grid3d, rng):
     assert out.poisson_residual(lam) < 1e-12
 
 
+def test_three_dimensional_conservation_and_constraint():
+    # acceptance criterion 6 in 3D at 12^3.  a/b: mass drift and Poisson
+    # residual over a nonlinear run
+    grid = make_grid(3, 12)
+    lam = 0.05
+    initial = gen_initial_data("ill", lam, default_base_fields(grid, "ill"))
+    traj = run_nsp(initial, PhysParams(0.05, 0.0, 0.05), lam, 0.1,
+                   default_nsp_dt(initial.u, lam), np.linspace(0, 0.1, 3))
+    masses = [state.mass() for state in traj.states]
+    assert max(abs(m - masses[0]) for m in masses) <= 1e-10 * abs(masses[0])
+    assert max(state.poisson_residual(lam) for state in traj.states) <= 1e-10
+
+    # c: the linearized (chi, phi) rotation returns after one period 2 pi
+    # lambda, with modes along all three axes.  rho's slot is stepped
+    # explicitly, so the return error falls as (dt/lambda)^4: u came back
+    # to 1.1e-8 at 128 steps a period, 7.2e-9 at 144 and 1.9e-9 at 256.
+    lam, eps = 1e-5, 1e-6
+    rho = constant_scalar(grid, 1.0) + (eps * lam) * scalar_from_function(
+        grid, lambda x, y, z: np.sin(x) + np.cos(y + z))
+    u = eps * gradient(scalar_from_function(
+        grid, lambda x, y, z: 0.7 * np.cos(x) + 0.3 * np.sin(y - z)))
+    state = NSPState(rho, u, constant_scalar(grid, 1.0), poisson_solve(rho, lam))
+    period = 2 * np.pi * lam
+    end = run_nsp(state, PhysParams(0, 0, 0), lam, period,
+                  nsp_dt(advective_dt(u), lam, 144, 0.01), [0.0, period]).at(period)
+    assert sobolev_norm(end.u - u, 0) <= 1e-8 * sobolev_norm(u, 0)
+    assert sobolev_norm(gradient(end.phi) - gradient(state.phi), 0) \
+        <= 1e-8 * sobolev_norm(gradient(state.phi), 0)
+
+
 @pytest.mark.parametrize("dims, resolution, arrays", [(2, 16, 6), (3, 8, 7)],
                          ids=["2d", "3d"])
 def test_state_carries_the_gradient_slots_as_potentials(dims, resolution, arrays):

@@ -297,6 +297,24 @@ class TestSobolevNorm:
                                                        sobolev_norm(w, s)))
 
 
+    @pytest.mark.parametrize("dims,res", [(2, 32), (3, 16)])
+    def test_held_weights_give_the_direct_formula_bitwise(self, rng, dims, res):
+        # the four exponents of a sweep with s_norm = 3.5: 0, 1, s, s + 1
+        grid = make_grid(dims, res)
+        f, u = smooth_scalar(grid, rng), smooth_vector(grid, rng)
+        for s in (0, 1, 3.5, 4.5):
+            direct = grid.weight * (1.0 + grid.k_sq) ** s
+
+            def norm(c):
+                return float(np.sqrt(np.sum(direct * np.abs(c.coeffs) ** 2)))
+
+            assert sobolev_norm(f, s) == norm(f)
+            assert sobolev_norm(u, s) == float(np.sqrt(sum(norm(c) ** 2 for c in u)))
+            held = grid.sobolev_weight(s)
+            assert np.array_equal(held, direct)
+            assert grid.sobolev_weight(s) is held
+            assert not held.flags.writeable
+
 def _full_spectrum(samples):
     """Full-spectrum coefficients of real samples, made exactly Hermitian."""
     full = np.fft.fftn(samples) / samples.size

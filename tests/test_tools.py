@@ -26,7 +26,13 @@ def test_sweep_memory_reports_every_phase(tmp_path):
                            "child peak (ru_maxrss)"]
     assert "child result" in phases
     assert any(phase.startswith("lambda run ") for phase in phases)
-    rss, hwm = (float(x) for x in lines[1].split()[1:])
+    assert lines[0].split()[-1] == "minflt"
+    rss, hwm = (float(x) for x in lines[1].split()[1:3])
     assert 0 < rss <= hwm
-    assert float(lines[-1].split()[-1]) > 0
+    # the parent's faults so far never fall from one phase to the next
+    faults = [int(line.split()[-1]) for line in lines[1:-1]]
+    assert 0 < faults[0] and faults == sorted(faults)
+    child_peak, child_faults = lines[-1].split()[-2:]
+    assert float(child_peak) > 0
+    assert int(child_faults) > 0
     assert (tmp_path / "out" / "report.csv").exists()

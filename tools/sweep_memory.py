@@ -4,14 +4,17 @@
     PYTHONPATH=src python3 tools/sweep_memory.py CONFIG
 
 Runs `harness.run_sweep` on the configuration file CONFIG in this process,
-with `harness` functions wrapped from outside; qnl itself is not changed.
+under the allocator policy `qnl run` sets (`cli.keep_freed_heap`), with
+`harness` functions wrapped from outside; qnl itself is not changed.
 After `base_fields`, after each of the parent's lambda runs, once the forked
 child's result has been read, after each `measure_errors` and after
 `_write_outputs`, it prints the parent's VmRSS and VmHWM (the peak so far)
-from /proc/self/status.  At the end it prints the peak resident set of the
-forked child, the `ru_maxrss` of RUSAGE_CHILDREN.  The sweep writes its
-outputs to the configuration's `output_dir`, as `qnl run` does.  Linux
-only: the numbers come from /proc and from ru_maxrss in KiB.
+from /proc/self/status and its minor page faults since the sweep began
+(`ru_minflt`).  At
+the end it prints the peak resident set and the minor faults of the forked
+child, the `ru_maxrss` and `ru_minflt` of RUSAGE_CHILDREN.  The sweep
+writes its outputs to the configuration's `output_dir`, as `qnl run` does.
+Linux only: the numbers come from /proc and from ru_maxrss in KiB.
 """
 
 from __future__ import annotations
@@ -21,6 +24,9 @@ import functools
 import os
 import resource
 import sys
+
+# The parent's ru_minflt when the sweep begins; main sets it.
+faults_before = 0
 
 
 def memory_mib() -> tuple:
@@ -36,7 +42,8 @@ def memory_mib() -> tuple:
 
 def report(phase: str) -> None:
     rss, hwm = memory_mib()
-    print(f"{phase:<28} {rss:>10.2f} {hwm:>10.2f}", flush=True)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults_before
+    print(f"{phase:<28} {rss:>10.2f} {hwm:>10.2f} {faults:>10d}", flush=True)
 
 
 def install(harness) -> None:
@@ -77,18 +84,24 @@ def install(harness) -> None:
 
 
 def main(argv=None) -> int:
+    global faults_before
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("config", help="a `qnl run` configuration file")
     args = parser.parse_args(argv)
 
     from qnl import harness
+    from qnl.cli import keep_freed_heap
 
+    keep_freed_heap()
     install(harness)
     config = harness.load_config(args.config)
-    print(f"{'phase (parent)':<28} {'VmRSS MiB':>10} {'VmHWM MiB':>10}", flush=True)
+    print(f"{'phase (parent)':<28} {'VmRSS MiB':>10} {'VmHWM MiB':>10} {'minflt':>10}",
+          flush=True)
+    faults_before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     harness.run_sweep(config)
-    child_peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
-    print(f"{'child peak (ru_maxrss)':<28} {'':>10} {child_peak:>10.2f}")
+    child = resource.getrusage(resource.RUSAGE_CHILDREN)
+    print(f"{'child peak (ru_maxrss)':<28} {'':>10} {child.ru_maxrss / 1024.0:>10.2f} "
+          f"{child.ru_minflt:>10d}")
     return 0
 
 

@@ -10,11 +10,11 @@ After `base_fields`, after each of the parent's lambda runs, once the forked
 child's result has been read, after each `measure_errors` and after
 `_write_outputs`, it prints the parent's VmRSS and VmHWM (the peak so far)
 from /proc/self/status and its minor page faults since the sweep began
-(`ru_minflt`).  At
-the end it prints the peak resident set and the minor faults of the forked
-child, the `ru_maxrss` and `ru_minflt` of RUSAGE_CHILDREN.  The sweep
-writes its outputs to the configuration's `output_dir`, as `qnl run` does.
-Linux only: the numbers come from /proc and from ru_maxrss in KiB.
+(`ru_minflt`).  At the end it prints the peak resident set and the minor
+faults of the forked child, the `ru_maxrss` and `ru_minflt` of
+RUSAGE_CHILDREN.  The sweep writes its outputs to the configuration's
+`output_dir`, as `qnl run` does.  Linux only: the numbers come from /proc
+and from ru_maxrss in KiB.
 """
 
 from __future__ import annotations

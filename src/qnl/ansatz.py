@@ -6,9 +6,17 @@ driven by the limit velocity,
     d/dt g = -(1/2) Q((v.grad)g + (g.grad)v + v div g)
              + (mu + nu/2) grad(div g),
 
-one copy per slot, with initial data (Q u0, grad phi0).  The physical
-oscillation at Debye length lambda is the pair rotated by t/lambda, and the
-oscillating density is rho_osc = -lap(phi_osc).
+one copy per slot, with initial data (Q u0, grad phi0).  Both slots and
+both tendencies are gradients, so the pair solve steps their potentials
+(q, psi), two coefficient arrays where the vector slots took 2 dims: one
+slot's tendency samples grad(q) and the dims (dims + 1)/2 entries
+d_a d_b q, a <= b, of its symmetric Hessian, which is the Jacobian of g,
+and forward-transforms the transport vector, whose potential it keeps
+(`projections.gradient_potential`).  With the samples of v and its
+gradient, shared by the two slots, a pair RHS makes 20 transforms in 2D
+and 36 in 3D (22 and 42 with vector slots).  The physical oscillation at
+Debye length lambda is the pair rotated by t/lambda, and the oscillating
+density is rho_osc = -lap(phi_osc).
 
 `corrector_state` is the closed-form Duhamel solution, at fast time tau,
 of the forced rotation d(u_cor)/dtau = -gphi_cor + k4, d(gphi_cor)/dtau =
@@ -27,48 +35,64 @@ from math import cos, sin
 
 from .errors import BlowUpError
 from .limit_solver import LimitTrajectory, PhysParams
-from .oscillation import GradientPair, rotate_slots
-from .projections import leray_q
-from .spectral import (SpectralScalar, SpectralVector, as_vector, divergence,
-                       gradient, physical_gradient, sobolev_norm, stack,
+from .oscillation import GradientPair, check_gradient, rotate_slots
+from .projections import gradient_potential
+from .spectral import (SpectralScalar, SpectralVector, divergence, gradient,
+                       physical_derivative, physical_gradient, sobolev_norm,
                        to_physical, vector_from_samples)
 from .stepping import (BLOWUP_FACTOR, Snapshots, all_finite, diffusion,
                        integrate, time_grid)
 
 
-def _transport(g: SpectralVector, vs, grad_v) -> SpectralVector:
-    """Q((v.grad)g + (g.grad)v + v div g) from the samples vs[a] of v_a and
-    grad_v[a][b] of d_a v_b; g is sampled here, once per field."""
-    grid = g.grid
+def _transport_potential(q: SpectralScalar, vs, grad_v) -> SpectralScalar:
+    """The potential of Q((v.grad)g + (g.grad)v + v div g) for g = grad(q),
+    from the samples vs[a] of v_a and grad_v[a][b] of d_a v_b.  q is sampled
+    here: grad(q), and d_a d_b q once per pair a <= b."""
+    grid = q.grid
     dims = grid.dims
-    gs = [to_physical(grid, c.coeffs) for c in g]
-    grad_g = physical_gradient(g)
-    div_g = sum(grad_g[a][a] for a in range(dims))
-    return leray_q(vector_from_samples(grid, [
-        sum(vs[a] * grad_g[a][b] + gs[a] * grad_v[a][b] for a in range(dims))
+    gs = [physical_derivative(grid, q.coeffs, a) for a in range(dims)]
+    hess = [[None] * dims for _ in range(dims)]
+    for b in range(dims):
+        g_b = grid.ik[b] * q.coeffs
+        for a in range(b + 1):
+            hess[a][b] = hess[b][a] = physical_derivative(grid, g_b, a)
+    div_g = sum(hess[a][a] for a in range(dims))
+    return gradient_potential(vector_from_samples(grid, [
+        sum(vs[a] * hess[a][b] + gs[a] * grad_v[a][b] for a in range(dims))
         + vs[b] * div_g for b in range(dims)]))
 
 
 def velocity_samples(v: SpectralVector):
     """The dealiased samples (vs, grad_v) of v and its gradient that
-    osc_rhs reads."""
+    osc_potential_rhs reads."""
     return [to_physical(v.grid, c.coeffs) for c in v], physical_gradient(v)
+
+
+def osc_potential_rhs(q: SpectralScalar, psi: SpectralScalar, v_now: SpectralVector,
+                      params: PhysParams, samples=None):
+    """Full tendency of the filtered pair system by potentials: the scalars
+    whose gradients are the tendencies of grad(q) and grad(psi).  v is
+    sampled once for both slots, or samples are its velocity_samples if the
+    caller has them."""
+    coeff = params.mu + 0.5 * params.nu
+    vs, grad_v = velocity_samples(v_now) if samples is None else samples
+
+    def one(p):
+        out = -0.5 * _transport_potential(p, vs, grad_v)
+        if coeff != 0.0:
+            out = out + coeff * divergence(gradient(p))
+        return out
+
+    return one(q), one(psi)
 
 
 def osc_rhs(pair: GradientPair, v_now: SpectralVector,
             params: PhysParams, samples=None) -> GradientPair:
-    """Full tendency of the filtered pair system; v is sampled once for
-    both slots, or samples are its velocity_samples if the caller has them."""
-    coeff = params.mu + 0.5 * params.nu
-    vs, grad_v = velocity_samples(v_now) if samples is None else samples
-
-    def one(g):
-        out = -0.5 * _transport(g, vs, grad_v)
-        if coeff != 0.0:
-            out = out + coeff * gradient(divergence(g))
-        return out
-
-    return GradientPair(one(pair.grad_q), one(pair.grad_psi))
+    """Full tendency of the filtered pair system, by osc_potential_rhs on
+    the potentials of the slots (a curl part of a slot is not seen)."""
+    dq, dpsi = osc_potential_rhs(gradient_potential(pair.grad_q),
+                                 gradient_potential(pair.grad_psi), v_now, params, samples)
+    return GradientPair(gradient(dq), gradient(dpsi))
 
 
 @dataclass(eq=False)
@@ -86,18 +110,22 @@ def solve_osc(pair0: GradientPair, limit: LimitTrajectory, params: PhysParams,
     interpolated in time from the limit solve (limit.v_at); the pairs at the
     snapshot times and the H^norm_s growth factor.
 
-    The velocity and its samples are kept for the last two stage times: a
-    step's two midpoint stages share one, and its last stage shares its
-    time with the next step's first whenever the two sums of floats agree.
+    The state is the potentials (q, psi) of the slots, so pair0 must be a
+    gradient pair (NotGradientError otherwise: a curl part would be
+    dropped); each snapshot is their gradients.  The velocity and its
+    samples are kept for the last two stage times: a step's two midpoint
+    stages share one, and its last stage shares its time with the next
+    step's first whenever the two sums of floats agree.
     """
+    check_gradient(pair0.grad_q)
+    check_gradient(pair0.grad_psi)
     grid = pair0.grid
-    n = grid.dims
     coeff = params.mu + 0.5 * params.nu
     times = time_grid(snapshot_times, t_end)
     recent = {}  # stage time -> (v, its velocity_samples)
 
     def pair_of(y) -> GradientPair:
-        return GradientPair(as_vector(grid, y[:n]), as_vector(grid, y[n:]))
+        return GradientPair(*(gradient(SpectralScalar(grid, p)) for p in y))
 
     def velocity(t):
         if t not in recent:
@@ -109,9 +137,9 @@ def solve_osc(pair0: GradientPair, limit: LimitTrajectory, params: PhysParams,
 
     def explicit(y, t):
         v, samples = velocity(t)
-        tend = osc_rhs(pair_of(y), v, params, samples)
-        return tuple(c + coeff * grid.k_sq * yi
-                     for c, yi in zip(stack(tend.grad_q, tend.grad_psi), y))
+        tend = osc_potential_rhs(SpectralScalar(grid, y[0]), SpectralScalar(grid, y[1]),
+                                 v, params, samples)
+        return tuple(d.coeffs + coeff * grid.k_sq * p for d, p in zip(tend, y))
 
     norm0 = max(sobolev_norm(pair0, norm_s), 1e-300)
     guard = BLOWUP_FACTOR * max(norm0, 1e-8)
@@ -126,8 +154,8 @@ def solve_osc(pair0: GradientPair, limit: LimitTrajectory, params: PhysParams,
         growth = max(growth, norm / norm0)
         return y, None
 
-    y0 = stack(pair0.grad_q.copy(), pair0.grad_psi.copy())
-    propagate = diffusion(grid.k_sq, (coeff,) * (2 * n))
+    y0 = (gradient_potential(pair0.grad_q).coeffs, gradient_potential(pair0.grad_psi).coeffs)
+    propagate = diffusion(grid.k_sq, (coeff, coeff))
     pairs = list(map(pair_of, integrate(y0, times, dt, explicit, propagate, settle)))
     return PairTrajectory(times, pairs, growth)
 
@@ -138,18 +166,23 @@ class OscillationFields:
 
     u_osc: SpectralVector
     grad_phi_osc: SpectralVector
-    rho_osc: SpectralScalar
+
+    @property
+    def rho_osc(self) -> SpectralScalar:
+        """-lap(phi_osc), formed on each access: measure_errors never reads it."""
+        return -divergence(self.grad_phi_osc)
 
 
 def build_oscillation(t: float, lam: float, pair: GradientPair) -> OscillationFields:
-    """Rotate the pair to physical variables and derive rho_osc = -lap(phi_osc).
+    """Rotate the pair to physical variables; rho_osc = -lap(phi_osc) is
+    formed when it is read.
 
     The pair is not re-validated: the pair solve keeps it a gradient pair, and
     two curl checks per snapshot dominated measure_errors."""
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
     u_osc, grad_phi_osc = rotate_slots(t / lam, pair.grad_q, pair.grad_psi)
-    return OscillationFields(u_osc, grad_phi_osc, -divergence(grad_phi_osc))
+    return OscillationFields(u_osc, grad_phi_osc)
 
 
 @dataclass(eq=False)

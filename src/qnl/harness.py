@@ -24,9 +24,10 @@ every solve's step and step count, checks them against the step budget and
 fixes the share by longest-processing-time-first list scheduling (Graham
 1969) on a cost in transforms: planned steps times the transforms of one
 step.  The child starts with the load of its stage.  On a short 64^2 sweep (four lambda) the
-stage takes 0.22 s and the NSP runs 0.10, 0.10, 0.10 and 0.18 s, so the
-child also runs lambda = 0.05; on a short 24^3 one (0.25 s against 0.08,
-0.08 and 0.15 s) it runs none.  The parent polls the pipe between its
+stage takes 0.15 s and the NSP runs 0.08, 0.08, 0.08 and 0.14 s, so the
+child also runs lambda = 0.05; so it does on a short 24^3 one (0.16 s
+against 0.06, 0.06 and 0.12 s), since the pair solve steps potentials
+(it ran none while the stage took 0.25 s).  The parent polls the pipe between its
 runs, so a failed child raises at once.  The child neither measures nor
 writes, so a failed sweep leaves no output directory: it pipes back,
 pickled, the limit snapshots, the pair trajectory and its lambda runs,
@@ -37,8 +38,9 @@ shape.  The limit solve's Hermite nodes live and die in the child, which
 keeps the parent's peak RSS down (44.4 -> 41.1 MiB on the 64^2 sweep,
 59.7 -> 53.5 MiB on the 24^3 one, when the stage was first forked); a
 process pool over lambda would raise the peak instead.  On a short 24^3
-sweep the parent's peak is set by its last lambda run
-(tools/sweep_memory.py prints the parent's memory phase by phase).  An
+sweep the parent's peak comes after its two lambda runs, while it
+measures and writes (tools/sweep_memory.py prints the parent's memory
+phase by phase).  An
 exception in the child is re-raised in the parent; a child that ends
 without a result raises ChildLostError; the child is killed and reaped on
 every exit path, and leaves by itself if its parent is killed outright.
@@ -520,13 +522,13 @@ class ConvergenceReport:
 # of 23 + 3 (3D: 33 + 4) transforms: the electric residue reuses the RHS's
 # samples of u and adds the samples of lap(phi) and one forward transform
 # per component.  Its settle samples theta once.  A limit step makes 4 of
-# 11 (19) plus that sample, a pair step 4 of 22 (42) less the samples of v
+# 11 (19) plus that sample, a pair step 4 of 20 (36) less the samples of v
 # and its gradient, 6 (12), at the two stage times it shares with another
 # stage.  Once per stage, the limit solve checks and settles its initial
 # state (a sample of theta, then 1 + 11 (19)) and the pair solve samples v
 # at t = 0.  tests/test_sweep_fork.py pins these to counted transforms.
 NSP_STEP_TRANSFORMS = {2: 4 * (23 + 3) + 1, 3: 4 * (33 + 4) + 1}
-STAGE_STEP_TRANSFORMS = {2: 4 * 11 + 1 + 4 * 22 - 2 * 6, 3: 4 * 19 + 1 + 4 * 42 - 2 * 12}
+STAGE_STEP_TRANSFORMS = {2: 4 * 11 + 1 + 4 * 20 - 2 * 6, 3: 4 * 19 + 1 + 4 * 36 - 2 * 12}
 STAGE_ONCE_TRANSFORMS = {2: 1 + 1 + 11 + 6, 3: 1 + 1 + 19 + 12}
 
 

@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 
 from qnl.ansatz import (CorrectorForcings, build_oscillation, corrector_state,
-                        osc_rhs, solve_osc)
-from qnl.errors import BlowUpError, NonZeroMeanError
+                        osc_rhs, solve_osc, velocity_samples)
+from qnl.errors import BlowUpError, NonZeroMeanError, NotGradientError
 from qnl.limit_solver import LimitState, PhysParams, run_limit
 from qnl.nsp import NSPState
 from qnl.oscillation import GradientPair
 from qnl.projections import leray_p, leray_q
-from qnl.spectral import (constant_scalar, divergence, gradient,
-                          inverse_laplacian, laplacian,
-                          scalar_from_function, sobolev_norm,
-                          vector_from_functions, zeros_scalar, zeros_vector)
+from qnl.spectral import (as_vector, constant_scalar, divergence, gradient,
+                          inverse_laplacian, laplacian, make_grid,
+                          physical_gradient, scalar_from_function,
+                          sobolev_norm, stack, to_physical,
+                          vector_from_functions, vector_from_samples,
+                          zeros_scalar, zeros_vector)
+from qnl.stepping import diffusion, integrate, time_grid
 
 from conftest import smooth_scalar, smooth_vector
 
@@ -97,12 +100,88 @@ class TestSolveOsc:
                 assert sobolev_norm(leray_q(g) - g, 0) <= 1e-10 * max(1.0, sobolev_norm(g, 0))
             assert sobolev_norm(pair, 2.0) <= traj.growth_factor * sobolev_norm(pair0, 2.0) + 1e-12
 
+    def test_non_gradient_pair_is_rejected(self, grid2d, rng):
+        # the solve steps the slots' potentials, which would drop a curl part
+        good = gradient_pair(grid2d, rng)
+        curl = leray_p(smooth_vector(grid2d, rng))
+        for pair0 in (GradientPair(good.grad_q + curl, good.grad_psi),
+                      GradientPair(good.grad_q, good.grad_psi + curl)):
+            with pytest.raises(NotGradientError):
+                solve_osc(pair0, still_limit(grid2d, 0.2, 0.1), PhysParams(0.05, 0, 0),
+                          0.2, dt=0.1)
+
     def test_non_finite_pair_raises_blow_up(self, grid2d, rng):
         pair0 = gradient_pair(grid2d, rng)
         pair0.grad_q[0].coeffs[2, 1] = np.nan
         with pytest.raises(BlowUpError):
             solve_osc(pair0, still_limit(grid2d, 0.2, 0.1), PhysParams(0.05, 0, 0),
                       0.2, dt=0.1, snapshot_times=[0.0, 0.2])
+
+
+def vector_transport(g, vs, grad_v):
+    """Q((v.grad)g + (g.grad)v + v div g), g sampled with its full Jacobian:
+    the pair solve's transport when it stepped the slots as vectors."""
+    grid = g.grid
+    dims = grid.dims
+    gs = [to_physical(grid, c.coeffs) for c in g]
+    grad_g = physical_gradient(g)
+    div_g = sum(grad_g[a][a] for a in range(dims))
+    return leray_q(vector_from_samples(grid, [
+        sum(vs[a] * grad_g[a][b] + gs[a] * grad_v[a][b] for a in range(dims))
+        + vs[b] * div_g for b in range(dims)]))
+
+
+def vector_solve_osc(pair0, limit, params, t_end, dt, snapshot_times):
+    """The pair system stepped on its 2 dims vector components, the
+    formulation the potential solve replaced; the pairs at the snapshot
+    times."""
+    grid = pair0.grid
+    n = grid.dims
+    coeff = params.mu + 0.5 * params.nu
+
+    def explicit(y, t):
+        vs, grad_v = velocity_samples(limit.v_at(t))
+        out = []
+        for g in (as_vector(grid, y[:n]), as_vector(grid, y[n:])):
+            tend = -0.5 * vector_transport(g, vs, grad_v) + coeff * gradient(divergence(g))
+            out += [c.coeffs + coeff * grid.k_sq * gi.coeffs for c, gi in zip(tend, g)]
+        return tuple(out)
+
+    states = integrate(stack(pair0.grad_q, pair0.grad_psi), time_grid(snapshot_times, t_end),
+                       dt, explicit, diffusion(grid.k_sq, (coeff,) * (2 * n)),
+                       lambda y, t: (y, None))
+    return [GradientPair(as_vector(grid, y[:n]), as_vector(grid, y[n:])) for y in states]
+
+
+def moving_pair_problem(dims, resolution):
+    """(pair0, limit, params, t_end, dt, times): a random gradient pair in
+    a random divergence-free flow with viscosity, bulk viscosity and heat
+    conduction."""
+    grid = make_grid(dims, resolution)
+    rng = np.random.default_rng(dims)
+    params = PhysParams(0.05, 0.02, 0.05)
+    times = [0.0, 0.03, 0.06]
+    limit = run_limit(LimitState(leray_p(smooth_vector(grid, rng)), constant_scalar(grid, 1.0)),
+                      params, 0.06, dt=0.01, snapshot_times=times)
+    return gradient_pair(grid, rng), limit, params, 0.06, 0.01, times
+
+
+@pytest.mark.parametrize("dims, resolution", [(2, 32), (3, 12)], ids=["32sq", "12cube"])
+def test_potential_solve_matches_the_vector_formulation(dims, resolution):
+    pair0, limit, params, t_end, dt, times = moving_pair_problem(dims, resolution)
+    got = solve_osc(pair0, limit, params, t_end, dt, snapshot_times=times)
+    expected = vector_solve_osc(pair0, limit, params, t_end, dt, times)
+    assert sobolev_norm(expected[-1] - pair0, 3.0) > 1e-3 * sobolev_norm(pair0, 3.0)
+    for pair, ref in zip(got.states, expected, strict=True):
+        assert sobolev_norm(pair - ref, 3.0) <= 1e-12 * sobolev_norm(ref, 3.0)
+
+
+def test_three_dimensional_pair_solve_keeps_both_slots_curl_free():
+    pair0, limit, params, t_end, dt, times = moving_pair_problem(3, 12)
+    traj = solve_osc(pair0, limit, params, t_end, dt, snapshot_times=times)
+    for pair in traj.states:
+        for g in (pair.grad_q, pair.grad_psi):
+            assert sobolev_norm(leray_q(g) - g, 0) <= 1e-12 * sobolev_norm(g, 0)
 
 
 class TestBuildOscillation:
@@ -277,9 +356,9 @@ def test_pair_solve_samples_v_once_per_distinct_stage_time(grid2d, monkeypatch):
     cached = solve_osc(pair0, limit, params, 0.125, dt=1 / 32)
     assert len(calls) == 1 + 2 * 4
 
-    rhs = qnl.ansatz.osc_rhs
-    monkeypatch.setattr(qnl.ansatz, "osc_rhs",
-                        lambda pair, v, params, samples=None: rhs(pair, v, params))
+    rhs = qnl.ansatz.osc_potential_rhs
+    monkeypatch.setattr(qnl.ansatz, "osc_potential_rhs",
+                        lambda q, psi, v, params, samples=None: rhs(q, psi, v, params))
     plain = solve_osc(pair0, limit, params, 0.125, dt=1 / 32)
     for got, expected in zip(cached.states, plain.states, strict=True):
         for a, b in zip(got.grad_q.components + got.grad_psi.components,

@@ -273,7 +273,7 @@ STOCK_3D = dict(dims=3, resolution=24, s_norm=3.5, lambda_list=(0.1, 0.05, 0.025
     (STOCK_2D, [0.05]),
     (dict(STOCK_2D, euler_mode=True), [0.05]),
     ({}, [0.05]),
-    (STOCK_3D, []),
+    (STOCK_3D, [0.05]),
 ], ids=["64sq-short", "64sq-euler", "64sq-stock", "24cube"])
 def test_split_of_the_benchmark_shaped_sweeps(keys, child):
     config = RunConfig(**keys)

@@ -22,17 +22,20 @@ def test_sweep_memory_reports_every_phase(tmp_path):
     phases = [line[:28].strip() for line in lines[1:]]
     # the split gives the parent at least one lambda; the child's runs are not reported
     assert phases[0] == "base_fields"
-    assert phases[-4:] == ["measure_errors 0.1", "measure_errors 0.05", "_write_outputs",
-                           "child peak (ru_maxrss)"]
+    assert phases[-5:] == ["measure_errors 0.1", "measure_errors 0.05", "_write_outputs",
+                           "child peak (ru_maxrss)", "child payload (bytes)"]
     assert "child result" in phases
     assert any(phase.startswith("lambda run ") for phase in phases)
     assert lines[0].split()[-1] == "minflt"
     rss, hwm = (float(x) for x in lines[1].split()[1:3])
     assert 0 < rss <= hwm
     # the parent's faults so far never fall from one phase to the next
-    faults = [int(line.split()[-1]) for line in lines[1:-1]]
+    faults = [int(line.split()[-1]) for line in lines[1:-2]]
     assert 0 < faults[0] and faults == sorted(faults)
-    child_peak, child_faults = lines[-1].split()[-2:]
+    child_peak, child_faults = lines[-2].split()[-2:]
     assert float(child_peak) > 0
     assert int(child_faults) > 0
+    # the message holds at least the limit and pair snapshots: at 2 times,
+    # 3 + 4 arrays of 8 * 5 complex coefficients (8^2)
+    assert int(lines[-1].split()[-1]) > 2 * 7 * 8 * 5 * 16
     assert (tmp_path / "out" / "report.csv").exists()

@@ -197,7 +197,7 @@ def test_osc_rhs_matches_product_composition(fields, kind):
 
 # dims -> ceilings for (nsp_rhs_nonstiff, ns_rhs, osc_rhs); the product()
 # composition above makes 56/27/60 in 2D and 92/54/126 in 3D.
-CEILINGS = {2: (25, 11, 22), 3: (36, 19, 42)}
+CEILINGS = {2: (25, 11, 20), 3: (36, 19, 36)}
 
 
 def test_transforms_per_rhs(fields, count_transforms):

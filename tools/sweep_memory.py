@@ -12,9 +12,12 @@ child's result has been read, after each `measure_errors` and after
 from /proc/self/status and its minor page faults since the sweep began
 (`ru_minflt`).  At the end it prints the peak resident set and the minor
 faults of the forked child, the `ru_maxrss` and `ru_minflt` of
-RUSAGE_CHILDREN.  The sweep writes its outputs to the configuration's
-`output_dir`, as `qnl run` does.  Linux only: the numbers come from /proc
-and from ru_maxrss in KiB.
+RUSAGE_CHILDREN, and last the size in bytes of the child's result as it
+crosses the pipe: the message pickled again as `harness._send_and_exit`
+pickles it, after the sweep, so that the copy raises no reported peak.
+The sweep writes its outputs to the configuration's `output_dir`, as
+`qnl run` does.  Linux only: the numbers come from /proc and from
+ru_maxrss in KiB.
 """
 
 from __future__ import annotations
@@ -22,11 +25,15 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import pickle
 import resource
 import sys
 
 # The parent's ru_minflt when the sweep begins; main sets it.
 faults_before = 0
+# The child's message as the parent read it; the wrapped _Forked.result
+# sets it, and main measures it once the sweep's memory is reported.
+child_message = None
 
 
 def memory_mib() -> tuple:
@@ -74,10 +81,12 @@ def install(harness) -> None:
 
     @functools.wraps(result)
     def child_result(self):
+        global child_message
         first = self._message is None
         value = result(self)
         if first:
             report("child result")
+            child_message = self._message
         return value
 
     harness._Forked.result = child_result
@@ -102,6 +111,8 @@ def main(argv=None) -> int:
     child = resource.getrusage(resource.RUSAGE_CHILDREN)
     print(f"{'child peak (ru_maxrss)':<28} {'':>10} {child.ru_maxrss / 1024.0:>10.2f} "
           f"{child.ru_minflt:>10d}")
+    payload = len(pickle.dumps(child_message, pickle.HIGHEST_PROTOCOL))
+    print(f"{'child payload (bytes)':<28} {payload:>10d}")
     return 0
 
 

@@ -23,13 +23,13 @@ while the parent runs the rest.  Before the fork, one `plan_sweep` fixes
 every solve's step and step count, checks them against the step budget and
 fixes the share by longest-processing-time-first list scheduling (Graham
 1969) on a cost in transforms: planned steps times the transforms of one
-step.  The child starts with the load of its stage.  On a short 64^2 sweep (four lambda) the
-stage takes 0.15 s and the NSP runs 0.08, 0.08, 0.08 and 0.14 s, so the
-child also runs lambda = 0.05; so it does on a short 24^3 one (0.16 s
-against 0.06, 0.06 and 0.12 s), since the pair solve steps potentials
-(it ran none while the stage took 0.25 s).  The parent polls the pipe between its
-runs, so a failed child raises at once.  The child neither measures nor
-writes, so a failed sweep leaves no output directory: it pipes back,
+step.  The child starts with the load of its stage.  On a short 64^2
+sweep (four lambda) the stage takes 0.15 s and the NSP runs 0.08, 0.08,
+0.08 and 0.14 s, so the child also runs lambda = 0.05, and so it does on a
+short 24^3 one (0.16 s against 0.06, 0.06 and 0.12 s).  The parent polls
+the pipe between its runs, so a failed child raises at once.  The child
+neither measures nor writes, so a failed sweep leaves no output
+directory: it pipes back,
 pickled, the limit snapshots, the pair trajectory and its lambda runs,
 and the parent measures and writes every output as a serial sweep would,
 byte for byte.  A grid pickles as its `make_grid` call, so those fields
@@ -40,9 +40,8 @@ keeps the parent's peak RSS down (44.4 -> 41.1 MiB on the 64^2 sweep,
 process pool over lambda would raise the peak instead.  On a short 24^3
 sweep the parent's peak comes after its two lambda runs, while it
 measures and writes (tools/sweep_memory.py prints the parent's memory
-phase by phase).  An
-exception in the child is re-raised in the parent; a child that ends
-without a result raises ChildLostError; the child is killed and reaped on
+phase by phase).  An exception in the child is re-raised in the parent;
+a child that ends without a result raises ChildLostError; the child is killed and reaped on
 every exit path, and leaves by itself if its parent is killed outright.
 Under `qnl run` the child inherits the allocator policy that `cli.main`
 sets (`cli.keep_freed_heap`), as it inherits the CLI's SIGTERM handler.

@@ -67,7 +67,7 @@ from .limit_solver import LimitState, PhysParams, advective_dt, run_limit
 from .nsp import NSPState, nsp_dt, poisson_solve, run_nsp, viscous_dt
 from .oscillation import GradientPair, check_gradient
 from .projections import leray_p
-from .spectral import (SpectralScalar, SpectralVector, constant_scalar,
+from .spectral import (SpectralScalar, SpectralVector, constant_scalar, derivative,
                        gradient, laplacian, make_grid, scalar_from_function,
                        sobolev_norm, transform_forward, vector_from_functions,
                        write_snapshot)
@@ -410,6 +410,13 @@ def state_norms(traj: Snapshots, s: float) -> list:
              sobolev_norm(state.theta, s)) for state in traj.states]
 
 
+def _componentwise_norm(components, s: float) -> float:
+    """sobolev_norm of the vector field whose components the iterable yields,
+    combined as sobolev_norm combines a vector's: each component is measured
+    and dropped before the next is formed."""
+    return float(np.sqrt(sum(sobolev_norm(c, s) ** 2 for c in components)))
+
+
 def measure_errors(nsp_traj: Snapshots, limit_traj, pair_traj,
                    lam: float, s: float) -> ReportRow:
     """One sweep row: sup-in-time Sobolev errors over the snapshot grid,
@@ -421,10 +428,15 @@ def measure_errors(nsp_traj: Snapshots, limit_traj, pair_traj,
     for t, state in zip(nsp_traj.times, nsp_traj.states):
         lim = limit_traj.at(t)
         osc = build_oscillation(t, lam, pair_traj.at(t))
-        errors.append((sobolev_norm(state.rho - one, s),
-                       sobolev_norm(state.u - lim.v - osc.u_osc, s),
-                       sobolev_norm(state.theta - lim.theta, s),
-                       sobolev_norm(gradient(state.phi) - osc.grad_phi_osc, s + 1.0)))
+        errors.append((
+            sobolev_norm(state.rho - one, s),
+            _componentwise_norm((u - v - w for u, v, w in zip(state.u, lim.v, osc.u_osc)), s),
+            sobolev_norm(state.theta - lim.theta, s),
+            _componentwise_norm((derivative(state.phi, a) - g
+                                 for a, g in enumerate(osc.grad_phi_osc)), s + 1.0)))
+        # The next snapshot's pair and rotation are built after this one's
+        # rotation is freed, not beside it.
+        del osc
     norms = state_norms(nsp_traj, s)
     if not (np.isfinite(errors).all() and np.isfinite(norms).all()):
         return ReportRow(lam, status="non_finite_measurement", hs_norms=norms)

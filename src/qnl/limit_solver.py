@@ -118,9 +118,9 @@ def recover_pressure(state: LimitState, params: PhysParams | None = None) -> Spe
     gradient are sampled once, as in ns_rhs."""
     grid, v = state.grid, state.v
     mu = params.mu if params is not None else 0.0
-    # The n-d transform, then the mask, not the pruned transform: the signed
-    # zeros this leaves past the band reach the Nyquist planes of Pi, which
-    # qnl limit's snapshot files keep bit for bit.
+    # The unmasked transform, then the mask, not the pruned transform: the
+    # signed zeros this leaves past the band reach the Nyquist planes of Pi,
+    # which qnl limit's snapshot files keep bit for bit.
     unprojected = as_vector(grid, [
         to_spectral(grid, a, masked=False) * grid.dealias_mask
         for a in _advection(grid, [to_physical(grid, c.coeffs) for c in v],

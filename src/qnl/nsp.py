@@ -93,13 +93,15 @@ def poisson_solve(rho: SpectralScalar, lam: float) -> SpectralScalar:
 
 
 def _inverse_density(rho: SpectralScalar) -> np.ndarray:
-    """Dealiased samples of 1/rho, formed from the unmasked samples of rho."""
+    """Dealiased samples of 1/rho, formed from the unmasked samples of rho.
+    The forward transform of 1/rho is masked: the masked inverse reads only
+    the band, and gives the samples of the unmasked transform bit for bit."""
     grid = rho.grid
     samples = rho.samples()
     if samples.min() <= RHO_FLOOR:
         raise DegenerateDensityError(
             f"density reached floor: min rho = {samples.min():.3e}")
-    return to_physical(grid, to_spectral(grid, 1.0 / samples, masked=False))
+    return to_physical(grid, to_spectral(grid, 1.0 / samples))
 
 
 def nsp_rhs_nonstiff(state: NSPState, params: PhysParams, lam: float, us=None):

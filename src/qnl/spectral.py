@@ -25,15 +25,21 @@ symbols they build (|k|^2, the masks, the weight, the derivative symbols
 
 Every transform is a real FFT behind two helpers: `to_physical` turns a
 coefficient array into real samples and `to_spectral` real samples into a
-coefficient array, each optionally 2/3-masked.  An unmasked transform is one
-numpy.fft.irfftn or rfftn.  A masked one is pruned (Markel 1971): the 2/3
-mask zeroes every last-axis column past `grid.band` = n/3 + 1, so it runs as
-a chain of 1-D passes over those columns only, in the axis order of
-irfftn/rfftn, and its samples and in-band coefficients are bitwise those of
-the masked n-d transform.  The inverse ends with numpy.fft.irfft, which
-zero-pads the band back to n/2 + 1; the forward starts with numpy.fft.rfft,
-sliced to the band, and writes +0 past it, where the n-d transform times the
-mask leaves signed zeros.  `physical_derivative` is `to_physical` of a
+coefficient array, each optionally 2/3-masked.  Both call numpy's pocketfft
+gufuncs (`numpy.fft._pocketfft_umath`) directly, one 1-D pass per axis in
+the axis order of irfftn/rfftn: the inverse runs `ifft` over the leading
+axes and ends with `irfft` along the last, the forward starts with
+`rfft_n_even` along the last (resolutions are even) and runs `fft` over the
+leading axes in reverse.  The forward passes scale by 1/n and the inverse
+ones by 1, which is numpy.fft's norm="forward", so a transform is bitwise
+numpy.fft.irfftn or rfftn without its Python wrapper.  An unmasked
+transform passes over all n/2 + 1 last-axis columns.  A masked one is
+pruned (Markel 1971): the 2/3 mask zeroes every last-axis column past
+`grid.band` = n/3 + 1, so its leading-axis passes run over those columns
+only, and its samples and in-band coefficients are bitwise those of the
+masked n-d transform.  The inverse's `irfft` zero-pads the band back to
+n/2 + 1; the forward writes +0 past the band, where the n-d transform times
+the mask leaves signed zeros.  `physical_derivative` is `to_physical` of a
 derivative.
 
 Nonlinear terms follow the transform method.  An RHS evaluation
@@ -53,6 +59,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 from .errors import InvalidResolutionError, NonZeroMeanError
 
@@ -128,6 +135,8 @@ class TorusGrid:
         # so multiplying by it needs no cast buffer.
         self.band = cutoff + 1
         self.band_mask = mask[..., :self.band].astype(np.complex128)
+        # The gufunc `axes` argument of a 1-D pass along each leading axis.
+        self.passes = tuple([(a,), (), (a,)] for a in self.axes[:-1])
         self.weight = np.full(self.spectral_shape, 2.0)
         self.weight[..., [0, n // 2]] = 1.0
         for array in (*self.k, *self.kd, *self.ik, self.k_sq, self.inv_k_sq,
@@ -276,15 +285,25 @@ class SpectralVector:
         return SpectralVector(self.grid, tuple(-c for c in self.components))
 
 
+def _passes(kernel, lines, fct, passes, out):
+    """lines after the 1-D kernel has run along each axis of passes in turn,
+    each scaled by fct: the first pass writes into out, the others in place."""
+    for axes in passes:
+        lines = kernel(lines, fct, axes=axes, out=out)
+        out = lines
+    return lines
+
+
 def to_physical(grid: TorusGrid, coeffs: np.ndarray, masked: bool = True) -> np.ndarray:
     """Real collocation samples of a coefficient array, one inverse
     transform; when masked the 2/3 mask is applied first."""
-    if not masked:
-        return np.fft.irfftn(coeffs, s=grid.shape, axes=grid.axes, norm="forward")
-    band = coeffs[..., :grid.band] * grid.band_mask
-    for axis in grid.axes[:-1]:
-        np.fft.ifft(band, axis=axis, norm="forward", out=band)
-    return np.fft.irfft(band, grid.resolution, axis=-1, norm="forward")
+    if masked:
+        lines = coeffs[..., :grid.band] * grid.band_mask
+        out = lines
+    else:
+        lines, out = coeffs, np.empty(grid.spectral_shape, dtype=np.complex128)
+    lines = _passes(_pocketfft.ifft, lines, 1, grid.passes, out)
+    return _pocketfft.irfft(lines, 1, out=np.empty(grid.shape))
 
 
 def physical_derivative(grid: TorusGrid, coeffs: np.ndarray, axis: int) -> np.ndarray:
@@ -295,17 +314,19 @@ def physical_derivative(grid: TorusGrid, coeffs: np.ndarray, axis: int) -> np.nd
 def to_spectral(grid: TorusGrid, samples: np.ndarray, masked: bool = True) -> np.ndarray:
     """Coefficient array of real collocation samples, one forward transform;
     when masked the result is 2/3-dealiased."""
+    fct = 1.0 / grid.resolution
+    coeffs = _pocketfft.rfft_n_even(
+        samples, fct, out=np.empty(grid.spectral_shape, dtype=np.complex128))
+    passes = grid.passes[::-1]
     if not masked:
-        return np.fft.rfftn(samples, axes=grid.axes, norm="forward")
-    # The first pass reads the band of the last-axis output, which is freed
-    # before the coefficient array is allocated.
-    band = np.fft.fft(np.fft.rfft(samples, axis=-1, norm="forward")[..., :grid.band],
-                      axis=-2, norm="forward")
-    for axis in reversed(grid.axes[:-2]):
-        np.fft.fft(band, axis=axis, norm="forward", out=band)
+        return _passes(_pocketfft.fft, coeffs, fct, passes, coeffs)
+    # The first leading-axis pass reads the band and writes it contiguous,
+    # then the band, masked, and +0 past it fill the coefficient array.
+    band = _passes(_pocketfft.fft, coeffs[..., :grid.band], fct, passes,
+                   np.empty(grid.band_mask.shape, dtype=np.complex128))
     band *= grid.band_mask
-    coeffs = np.zeros(grid.spectral_shape, dtype=np.complex128)
     coeffs[..., :grid.band] = band
+    coeffs[..., grid.band:] = 0.0
     return coeffs
 
 

@@ -141,9 +141,24 @@ class Snapshots:
 
 def diffusion(k_sq, rates):
     """propagate(y, delta) of exact diffusion: slot i times exp(-rates[i] *
-    k_sq * delta), one factor per distinct rate; a rate-0 slot passes."""
+    k_sq * delta), one factor per distinct rate; a rate-0 slot passes.
+
+    The factors of the last two deltas are held, read-only: a step flows
+    over h/2 and h only, and integrate keeps h through a snapshot interval,
+    so each factor is built once per interval instead of seven times a step.
+    """
+    distinct = {r for r in rates if r}
+    held = {}  # delta -> {rate: factor}, oldest delta first
+
     def propagate(y, delta):
-        factors = {r: np.exp(-r * k_sq * delta) for r in set(rates) if r}
+        factors = held.get(delta)
+        if factors is None:
+            factors = {r: np.exp(-r * k_sq * delta) for r in distinct}
+            for factor in factors.values():
+                factor.flags.writeable = False
+            if len(held) == 2:
+                del held[next(iter(held))]
+            held[delta] = factors
         return tuple(factors[r] * yi if r else yi for r, yi in zip(rates, y))
     return propagate
 

@@ -90,12 +90,11 @@ def test_child_trace_and_micro_modes_run(tmp_path):
     trace = json.loads((tmp_path / "trace.trace").read_text())
     metrics = bench_module("tracer").layer_metrics(trace, 0)
     assert metrics["nsp.steps"][0] > 0
-    # The tracer wraps only numpy's n-d entry points, and the masked
-    # transforms run as 1-D passes (spectral.py), so it sees the unmasked
-    # ones alone: in each of a step's 4 RHS evaluations the samples of rho
-    # and the forward transform of 1/rho.  Every transform of the step is
-    # 105, pinned by test_cost_weights_are_the_transforms_of_one_step.
-    assert metrics["nsp.fft_per_step"][0] == 8
+    # The tracer wraps only numpy.fft's n-d entry points, and spectral.py
+    # calls numpy's pocketfft gufuncs directly, masked or not, so it sees no
+    # transform.  Every transform of the step is 105, pinned by
+    # test_cost_weights_are_the_transforms_of_one_step.
+    assert metrics["nsp.fft_per_step"][0] == 0
 
 
 def test_bench_pairs_verdicts():

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,12 +27,12 @@ from qnl.limit_solver import LimitState, PhysParams, run_limit
 from qnl.nsp import NSPState, poisson_solve
 from qnl.oscillation import GradientPair
 from qnl.ansatz import build_oscillation
-from qnl.spectral import (constant_scalar, divergence, gradient, laplacian,
+from qnl.spectral import (constant_scalar, divergence, gradient, laplacian, make_grid,
                           read_snapshot, scalar_from_function, sobolev_norm,
                           vector_from_functions)
 from qnl.stepping import Snapshots
 
-from conftest import advect, smooth_vector
+from conftest import advect, smooth_scalar, smooth_vector
 
 
 class TestConfig:
@@ -283,6 +284,43 @@ class TestMeasureErrors:
         assert row.e_u < 1e-12
         assert row.e_theta < 1e-13
         assert row.e_phi < 1e-12
+
+    @pytest.mark.parametrize("dims, resolution", [(2, 16), (3, 12)])
+    def test_rows_are_bitwise_the_whole_vector_formula(self, rng, dims, resolution):
+        # The u and phi channels are formed component by component; their
+        # values must be those of the whole-vector differences, bit for bit.
+        # Every field fills the spectrum, and each draw is measured alone,
+        # so a change in the order of the arithmetic shows in some row.
+        grid = make_grid(dims, resolution)
+        t, lam, s = np.array([0.03]), 0.05, 3.0
+        for _ in range(8):
+            lim = LimitState(smooth_vector(grid, rng), smooth_scalar(grid, rng))
+            pair = GradientPair(gradient(smooth_scalar(grid, rng)),
+                                gradient(smooth_scalar(grid, rng)))
+            state = NSPState(smooth_scalar(grid, rng), smooth_vector(grid, rng),
+                             smooth_scalar(grid, rng), smooth_scalar(grid, rng))
+            osc = build_oscillation(t[0], lam, pair)
+            row = measure_errors(Snapshots(t, [state]), Snapshots(t, [lim]),
+                                 Snapshots(t, [pair]), lam, s)
+            assert row.e_u == sobolev_norm(state.u - lim.v - osc.u_osc, s)
+            assert row.e_phi == sobolev_norm(gradient(state.phi) - osc.grad_phi_osc, s + 1.0)
+
+    def test_one_snapshot_of_fields_at_a_time(self):
+        # Traced peak of a warm call at 12^3, in coefficient arrays: 15.3
+        # with whole-vector differences and the previous snapshot's rotation
+        # alive while the next was built, 10.3 with neither.
+        grid = make_grid(3, 12)
+        lam = 0.05
+        limit, pair, synthetic = _aligned_trajectories(grid, lam, np.linspace(0.0, 0.1, 4))
+        measure_errors(synthetic, limit, pair, lam, 3.0)  # build the held weights
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            measure_errors(synthetic, limit, pair, lam, 3.0)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak / (16 * np.prod(grid.spectral_shape)) < 12.0
 
     def test_theta_perturbation_measured_exactly(self, grid2d):
         times = np.linspace(0.0, 0.1, 3)

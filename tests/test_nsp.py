@@ -14,7 +14,8 @@ from qnl.nsp import (VISCOUS_SAFETY, VISCOUS_Z, NSPState, nsp_dt, nsp_rhs_nonsti
 from qnl.projections import leray_p, leray_q
 from qnl.spectral import (SpectralScalar, constant_scalar, gradient,
                           laplacian, make_grid, scalar_from_function,
-                          sobolev_norm, transform_forward, zeros_vector)
+                          sobolev_norm, to_physical, to_spectral,
+                          transform_forward, zeros_vector)
 from qnl.stepping import substep_count
 
 from conftest import default_nsp_dt, smooth_scalar, smooth_vector, strain_dissipation
@@ -108,6 +109,22 @@ class TestNonstiffRhs:
         tol = 1.1 * h ** 4 * m5 / 30 + 1e-10
         assert np.abs(du[0].samples() + fd).max() <= tol
         assert np.abs(du[1].samples()).max() < 1e-12
+
+    @pytest.mark.parametrize("dims, resolution", [(2, 10), (2, 64), (3, 16), (3, 24)])
+    @pytest.mark.parametrize("density", ["random", "symmetric"])
+    def test_inverse_density_equals_the_unmasked_forward_composition(
+            self, rng, dims, resolution, density):
+        # The masked forward transform of 1/rho leaves the masked inverse
+        # nothing to read that the unmasked rfftn would have given otherwise.
+        # The symmetric density has exact zeros, whose signs must agree too.
+        grid = make_grid(dims, resolution)
+        if density == "random":
+            rho = constant_scalar(grid, 1.0) + smooth_scalar(grid, rng) * 0.2
+        else:
+            rho = scalar_from_function(
+                grid, lambda *x: 1.0 + 0.2 * np.sin(x[0]) * np.cos(x[-1]))
+        expected = to_physical(grid, to_spectral(grid, 1.0 / rho.samples(), masked=False))
+        assert nsp._inverse_density(rho).tobytes() == expected.tobytes()
 
     def test_density_floor(self, grid2d):
         rho = constant_scalar(grid2d, 1.0) \

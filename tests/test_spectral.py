@@ -159,6 +159,26 @@ class TestPrunedTransforms:
         expected = np.fft.rfftn(samples, axes=grid.axes, norm="forward") * grid.dealias_mask
         assert np.array_equal(to_spectral(grid, samples), expected)
 
+    @settings(max_examples=40, deadline=None)
+    @given(case=st.sampled_from(PRUNED_GRIDS), seed=st.integers(0, 2 ** 32 - 1))
+    def test_unmasked_inverse_equals_irfftn(self, case, seed):
+        grid = make_grid(*case)
+        rng = np.random.default_rng(seed)
+        coeffs = (rng.standard_normal(grid.spectral_shape)
+                  + 1j * rng.standard_normal(grid.spectral_shape))
+        before = coeffs.copy()
+        expected = np.fft.irfftn(coeffs, s=grid.shape, axes=grid.axes, norm="forward")
+        assert to_physical(grid, coeffs, masked=False).tobytes() == expected.tobytes()
+        assert coeffs.tobytes() == before.tobytes()  # the first pass does not write its input
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=st.sampled_from(PRUNED_GRIDS), seed=st.integers(0, 2 ** 32 - 1))
+    def test_unmasked_forward_equals_rfftn(self, case, seed):
+        grid = make_grid(*case)
+        samples = np.random.default_rng(seed).standard_normal(grid.shape)
+        expected = np.fft.rfftn(samples, axes=grid.axes, norm="forward")
+        assert to_spectral(grid, samples, masked=False).tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("masked", [True, False], ids=["masked", "unmasked"])
     @pytest.mark.parametrize("dims", [2, 3])
     def test_each_call_counts_as_one_transform(self, count_transforms, rng, dims, masked):

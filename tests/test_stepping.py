@@ -13,8 +13,8 @@ from qnl.harness import default_base_fields, gen_initial_data
 from qnl.limit_solver import PhysParams
 from qnl.oscillation import GradientPair
 from qnl.spectral import gradient, make_grid, stack
-from qnl.stepping import (all_finite, integrate, lawson_rk4_step, substep_count,
-                          time_grid, time_index)
+from qnl.stepping import (all_finite, diffusion, integrate, lawson_rk4_step,
+                          substep_count, time_grid, time_index)
 
 
 def _linear_problem():
@@ -174,6 +174,38 @@ def test_substep_count_covers_span():
     assert substep_count(0.5, 0.1) == 5
     assert substep_count(0.5, 0.3) == 2
     assert substep_count(0.0, 0.1) == 0
+
+
+def test_diffusion_builds_each_held_factor_once_and_keeps_its_bits(monkeypatch, rng):
+    grid = make_grid(2, 16)
+    rates = (0.0, 0.05, 0.05, 0.0, 0.02)
+    y = tuple(rng.standard_normal(grid.spectral_shape)
+              + 1j * rng.standard_normal(grid.spectral_shape) for _ in rates)
+    exps = []
+    original = np.exp
+
+    def counted(*args, **kwargs):
+        exps.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counted)
+    propagate = diffusion(grid.k_sq, rates)
+    # the seven flows of one step and the first of the next, a step's first
+    # three in the next snapshot interval, then the first interval's half
+    # step again, which has been let go by then
+    h, h2 = 0.1 / 3.0, 0.1 / 7.0
+    deltas = [h / 2, h, h / 2, h / 2, h / 2, h, h, h / 2, h2 / 2, h2, h2 / 2, h / 2]
+    built = []
+    for delta in deltas:
+        exps.clear()
+        out = propagate(y, delta)
+        built.append(len(exps))
+        for r, yi, oi in zip(rates, y, out):
+            if r:
+                assert oi.tobytes() == (original(-r * grid.k_sq * delta) * yi).tobytes()
+            else:
+                assert oi is yi
+    assert built == [2, 2, 0, 0, 0, 0, 0, 0, 2, 2, 0, 2]
 
 
 def test_all_finite():

@@ -5,7 +5,8 @@ separately dealiased products (product() and the conftest oracles advect()
 and strain_dissipation()).  The solvers form the
 same products pointwise and transform each field and each tendency once, so
 the two must agree to roundoff.  The transform counts per RHS evaluation
-are pinned by wrapping numpy.fft (conftest.count_transforms).
+are pinned by wrapping the real 1-D pass each transform makes
+(conftest.count_transforms).
 """
 
 import numpy as np

@@ -23,25 +23,19 @@ while the parent runs the rest.  Before the fork, one `plan_sweep` fixes
 every solve's step and step count, checks them against the step budget and
 fixes the share by longest-processing-time-first list scheduling (Graham
 1969) on a cost in transforms: planned steps times the transforms of one
-step.  The child starts with the load of its stage.  On a short 64^2
-sweep (four lambda) the stage takes 0.15 s and the NSP runs 0.08, 0.08,
-0.08 and 0.14 s, so the child also runs lambda = 0.05, and so it does on a
-short 24^3 one (0.16 s against 0.06, 0.06 and 0.12 s).  The parent polls
-the pipe between its runs, so a failed child raises at once.  The child
+step.  The child starts with the load of its stage.  The parent polls the
+pipe between its runs, so a failed child raises at once.  The child
 neither measures nor writes, so a failed sweep leaves no output
-directory: it pipes back,
-pickled, the limit snapshots, the pair trajectory and its lambda runs,
-and the parent measures and writes every output as a serial sweep would,
-byte for byte.  A grid pickles as its `make_grid` call, so those fields
-unpickle onto the parent's own grid and the parent holds one grid per
-shape.  The limit solve's Hermite nodes live and die in the child, which
-keeps the parent's peak RSS down (44.4 -> 41.1 MiB on the 64^2 sweep,
-59.7 -> 53.5 MiB on the 24^3 one, when the stage was first forked); a
-process pool over lambda would raise the peak instead.  On a short 24^3
-sweep the parent's peak comes after its two lambda runs, while it
-measures and writes (tools/sweep_memory.py prints the parent's memory
-phase by phase).  An exception in the child is re-raised in the parent;
-a child that ends without a result raises ChildLostError; the child is killed and reaped on
+directory: it pipes back, pickled, the limit snapshots, the pair
+trajectory and its lambda runs, and the parent measures and writes every
+output as a serial sweep would, byte for byte.  A grid pickles as its
+`make_grid` call, so those fields unpickle onto the parent's own grid and
+the parent holds one grid per shape.  The limit solve's Hermite nodes live
+and die in the child, which keeps them out of the parent's peak RSS; a
+process pool over lambda would raise the peak instead
+(tools/sweep_memory.py prints the parent's memory phase by phase).  An
+exception in the child is re-raised in the parent; a child that ends
+without a result raises ChildLostError; the child is killed and reaped on
 every exit path, and leaves by itself if its parent is killed outright.
 Under `qnl run` the child inherits the allocator policy that `cli.main`
 sets (`cli.keep_freed_heap`), as it inherits the CLI's SIGTERM handler.
@@ -68,9 +62,8 @@ from .nsp import NSPState, nsp_dt, poisson_solve, run_nsp, viscous_dt
 from .oscillation import GradientPair, check_gradient
 from .projections import leray_p
 from .spectral import (SpectralScalar, SpectralVector, constant_scalar, derivative,
-                       gradient, laplacian, make_grid, scalar_from_function,
-                       sobolev_norm, transform_forward, vector_from_functions,
-                       write_snapshot)
+                       gradient, laplacian, make_grid, sobolev_norm,
+                       transform_forward, write_snapshot)
 from .stepping import Snapshots, step_count, time_grid
 
 ERROR_CHANNELS = ("E_rho", "E_u", "E_theta", "E_phi")
@@ -297,26 +290,22 @@ class BaseFields:
 
 def default_base_fields(grid, kind: str = "ill", random_amp: float = 0.0,
                         seed: int = 0) -> BaseFields:
-    """Smooth few-mode defaults: Taylor-Green velocity, positive temperature,
-    single-mode gradient velocity part and electric potential."""
-    if grid.dims == 2:
-        v0 = vector_from_functions(
-            grid,
-            lambda x, y: np.sin(x) * np.cos(y),
-            lambda x, y: -np.cos(x) * np.sin(y))
-        theta0 = scalar_from_function(grid, lambda x, y: 2.0 + 0.5 * np.sin(x) * np.sin(y))
-        chi = scalar_from_function(grid, lambda x, y: 0.4 * np.cos(y))
-        phi0 = scalar_from_function(grid, lambda x, y: 0.3 * np.sin(x))
-    else:
-        v0 = vector_from_functions(
-            grid,
-            lambda x, y, z: np.sin(x) * np.cos(y) * np.cos(z),
-            lambda x, y, z: -np.cos(x) * np.sin(y) * np.cos(z),
-            lambda x, y, z: np.zeros_like(z))
-        theta0 = scalar_from_function(
-            grid, lambda x, y, z: 2.0 + 0.5 * np.sin(x) * np.sin(y))
-        chi = scalar_from_function(grid, lambda x, y, z: 0.4 * np.cos(y))
-        phi0 = scalar_from_function(grid, lambda x, y, z: 0.3 * np.sin(x))
+    """Smooth few-mode defaults, each written once for both dims: the
+    Taylor-Green swirl (sin x cos y, -cos x sin y), in 3D times cos z with a
+    zero third component; theta0 = 2 + 0.5 sin x sin y; the gradient part
+    grad chi of chi = 0.4 cos y; and phi0 = 0.3 sin x.  Well-prepared data
+    zero the two oscillation sources, qu0 and phi0."""
+    x, y, *z = grid.collocation_points()
+    swirl = [np.sin(x) * np.cos(y), -np.cos(x) * np.sin(y)]
+    if z:
+        for c in swirl:
+            c *= np.cos(z[0])
+        swirl.append(np.zeros_like(z[0]))
+    v0 = SpectralVector(grid, tuple(transform_forward(grid, c) for c in swirl))
+    theta0 = transform_forward(grid, 2.0 + 0.5 * np.sin(x) * np.sin(y))
+    chi = transform_forward(grid, 0.4 * np.cos(y))
+    phi0 = transform_forward(grid, 0.3 * np.sin(x))
+    del x, y, z, swirl  # freed before the random fields are drawn
 
     if random_amp > 0.0:
         rng = np.random.default_rng(seed)
@@ -324,8 +313,7 @@ def default_base_fields(grid, kind: str = "ill", random_amp: float = 0.0,
         theta0 = theta0 + random_amp * random_smooth_scalar(grid, rng)
 
     if kind == "well":
-        zero_v = 0.0 * v0
-        return BaseFields(v0, theta0, zero_v, 0.0 * phi0)
+        return BaseFields(v0, theta0, 0.0 * v0, 0.0 * phi0)
     return BaseFields(v0, theta0, gradient(chi), phi0)
 
 
@@ -356,23 +344,19 @@ def initial_velocity(kind: str, base: BaseFields) -> SpectralVector:
 
 
 def gen_initial_data(kind: str, lam: float, base: BaseFields) -> NSPState:
-    """Initial NSP data matching the limit data with zero slack."""
+    """Initial NSP data matching the limit data with zero slack: rho = 1 -
+    lambda lap(phi0), the potential that solves Poisson for it, theta0, and
+    the velocity of initial_velocity.  Well-prepared data are these with
+    the sources qu0 and phi0 zero (ValueError if they are not), so rho = 1."""
     if kind not in ("ill", "well"):
         raise ValueError(f"kind must be 'ill' or 'well', got {kind!r}")
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
     grid = base.v0.grid
     LimitState(base.v0, base.theta0).validate()
-
-    if kind == "well":
-        residual = sobolev_norm(base.qu0, 0) + sobolev_norm(gradient(base.phi0), 0)
-        if residual > 1e-12:
-            raise ValueError(
-                "well-prepared data requires zero gradient part and potential")
-        rho = constant_scalar(grid, 1.0)
-        return NSPState(rho, initial_velocity(kind, base), base.theta0.copy(),
-                        poisson_solve(rho, lam))
-
+    if kind == "well" and (sobolev_norm(base.qu0, 0)
+                           + sobolev_norm(gradient(base.phi0), 0)) > 1e-12:
+        raise ValueError("well-prepared data requires zero gradient part and potential")
     check_gradient(base.qu0)
     rho = constant_scalar(grid, 1.0) - lam * laplacian(base.phi0)
     min_rho = rho.samples().min()
@@ -586,7 +570,7 @@ def plan_sweep(config: RunConfig, base: BaseFields) -> SweepPlan:
                   else config.limit_dt)
     stage_count = budgeted_steps("the limit and pair solves", times, stage_step)
     cfl = advective_dt(initial_velocity(config.ic, base))
-    lap_max = 0.0 if config.ic == "well" else float(laplacian(base.phi0).samples().max())
+    lap_max = float(laplacian(base.phi0).samples().max())
     lam_step = {lam: nsp_dt(cfl, lam, config.phase_resolution, config.dt_max,
                             viscous_dt(config.nsp_params(lam), base.v0.grid, 1.0 - lam * lap_max))
                 for lam in map(float, config.lambda_list)}

@@ -363,4 +363,4 @@ def test_pair_solve_samples_v_once_per_distinct_stage_time(grid2d, monkeypatch):
     for got, expected in zip(cached.states, plain.states, strict=True):
         for a, b in zip(got.grad_q.components + got.grad_psi.components,
                         expected.grad_q.components + expected.grad_psi.components):
-            assert np.array_equal(a.coeffs, b.coeffs)
+            assert a.coeffs.tobytes() == b.coeffs.tobytes()

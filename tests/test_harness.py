@@ -22,13 +22,15 @@ from qnl.errors import (DensityNotPositiveError, InsufficientDataError,
                         InvalidConfigError, NonpositiveTemperatureError)
 from qnl.harness import (ERROR_CHANNELS, BaseFields, ReportRow, RunConfig,
                          default_base_fields, fit_rate, gen_initial_data,
-                         load_config, measure_errors, run_sweep)
+                         load_config, measure_errors, random_smooth_scalar,
+                         random_smooth_vector, run_sweep)
 from qnl.limit_solver import LimitState, PhysParams, run_limit
 from qnl.nsp import NSPState, poisson_solve
 from qnl.oscillation import GradientPair
 from qnl.ansatz import build_oscillation
+from qnl.projections import leray_p
 from qnl.spectral import (constant_scalar, divergence, gradient, laplacian, make_grid,
-                          read_snapshot, scalar_from_function, sobolev_norm,
+                          read_snapshot, scalar_from_function, sobolev_norm, stack,
                           vector_from_functions)
 from qnl.stepping import Snapshots
 
@@ -213,7 +215,6 @@ class TestGenInitialData:
         assert sobolev_norm(state.rho - expected, 0) < 1e-14
 
     def test_zero_slack_construction(self, grid2d):
-        from qnl.projections import leray_p
         lam, s = 0.1, 3.0
         base = default_base_fields(grid2d, "ill")
         state = gen_initial_data("ill", lam, base)
@@ -245,6 +246,74 @@ class TestGenInitialData:
         base = default_base_fields(grid2d, "ill")
         with pytest.raises(ValueError, match="well-prepared"):
             gen_initial_data("well", 0.1, base)
+
+
+def _per_dimension_base_fields(grid, kind, random_amp, seed):
+    """The default base fields by explicit formulas, written out for each
+    dimension: the reference of the one construction."""
+    if grid.dims == 2:
+        v0 = vector_from_functions(
+            grid,
+            lambda x, y: np.sin(x) * np.cos(y),
+            lambda x, y: -np.cos(x) * np.sin(y))
+        theta0 = scalar_from_function(grid, lambda x, y: 2.0 + 0.5 * np.sin(x) * np.sin(y))
+        chi = scalar_from_function(grid, lambda x, y: 0.4 * np.cos(y))
+        phi0 = scalar_from_function(grid, lambda x, y: 0.3 * np.sin(x))
+    else:
+        v0 = vector_from_functions(
+            grid,
+            lambda x, y, z: np.sin(x) * np.cos(y) * np.cos(z),
+            lambda x, y, z: -np.cos(x) * np.sin(y) * np.cos(z),
+            lambda x, y, z: np.zeros_like(z))
+        theta0 = scalar_from_function(
+            grid, lambda x, y, z: 2.0 + 0.5 * np.sin(x) * np.sin(y))
+        chi = scalar_from_function(grid, lambda x, y, z: 0.4 * np.cos(y))
+        phi0 = scalar_from_function(grid, lambda x, y, z: 0.3 * np.sin(x))
+    if random_amp > 0.0:
+        rng = np.random.default_rng(seed)
+        v0 = v0 + random_amp * leray_p(random_smooth_vector(grid, rng))
+        theta0 = theta0 + random_amp * random_smooth_scalar(grid, rng)
+    if kind == "well":
+        return BaseFields(v0, theta0, 0.0 * v0, 0.0 * phi0)
+    return BaseFields(v0, theta0, gradient(chi), phi0)
+
+
+def _coeff_bytes(*fields):
+    return [c.tobytes() for c in stack(*fields)]
+
+
+@pytest.mark.parametrize("amp", [0.0, 0.01])
+@pytest.mark.parametrize("dims, resolution", [(2, 32), (3, 16)])
+class TestOneConstruction:
+    """One formula for 2D and 3D, and well-prepared data as the ill-prepared
+    construction with zero oscillation sources, byte for byte."""
+
+    @pytest.mark.parametrize("kind", ["ill", "well"])
+    def test_base_fields_are_the_per_dimension_formulas(self, dims, resolution, amp, kind):
+        grid = make_grid(dims, resolution)
+        got = default_base_fields(grid, kind, amp, 7)
+        expected = _per_dimension_base_fields(grid, kind, amp, 7)
+        assert (_coeff_bytes(got.v0, got.theta0, got.qu0, got.phi0)
+                == _coeff_bytes(expected.v0, expected.theta0, expected.qu0, expected.phi0))
+
+    def test_well_data_are_the_ill_construction_on_the_well_base(self, dims, resolution,
+                                                                 amp):
+        grid = make_grid(dims, resolution)
+        base, lam = default_base_fields(grid, "well", amp, 7), 0.05
+        well, ill = gen_initial_data("well", lam, base), gen_initial_data("ill", lam, base)
+        one = constant_scalar(grid, 1.0)
+        assert (_coeff_bytes(well.rho, well.phi) == _coeff_bytes(ill.rho, ill.phi)
+                == _coeff_bytes(one, poisson_solve(one, lam)))
+        assert _coeff_bytes(well.u) == _coeff_bytes(base.v0)
+
+    def test_well_base_with_a_source_raises(self, dims, resolution, amp):
+        grid = make_grid(dims, resolution)
+        well = default_base_fields(grid, "well", amp, 7)
+        ill = default_base_fields(grid, "ill", amp, 7)
+        for bad in (BaseFields(well.v0, well.theta0, ill.qu0, well.phi0),
+                    BaseFields(well.v0, well.theta0, well.qu0, ill.phi0)):
+            with pytest.raises(ValueError, match="well-prepared"):
+                gen_initial_data("well", 0.05, bad)
 
 
 def _aligned_trajectories(grid, lam, times):

@@ -118,5 +118,6 @@ def test_gradient_of_the_potential_is_q_bit_for_bit(rng):
         u = smooth_vector(grid, rng, decay=100.0)
         got, expected = gradient(gradient_potential(u)), leray_q(u)
         for a in range(grid.dims):
+            # equal in value: the signs of some zero coefficients differ
             assert np.array_equal(got[a].coeffs, expected[a].coeffs)
         assert gradient_potential(u).mean == 0.0

@@ -149,7 +149,7 @@ class TestPrunedTransforms:
                   + 1j * rng.standard_normal(grid.spectral_shape))
         expected = np.fft.irfftn(coeffs * grid.dealias_mask, s=grid.shape,
                                  axes=grid.axes, norm="forward")
-        assert np.array_equal(to_physical(grid, coeffs), expected)
+        assert to_physical(grid, coeffs).tobytes() == expected.tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(case=st.sampled_from(PRUNED_GRIDS), seed=st.integers(0, 2 ** 32 - 1))
@@ -157,7 +157,13 @@ class TestPrunedTransforms:
         grid = make_grid(*case)
         samples = np.random.default_rng(seed).standard_normal(grid.shape)
         expected = np.fft.rfftn(samples, axes=grid.axes, norm="forward") * grid.dealias_mask
-        assert np.array_equal(to_spectral(grid, samples), expected)
+        got = to_spectral(grid, samples)
+        band = np.s_[..., :grid.band]
+        assert got[band].tobytes() == expected[band].tobytes()
+        # past the band the masked n-d transform leaves signed zeros; +0 here
+        past = got[..., grid.band:]
+        assert not past.any()
+        assert not (np.signbit(past.real).any() or np.signbit(past.imag).any())
 
     @settings(max_examples=40, deadline=None)
     @given(case=st.sampled_from(PRUNED_GRIDS), seed=st.integers(0, 2 ** 32 - 1))
@@ -331,7 +337,7 @@ class TestSobolevNorm:
             assert sobolev_norm(f, s) == norm(f)
             assert sobolev_norm(u, s) == float(np.sqrt(sum(norm(c) ** 2 for c in u)))
             held = grid.sobolev_weight(s)
-            assert np.array_equal(held, direct)
+            assert held.tobytes() == direct.tobytes()
             assert grid.sobolev_weight(s) is held
             assert not held.flags.writeable
 
@@ -408,12 +414,11 @@ class TestOpenMeshSymbols:
         grid, ref = make_grid(dims, res), FullMeshGrid(dims, res)
         for name in ("k", "kd", "ik"):
             for a in range(dims):
-                assert np.array_equal(np.broadcast_to(getattr(grid, name)[a],
-                                                      grid.spectral_shape),
-                                      getattr(ref, name)[a])
+                assert (np.broadcast_to(getattr(grid, name)[a], grid.spectral_shape).tobytes()
+                        == getattr(ref, name)[a].tobytes())
         for name in ("k_sq", "inv_k_sq", "inv_kd_sq", "weight", "dealias_mask",
                      "band_mask"):
-            assert np.array_equal(getattr(grid, name), getattr(ref, name)), name
+            assert getattr(grid, name).tobytes() == getattr(ref, name).tobytes(), name
 
         u = smooth_vector(grid, rng)
         u_ref = as_vector(ref, [c.coeffs for c in u])
@@ -421,8 +426,8 @@ class TestOpenMeshSymbols:
 
         def same(x, y):
             if isinstance(x, SpectralScalar):
-                return np.array_equal(x.coeffs, y.coeffs)
-            return all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(x, y))
+                return x.coeffs.tobytes() == y.coeffs.tobytes()
+            return all(a.coeffs.tobytes() == b.coeffs.tobytes() for a, b in zip(x, y))
 
         for a in range(dims):
             assert same(derivative(f, a), derivative(f_ref, a))

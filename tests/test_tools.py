@@ -1,6 +1,7 @@
 """The command-line tools under tools/ run."""
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -39,3 +40,32 @@ def test_sweep_memory_reports_every_phase(tmp_path):
     # 3 + 4 arrays of 8 * 5 complex coefficients (8^2)
     assert int(lines[-1].split()[-1]) > 2 * 7 * 8 * 5 * 16
     assert (tmp_path / "out" / "report.csv").exists()
+
+
+def _compare_outputs(*args):
+    return subprocess.run([sys.executable, str(ROOT / "tools" / "compare_outputs.py"),
+                           *map(str, args)], capture_output=True, text=True, timeout=300)
+
+
+def test_compare_outputs_tells_identical_from_different_runs(tmp_path):
+    config = tmp_path / "small.cfg"
+    config.write_text("resolution = 16\nlambda_list = 0.1, 0.05, 0.025\nt_end = 0.05\n"
+                      "snapshots = 3\noutput_dir = elsewhere\n")
+    same = _compare_outputs("--src", ROOT / "src", ROOT / "src", "--config", config)
+    assert same.returncode == 0, same.stdout + same.stderr
+    assert same.stdout.startswith("small.cfg: identical (")
+
+    # a tree whose E_u differs from the repo's in the tenth digit
+    other = tmp_path / "other"
+    shutil.copytree(ROOT / "src", other,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(other / "qnl" / "harness.py", "a", encoding="utf-8") as fh:
+        fh.write("\n_measure_errors = measure_errors\n\n\n"
+                 "def measure_errors(*args):\n"
+                 "    row = _measure_errors(*args)\n"
+                 "    row.e_u *= 1.0 + 1e-9\n"
+                 "    return row\n")
+    differ = _compare_outputs("--src", ROOT / "src", other, "--config", config)
+    assert differ.returncode == 1, differ.stdout + differ.stderr
+    assert differ.stdout.startswith("small.cfg: DIFFERENT: ")
+    assert "report.csv" in differ.stdout and "diag_lambda_0.1.csv" not in differ.stdout

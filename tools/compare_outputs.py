@@ -7,11 +7,11 @@
 
 Each config runs once through `qnl run` (`python -m qnl.cli run`) on each
 source tree, with `output_dir = out` in a directory of its own, so the
-two runs print the same paths.  Every file of the two output directories
-is compared byte for byte, `meta.txt` without its `output_dir` line, and
-so are the exit codes and standard output.  One line per config says
-`identical` or names what differs; the exit code is 1 if anything
-differs.
+two runs print the same paths and their `meta.txt` echo the same
+`output_dir`.  Every file of the two output directories is compared byte
+for byte, and so are the exit codes and standard output.  One line per
+config says `identical` or names what differs; the exit code is 1 if
+anything differs.
 
 The configs:
 
@@ -78,10 +78,6 @@ def run_outputs(src: Path, text: str, run_dir: Path) -> dict:
     out = run_dir / "out"
     files = {path.relative_to(out).as_posix(): path.read_bytes()
              for path in sorted(out.rglob("*")) if path.is_file()}
-    if "meta.txt" in files:
-        files["meta.txt"] = b"".join(
-            line for line in files["meta.txt"].splitlines(keepends=True)
-            if not line.startswith(b"output_dir ="))
     files["<stdout>"] = proc.stdout
     files["<exit>"] = str(proc.returncode).encode()
     return files

@@ -103,19 +103,25 @@ class PairTrajectory(Snapshots):
     growth_factor: float
 
 
-def solve_osc(pair0: GradientPair, limit: LimitTrajectory, params: PhysParams,
-              t_end: float, dt: float, snapshot_times=None,
-              norm_s: float = 3.0) -> PairTrajectory:
-    """Integrate the pair system with steps of at most dt, the velocity
-    interpolated in time from the limit solve (limit.v_at); the pairs at the
-    snapshot times and the H^norm_s growth factor.
+def potential_pair(grid, potentials) -> GradientPair:
+    """The GradientPair of the gradients of the potentials (q, psi), two
+    coefficient arrays."""
+    return GradientPair(*(gradient(SpectralScalar(grid, p)) for p in potentials))
 
-    The state is the potentials (q, psi) of the slots, so pair0 must be a
-    gradient pair (NotGradientError otherwise: a curl part would be
-    dropped); each snapshot is their gradients.  The velocity and its
-    samples are kept for the last two stage times: a step's two midpoint
-    stages share one, and its last stage shares its time with the next
-    step's first whenever the two sums of floats agree.
+
+def pair_potentials(pair0: GradientPair, limit: LimitTrajectory, params: PhysParams,
+                    t_end: float, dt: float, snapshot_times=None, norm_s: float = 3.0):
+    """Integrate the pair system with steps of at most dt, yielding at each
+    snapshot time the potentials (q, psi) of the slots, as coefficient
+    arrays, and the H^norm_s growth factor so far; the core of solve_osc.
+    The velocity is interpolated in time from the limit solve
+    (limit.v_at), whose nodes must reach each step's end when it is taken.
+
+    pair0 must be a gradient pair (NotGradientError otherwise: a curl part
+    would be dropped).  The velocity and its samples are kept for the last
+    two stage times: a step's two midpoint stages share one, and its last
+    stage shares its time with the next step's first whenever the two sums
+    of floats agree.
     """
     check_gradient(pair0.grad_q)
     check_gradient(pair0.grad_psi)
@@ -123,9 +129,6 @@ def solve_osc(pair0: GradientPair, limit: LimitTrajectory, params: PhysParams,
     coeff = params.mu + 0.5 * params.nu
     times = time_grid(snapshot_times, t_end)
     recent = {}  # stage time -> (v, its velocity_samples)
-
-    def pair_of(y) -> GradientPair:
-        return GradientPair(*(gradient(SpectralScalar(grid, p)) for p in y))
 
     def velocity(t):
         if t not in recent:
@@ -147,7 +150,7 @@ def solve_osc(pair0: GradientPair, limit: LimitTrajectory, params: PhysParams,
 
     def settle(y, t):
         nonlocal growth
-        norm = sobolev_norm(pair_of(y), norm_s)
+        norm = sobolev_norm(potential_pair(grid, y), norm_s)
         if not all_finite(y) or norm > guard:
             raise BlowUpError(
                 f"oscillating pair blew up or is not finite at t = {t:.4f}")
@@ -156,8 +159,24 @@ def solve_osc(pair0: GradientPair, limit: LimitTrajectory, params: PhysParams,
 
     y0 = (gradient_potential(pair0.grad_q).coeffs, gradient_potential(pair0.grad_psi).coeffs)
     propagate = diffusion(grid.k_sq, (coeff, coeff))
-    pairs = list(map(pair_of, integrate(y0, times, dt, explicit, propagate, settle)))
-    return PairTrajectory(times, pairs, growth)
+    yield from map(lambda y: (y, growth),
+                   integrate(y0, times, dt, explicit, propagate, settle))
+
+
+def solve_osc(pair0: GradientPair, limit: LimitTrajectory, params: PhysParams,
+              t_end: float, dt: float, snapshot_times=None,
+              norm_s: float = 3.0) -> PairTrajectory:
+    """Integrate the pair system by pair_potentials, the velocity
+    interpolated in time from the limit solve; the pairs at the snapshot
+    times, each the gradients of the stepped potentials, and the H^norm_s
+    growth factor."""
+    grid = pair0.grid
+    pairs, growth = [], 1.0
+    for potentials, growth in pair_potentials(pair0, limit, params, t_end, dt,
+                                              snapshot_times, norm_s):
+        pairs.append(potential_pair(grid, potentials))
+        del potentials  # not held through the next snapshot interval
+    return PairTrajectory(time_grid(snapshot_times, t_end), pairs, growth)
 
 
 @dataclass(eq=False)

@@ -23,46 +23,73 @@ while the parent runs the rest.  Before the fork, one `plan_sweep` fixes
 every solve's step and step count, checks them against the step budget and
 fixes the share by longest-processing-time-first list scheduling (Graham
 1969) on a cost in transforms: planned steps times the transforms of one
-step.  The child starts with the load of its stage.  The parent polls the
-pipe between its runs, so a failed child raises at once.  The child
-neither measures nor writes, so a failed sweep leaves no output
-directory: it pipes back, pickled, the limit snapshots, the pair
-trajectory and its lambda runs, and the parent measures and writes every
-output as a serial sweep would, byte for byte.  A grid pickles as its
-`make_grid` call, so those fields unpickle onto the parent's own grid and
-the parent holds one grid per shape.  The limit solve's Hermite nodes live
-and die in the child, which keeps them out of the parent's peak RSS; a
-process pool over lambda would raise the peak instead
-(tools/sweep_memory.py prints the parent's memory phase by phase).  An
-exception in the child is re-raised in the parent; a child that ends
-without a result raises ChildLostError; the child is killed and reaped on
-every exit path, and leaves by itself if its parent is killed outright.
-Under `qnl run` the child inherits the allocator policy that `cli.main`
-sets (`cli.keep_freed_heap`), as it inherits the CLI's SIGTERM handler.
-`qnl limit` solves the limit in-process, with the plan's stage step.
+step.  The child starts with the load of its stage.
+
+What crosses the pipe is the stage, one snapshot interval at a time, and
+nothing else until the child's last message.  The parent forms the stage
+at t = 0, the settled initial data, by the first step of the stage
+generator and forks; the child goes on with that generator.  For each
+interval it steps the limit solve, then the pair solve, which reads the
+limit's Hermite nodes of that interval only, and sends the limit velocity
+and temperature and the pair potentials (q, psi): dims + 3 coefficient
+arrays, whose gradients the receiver forms as the pair solve forms its
+snapshots.  The pipe is sized to PIPE_BYTES, so the child seldom waits for
+the parent to read.  A grid pickles as its `make_grid` call, so every field
+that crosses lands on the receiver's one grid of that shape.
+
+Who measures: each process measures its own lambda runs as their snapshots
+are produced (`run_nsp`'s on_snapshot), by `measure_errors` on one-snapshot
+`Snapshots`, and keeps per run only each snapshot's errors, norms and diag
+row, plus rho and u when save_snapshots is set; `_report_row` combines them
+as for a whole run.  The child has the whole stage before its runs.  The
+parent runs its longest lambda first and reads every message in the pipe
+at each of its snapshots; a state whose stage has not arrived waits.  The
+child's last message holds its rows and outputs and the pair's growth
+factor; only the parent writes, after it, so a failed sweep leaves no
+output directory, and the outputs are byte for byte a serial sweep's.
+
+Why not lockstep: driving every run of a process one interval at a time
+would step them outside their `run_nsp` calls, which the benchmark's tracer
+times as the NSP stage.  Nor does a reader thread drain the pipe: its glibc
+arena would hold the unpickled arrays apart from the heap that the lambda
+runs reuse.  A process pool over lambda would raise the peak RSS
+(tools/sweep_memory.py prints the parent's memory phase by phase).
+
+An exception in the child is re-raised in the parent at its next read of
+the pipe; a child that ends without its last message raises ChildLostError;
+no lambda run of the parent takes either for its own failure.  The child
+is killed and reaped on every exit path, and leaves by itself if its
+parent is killed outright.  Under `qnl run` the child inherits the
+allocator policy that `cli.main` sets (`cli.keep_freed_heap`), as it
+inherits the CLI's SIGTERM handler.  `qnl limit` solves the limit
+in-process, with the plan's stage step.
 """
 
 from __future__ import annotations
 
+import fcntl
 import os
 import pickle
 import select
 import signal
+import struct
+from collections import deque
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .ansatz import build_oscillation, solve_osc
+from .ansatz import build_oscillation, pair_potentials, potential_pair
 from .errors import (BlowUpError, ChildLostError, DegenerateDensityError,
                      DensityNotPositiveError, InsufficientDataError,
                      InvalidConfigError, MassDefectError,
                      NonpositiveTemperatureError, QnlError)
-from .limit_solver import LimitState, PhysParams, advective_dt, run_limit
+from .limit_solver import (LimitState, LimitTrajectory, PhysParams, advective_dt,
+                           limit_states, run_limit)
 from .nsp import NSPState, nsp_dt, poisson_solve, run_nsp, viscous_dt
 from .oscillation import GradientPair, check_gradient
 from .projections import leray_p
-from .spectral import (SpectralScalar, SpectralVector, constant_scalar, derivative,
-                       gradient, laplacian, make_grid, sobolev_norm,
+from .spectral import (SpectralScalar, SpectralVector, as_vector, constant_scalar,
+                       derivative, gradient, laplacian, make_grid, sobolev_norm,
                        transform_forward, write_snapshot)
 from .stepping import Snapshots, step_count, time_grid
 
@@ -337,10 +364,10 @@ def random_smooth_vector(grid, rng) -> SpectralVector:
         random_smooth_scalar(grid, rng) for _ in range(grid.dims)))
 
 
-def initial_velocity(kind: str, base: BaseFields) -> SpectralVector:
-    """The NSP initial velocity, the same at every lambda: v0 + qu0, or v0
-    for well-prepared data."""
-    return base.v0.copy() if kind == "well" else base.v0 + base.qu0
+def initial_velocity(base: BaseFields) -> SpectralVector:
+    """The NSP initial velocity, the same at every lambda: v0 + qu0 (v0 + 0
+    for well-prepared data)."""
+    return base.v0 + base.qu0
 
 
 def gen_initial_data(kind: str, lam: float, base: BaseFields) -> NSPState:
@@ -363,7 +390,7 @@ def gen_initial_data(kind: str, lam: float, base: BaseFields) -> NSPState:
     if min_rho <= 0.0:
         raise DensityNotPositiveError(
             f"lambda = {lam} makes min rho = {min_rho:.3e} <= 0")
-    return NSPState(rho, initial_velocity(kind, base), base.theta0.copy(),
+    return NSPState(rho, initial_velocity(base), base.theta0.copy(),
                     poisson_solve(rho, lam))
 
 
@@ -404,8 +431,7 @@ def _componentwise_norm(components, s: float) -> float:
 def measure_errors(nsp_traj: Snapshots, limit_traj, pair_traj,
                    lam: float, s: float) -> ReportRow:
     """One sweep row: sup-in-time Sobolev errors over the snapshot grid,
-    with the state_norms of the run; a non_finite_measurement row, which
-    the rate fit skips, if an error or a norm is not finite."""
+    with the state_norms of the run (see _report_row)."""
     grid = nsp_traj.states[0].grid
     one = constant_scalar(grid, 1.0)
     errors = []  # per snapshot, in ERROR_CHANNELS order
@@ -421,7 +447,14 @@ def measure_errors(nsp_traj: Snapshots, limit_traj, pair_traj,
         # The next snapshot's pair and rotation are built after this one's
         # rotation is freed, not beside it.
         del osc
-    norms = state_norms(nsp_traj, s)
+    return _report_row(lam, errors, state_norms(nsp_traj, s))
+
+
+def _report_row(lam: float, errors, norms) -> ReportRow:
+    """The sweep row of a run from its errors (in ERROR_CHANNELS order) and
+    state_norms, one entry per snapshot: each channel's maximum, the largest
+    norm as sup_state_norm, and the norms; or a non_finite_measurement row,
+    which the rate fit skips, if an error or a norm is not finite."""
     if not (np.isfinite(errors).all() and np.isfinite(norms).all()):
         return ReportRow(lam, status="non_finite_measurement", hs_norms=norms)
     sup_norm = max([0.0, *(value for hs in norms for value in hs)])
@@ -569,7 +602,7 @@ def plan_sweep(config: RunConfig, base: BaseFields) -> SweepPlan:
     stage_step = (min(advective_dt(base.v0), STAGE_DT_CAP) if config.limit_dt is None
                   else config.limit_dt)
     stage_count = budgeted_steps("the limit and pair solves", times, stage_step)
-    cfl = advective_dt(initial_velocity(config.ic, base))
+    cfl = advective_dt(initial_velocity(base))
     lap_max = float(laplacian(base.phi0).samples().max())
     lam_step = {lam: nsp_dt(cfl, lam, config.phase_resolution, config.dt_max,
                             viscous_dt(config.nsp_params(lam), base.v0.grid, 1.0 - lam * lap_max))
@@ -597,17 +630,24 @@ def lpt_assign(costs, loads) -> list:
     return machine_of
 
 
+# The sweep's pipe holds this many bytes (F_SETPIPE_SZ; Linux allows an
+# unprivileged process up to 1 MiB by default), so that the child seldom
+# waits for the parent to read a stage interval.
+PIPE_BYTES = 1 << 20
+
+
 def _run_one_lambda(config: RunConfig, base: BaseFields, lam: float, dt: float,
-                    snapshot_times):
-    """The NSP run at one lambda of lambda_list with step dt, and "ok"; or
-    None and its failure status.  run_nsp owns the initial data, whose
-    velocity and potential its first step replaces."""
+                    snapshot_times, on_snapshot) -> str:
+    """The NSP run at one lambda of lambda_list with step dt, each state
+    handed to on_snapshot(t, state) as it is reached; "ok", or its failure
+    status.  run_nsp owns the initial data, whose velocity and potential its
+    first step replaces."""
     try:
-        traj = run_nsp(gen_initial_data(config.ic, lam, base), config.nsp_params(lam),
-                       lam, config.t_end, dt, snapshot_times)
-        return traj, "ok"
+        run_nsp(gen_initial_data(config.ic, lam, base), config.nsp_params(lam),
+                lam, config.t_end, dt, snapshot_times, on_snapshot)
+        return "ok"
     except QnlError as exc:
-        return None, _STATUS_BY_ERROR.get(type(exc), f"error:{type(exc).__name__}")
+        return _STATUS_BY_ERROR.get(type(exc), f"error:{type(exc).__name__}")
 
 
 def solve_limit(config: RunConfig, base: BaseFields, dt: float):
@@ -619,40 +659,187 @@ def solve_limit(config: RunConfig, base: BaseFields, dt: float):
 
 
 def _lambda_independent_stage(config: RunConfig, base: BaseFields, dt: float):
-    """Limit solve, then pair solve on its interpolated velocity, both with
-    step dt; returns the limit snapshots, without the nodes, and the pair
-    trajectory."""
-    limit_traj = solve_limit(config, base, dt)
-    pair0 = GradientPair(base.qu0.copy(), gradient(base.phi0))
-    pair_traj = solve_osc(pair0, limit_traj, config.limit_params(), config.t_end,
-                          dt=dt, snapshot_times=config.resolved_snapshot_times(),
-                          norm_s=config.s_norm)
-    return Snapshots(limit_traj.times, limit_traj.states), pair_traj
+    """The limit solve, then the pair solve on its interpolated velocity,
+    both with step dt, one snapshot interval at a time: yields (limit
+    state, pair potentials (q, psi), pair growth factor so far) at each
+    snapshot time.  The limit solve steps through an interval, then the
+    pair solve, whose v_at reads the limit's Hermite nodes of that interval
+    only; the values are those of solve_osc on the whole run_limit."""
+    times = config.resolved_snapshot_times()
+    params = config.limit_params()
+    nodes = LimitTrajectory(time_grid(times, config.t_end), [], base.v0.grid, [], [], [])
+    limits = limit_states(LimitState(base.v0.copy(), base.theta0.copy()), params,
+                          config.t_end, dt, times, nodes)
+    pairs = pair_potentials(GradientPair(base.qu0.copy(), gradient(base.phi0)), nodes,
+                            params, config.t_end, dt, times, config.s_norm)
+    for limit in limits:
+        yield (limit, *next(pairs))
+        nodes.keep_last_node()
 
 
-def _child_share(config: RunConfig, base: BaseFields, plan: SweepPlan):
-    """The forked child's part of a sweep: the lambda-independent stage,
-    then the NSP runs at plan.child_lams; returns (limit, pair, {lam:
-    (traj, status)})."""
-    limit, pair_traj = _lambda_independent_stage(config, base, plan.stage_step)
-    snapshot_times = config.resolved_snapshot_times()
-    return limit, pair_traj, {
-        lam: _run_one_lambda(config, base, lam, plan.lam_step[lam], snapshot_times)
-        for lam in plan.child_lams}
+class _Stage:
+    """The lambda-independent stage at the snapshot times reached so far:
+    the limit states, the pair potentials (q, psi) and the pair's growth
+    factor.  A complete stage, or one that the process solves itself."""
+
+    def __init__(self, grid, first):
+        self.grid = grid
+        self.limits, self.potentials, self.growth = [], [], 1.0
+        self.add(*first)
+
+    def add(self, limit: LimitState, potentials, growth: float) -> None:
+        self.limits.append(limit)
+        self.potentials.append(potentials)
+        self.growth = growth
+
+    def reached(self, i: int, wait: bool) -> bool:
+        """Whether the stage at snapshot i is here."""
+        return i < len(self.limits)
+
+    def pair(self, i: int) -> GradientPair:
+        """The pair at snapshot i, formed from its potentials as the pair
+        solve forms its snapshots."""
+        return potential_pair(self.grid, self.potentials[i])
+
+
+class _ReceivedStage(_Stage):
+    """The stage as the forked child sends it, one snapshot interval a
+    message, after the t = 0 stage that the parent forms itself.  The
+    child's last message, its runs and the growth factor, sets runs."""
+
+    def __init__(self, grid, first, child):
+        super().__init__(grid, first)
+        self.child = child
+        self.runs = None
+
+    def reached(self, i: int, wait: bool) -> bool:
+        """Whether the stage at snapshot i is here, once every message in
+        the pipe is read; with wait, once every message up to it is."""
+        while self.runs is None and (wait and i >= len(self.limits) or self.child.ready()):
+            self._take(*self.child.receive())
+        return i < len(self.limits)
+
+    def child_runs(self) -> dict:
+        """The child's runs, {lam: (row, outputs)}, read after the stage."""
+        while self.runs is None:
+            self._take(*self.child.receive())
+        return self.runs
+
+    def _take(self, kind: str, body) -> None:
+        if kind == "stage":
+            v, theta, q, psi = body
+            self.add(LimitState(as_vector(self.grid, v), SpectralScalar(self.grid, theta)),
+                     (q, psi), self.growth)
+        else:  # "runs", the last message
+            self.runs, self.growth = body
+
+
+@dataclass(eq=False)
+class RunOutputs:
+    """What one lambda run leaves for _write_outputs: the rows of its
+    diag_*.csv and, when save_snapshots is set, (t, rho, u) at each snapshot
+    time."""
+
+    diag_lines: list
+    snapshots: list
+
+
+class _Measurement:
+    """One lambda run measured snapshot by snapshot, in the process that runs
+    it: on_snapshot takes each state, which waits only until the stage at
+    its time has arrived, and finish returns the run's ReportRow and
+    RunOutputs.  Per snapshot it keeps the errors, the state norms and the
+    diag row, and rho and u when save_snapshots is set; measure_errors
+    measures each state alone, and _report_row combines them."""
+
+    def __init__(self, config: RunConfig, lam: float, stage: _Stage, last: bool):
+        self.config, self.lam, self.stage, self.last = config, lam, stage, last
+        self.waiting = deque()  # (t, state) whose stage has not arrived
+        self.errors, self.norms = [], []
+        self.outputs = RunOutputs([], [])
+
+    def on_snapshot(self, t, state) -> None:
+        self.waiting.append((t, state))
+        self._measure(wait=False)
+
+    def finish(self):
+        self._measure(wait=True)
+        return _report_row(self.lam, self.errors, self.norms), self.outputs
+
+    def _measure(self, wait: bool) -> None:
+        s = self.config.s_norm
+        while self.waiting and self.stage.reached(len(self.norms), wait):
+            t, state = self.waiting.popleft()
+            i, times = len(self.norms), np.array([t])
+            row = measure_errors(Snapshots(times, [state]),
+                                 Snapshots(times, [self.stage.limits[i]]),
+                                 Snapshots(times, [self.stage.pair(i)]), self.lam, s)
+            self.errors.append(tuple(map(row.channel, ERROR_CHANNELS)))
+            self.norms += row.hs_norms
+            self.outputs.diag_lines.append(_diag_line(t, state, row.hs_norms[0], self.lam, s))
+            if self.config.save_snapshots:
+                self.outputs.snapshots.append((t, state.rho, state.u))
+            if self.last:  # no later run of this process reads the stage at i
+                self.stage.limits[i] = self.stage.potentials[i] = None
+
+
+def _measured_run(config: RunConfig, base: BaseFields, lam: float, dt: float,
+                  stage: _Stage, last: bool):
+    """The NSP run at one lambda with step dt, measured as it runs: (its
+    ReportRow, its RunOutputs), or (its failure status row, None).  The last
+    run of a process frees each snapshot's stage once it is measured."""
+    measurement = _Measurement(config, lam, stage, last)
+    status = _run_one_lambda(config, base, lam, dt, config.resolved_snapshot_times(),
+                             measurement.on_snapshot)
+    if status != "ok":
+        return ReportRow(lam, status=status), None
+    return measurement.finish()
+
+
+def _child_share(send, stage_run, stage: _Stage, config: RunConfig, base: BaseFields,
+                 plan: SweepPlan) -> None:
+    """The forked child's part of a sweep.  It goes on with stage_run, the
+    stage generator at t = 0, and sends each snapshot interval's limit
+    state and pair potentials as soon as both are solved.  Then it runs
+    plan.child_lams, each measured as it runs, and sends last their rows
+    and outputs, {lam: (row, outputs)}, and the growth factor."""
+    for limit, potentials, growth in stage_run:
+        send(("stage", (tuple(c.coeffs for c in limit.v), limit.theta.coeffs, *potentials)))
+        stage.add(limit, potentials, growth)
+    runs = {lam: _measured_run(config, base, lam, plan.lam_step[lam], stage,
+                               lam == plan.child_lams[-1])
+            for lam in plan.child_lams}
+    send(("runs", (runs, stage.growth)))
+
+
+class _ChildError(Exception):
+    """The forked child's failure, its exception or a ChildLostError, raised
+    in the parent wherever it reads and re-raised by run_sweep as itself; so
+    no lambda run of the parent takes it for its own failure."""
+
+    def __init__(self, error: BaseException):
+        super().__init__(error)
+        self.error = error
 
 
 def _send_and_exit(write_fd: int, fn, args):
-    """Child side of _Forked: compute fn(*args), pipe (True, result) or
-    (False, exception) and leave with os._exit, so the child never returns
+    """Child side of _Forked: run fn(send, *args), where send pipes one
+    message as its length and its pickle; an exception of fn is sent last,
+    as ("error", exc).  The child leaves with os._exit, so it never returns
     into the parent's stack, atexit handlers or buffered output."""
+    def send(message):
+        data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+        for part in (struct.pack("<Q", len(data)), data):
+            view = memoryview(part)
+            while view:
+                view = view[os.write(write_fd, view):]
+
     code = 1
     try:
         try:
-            message = (True, fn(*args))
+            fn(send, *args)
         except BaseException as exc:  # re-raised by the parent
-            message = (False, exc)
-        with os.fdopen(write_fd, "wb") as pipe:
-            pickle.dump(message, pipe, pickle.HIGHEST_PROTOCOL)
+            send(("error", exc))
         code = 0
     finally:
         os._exit(code)
@@ -672,19 +859,25 @@ def _leave_when_orphaned(parent: int) -> None:
 
 
 class _Forked:
-    """fn(*args) computed in a forked child while the parent goes on.
+    """fn(send, *args) run in a forked child while the parent goes on; each
+    send(message) of the child reaches the parent's receive() in order.
 
-    `result()` returns its value or raises its exception; `poll()` does so
-    only if the child's message (or its end) is already in the pipe.
-    Leaving the with block kills and reaps the child, whether or not the
-    result was read.  The sweep starts no threads, and OpenBLAS, whose idle
-    pool numpy starts, shuts it down across a fork, so the child holds no
-    lock another thread owned.
+    `ready()` says whether a message (or the child's end) is in the pipe,
+    and `receive()` returns the next message as (kind, body), waiting for
+    it.  A message ("error", exc), or the end of a child that sent no last
+    message, raises _ChildError holding exc or a ChildLostError.  Leaving the with block kills and
+    reaps the child, whether or not every message was read.  The sweep
+    starts no threads, and OpenBLAS, whose idle pool numpy starts, shuts it
+    down across a fork, so the child holds no lock another thread owned.
     """
 
     def __init__(self, fn, *args):
         parent = os.getpid()
         read_fd, write_fd = os.pipe()
+        try:
+            fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
+        except OSError:
+            pass  # the system's pipe size; the child may wait for the parent
         try:
             self.pid = os.fork()
         except OSError:
@@ -696,35 +889,42 @@ class _Forked:
             _leave_when_orphaned(parent)
             _send_and_exit(write_fd, fn, args)
         os.close(write_fd)
-        self._pipe = os.fdopen(read_fd, "rb")
-        self._message = None
+        self._fd = read_fd
 
-    def poll(self):
-        """Read the child's message if it is waiting; raise its exception."""
-        if self._message is None and select.select([self._pipe], [], [], 0)[0]:
-            self.result()
+    def ready(self) -> bool:
+        return bool(select.select([self._fd], [], [], 0)[0])
 
-    def result(self):
-        if self._message is None:
-            try:
-                self._message = pickle.load(self._pipe)
-            except (EOFError, pickle.UnpicklingError):
+    def receive(self):
+        kind, body = pickle.loads(self._frame())
+        if kind == "error":
+            raise _ChildError(body)
+        return kind, body
+
+    def _frame(self) -> bytearray:
+        """The next message's pickle, as the child sent it."""
+        size, = struct.unpack("<Q", self._read(8))
+        return self._read(size)
+
+    def _read(self, size: int) -> bytearray:
+        data = bytearray(size)
+        view, got = memoryview(data), 0
+        while got < size:
+            count = os.readv(self._fd, [view[got:]])
+            if count == 0:
                 _, status = os.waitpid(self.pid, 0)
                 self.pid = None
-                raise ChildLostError(
+                raise _ChildError(ChildLostError(
                     "the forked child (limit and pair stage, and its lambda runs) "
-                    "ended without a result "
-                    f"(exit code {os.waitstatus_to_exitcode(status)})") from None
-        ok, value = self._message
-        if not ok:
-            raise value
-        return value
+                    "ended without its last message "
+                    f"(exit code {os.waitstatus_to_exitcode(status)})"))
+            got += count
+        return data
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc_info):
-        self._pipe.close()
+        os.close(self._fd)
         if self.pid is not None:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
@@ -733,46 +933,52 @@ class _Forked:
 
 def run_sweep(config: RunConfig) -> ConvergenceReport:
     """Full lambda sweep; writes report.csv, rates.csv and meta.txt.  A
-    forked child solves the lambda-independent stage and then its share of
-    the lambda runs, concurrently with the parent's (see the module
-    docstring)."""
+    forked child solves the lambda-independent stage, sending it interval by
+    interval, and then its share of the lambda runs, concurrently with the
+    parent's (see the module docstring)."""
     config.validate()
     base = base_fields(config)
-    snapshot_times = config.resolved_snapshot_times()
     plan = plan_sweep(config, base)
-    runs = {}
-    with _Forked(_child_share, config, base, plan) as child:
-        for lam in plan.parent_lams:
-            runs[lam] = _run_one_lambda(config, base, lam, plan.lam_step[lam], snapshot_times)
-            child.poll()  # a failed child raises now, not after the last run
-        limit, pair_traj, child_runs = child.result()
-    runs.update(child_runs)
+    grid = base.v0.grid
+    stage_run = _lambda_independent_stage(config, base, plan.stage_step)
+    first = next(stage_run)  # t = 0: the settled initial data
+    try:
+        with _Forked(_child_share, stage_run, _Stage(grid, first), config, base,
+                     plan) as child:
+            del stage_run  # the child goes on with it
+            stage = _ReceivedStage(grid, first, child)
+            del first
+            # The longest run first, so that its states seldom wait.
+            lams = sorted(plan.parent_lams, key=plan.lam_count.get, reverse=True)
+            runs = {lam: _measured_run(config, base, lam, plan.lam_step[lam], stage,
+                                       lam == lams[-1])
+                    for lam in lams}
+            runs.update(stage.child_runs())
+    except _ChildError as failed:
+        raise failed.error from None
     lams = [float(lam) for lam in config.lambda_list]  # strictly decreasing
-    trajectories = [runs[lam][0] for lam in lams]
-    rows = [ReportRow(lam, status=runs[lam][1]) if traj is None
-            else measure_errors(traj, limit, pair_traj, lam, config.s_norm)
-            for lam, traj in zip(lams, trajectories)]
-    report = ConvergenceReport(config, rows, fit_all_rates(rows),
-                               pair_traj.growth_factor)
-    _write_outputs(config, report, trajectories)
+    rows = [runs[lam][0] for lam in lams]
+    report = ConvergenceReport(config, rows, fit_all_rates(rows), stage.growth)
+    _write_outputs(config, report, [runs[lam][1] for lam in lams])
     return report
 
 
-def _diag_csv(traj: Snapshots, lam: float, s: float, norms) -> str:
-    """The diag_*.csv text of one NSP run: mass, positivity minima, H^s
-    norms (norms are its state_norms) and Poisson residual of each snapshot
-    state."""
-    lines = ["t,mass,min_rho,min_theta,rho_hs,u_hs,theta_hs,"
-             "grad_phi_hs1,poisson_residual"]
-    for t, state, hs in zip(traj.times, traj.states, norms, strict=True):
-        row = (t, state.mass(), state.rho.samples().min(), state.theta.samples().min(),
-               *hs, sobolev_norm(gradient(state.phi), s + 1.0),
-               state.poisson_residual(lam))
-        lines.append(",".join(f"{value:.12e}" for value in row))
-    return "\n".join(lines) + "\n"
+DIAG_HEADER = ("t,mass,min_rho,min_theta,rho_hs,u_hs,theta_hs,"
+               "grad_phi_hs1,poisson_residual")
 
 
-def _write_outputs(config: RunConfig, report: ConvergenceReport, trajectories):
+def _diag_line(t, state, hs, lam: float, s: float) -> str:
+    """The diag_*.csv row of one NSP snapshot state: mass, positivity
+    minima, H^s norms (hs, its state_norms), H^(s+1) norm of grad(phi) and
+    Poisson residual."""
+    row = (t, state.mass(), state.rho.samples().min(), state.theta.samples().min(),
+           *hs, sobolev_norm(gradient(state.phi), s + 1.0), state.poisson_residual(lam))
+    return ",".join(f"{value:.12e}" for value in row)
+
+
+def _write_outputs(config: RunConfig, report: ConvergenceReport, runs):
+    """report.csv, rates.csv and meta.txt, and for each run that ended (runs
+    in row order, None for a failed one) its diag_*.csv and snapshot files."""
     out = config.output_dir
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "report.csv"), "w", encoding="utf-8") as fh:
@@ -781,14 +987,13 @@ def _write_outputs(config: RunConfig, report: ConvergenceReport, trajectories):
         fh.write(report.rates_csv())
     with open(os.path.join(out, "meta.txt"), "w", encoding="utf-8") as fh:
         fh.write(report.meta_text())
-    for row, traj in zip(report.rows, trajectories):
-        if traj is None:
+    for row, run in zip(report.rows, runs):
+        if run is None:
             continue
         name = f"diag_lambda_{file_tag(row.lam)}.csv"
         with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
-            fh.write(_diag_csv(traj, row.lam, config.s_norm, row.hs_norms))
-        if config.save_snapshots:
-            for t, state in zip(traj.times, traj.states):
-                stem = f"snapshot_lambda_{file_tag(row.lam)}_t_{file_tag(t)}"
-                write_snapshot(os.path.join(out, stem + "_rho.qnl"), state.rho)
-                write_snapshot(os.path.join(out, stem + "_u.qnl"), state.u)
+            fh.write("\n".join([DIAG_HEADER, *run.diag_lines]) + "\n")
+        for t, rho, u in run.snapshots:
+            stem = f"snapshot_lambda_{file_tag(row.lam)}_t_{file_tag(t)}"
+            write_snapshot(os.path.join(out, stem + "_rho.qnl"), rho)
+            write_snapshot(os.path.join(out, stem + "_u.qnl"), u)

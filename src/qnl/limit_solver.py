@@ -193,11 +193,19 @@ class LimitTrajectory(Snapshots):
                  + h * (h10 * self.dv_nodes[i] + h11 * self.dv_nodes[i + 1]))
         return self._vector(block)
 
+    def keep_last_node(self) -> None:
+        """Forget every node but the last, on node lists that limit_states
+        grows: v_at then reads the next snapshot interval only, with the
+        values it would read from every node."""
+        del self.node_times[:-1], self.v_nodes[:-1], self.dv_nodes[:-1]
 
-def run_limit(initial: LimitState, params: PhysParams, t_end: float, dt: float,
-              snapshot_times=None) -> LimitTrajectory:
-    """Integrate the limit system with steps of at most dt; the states at the
-    snapshot times, with every node's velocity for interpolation."""
+
+def limit_states(initial: LimitState, params: PhysParams, t_end: float, dt: float,
+                 snapshot_times, nodes: LimitTrajectory):
+    """Integrate the limit system with steps of at most dt, yielding the
+    state at each snapshot time; the core of run_limit.  Each step node's
+    time, velocity and velocity tendency are appended to the node lists of
+    nodes, whose v_at then reaches up to the last state yielded."""
     grid = initial.grid
     params.validate(grid.dims)
     initial.validate()
@@ -207,7 +215,6 @@ def run_limit(initial: LimitState, params: PhysParams, t_end: float, dt: float,
     guard = BLOWUP_FACTOR * max(sobolev_norm(initial.v, 1), 1e-8)
     explicit, propagate, settle_state = _make_ops(grid, params, guard)
     n = grid.dims
-    node_times, v_nodes, dv_nodes = [], [], []
 
     def settle(y, t):
         # The first-stage tendency at a node is reused by the next step and
@@ -215,12 +222,21 @@ def run_limit(initial: LimitState, params: PhysParams, t_end: float, dt: float,
         y, _ = settle_state(y, t)
         n1 = explicit(y, t)
         v = np.stack(y[:n])
-        node_times.append(t)
-        v_nodes.append(v)
-        dv_nodes.append(np.stack(n1[:n]) - params.mu * grid.k_sq * v)
+        nodes.node_times.append(t)
+        nodes.v_nodes.append(v)
+        nodes.dv_nodes.append(np.stack(n1[:n]) - params.mu * grid.k_sq * v)
         return y, n1
 
     y0 = stack(initial.v, initial.theta.copy())
-    states = [LimitState(as_vector(grid, y[:n]), SpectralScalar(grid, y[n]))
-              for y in integrate(y0, times, dt, explicit, propagate, settle)]
-    return LimitTrajectory(times, states, grid, np.asarray(node_times), v_nodes, dv_nodes)
+    yield from map(lambda y: LimitState(as_vector(grid, y[:n]), SpectralScalar(grid, y[n])),
+                   integrate(y0, times, dt, explicit, propagate, settle))
+
+
+def run_limit(initial: LimitState, params: PhysParams, t_end: float, dt: float,
+              snapshot_times=None) -> LimitTrajectory:
+    """Integrate the limit system with steps of at most dt; the states at the
+    snapshot times, with every node's velocity for interpolation."""
+    traj = LimitTrajectory(time_grid(snapshot_times, t_end), [], initial.grid, [], [], [])
+    traj.states = list(limit_states(initial, params, t_end, dt, snapshot_times, traj))
+    traj.node_times = np.asarray(traj.node_times)
+    return traj

@@ -256,9 +256,11 @@ def nsp_dt(cfl: float, lam: float, phase_resolution: int, dt_max: float,
 
 
 def run_nsp(initial: NSPState, params: PhysParams, lam: float, t_end: float,
-            dt: float, snapshot_times=None) -> Snapshots:
+            dt: float, snapshot_times=None, on_snapshot=None) -> Snapshots | None:
     """Integrate to t_end with steps of at most dt (the sweep takes nsp_dt);
-    the states at the snapshot times, phi re-solved from rho in each."""
+    the states at the snapshot times, phi re-solved from rho in each.  With
+    on_snapshot, each state goes to on_snapshot(t, state) as soon as it is
+    reached, none is kept here, and the result is None."""
     grid = initial.grid
     params.validate(grid.dims)
     if lam <= 0:
@@ -270,4 +272,9 @@ def run_nsp(initial: NSPState, params: PhysParams, lam: float, t_end: float,
     explicit, propagate, settle = _make_ops(grid, params, lam, guard)
     run = integrate(_unsettled(initial), times, dt, explicit, propagate, settle)
     del initial  # the first settle replaces its u and phi; the run owns the rest
-    return Snapshots(times, list(map(lambda y: _state(grid, y, lam), run)))
+    states = map(lambda y: _state(grid, y, lam), run)
+    if on_snapshot is None:
+        return Snapshots(times, list(states))
+    for t in times:
+        on_snapshot(t, next(states))
+    return None

@@ -124,3 +124,11 @@ def test_bench_pairs_verdicts():
         == "within bound"
     assert tool.summarize(pairs(parent, close), "m", "lower", 0.01, False)["verdict"] \
         == "unresolved"
+    # two checkout pairs: a claim must hold in both; another metric takes its
+    # worst verdict
+    won = tool.summarize(pairs(parent, lower), "m", "lower", 0.05, True)["verdict"]
+    lost = tool.summarize(pairs(parent, eight), "m", "lower", 0.05, True)["verdict"]
+    assert tool.combine([won, won], True) == "gain"
+    assert tool.combine([won, lost], True) == tool.combine([lost, won], True) == "not met"
+    assert tool.combine(["within bound", "unresolved"], False) == "unresolved"
+    assert tool.combine(["worse", "within bound"], False) == "worse"

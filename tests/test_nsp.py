@@ -6,7 +6,7 @@ import pytest
 from qnl.errors import (BlowUpError, DegenerateDensityError, MassDefectError,
                         NonpositiveTemperatureError)
 from qnl import nsp
-from qnl.harness import (RunConfig, _diag_csv, base_fields, default_base_fields,
+from qnl.harness import (DIAG_HEADER, RunConfig, _diag_line, base_fields, default_base_fields,
                          gen_initial_data, plan_sweep, state_norms)
 from qnl.limit_solver import PhysParams, advective_dt
 from qnl.nsp import (VISCOUS_SAFETY, VISCOUS_Z, NSPState, nsp_dt, nsp_rhs_nonstiff,
@@ -217,8 +217,9 @@ class TestRunNsp:
         initial = gen_initial_data("ill", lam, base)
         traj = run_nsp(initial, PhysParams(0.05, 0.0, 0.05), lam, 0.2,
                        default_nsp_dt(initial.u, lam), np.linspace(0, 0.2, 5))
-        return [line.split(",") for line in
-                _diag_csv(traj, lam, 3.0, state_norms(traj, 3.0)).splitlines()]
+        lines = [_diag_line(t, state, hs, lam, 3.0) for t, state, hs in
+                 zip(traj.times, traj.states, state_norms(traj, 3.0), strict=True)]
+        return [line.split(",") for line in [DIAG_HEADER, *lines]]
 
     @staticmethod
     def column(lines, name):

@@ -1,9 +1,12 @@
-"""The sweep's forked child: schedule, failures and equivalence.
+"""The sweep's forked child: schedule, stream, failures and equivalence.
 
-`run_sweep` solves the limit and the pair system in a forked child, which
-then runs its share of the lambda values while the parent runs the rest.
-A patch made here before the sweep is inherited by the child.  Every test
-ends with no child process left.
+`run_sweep` forms the stage at t = 0 and forks a child that solves the rest
+of the limit and pair stage, sending it one snapshot interval at a time;
+then the child runs its share of the lambda values while the parent runs
+the rest, each process measuring its own runs.  A patch made here before
+the sweep is inherited by the child.  `stage_then` patches the stage so
+that the child, not the parent, meets the patched step.  Every test ends
+with no child process left.
 """
 
 import gc
@@ -25,15 +28,17 @@ from qnl.cli import main as cli_main
 from qnl.errors import BlowUpError, ChildLostError, NonpositiveTemperatureError
 from qnl.harness import (NSP_STEP_TRANSFORMS, STAGE_DT_CAP, STAGE_ONCE_TRANSFORMS,
                          STAGE_STEP_TRANSFORMS, ConvergenceReport, ReportRow, RunConfig,
-                         _lambda_independent_stage, _run_one_lambda,
+                         RunOutputs, _child_share, _diag_line,
+                         _lambda_independent_stage, _run_one_lambda, _Stage,
                          _write_outputs, base_fields, fit_all_rates,
                          gen_initial_data, lpt_assign, measure_errors,
                          plan_sweep, run_sweep, solve_limit)
+from qnl.limit_solver import LimitTrajectory
 from qnl.limit_solver import advective_dt
 from qnl.nsp import nsp_dt, run_nsp, viscous_dt
 from qnl.oscillation import GradientPair
-from qnl.spectral import TorusGrid, gradient, laplacian, make_grid
-from qnl.stepping import Snapshots
+from qnl.spectral import SpectralScalar, TorusGrid, gradient, laplacian, make_grid
+from qnl.stepping import substep_count
 
 SMALL = dict(resolution=16, lambda_list=(0.1, 0.05, 0.025), t_end=0.05,
              snapshots=2)
@@ -57,12 +62,36 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def stage_then(action, intervals=0):
+    """A _lambda_independent_stage that yields t = 0 and the next `intervals`
+    snapshot intervals, then calls action().  The parent takes only the
+    t = 0 stage before it forks, so action runs in the child."""
+    real = qnl.harness._lambda_independent_stage
+
+    def stage(config, base, dt):
+        run = real(config, base, dt)
+        for _ in range(intervals + 1):
+            yield next(run)
+        action()
+        yield from run
+    return stage
+
+
+def solve_stage(config, base, dt):
+    """Every snapshot of the streamed stage, in one process."""
+    return list(_lambda_independent_stage(config, base, dt))
+
+
+def no_op(t, state):
+    pass
+
+
 def test_child_exception_is_reraised_with_type_and_message(
         tmp_path, monkeypatch, capsys, deadline):
-    def failing_solve_limit(config, base, dt):
+    def fail():
         raise NonpositiveTemperatureError("limit temperature lost positivity at t = 0.0125")
 
-    monkeypatch.setattr(qnl.harness, "solve_limit", failing_solve_limit)
+    monkeypatch.setattr(qnl.harness, "_lambda_independent_stage", stage_then(fail))
     config = RunConfig(output_dir=str(tmp_path / "out"), **SMALL)
     with pytest.raises(NonpositiveTemperatureError,
                        match=r"^limit temperature lost positivity at t = 0\.0125$"):
@@ -78,12 +107,12 @@ def test_child_exception_is_reraised_with_type_and_message(
     assert_no_child_left()
 
 
-def test_killed_child_raises_child_lost_error(tmp_path, monkeypatch, deadline):
-    def killed_solve_limit(config, base, dt):
-        os.kill(os.getpid(), signal.SIGKILL)  # runs in the child
-
-    monkeypatch.setattr(qnl.harness, "solve_limit", killed_solve_limit)
-    config = RunConfig(output_dir=str(tmp_path / "out"), **SMALL)
+@pytest.mark.parametrize("intervals", [0, 1], ids=["before", "after-first-message"])
+def test_killed_child_raises_child_lost_error(tmp_path, monkeypatch, deadline, intervals):
+    # killed before it sends the stage, or after its first stage message
+    monkeypatch.setattr(qnl.harness, "_lambda_independent_stage",
+                        stage_then(lambda: os.kill(os.getpid(), signal.SIGKILL), intervals))
+    config = RunConfig(output_dir=str(tmp_path / "out"), **dict(SMALL, snapshots=3))
     with pytest.raises(ChildLostError, match="exit code -9"):
         run_sweep(config)
     assert not (tmp_path / "out").exists()
@@ -94,8 +123,8 @@ def test_killed_child_raises_child_lost_error(tmp_path, monkeypatch, deadline):
 def test_parent_failure_kills_and_reaps_the_child(tmp_path, monkeypatch, deadline,
                                                   error):
     # The child would outlive the test by far if the parent did not kill it.
-    monkeypatch.setattr(qnl.harness, "solve_limit",
-                        lambda config, base, dt: time.sleep(600))
+    monkeypatch.setattr(qnl.harness, "_lambda_independent_stage",
+                        stage_then(lambda: time.sleep(600)))
 
     def failing_run_nsp(*args, **kwargs):
         raise error("NSP run failed")
@@ -120,7 +149,7 @@ def serial_sweep(config: RunConfig, run_nsp=run_nsp):
                      config.limit_params(), config.t_end, dt=limit_dt,
                      snapshot_times=times, norm_s=config.s_norm)
     lap_max = laplacian(base.phi0).samples().max()
-    rows, trajectories = [], []
+    rows, outputs = [], []
     for lam in config.lambda_list:
         initial = gen_initial_data(config.ic, lam, base)
         viscous = viscous_dt(config.nsp_params(lam), base.v0.grid, 1.0 - lam * lap_max)
@@ -130,12 +159,16 @@ def serial_sweep(config: RunConfig, run_nsp=run_nsp):
             traj = run_nsp(initial, config.nsp_params(lam), lam, config.t_end, dt, times)
         except BlowUpError:
             rows.append(ReportRow(lam, status="blow_up"))
-            trajectories.append(None)
+            outputs.append(None)
             continue
         rows.append(measure_errors(traj, limit, pair, lam, config.s_norm))
-        trajectories.append(traj)
+        outputs.append(RunOutputs(
+            [_diag_line(t, state, hs, lam, config.s_norm)
+             for t, state, hs in zip(traj.times, traj.states, rows[-1].hs_norms, strict=True)],
+            [(t, state.rho, state.u) for t, state in zip(traj.times, traj.states)]
+            if config.save_snapshots else []))
     _write_outputs(config, ConvergenceReport(config, rows, fit_all_rates(rows),
-                                             pair.growth_factor), trajectories)
+                                             pair.growth_factor), outputs)
 
 
 @pytest.mark.parametrize("keys", [
@@ -166,15 +199,49 @@ def test_sweep_outputs_equal_the_serial_stages_byte_for_byte(tmp_path, keys):
                     if not line.startswith("output_dir = ")]
 
 
-def test_stage_returns_the_limit_snapshots_without_the_nodes():
-    # The stage's result is piped to the parent; the Hermite nodes of the
-    # limit solve must not go with it.
-    config = RunConfig(**SMALL)
+def test_stage_messages_carry_one_interval_without_the_nodes(monkeypatch):
+    # The child's stage messages, one per snapshot interval after t = 0, hold
+    # the limit state and the pair potentials, dims + 3 arrays, equal byte
+    # for byte to the whole-run solves; no Hermite node goes with them, and
+    # the stage keeps the nodes of one interval only.
+    config = RunConfig(**dict(SMALL, snapshots=4))
     base = base_fields(config)
-    limit, pair = _lambda_independent_stage(config, base, plan_sweep(config, base).stage_step)
-    assert type(limit) is Snapshots and not hasattr(limit, "v_nodes")
-    np.testing.assert_array_equal(limit.times, config.resolved_snapshot_times())
-    assert len(limit.states) == len(pair.states) == len(limit.times)
+    plan = plan_sweep(config, base)
+    times = config.resolved_snapshot_times()
+    node_counts = []
+    keep_last_node = LimitTrajectory.keep_last_node
+
+    def counting(nodes):
+        node_counts.append(len(nodes.node_times))
+        keep_last_node(nodes)
+
+    monkeypatch.setattr(LimitTrajectory, "keep_last_node", counting)
+    run = _lambda_independent_stage(config, base, plan.stage_step)
+    first = next(run)
+    messages = []
+    _child_share(messages.append, run, _Stage(base.v0.grid, first), config, base, plan)
+
+    limit = solve_limit(config, base, plan.stage_step)
+    pair = solve_osc(GradientPair(base.qu0.copy(), gradient(base.phi0)), limit,
+                     config.limit_params(), config.t_end, dt=plan.stage_step,
+                     snapshot_times=times, norm_s=config.s_norm)
+    assert [kind for kind, _ in messages] == ["stage"] * (len(times) - 1) + ["runs"]
+    shape = base.v0.grid.spectral_shape
+    for i, (_, (v, theta, q, psi)) in enumerate(messages[:-1], start=1):
+        arrays = [*v, theta, q, psi]
+        assert len(arrays) == config.dims + 3
+        assert all(type(a) is np.ndarray and a.shape == shape for a in arrays)
+        assert [a.tobytes() for a in (*v, theta)] == [
+            c.coeffs.tobytes() for c in (*limit.states[i].v, limit.states[i].theta)]
+        assert [c.coeffs.tobytes() for c in (*gradient(SpectralScalar(base.v0.grid, q)),
+                                               *gradient(SpectralScalar(base.v0.grid, psi)))] \
+            == [c.coeffs.tobytes() for c in (*pair.states[i].grad_q, *pair.states[i].grad_psi)]
+    runs, growth = messages[-1][1]
+    assert sorted(runs) == sorted(plan.child_lams)
+    assert growth == pair.growth_factor
+    # each interval's nodes: its steps, plus the node it starts from
+    steps = [substep_count(b - a, plan.stage_step) for a, b in zip(times, times[1:])]
+    assert node_counts == [1] + [n + 1 for n in steps]
 
 
 def grids_by_shape():
@@ -184,8 +251,9 @@ def grids_by_shape():
 
 
 def test_the_parent_holds_one_grid_per_shape(tmp_path, monkeypatch, deadline):
-    # An ns3d-shaped sweep: the limit and pair snapshots the child pipes
-    # back unpickle onto the parent's own grid, so no second grid is built.
+    # An ns3d-shaped sweep: the stage the child sends lands on the parent's
+    # own grid, and so do the snapshot fields of the child's runs, so no
+    # second grid is built.
     config = RunConfig(dims=3, resolution=12, s_norm=3.5, lambda_list=(0.1, 0.05, 0.025),
                        t_end=0.01, snapshots=2, ic_random_amp=0.01, save_snapshots=True,
                        output_dir=str(tmp_path / "out"))
@@ -205,7 +273,9 @@ def test_the_parent_holds_one_grid_per_shape(tmp_path, monkeypatch, deadline):
     run_sweep(config)
     assert_no_child_left()
 
-    assert len(received) == 3
+    # the parent measures its own runs, one snapshot a call
+    parent_lams = plan_sweep(config, base_fields(config)).parent_lams
+    assert len(received) == len(parent_lams) * config.snapshots
     for limit, pair in received:
         for state in limit.states:
             assert state.v.grid is grid and state.theta.grid is grid
@@ -218,29 +288,85 @@ def test_the_parent_holds_one_grid_per_shape(tmp_path, monkeypatch, deadline):
     assert set(grids_by_shape().values()) == {1}
 
 
-def test_failed_child_stage_raises_after_one_parent_run(tmp_path, monkeypatch,
-                                                        deadline):
-    # The parent polls the pipe between its lambda runs; it used to wait for
-    # all of them before reading the child's failure.
-    config = RunConfig(output_dir=str(tmp_path / "out"), **SMALL)
-    assert len(plan_sweep(config, base_fields(config)).parent_lams) >= 2
+def test_failed_child_stage_raises_during_the_first_parent_run(tmp_path, monkeypatch,
+                                                               deadline):
+    # The parent reads the pipe at each of its snapshots; it used to wait
+    # for a whole run, and before that for all of them, before reading the
+    # child's failure.  Here the stage's second interval blows up.
+    config = RunConfig(output_dir=str(tmp_path / "out"), **dict(SMALL, snapshots=5))
+    parent = os.getpid()
 
-    def failing_solve_limit(config, base, dt):
-        raise NonpositiveTemperatureError("limit temperature lost positivity")
+    def blow_up():
+        raise BlowUpError("oscillating pair blew up or is not finite at t = 0.0250")
 
-    calls = []
+    calls, finished = [], []
 
-    def slow_run_nsp(*args, **kwargs):
-        calls.append(1)  # counted in the parent only
-        time.sleep(0.5)
+    def slow_run_nsp(*args):
+        *head, on_snapshot = args
 
-    monkeypatch.setattr(qnl.harness, "solve_limit", failing_solve_limit)
+        def slow(t, state):
+            if os.getpid() == parent:
+                time.sleep(0.3)
+            on_snapshot(t, state)
+
+        calls.append(os.getpid())
+        run_nsp(*head, slow)
+        finished.append(os.getpid())
+
+    monkeypatch.setattr(qnl.harness, "_lambda_independent_stage", stage_then(blow_up, 1))
     monkeypatch.setattr(qnl.harness, "run_nsp", slow_run_nsp)
-    with pytest.raises(NonpositiveTemperatureError):
+    with pytest.raises(BlowUpError,
+                       match=r"^oscillating pair blew up or is not finite at t = 0\.0250$"):
         run_sweep(config)
-    assert len(calls) == 1
+    assert calls == [parent] and finished == []
     assert not (tmp_path / "out").exists()
     assert_no_child_left()
+
+
+def slowed_sweeps(tmp_path, monkeypatch, config, who):
+    """The sweep's output directory with the parent slowed at each of its
+    snapshots, or the child slowed after each stage interval."""
+    parent = os.getpid()
+    if who == "parent":
+        def slow_run_nsp(*args):
+            *head, on_snapshot = args
+
+            def slow(t, state):
+                if os.getpid() == parent:
+                    time.sleep(0.05)
+                on_snapshot(t, state)
+
+            return run_nsp(*head, slow)
+
+        monkeypatch.setattr(qnl.harness, "run_nsp", slow_run_nsp)
+    else:
+        real = qnl.harness._lambda_independent_stage
+
+        def slow_stage(config, base, dt):
+            for item in real(config, base, dt):
+                yield item
+                time.sleep(0.05)  # after t = 0, in the child only
+
+        monkeypatch.setattr(qnl.harness, "_lambda_independent_stage", slow_stage)
+    out = tmp_path / f"slow-{who}"
+    run_sweep(replace(config, output_dir=str(out)))
+    monkeypatch.undo()
+    return out
+
+
+@pytest.mark.parametrize("who", ["parent", "child"])
+def test_a_slowed_side_writes_the_same_outputs(tmp_path, monkeypatch, deadline, who):
+    # The parent measures a state only once the stage at its time has come,
+    # however far one side runs ahead of the other.
+    config = RunConfig(resolution=16, lambda_list=FOUR_LAMBDAS, t_end=0.1, snapshots=6,
+                       ic_random_amp=0.01, save_snapshots=True,
+                       output_dir=str(tmp_path / "plain"))
+    assert plan_sweep(config, base_fields(config)).child_lams
+    slowed = slowed_sweeps(tmp_path, monkeypatch, config, who)
+    assert_no_child_left()
+    run_sweep(config)
+    assert_no_child_left()
+    assert_same_outputs(slowed, tmp_path / "plain")
 
 
 # -- schedule ----------------------------------------------------------------
@@ -339,12 +465,12 @@ def test_predicted_steps_equal_the_steps_taken(keys, step_counter):
     config = RunConfig(**keys)
     base = base_fields(config)
     plan = plan_sweep(config, base)
-    _lambda_independent_stage(config, base, plan.stage_step)
+    solve_stage(config, base, plan.stage_step)
     assert len(step_counter) == 2 * plan.stage_count  # limit, then pair
     times = config.resolved_snapshot_times()
     for lam, steps in plan.lam_count.items():
         step_counter.clear()
-        assert _run_one_lambda(config, base, lam, plan.lam_step[lam], times)[1] == "ok"
+        assert _run_one_lambda(config, base, lam, plan.lam_step[lam], times, no_op) == "ok"
         assert len(step_counter) == steps, lam
 
 
@@ -372,7 +498,7 @@ def test_cost_weights_are_the_transforms_of_one_step(count_transforms, dims,
                                                 steps * dt, dt=dt))
 
     def stage(steps):
-        return count_transforms(lambda: _lambda_independent_stage(
+        return count_transforms(lambda: solve_stage(
             replace(config, t_end=steps * dt), base, dt))
 
     assert nsp(2) - nsp(1) == nsp(3) - nsp(2) == NSP_STEP_TRANSFORMS[dims]
@@ -386,7 +512,7 @@ def test_stage_once_weight_is_the_transforms_of_a_one_step_stage(
     config = RunConfig(dims=dims, resolution=resolution, s_norm=3.5, snapshots=2,
                        euler_mode=euler_mode)
     base, dt = base_fields(config), 1e-3
-    one_step = count_transforms(lambda: _lambda_independent_stage(
+    one_step = count_transforms(lambda: solve_stage(
         replace(config, t_end=dt), base, dt))
     assert one_step == STAGE_ONCE_TRANSFORMS[dims] + STAGE_STEP_TRANSFORMS[dims]
 
@@ -401,7 +527,7 @@ def test_predicted_steps_follow_the_viscous_bound(step_counter):
     for lam, steps in plan.lam_count.items():
         assert steps > unbounded[lam]
         step_counter.clear()
-        assert _run_one_lambda(config, base, lam, plan.lam_step[lam], times)[1] == "ok"
+        assert _run_one_lambda(config, base, lam, plan.lam_step[lam], times, no_op) == "ok"
         assert len(step_counter) == steps, lam
 
 
@@ -538,24 +664,24 @@ def open_descriptors():
                              else "/dev/fd"))
 
 
-def raise_nonpositive_temperature(config, base, dt):
+def raise_nonpositive_temperature():
     raise NonpositiveTemperatureError("limit temperature lost positivity")
 
 
-def kill_self(config, base, dt):
+def kill_self():
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-# Each way a sweep can end: the harness names it patches, and the error the
-# sweep raises.
+# Each way a sweep can end: the harness names it patches (a stage action
+# goes through stage_then), and the error the sweep raises.
 SWEEP_ENDINGS = {
     "ok": ({}, None),
-    "parent_error": ({"solve_limit": lambda config, base, dt: time.sleep(600),
+    "parent_error": ({"_lambda_independent_stage": lambda: time.sleep(600),
                       "run_nsp": failing_at(SMALL["lambda_list"], RuntimeError)},
                      RuntimeError),
-    "child_error": ({"solve_limit": raise_nonpositive_temperature},
+    "child_error": ({"_lambda_independent_stage": raise_nonpositive_temperature},
                     NonpositiveTemperatureError),
-    "child_lost": ({"solve_limit": kill_self}, ChildLostError),
+    "child_lost": ({"_lambda_independent_stage": kill_self}, ChildLostError),
 }
 
 
@@ -564,6 +690,8 @@ def test_a_sweep_leaves_the_parents_descriptors_as_they_were(tmp_path, monkeypat
                                                              deadline, ending):
     patches, error = SWEEP_ENDINGS[ending]
     for name, value in patches.items():
+        if name == "_lambda_independent_stage":
+            value = stage_then(value)
         monkeypatch.setattr(qnl.harness, name, value)
     config = RunConfig(output_dir=str(tmp_path / "out"), **SMALL)
     before = open_descriptors()

@@ -2,8 +2,8 @@
 """Alternating parent/change pairs of `bench/run.py`, written to BENCH_<pr>.json.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --pr 16 \\
-        --work /tmp/pairs --seeds 2400 --pairs 10 --seconds 8 \\
-        --claim ns3d:peak_rss_mb --out BENCH_16.json
+        --work /tmp/pairs --work /tmp/pairs2 --seeds 2400 --pairs 10 \\
+        --seconds 8 --claim ns3d:peak_rss_mb --out BENCH_16.json
 
 Both commits are exported with `git archive` into the sibling directories
 WORK/parent and WORK/change, whose paths have equal length: the
@@ -13,9 +13,14 @@ with the length of the checkout's path.  For each workload, pair i runs
 parent first in even pairs and the change first in odd ones.  Nothing under
 `bench/` is touched; each checkout runs its own copy.
 
-The summary gives, per workload and end-to-end metric, each side's median
-and quartiles (`statistics.quantiles`, inclusive method), the pairs the
-change won and lost (ties count for neither), and its verdict:
+A second `--work` directory makes a second checkout pair, and every pair
+runs there too, right after the first set's.  The heap layout, and with it
+`peak_rss_mb`, can differ between two checkout pairs of the same commits,
+so a claim made on one pair alone may not hold on another.
+
+The summary gives, per set, workload and end-to-end metric, each side's
+median and quartiles (`statistics.quantiles`, inclusive method), the pairs
+the change won and lost (ties count for neither), and its verdict:
 
 * a claimed metric is `gain` when the change is better in at least nine
   tenths of the pairs and its median beats the parent's by more than the
@@ -24,6 +29,9 @@ change won and lost (ties count for neither), and its verdict:
   parent's by more than the bound in BENCHMARK.json, `unresolved` when the
   parent's own interquartile range exceeds that bound, and `within bound`
   otherwise.
+
+The verdict over the sets (`combine`) is `gain` only when the claim holds
+in every set, and otherwise the worst verdict of any set.
 """
 
 from __future__ import annotations
@@ -102,13 +110,26 @@ def summarize(pairs, metric: str, better: str, bound: float, claimed: bool) -> d
     return out
 
 
+# Verdicts of an unclaimed metric, worst first.
+UNCLAIMED_ORDER = ("worse", "unresolved", "within bound")
+
+
+def combine(verdicts, claimed: bool) -> str:
+    """One verdict from the verdicts of the sets: a claim is a `gain` only
+    if it is one in every set; any other metric takes its worst verdict."""
+    if claimed:
+        return "gain" if all(v == "gain" for v in verdicts) else "not met"
+    return next(v for v in UNCLAIMED_ORDER if v in verdicts)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="parent commit (any git rev)")
     parser.add_argument("--change", required=True, help="change commit (any git rev)")
     parser.add_argument("--pr", required=True, type=int)
-    parser.add_argument("--work", required=True, type=Path,
-                        help="new directory for the two checkouts")
+    parser.add_argument("--work", required=True, type=Path, action="append",
+                        help="new directory for the two checkouts; given twice, "
+                             "the pairs run in both checkout pairs")
     parser.add_argument("--seeds", required=True, type=int, help="seed of the first pair")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=8.0)
@@ -123,10 +144,15 @@ def main(argv=None) -> int:
     metrics = {m["name"]: m for m in benchmark["end_to_end"]}
     workloads = args.workloads or [w["name"] for w in benchmark["workloads"]]
     claims = {tuple(c.split(":", 1)) for c in args.claim}
-    if args.work.exists():
-        parser.error(f"{args.work} exists")
-    trees = {side: args.work / side for side in SIDES}
-    commits = {side: checkout(getattr(args, side), trees[side]) for side in SIDES}
+    if len(args.work) > 2:
+        parser.error("at most two --work directories")
+    for work in args.work:
+        if work.exists():
+            parser.error(f"{work} exists")
+    sets = [{side: work / side for side in SIDES} for work in args.work]
+    commits = {}
+    for trees in sets:
+        commits = {side: checkout(getattr(args, side), trees[side]) for side in SIDES}
 
     record = {
         "pr": args.pr,
@@ -134,41 +160,52 @@ def main(argv=None) -> int:
         "protocol": (f"{args.pairs} alternating parent/change pairs per workload, the "
                      "parent first in even pairs; both sides run from git-archive "
                      "checkouts whose paths have equal length (sibling directories "
-                     f"named parent and change); seeds {args.seeds}-"
-                     f"{args.seeds + args.pairs - 1}; written by tools/bench_pairs.py"),
+                     f"named parent and change), in {len(sets)} checkout pair(s) "
+                     f"({', '.join(map(str, args.work))}), each pair run in every set "
+                     f"in turn; seeds {args.seeds}-{args.seeds + args.pairs - 1}; "
+                     "written by tools/bench_pairs.py"),
         "parent": commits["parent"], "change": commits["change"],
         "claim": sorted(f"{w}:{m}" for w, m in claims) or None,
         "workloads": {}, "machine": None,
     }
     for workload in workloads:
-        pairs = []
+        pairs = [[] for _ in sets]
         for i in range(args.pairs):
             seed = args.seeds + i
             order = SIDES if i % 2 == 0 else SIDES[::-1]
-            pair = {"seed": seed, "first": order[0]}
-            for side in order:
-                result, record["machine"] = bench_run(trees[side], workload, seed,
-                                                      args.seconds)
-                pair[side] = {key: result[key] for key in ("correct", "attempted", "failed")}
-                pair[side].update({name: result["metrics"][name]["value"]
-                                   for name in metrics})
-            pairs.append(pair)
-            print(f"{workload} seed {seed}: " + ", ".join(
-                f"{name} {pair['parent'][name]:.4g} -> {pair['change'][name]:.4g}"
-                for name in metrics), flush=True)
-        summary = {name: summarize(pairs, name, m["better"], m["bound"],
-                                   (workload, name) in claims)
-                   for name, m in metrics.items()}
+            for k, trees in enumerate(sets):
+                pair = {"seed": seed, "first": order[0]}
+                for side in order:
+                    result, record["machine"] = bench_run(trees[side], workload, seed,
+                                                          args.seconds)
+                    pair[side] = {key: result[key]
+                                  for key in ("correct", "attempted", "failed")}
+                    pair[side].update({name: result["metrics"][name]["value"]
+                                       for name in metrics})
+                pairs[k].append(pair)
+                print(f"{workload} set {k} seed {seed}: " + ", ".join(
+                    f"{name} {pair['parent'][name]:.4g} -> {pair['change'][name]:.4g}"
+                    for name in metrics), flush=True)
+        summaries = [{name: summarize(set_pairs, name, m["better"], m["bound"],
+                                      (workload, name) in claims)
+                      for name, m in metrics.items()} for set_pairs in pairs]
         record["workloads"][workload] = {
-            "seeds": [pair["seed"] for pair in pairs], "pairs": pairs,
-            "summary": summary,
+            "seeds": [args.seeds + i for i in range(args.pairs)],
+            "sets": [{"work": str(work), "pairs": set_pairs, "summary": summary}
+                     for work, set_pairs, summary in zip(args.work, pairs, summaries)],
+            "verdicts": {name: combine([summary[name]["verdict"] for summary in summaries],
+                                       (workload, name) in claims) for name in metrics},
             "all_correct": all(pair[side]["correct"] and pair[side]["failed"] == 0
-                               for pair in pairs for side in SIDES)}
-        for name, s in summary.items():
-            print(f"{workload} {name}: {s['parent_median']:.4g} -> {s['change_median']:.4g} "
-                  f"({100 * s['median_rel']:+.1f}%, parent IQR {100 * s['parent_iqr_rel']:.1f}%, "
-                  f"better in {s['change_better_pairs']}/{len(pairs)}): {s['verdict']}",
-                  flush=True)
+                               for set_pairs in pairs for pair in set_pairs
+                               for side in SIDES)}
+        for k, summary in enumerate(summaries):
+            for name, s in summary.items():
+                print(f"{workload} set {k} {name}: {s['parent_median']:.4g} -> "
+                      f"{s['change_median']:.4g} ({100 * s['median_rel']:+.1f}%, parent IQR "
+                      f"{100 * s['parent_iqr_rel']:.1f}%, better in "
+                      f"{s['change_better_pairs']}/{args.pairs}): {s['verdict']}", flush=True)
+        for name, verdict in record["workloads"][workload]["verdicts"].items():
+            print(f"{workload} {name}: {verdict}", flush=True)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

@@ -6,18 +6,18 @@
 Runs `harness.run_sweep` on the configuration file CONFIG in this process,
 under the allocator policy `qnl run` sets (`cli.keep_freed_heap`), with
 `harness` functions wrapped from outside; qnl itself is not changed.
-After `base_fields`, after each of the parent's lambda runs, once the forked
-child's result has been read, after each `measure_errors` and after
-`_write_outputs`, it prints the parent's VmRSS and VmHWM (the peak so far)
-from /proc/self/status and its minor page faults since the sweep began
-(`ru_minflt`).  At the end it prints the peak resident set and the minor
-faults of the forked child, the `ru_maxrss` and `ru_minflt` of
-RUSAGE_CHILDREN, and last the size in bytes of the child's result as it
-crosses the pipe: the message pickled again as `harness._send_and_exit`
-pickles it, after the sweep, so that the copy raises no reported peak.
-The sweep writes its outputs to the configuration's `output_dir`, as
-`qnl run` does.  Linux only: the numbers come from /proc and from
-ru_maxrss in KiB.
+After `base_fields`, after each of the parent's lambda runs (measured as
+they run, `_measured_run`), once the forked child's last message has been
+read and after `_write_outputs`, it prints the parent's VmRSS and VmHWM
+(the peak so far) from /proc/self/status and its minor page faults since
+the sweep began (`ru_minflt`).  At the end it prints the peak resident set
+and the minor faults of the forked child, the `ru_maxrss` and `ru_minflt`
+of RUSAGE_CHILDREN, and last the size in bytes of each message as it
+crossed the pipe: one per snapshot interval of the stage, then the child's
+last message (its runs).  The sizes are the pickles the parent read, so
+no copy is made.  The sweep writes its outputs to the configuration's
+`output_dir`, as `qnl run` does.  Linux only: the numbers come from /proc
+and from ru_maxrss in KiB.
 """
 
 from __future__ import annotations
@@ -25,15 +25,14 @@ from __future__ import annotations
 import argparse
 import functools
 import os
-import pickle
 import resource
 import sys
 
 # The parent's ru_minflt when the sweep begins; main sets it.
 faults_before = 0
-# The child's message as the parent read it; the wrapped _Forked.result
-# sets it, and main measures it once the sweep's memory is reported.
-child_message = None
+# The bytes of each message the parent read, in order; the wrapped
+# _Forked._frame appends them.
+message_bytes = []
 
 
 def memory_mib() -> tuple:
@@ -68,28 +67,22 @@ def install(harness) -> None:
         return wrapped
 
     harness.base_fields = after(harness.base_fields, lambda config: "base_fields")
-    harness._run_one_lambda = after(harness._run_one_lambda,
-                                    lambda config, base, lam, dt, times: f"lambda run {lam:g}")
-    harness.measure_errors = after(harness.measure_errors,
-                                   lambda traj, limit, pair, lam, s: f"measure_errors {lam:g}")
+    harness._measured_run = after(harness._measured_run,
+                                  lambda config, base, lam, dt, stage, last: f"lambda run {lam:g}")
     harness._write_outputs = after(harness._write_outputs,
-                                   lambda config, report, trajectories: "_write_outputs")
+                                   lambda config, report, runs: "_write_outputs")
 
-    # poll() reads the child's message as soon as it is waiting, and the
-    # final result() returns it again: report only the first read.
-    result = harness._Forked.result
+    frame = harness._Forked._frame
 
-    @functools.wraps(result)
-    def child_result(self):
-        global child_message
-        first = self._message is None
-        value = result(self)
-        if first:
-            report("child result")
-            child_message = self._message
-        return value
+    @functools.wraps(frame)
+    def sized_frame(self):
+        data = frame(self)
+        message_bytes.append(len(data))
+        return data
 
-    harness._Forked.result = child_result
+    harness._Forked._frame = sized_frame
+    harness._ReceivedStage.child_runs = after(harness._ReceivedStage.child_runs,
+                                              lambda stage: "child last message")
 
 
 def main(argv=None) -> int:
@@ -111,8 +104,10 @@ def main(argv=None) -> int:
     child = resource.getrusage(resource.RUSAGE_CHILDREN)
     print(f"{'child peak (ru_maxrss)':<28} {'':>10} {child.ru_maxrss / 1024.0:>10.2f} "
           f"{child.ru_minflt:>10d}")
-    payload = len(pickle.dumps(child_message, pickle.HIGHEST_PROTOCOL))
-    print(f"{'child payload (bytes)':<28} {payload:>10d}")
+    *stage, last = message_bytes
+    for i, size in enumerate(stage, start=1):
+        print(f"{f'stage message {i} (bytes)':<28} {size:>10d}")
+    print(f"{'last message (bytes)':<28} {last:>10d}")
     return 0
 
 

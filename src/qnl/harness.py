@@ -43,8 +43,10 @@ are produced (`run_nsp`'s on_snapshot), by `measure_errors` on one-snapshot
 row, plus rho and u when save_snapshots is set; `_report_row` combines them
 as for a whole run.  The child has the whole stage before its runs.  The
 parent runs its longest lambda first and reads every message in the pipe
-at each of its snapshots; a state whose stage has not arrived waits.  The
-child's last message holds its rows and outputs and the pair's growth
+at each of its snapshots; a state whose stage has not arrived waits, while
+the parent goes on with its runs, and is measured as soon as that stage
+is read.  The last run of a process frees each snapshot's stage once it
+has measured it.  The child's last message holds its rows and outputs and the pair's growth
 factor; only the parent writes, after it, so a failed sweep leaves no
 output directory, and the outputs are byte for byte a serial sweep's.
 
@@ -680,11 +682,14 @@ def _lambda_independent_stage(config: RunConfig, base: BaseFields, dt: float):
 class _Stage:
     """The lambda-independent stage at the snapshot times reached so far:
     the limit states, the pair potentials (q, psi) and the pair's growth
-    factor.  A complete stage, or one that the process solves itself."""
+    factor; and the NSP states that wait for it.  A process measures each
+    state of its runs here once the stage at its time is here; in the child,
+    which solved the stage before its runs, that is at once."""
 
     def __init__(self, grid, first):
         self.grid = grid
         self.limits, self.potentials, self.growth = [], [], 1.0
+        self.waiting = deque()  # (measurement, t, state) in the order taken
         self.add(*first)
 
     def add(self, limit: LimitState, potentials, growth: float) -> None:
@@ -692,14 +697,37 @@ class _Stage:
         self.potentials.append(potentials)
         self.growth = growth
 
-    def reached(self, i: int, wait: bool) -> bool:
-        """Whether the stage at snapshot i is here."""
-        return i < len(self.limits)
-
     def pair(self, i: int) -> GradientPair:
         """The pair at snapshot i, formed from its potentials as the pair
         solve forms its snapshots."""
         return potential_pair(self.grid, self.potentials[i])
+
+    def take(self, measurement: _Measurement, t, state) -> None:
+        """Measure the state, measurement's next snapshot, once the stage at
+        its time is here; the states that wait are measured too, each as
+        soon as its stage is here."""
+        self.waiting.append((measurement, t, state))
+        self._receive(wait=False)
+        self._measure_ready()
+
+    def measure_waiting(self) -> None:
+        """Measure every state that waits, reading the stage it waits for."""
+        while self.waiting:
+            self._receive(wait=True)
+            self._measure_ready()
+
+    def _receive(self, wait: bool) -> None:
+        """Nothing: this stage grows only as its process solves it."""
+
+    def _measure_ready(self) -> None:
+        # A run's states wait in snapshot order, and the stage arrives in
+        # that order, so each run is measured in snapshot order.
+        waiting, self.waiting = self.waiting, deque()
+        for measurement, t, state in waiting:
+            if measurement.count < len(self.limits):
+                measurement.measure(t, state, self)
+            else:
+                self.waiting.append((measurement, t, state))
 
 
 class _ReceivedStage(_Stage):
@@ -712,12 +740,11 @@ class _ReceivedStage(_Stage):
         self.child = child
         self.runs = None
 
-    def reached(self, i: int, wait: bool) -> bool:
-        """Whether the stage at snapshot i is here, once every message in
-        the pipe is read; with wait, once every message up to it is."""
-        while self.runs is None and (wait and i >= len(self.limits) or self.child.ready()):
+    def _receive(self, wait: bool) -> None:
+        """Read every message in the pipe; with wait, at least one."""
+        while self.runs is None and (wait or self.child.ready()):
             self._take(*self.child.receive())
-        return i < len(self.limits)
+            wait = False
 
     def child_runs(self) -> dict:
         """The child's runs, {lam: (row, outputs)}, read after the stage."""
@@ -746,54 +773,52 @@ class RunOutputs:
 
 class _Measurement:
     """One lambda run measured snapshot by snapshot, in the process that runs
-    it: on_snapshot takes each state, which waits only until the stage at
-    its time has arrived, and finish returns the run's ReportRow and
-    RunOutputs.  Per snapshot it keeps the errors, the state norms and the
-    diag row, and rho and u when save_snapshots is set; measure_errors
-    measures each state alone, and _report_row combines them."""
+    it.  Per snapshot it keeps the errors, the state norms and the diag row,
+    and rho and u when save_snapshots is set; measure_errors measures each
+    state alone, and _report_row combines them.  The last run of a process
+    frees each snapshot's stage once it has measured it."""
 
-    def __init__(self, config: RunConfig, lam: float, stage: _Stage, last: bool):
-        self.config, self.lam, self.stage, self.last = config, lam, stage, last
-        self.waiting = deque()  # (t, state) whose stage has not arrived
+    def __init__(self, config: RunConfig, lam: float, last: bool):
+        self.config, self.lam, self.last = config, lam, last
+        self.status = "ok"
         self.errors, self.norms = [], []
         self.outputs = RunOutputs([], [])
 
-    def on_snapshot(self, t, state) -> None:
-        self.waiting.append((t, state))
-        self._measure(wait=False)
+    @property
+    def count(self) -> int:
+        """The snapshots measured so far."""
+        return len(self.norms)
 
-    def finish(self):
-        self._measure(wait=True)
+    def measure(self, t, state, stage: _Stage) -> None:
+        s, i, times = self.config.s_norm, self.count, np.array([t])
+        row = measure_errors(Snapshots(times, [state]), Snapshots(times, [stage.limits[i]]),
+                             Snapshots(times, [stage.pair(i)]), self.lam, s)
+        self.errors.append(tuple(map(row.channel, ERROR_CHANNELS)))
+        self.norms += row.hs_norms
+        self.outputs.diag_lines.append(_diag_line(t, state, row.hs_norms[0], self.lam, s))
+        if self.config.save_snapshots:
+            self.outputs.snapshots.append((t, state.rho, state.u))
+        if self.last:  # no later run of this process reads the stage at i
+            stage.limits[i] = stage.potentials[i] = None
+
+    def result(self):
+        """(the run's ReportRow, its RunOutputs), or (its failure status row,
+        None); once every state the run took has been measured."""
+        if self.status != "ok":
+            return ReportRow(self.lam, status=self.status), None
         return _report_row(self.lam, self.errors, self.norms), self.outputs
-
-    def _measure(self, wait: bool) -> None:
-        s = self.config.s_norm
-        while self.waiting and self.stage.reached(len(self.norms), wait):
-            t, state = self.waiting.popleft()
-            i, times = len(self.norms), np.array([t])
-            row = measure_errors(Snapshots(times, [state]),
-                                 Snapshots(times, [self.stage.limits[i]]),
-                                 Snapshots(times, [self.stage.pair(i)]), self.lam, s)
-            self.errors.append(tuple(map(row.channel, ERROR_CHANNELS)))
-            self.norms += row.hs_norms
-            self.outputs.diag_lines.append(_diag_line(t, state, row.hs_norms[0], self.lam, s))
-            if self.config.save_snapshots:
-                self.outputs.snapshots.append((t, state.rho, state.u))
-            if self.last:  # no later run of this process reads the stage at i
-                self.stage.limits[i] = self.stage.potentials[i] = None
 
 
 def _measured_run(config: RunConfig, base: BaseFields, lam: float, dt: float,
-                  stage: _Stage, last: bool):
-    """The NSP run at one lambda with step dt, measured as it runs: (its
-    ReportRow, its RunOutputs), or (its failure status row, None).  The last
-    run of a process frees each snapshot's stage once it is measured."""
-    measurement = _Measurement(config, lam, stage, last)
-    status = _run_one_lambda(config, base, lam, dt, config.resolved_snapshot_times(),
-                             measurement.on_snapshot)
-    if status != "ok":
-        return ReportRow(lam, status=status), None
-    return measurement.finish()
+                  stage: _Stage, last: bool) -> _Measurement:
+    """The NSP run at one lambda with step dt, each state measured against
+    the stage as soon as the stage at its time is here.  A run that fails
+    still has its states measured, and its result is its status row."""
+    measurement = _Measurement(config, lam, last)
+    measurement.status = _run_one_lambda(
+        config, base, lam, dt, config.resolved_snapshot_times(),
+        lambda t, state: stage.take(measurement, t, state))
+    return measurement
 
 
 def _child_share(send, stage_run, stage: _Stage, config: RunConfig, base: BaseFields,
@@ -807,7 +832,7 @@ def _child_share(send, stage_run, stage: _Stage, config: RunConfig, base: BaseFi
         send(("stage", (tuple(c.coeffs for c in limit.v), limit.theta.coeffs, *potentials)))
         stage.add(limit, potentials, growth)
     runs = {lam: _measured_run(config, base, lam, plan.lam_step[lam], stage,
-                               lam == plan.child_lams[-1])
+                               lam == plan.child_lams[-1]).result()
             for lam in plan.child_lams}
     send(("runs", (runs, stage.growth)))
 
@@ -865,8 +890,9 @@ class _Forked:
     `ready()` says whether a message (or the child's end) is in the pipe,
     and `receive()` returns the next message as (kind, body), waiting for
     it.  A message ("error", exc), or the end of a child that sent no last
-    message, raises _ChildError holding exc or a ChildLostError.  Leaving the with block kills and
-    reaps the child, whether or not every message was read.  The sweep
+    message, raises _ChildError holding exc or a ChildLostError.  Leaving
+    the with block kills and reaps the child, whether or not every message
+    was read.  The sweep
     starts no threads, and OpenBLAS, whose idle pool numpy starts, shuts it
     down across a fork, so the child holds no lock another thread owned.
     """
@@ -949,10 +975,11 @@ def run_sweep(config: RunConfig) -> ConvergenceReport:
             stage = _ReceivedStage(grid, first, child)
             del first
             # The longest run first, so that its states seldom wait.
-            lams = sorted(plan.parent_lams, key=plan.lam_count.get, reverse=True)
-            runs = {lam: _measured_run(config, base, lam, plan.lam_step[lam], stage,
-                                       lam == lams[-1])
-                    for lam in lams}
+            order = sorted(plan.parent_lams, key=plan.lam_count.get, reverse=True)
+            measurements = [_measured_run(config, base, lam, plan.lam_step[lam], stage,
+                                          lam == order[-1]) for lam in order]
+            stage.measure_waiting()
+            runs = {m.lam: m.result() for m in measurements}
             runs.update(stage.child_runs())
     except _ChildError as failed:
         raise failed.error from None

@@ -369,6 +369,45 @@ def test_a_slowed_side_writes_the_same_outputs(tmp_path, monkeypatch, deadline, 
     assert_same_outputs(slowed, tmp_path / "plain")
 
 
+def test_a_parent_run_that_fails_while_its_states_wait(tmp_path, monkeypatch, deadline):
+    # The child is slowed, so the parent's states wait for the stage when
+    # its first run blows up; they are dropped, and the row is blow_up.
+    config = RunConfig(resolution=16, lambda_list=FOUR_LAMBDAS, t_end=0.1, snapshots=6,
+                       ic_random_amp=0.01, save_snapshots=True,
+                       output_dir=str(tmp_path / "sweep"))
+    plan = plan_sweep(config, base_fields(config))
+    failing = max(plan.parent_lams, key=plan.lam_count.get)  # the parent's first run
+
+    def blowing(initial, params, lam, t_end, dt, times, on_snapshot=None):
+        if lam != failing:
+            return run_nsp(initial, params, lam, t_end, dt, times, on_snapshot)
+        if on_snapshot is None:  # the serial reference
+            raise BlowUpError(f"NSP run failed at lambda = {lam}")
+
+        def then_fail(t, state):
+            on_snapshot(t, state)
+            if t >= times[2]:
+                raise BlowUpError(f"NSP run failed at lambda = {lam}")
+
+        return run_nsp(initial, params, lam, t_end, dt, times, then_fail)
+
+    real = qnl.harness._lambda_independent_stage
+
+    def slow_stage(config, base, dt):
+        for item in real(config, base, dt):
+            yield item
+            time.sleep(0.1)
+
+    monkeypatch.setattr(qnl.harness, "run_nsp", blowing)
+    monkeypatch.setattr(qnl.harness, "_lambda_independent_stage", slow_stage)
+    report = run_sweep(config)
+    assert_no_child_left()
+    assert [row.status == "blow_up" for row in report.rows] == [
+        lam == failing for lam in config.lambda_list]
+    serial_sweep(replace(config, output_dir=str(tmp_path / "serial")), blowing)
+    assert_same_outputs(tmp_path / "sweep", tmp_path / "serial")
+
+
 # -- schedule ----------------------------------------------------------------
 
 def test_lpt_assigns_longest_first_to_the_least_loaded_machine():

@@ -697,11 +697,6 @@ class _Stage:
         self.potentials.append(potentials)
         self.growth = growth
 
-    def pair(self, i: int) -> GradientPair:
-        """The pair at snapshot i, formed from its potentials as the pair
-        solve forms its snapshots."""
-        return potential_pair(self.grid, self.potentials[i])
-
     def take(self, measurement: _Measurement, t, state) -> None:
         """Measure the state, measurement's next snapshot, once the stage at
         its time is here; the states that wait are measured too, each as
@@ -791,8 +786,9 @@ class _Measurement:
 
     def measure(self, t, state, stage: _Stage) -> None:
         s, i, times = self.config.s_norm, self.count, np.array([t])
+        pair = potential_pair(stage.grid, stage.potentials[i])  # as the pair solve forms it
         row = measure_errors(Snapshots(times, [state]), Snapshots(times, [stage.limits[i]]),
-                             Snapshots(times, [stage.pair(i)]), self.lam, s)
+                             Snapshots(times, [pair]), self.lam, s)
         self.errors.append(tuple(map(row.channel, ERROR_CHANNELS)))
         self.norms += row.hs_norms
         self.outputs.diag_lines.append(_diag_line(t, state, row.hs_norms[0], self.lam, s))
@@ -838,13 +834,10 @@ def _child_share(send, stage_run, stage: _Stage, config: RunConfig, base: BaseFi
 
 
 class _ChildError(Exception):
-    """The forked child's failure, its exception or a ChildLostError, raised
-    in the parent wherever it reads and re-raised by run_sweep as itself; so
-    no lambda run of the parent takes it for its own failure."""
-
-    def __init__(self, error: BaseException):
-        super().__init__(error)
-        self.error = error
+    """The forked child's failure, its exception or a ChildLostError (the
+    one argument), raised in the parent wherever it reads and re-raised by
+    run_sweep as itself; so no lambda run of the parent takes it for its
+    own failure."""
 
 
 def _send_and_exit(write_fd: int, fn, args):
@@ -982,7 +975,7 @@ def run_sweep(config: RunConfig) -> ConvergenceReport:
             runs = {m.lam: m.result() for m in measurements}
             runs.update(stage.child_runs())
     except _ChildError as failed:
-        raise failed.error from None
+        raise failed.args[0] from None
     lams = [float(lam) for lam in config.lambda_list]  # strictly decreasing
     rows = [runs[lam][0] for lam in lams]
     report = ConvergenceReport(config, rows, fit_all_rates(rows), stage.growth)

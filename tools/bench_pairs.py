@@ -161,8 +161,8 @@ def main(argv=None) -> int:
                      "parent first in even pairs; both sides run from git-archive "
                      "checkouts whose paths have equal length (sibling directories "
                      f"named parent and change), in {len(sets)} checkout pair(s) "
-                     f"({', '.join(map(str, args.work))}), each pair run in every set "
-                     f"in turn; seeds {args.seeds}-{args.seeds + args.pairs - 1}; "
+                     f"({', '.join(work.name for work in args.work)}), each pair run in "
+                     f"every set in turn; seeds {args.seeds}-{args.seeds + args.pairs - 1}; "
                      "written by tools/bench_pairs.py"),
         "parent": commits["parent"], "change": commits["change"],
         "claim": sorted(f"{w}:{m}" for w, m in claims) or None,
@@ -191,7 +191,7 @@ def main(argv=None) -> int:
                       for name, m in metrics.items()} for set_pairs in pairs]
         record["workloads"][workload] = {
             "seeds": [args.seeds + i for i in range(args.pairs)],
-            "sets": [{"work": str(work), "pairs": set_pairs, "summary": summary}
+            "sets": [{"work": work.name, "pairs": set_pairs, "summary": summary}
                      for work, set_pairs, summary in zip(args.work, pairs, summaries)],
             "verdicts": {name: combine([summary[name]["verdict"] for summary in summaries],
                                        (workload, name) in claims) for name in metrics},

@@ -325,9 +325,13 @@ def test_failed_child_stage_raises_during_the_first_parent_run(tmp_path, monkeyp
 
 def slowed_sweeps(tmp_path, monkeypatch, config, who):
     """The sweep's output directory with the parent slowed at each of its
-    snapshots, or the child slowed after each stage interval."""
+    snapshots (with a one-page pipe, which a stage message of 16^2
+    overfills, for "parent-small-pipe"), or the child slowed after each
+    stage interval."""
     parent = os.getpid()
-    if who == "parent":
+    if who == "parent-small-pipe":
+        monkeypatch.setattr(qnl.harness, "PIPE_BYTES", 4096)
+    if who.startswith("parent"):
         def slow_run_nsp(*args):
             *head, on_snapshot = args
 
@@ -354,10 +358,11 @@ def slowed_sweeps(tmp_path, monkeypatch, config, who):
     return out
 
 
-@pytest.mark.parametrize("who", ["parent", "child"])
+@pytest.mark.parametrize("who", ["parent", "parent-small-pipe", "child"])
 def test_a_slowed_side_writes_the_same_outputs(tmp_path, monkeypatch, deadline, who):
     # The parent measures a state only once the stage at its time has come,
-    # however far one side runs ahead of the other.
+    # however far one side runs ahead of the other, and reads a message in
+    # as many parts as the pipe passes it.
     config = RunConfig(resolution=16, lambda_list=FOUR_LAMBDAS, t_end=0.1, snapshots=6,
                        ic_random_amp=0.01, save_snapshots=True,
                        output_dir=str(tmp_path / "plain"))

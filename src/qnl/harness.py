@@ -26,29 +26,34 @@ fixes the share by longest-processing-time-first list scheduling (Graham
 step.  The child starts with the load of its stage.
 
 What crosses the pipe is the stage, one snapshot interval at a time, and
-nothing else until the child's last message.  The parent forms the stage
-at t = 0, the settled initial data, by the first step of the stage
-generator and forks; the child goes on with that generator.  For each
-interval it steps the limit solve, then the pair solve, which reads the
-limit's Hermite nodes of that interval only, and sends the limit velocity
-and temperature and the pair potentials (q, psi): dims + 3 coefficient
-arrays, whose gradients the receiver forms as the pair solve forms its
-snapshots.  The pipe is sized to PIPE_BYTES, so the child seldom waits for
-the parent to read.  A grid pickles as its `make_grid` call, so every field
+then the child's runs.  The parent forms the stage at t = 0, the settled
+initial data, by the first step of the stage generator and forks; the
+child goes on with that generator.  For each interval it steps the limit
+solve, then the pair solve, which reads the limit's Hermite nodes of that
+interval only, and sends the item as the generator yields it: the limit
+state, the pair potentials (q, psi), whose gradients the receiver forms as
+the pair solve forms its snapshots, and the growth factor so far; dims + 3
+coefficient arrays, 169,455 B a message at 64^2 and 719,434 B at 24^3.
+Its last message is its list of runs (`_Run`: status, errors, norms, diag
+rows, and rho and u when save_snapshots is set), 863 B on the bench's 64^2
+sweep.  The pipe is sized to PIPE_BYTES, so the child seldom waits for the
+parent to read.  A grid pickles as its `make_grid` call, so every field
 that crosses lands on the receiver's one grid of that shape.
 
-Who measures: each process measures its own lambda runs as their snapshots
-are produced (`run_nsp`'s on_snapshot), by `measure_errors` on one-snapshot
-`Snapshots`, and keeps per run only each snapshot's errors, norms and diag
-row, plus rho and u when save_snapshots is set; `_report_row` combines them
-as for a whole run.  The child has the whole stage before its runs.  The
-parent runs its longest lambda first and reads every message in the pipe
-at each of its snapshots; a state whose stage has not arrived waits, while
-the parent goes on with its runs, and is measured as soon as that stage
-is read.  The last run of a process frees each snapshot's stage once it
-has measured it.  The child's last message holds its rows and outputs and the pair's growth
-factor; only the parent writes, after it, so a failed sweep leaves no
-output directory, and the outputs are byte for byte a serial sweep's.
+Who measures: both processes run their share of the lambda values through
+`_run_share`, longest first, and each state as `run_nsp` reaches it (its
+on_snapshot) goes to `_Stage.take`, which measures it by `measure_errors`
+on one-snapshot `Snapshots` once the stage at its time is here; `_Run`
+keeps per snapshot only the errors, norms and diag row, plus rho and u
+when save_snapshots is set, and `_report_row` combines them as for a whole
+run.  The child has the whole stage before its runs.  The parent reads
+every message in the pipe at each of its snapshots; a state whose stage
+has not arrived waits, while the parent goes on with its runs, and
+`_Stage.finish` measures what still waits, then reads the child's runs.
+The last run of a process frees each snapshot's stage once it has
+measured it.  Only the parent writes, after the child's last message, so
+a failed sweep leaves no output directory, and the outputs are byte for
+byte a serial sweep's.
 
 Why not lockstep: driving every run of a process one interval at a time
 would step them outside their `run_nsp` calls, which the benchmark's tracer
@@ -90,7 +95,7 @@ from .limit_solver import (LimitState, LimitTrajectory, PhysParams, advective_dt
 from .nsp import NSPState, nsp_dt, poisson_solve, run_nsp, viscous_dt
 from .oscillation import GradientPair, check_gradient
 from .projections import leray_p
-from .spectral import (SpectralScalar, SpectralVector, as_vector, constant_scalar,
+from .spectral import (SpectralScalar, SpectralVector, constant_scalar,
                        derivative, gradient, laplacian, make_grid, sobolev_norm,
                        transform_forward, write_snapshot)
 from .stepping import Snapshots, step_count, time_grid
@@ -638,20 +643,6 @@ def lpt_assign(costs, loads) -> list:
 PIPE_BYTES = 1 << 20
 
 
-def _run_one_lambda(config: RunConfig, base: BaseFields, lam: float, dt: float,
-                    snapshot_times, on_snapshot) -> str:
-    """The NSP run at one lambda of lambda_list with step dt, each state
-    handed to on_snapshot(t, state) as it is reached; "ok", or its failure
-    status.  run_nsp owns the initial data, whose velocity and potential its
-    first step replaces."""
-    try:
-        run_nsp(gen_initial_data(config.ic, lam, base), config.nsp_params(lam),
-                lam, config.t_end, dt, snapshot_times, on_snapshot)
-        return "ok"
-    except QnlError as exc:
-        return _STATUS_BY_ERROR.get(type(exc), f"error:{type(exc).__name__}")
-
-
 def solve_limit(config: RunConfig, base: BaseFields, dt: float):
     """The limit solve from the base fields over the snapshot grid with
     step dt (the plan's stage_step)."""
@@ -679,158 +670,132 @@ def _lambda_independent_stage(config: RunConfig, base: BaseFields, dt: float):
         nodes.keep_last_node()
 
 
+@dataclass(eq=False)
+class _Run:
+    """One lambda run, measured snapshot by snapshot in the process that runs
+    it: "ok" or its failure status and, per snapshot measured, its errors
+    (in ERROR_CHANNELS order), its state_norms, its diag_*.csv row and,
+    when save_snapshots is set, (t, rho, u)."""
+
+    lam: float
+    status: str = "ok"
+    errors: list = field(default_factory=list)
+    norms: list = field(default_factory=list)
+    diag_lines: list = field(default_factory=list)
+    snapshots: list = field(default_factory=list)
+
+    def row(self) -> ReportRow:
+        """The run's sweep row, once every state it reached is measured:
+        _report_row of its snapshots, or its failure status row."""
+        if self.status != "ok":
+            return ReportRow(self.lam, status=self.status)
+        return _report_row(self.lam, self.errors, self.norms)
+
+
 class _Stage:
     """The lambda-independent stage at the snapshot times reached so far:
     the limit states, the pair potentials (q, psi) and the pair's growth
-    factor; and the NSP states that wait for it.  A process measures each
-    state of its runs here once the stage at its time is here; in the child,
-    which solved the stage before its runs, that is at once."""
+    factor, each item as _lambda_independent_stage yields it; and the NSP
+    states that wait for it.  A process measures each state of its runs
+    here once the stage at its time is here: in the child, which solved the
+    stage before its runs, at once.  In the parent, child is the _Forked
+    child, which sends the items after the first, then its runs."""
 
-    def __init__(self, grid, first):
-        self.grid = grid
+    def __init__(self, config: RunConfig, first, child=None):
+        self.config, self.child = config, child
         self.limits, self.potentials, self.growth = [], [], 1.0
-        self.waiting = deque()  # (measurement, t, state) in the order taken
-        self.add(*first)
+        self.waiting = deque()  # (run, t, state, last) in the order taken
+        self.child_runs = [] if child is None else None
+        self.add(first)
 
-    def add(self, limit: LimitState, potentials, growth: float) -> None:
+    def add(self, item) -> None:
+        limit, potentials, self.growth = item
         self.limits.append(limit)
         self.potentials.append(potentials)
-        self.growth = growth
 
-    def take(self, measurement: _Measurement, t, state) -> None:
-        """Measure the state, measurement's next snapshot, once the stage at
-        its time is here; the states that wait are measured too, each as
-        soon as its stage is here."""
-        self.waiting.append((measurement, t, state))
-        self._receive(wait=False)
+    def take(self, run: _Run, t, state, last: bool) -> None:
+        """Measure the state, run's next snapshot, once the stage at its time
+        is here, and then free that stage if last (run is its process's
+        last); the states that wait are measured too, each as soon as its
+        stage is here.  Every message already in the pipe is read."""
+        self.waiting.append((run, t, state, last))
+        while self.child_runs is None and self.child.ready():
+            self._read()
         self._measure_ready()
 
-    def measure_waiting(self) -> None:
-        """Measure every state that waits, reading the stage it waits for."""
+    def finish(self) -> list:
+        """Measure every state that waits, reading the stage it waits for;
+        then the child's runs, read from its last message ([] in the child)."""
         while self.waiting:
-            self._receive(wait=True)
+            self._read()
             self._measure_ready()
+        while self.child_runs is None:
+            self._read()
+        return self.child_runs
 
-    def _receive(self, wait: bool) -> None:
-        """Nothing: this stage grows only as its process solves it."""
+    def _read(self) -> None:
+        kind, body = self.child.receive()
+        if kind == "stage":
+            self.add(body)
+        else:  # "runs", the last message
+            self.child_runs = body
 
     def _measure_ready(self) -> None:
         # A run's states wait in snapshot order, and the stage arrives in
         # that order, so each run is measured in snapshot order.
         waiting, self.waiting = self.waiting, deque()
-        for measurement, t, state in waiting:
-            if measurement.count < len(self.limits):
-                measurement.measure(t, state, self)
+        for run, t, state, last in waiting:
+            if len(run.norms) < len(self.limits):
+                self._measure(run, t, state, last)
             else:
-                self.waiting.append((measurement, t, state))
+                self.waiting.append((run, t, state, last))
 
-
-class _ReceivedStage(_Stage):
-    """The stage as the forked child sends it, one snapshot interval a
-    message, after the t = 0 stage that the parent forms itself.  The
-    child's last message, its runs and the growth factor, sets runs."""
-
-    def __init__(self, grid, first, child):
-        super().__init__(grid, first)
-        self.child = child
-        self.runs = None
-
-    def _receive(self, wait: bool) -> None:
-        """Read every message in the pipe; with wait, at least one."""
-        while self.runs is None and (wait or self.child.ready()):
-            self._take(*self.child.receive())
-            wait = False
-
-    def child_runs(self) -> dict:
-        """The child's runs, {lam: (row, outputs)}, read after the stage."""
-        while self.runs is None:
-            self._take(*self.child.receive())
-        return self.runs
-
-    def _take(self, kind: str, body) -> None:
-        if kind == "stage":
-            v, theta, q, psi = body
-            self.add(LimitState(as_vector(self.grid, v), SpectralScalar(self.grid, theta)),
-                     (q, psi), self.growth)
-        else:  # "runs", the last message
-            self.runs, self.growth = body
-
-
-@dataclass(eq=False)
-class RunOutputs:
-    """What one lambda run leaves for _write_outputs: the rows of its
-    diag_*.csv and, when save_snapshots is set, (t, rho, u) at each snapshot
-    time."""
-
-    diag_lines: list
-    snapshots: list
-
-
-class _Measurement:
-    """One lambda run measured snapshot by snapshot, in the process that runs
-    it.  Per snapshot it keeps the errors, the state norms and the diag row,
-    and rho and u when save_snapshots is set; measure_errors measures each
-    state alone, and _report_row combines them.  The last run of a process
-    frees each snapshot's stage once it has measured it."""
-
-    def __init__(self, config: RunConfig, lam: float, last: bool):
-        self.config, self.lam, self.last = config, lam, last
-        self.status = "ok"
-        self.errors, self.norms = [], []
-        self.outputs = RunOutputs([], [])
-
-    @property
-    def count(self) -> int:
-        """The snapshots measured so far."""
-        return len(self.norms)
-
-    def measure(self, t, state, stage: _Stage) -> None:
-        s, i, times = self.config.s_norm, self.count, np.array([t])
-        pair = potential_pair(stage.grid, stage.potentials[i])  # as the pair solve forms it
-        row = measure_errors(Snapshots(times, [state]), Snapshots(times, [stage.limits[i]]),
-                             Snapshots(times, [pair]), self.lam, s)
-        self.errors.append(tuple(map(row.channel, ERROR_CHANNELS)))
-        self.norms += row.hs_norms
-        self.outputs.diag_lines.append(_diag_line(t, state, row.hs_norms[0], self.lam, s))
+    def _measure(self, run: _Run, t, state, last: bool) -> None:
+        """measure_errors on the one snapshot alone; _Run.row combines them."""
+        s, i, times = self.config.s_norm, len(run.norms), np.array([t])
+        pair = potential_pair(state.grid, self.potentials[i])  # as the pair solve forms it
+        row = measure_errors(Snapshots(times, [state]), Snapshots(times, [self.limits[i]]),
+                             Snapshots(times, [pair]), run.lam, s)
+        run.errors.append(tuple(map(row.channel, ERROR_CHANNELS)))
+        run.norms += row.hs_norms
+        run.diag_lines.append(_diag_line(t, state, row.hs_norms[0], run.lam, s))
         if self.config.save_snapshots:
-            self.outputs.snapshots.append((t, state.rho, state.u))
-        if self.last:  # no later run of this process reads the stage at i
-            stage.limits[i] = stage.potentials[i] = None
-
-    def result(self):
-        """(the run's ReportRow, its RunOutputs), or (its failure status row,
-        None); once every state the run took has been measured."""
-        if self.status != "ok":
-            return ReportRow(self.lam, status=self.status), None
-        return _report_row(self.lam, self.errors, self.norms), self.outputs
+            run.snapshots.append((t, state.rho, state.u))
+        if last:  # no later run of this process reads the stage at i
+            self.limits[i] = self.potentials[i] = None
 
 
-def _measured_run(config: RunConfig, base: BaseFields, lam: float, dt: float,
-                  stage: _Stage, last: bool) -> _Measurement:
-    """The NSP run at one lambda with step dt, each state measured against
-    the stage as soon as the stage at its time is here.  A run that fails
-    still has its states measured, and its result is its status row."""
-    measurement = _Measurement(config, lam, last)
-    measurement.status = _run_one_lambda(
-        config, base, lam, dt, config.resolved_snapshot_times(),
-        lambda t, state: stage.take(measurement, t, state))
-    return measurement
+def _run_share(config: RunConfig, base: BaseFields, plan: SweepPlan, lams,
+               stage: _Stage) -> list:
+    """The NSP runs at lams, longest first, so that the parent's states
+    seldom wait; each state goes to stage.take as run_nsp reaches it.  A run
+    that fails (QnlError) keeps its failure status, and the states it
+    reached are measured.  Returns these runs, then stage.finish()'s."""
+    order = sorted(lams, key=plan.lam_count.get, reverse=True)
+    runs = []
+    for lam in order:
+        run = _Run(lam)
+        runs.append(run)
+        try:
+            # run_nsp owns the initial data, whose velocity and potential
+            # its first step replaces.
+            run_nsp(gen_initial_data(config.ic, lam, base), config.nsp_params(lam), lam,
+                    config.t_end, plan.lam_step[lam], config.resolved_snapshot_times(),
+                    lambda t, state: stage.take(run, t, state, lam == order[-1]))
+        except QnlError as exc:
+            run.status = _STATUS_BY_ERROR.get(type(exc), f"error:{type(exc).__name__}")
+    return runs + stage.finish()
 
 
 def _child_share(send, stage_run, stage: _Stage, config: RunConfig, base: BaseFields,
                  plan: SweepPlan) -> None:
     """The forked child's part of a sweep.  It goes on with stage_run, the
-    stage generator at t = 0, and sends each snapshot interval's limit
-    state and pair potentials as soon as both are solved.  Then it runs
-    plan.child_lams, each measured as it runs, and sends last their rows
-    and outputs, {lam: (row, outputs)}, and the growth factor."""
-    for limit, potentials, growth in stage_run:
-        send(("stage", (tuple(c.coeffs for c in limit.v), limit.theta.coeffs, *potentials)))
-        stage.add(limit, potentials, growth)
-    runs = {lam: _measured_run(config, base, lam, plan.lam_step[lam], stage,
-                               lam == plan.child_lams[-1]).result()
-            for lam in plan.child_lams}
-    send(("runs", (runs, stage.growth)))
+    stage generator at t = 0, and sends each snapshot interval's item as it
+    is yielded.  Then it runs plan.child_lams and sends last their runs."""
+    for item in stage_run:
+        send(("stage", item))
+        stage.add(item)
+    send(("runs", _run_share(config, base, plan, plan.child_lams, stage)))
 
 
 class _ChildError(Exception):
@@ -958,28 +923,22 @@ def run_sweep(config: RunConfig) -> ConvergenceReport:
     config.validate()
     base = base_fields(config)
     plan = plan_sweep(config, base)
-    grid = base.v0.grid
     stage_run = _lambda_independent_stage(config, base, plan.stage_step)
     first = next(stage_run)  # t = 0: the settled initial data
     try:
-        with _Forked(_child_share, stage_run, _Stage(grid, first), config, base,
+        with _Forked(_child_share, stage_run, _Stage(config, first), config, base,
                      plan) as child:
             del stage_run  # the child goes on with it
-            stage = _ReceivedStage(grid, first, child)
+            stage = _Stage(config, first, child)
             del first
-            # The longest run first, so that its states seldom wait.
-            order = sorted(plan.parent_lams, key=plan.lam_count.get, reverse=True)
-            measurements = [_measured_run(config, base, lam, plan.lam_step[lam], stage,
-                                          lam == order[-1]) for lam in order]
-            stage.measure_waiting()
-            runs = {m.lam: m.result() for m in measurements}
-            runs.update(stage.child_runs())
+            runs = {run.lam: run for run in _run_share(config, base, plan, plan.parent_lams,
+                                                      stage)}
     except _ChildError as failed:
         raise failed.args[0] from None
-    lams = [float(lam) for lam in config.lambda_list]  # strictly decreasing
-    rows = [runs[lam][0] for lam in lams]
+    runs = [runs[lam] for lam in map(float, config.lambda_list)]  # strictly decreasing
+    rows = [run.row() for run in runs]
     report = ConvergenceReport(config, rows, fit_all_rates(rows), stage.growth)
-    _write_outputs(config, report, [runs[lam][1] for lam in lams])
+    _write_outputs(config, report, runs)
     return report
 
 
@@ -997,8 +956,8 @@ def _diag_line(t, state, hs, lam: float, s: float) -> str:
 
 
 def _write_outputs(config: RunConfig, report: ConvergenceReport, runs):
-    """report.csv, rates.csv and meta.txt, and for each run that ended (runs
-    in row order, None for a failed one) its diag_*.csv and snapshot files."""
+    """report.csv, rates.csv and meta.txt, and for each run (runs in row
+    order) that ended its diag_*.csv and snapshot files."""
     out = config.output_dir
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "report.csv"), "w", encoding="utf-8") as fh:
@@ -1007,13 +966,13 @@ def _write_outputs(config: RunConfig, report: ConvergenceReport, runs):
         fh.write(report.rates_csv())
     with open(os.path.join(out, "meta.txt"), "w", encoding="utf-8") as fh:
         fh.write(report.meta_text())
-    for row, run in zip(report.rows, runs):
-        if run is None:
+    for run in runs:
+        if run.status != "ok":
             continue
-        name = f"diag_lambda_{file_tag(row.lam)}.csv"
+        name = f"diag_lambda_{file_tag(run.lam)}.csv"
         with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
             fh.write("\n".join([DIAG_HEADER, *run.diag_lines]) + "\n")
         for t, rho, u in run.snapshots:
-            stem = f"snapshot_lambda_{file_tag(row.lam)}_t_{file_tag(t)}"
+            stem = f"snapshot_lambda_{file_tag(run.lam)}_t_{file_tag(t)}"
             write_snapshot(os.path.join(out, stem + "_rho.qnl"), rho)
             write_snapshot(os.path.join(out, stem + "_u.qnl"), u)

@@ -110,7 +110,7 @@ class TestDecompose:
         assert sobolev_norm(gradient(potential) - q_part, 0) < 1e-11
 
 
-def test_gradient_of_the_potential_is_q_bit_for_bit(rng):
+def test_gradient_of_the_potential_equals_q_by_value(rng):
     # the NSP state carries Qu by this potential; settle re-splits u with it
     from qnl.projections import gradient_potential
     from qnl.spectral import make_grid

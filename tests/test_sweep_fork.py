@@ -25,15 +25,15 @@ import qnl.harness
 import qnl.stepping
 from qnl.ansatz import solve_osc
 from qnl.cli import main as cli_main
-from qnl.errors import BlowUpError, ChildLostError, NonpositiveTemperatureError
+from qnl.errors import (BlowUpError, ChildLostError, DensityNotPositiveError,
+                        NonpositiveTemperatureError)
 from qnl.harness import (NSP_STEP_TRANSFORMS, STAGE_DT_CAP, STAGE_ONCE_TRANSFORMS,
                          STAGE_STEP_TRANSFORMS, ConvergenceReport, ReportRow, RunConfig,
-                         RunOutputs, _child_share, _diag_line,
-                         _lambda_independent_stage, _run_one_lambda, _Stage,
+                         _child_share, _diag_line, _lambda_independent_stage, _Run, _Stage,
                          _write_outputs, base_fields, fit_all_rates,
                          gen_initial_data, lpt_assign, measure_errors,
                          plan_sweep, run_sweep, solve_limit)
-from qnl.limit_solver import LimitTrajectory
+from qnl.limit_solver import LimitState, LimitTrajectory
 from qnl.limit_solver import advective_dt
 from qnl.nsp import nsp_dt, run_nsp, viscous_dt
 from qnl.oscillation import GradientPair
@@ -136,10 +136,11 @@ def test_parent_failure_kills_and_reaps_the_child(tmp_path, monkeypatch, deadlin
     assert_no_child_left()
 
 
-def serial_sweep(config: RunConfig, run_nsp=run_nsp):
+def serial_sweep(config: RunConfig, run_nsp=run_nsp, measure_errors=measure_errors):
     """The sweep's stages composed in one process, outputs written; a run
-    that raises BlowUpError becomes a blow_up row.  Each step is composed
-    here from the solvers' bounds, not taken from plan_sweep."""
+    that raises BlowUpError becomes a blow_up row, and one whose initial
+    density is not positive a density_not_positive row.  Each step is
+    composed here from the solvers' bounds, not taken from plan_sweep."""
     base = base_fields(config)
     times = config.resolved_snapshot_times()
     limit_dt = (min(advective_dt(base.v0), STAGE_DT_CAP) if config.limit_dt is None
@@ -151,7 +152,12 @@ def serial_sweep(config: RunConfig, run_nsp=run_nsp):
     lap_max = laplacian(base.phi0).samples().max()
     rows, outputs = [], []
     for lam in config.lambda_list:
-        initial = gen_initial_data(config.ic, lam, base)
+        try:
+            initial = gen_initial_data(config.ic, lam, base)
+        except DensityNotPositiveError:
+            rows.append(ReportRow(lam, status="density_not_positive"))
+            outputs.append(_Run(lam, "density_not_positive"))
+            continue
         viscous = viscous_dt(config.nsp_params(lam), base.v0.grid, 1.0 - lam * lap_max)
         dt = nsp_dt(advective_dt(initial.u), lam, config.phase_resolution, config.dt_max,
                     viscous)
@@ -159,13 +165,14 @@ def serial_sweep(config: RunConfig, run_nsp=run_nsp):
             traj = run_nsp(initial, config.nsp_params(lam), lam, config.t_end, dt, times)
         except BlowUpError:
             rows.append(ReportRow(lam, status="blow_up"))
-            outputs.append(None)
+            outputs.append(_Run(lam, "blow_up"))
             continue
         rows.append(measure_errors(traj, limit, pair, lam, config.s_norm))
-        outputs.append(RunOutputs(
-            [_diag_line(t, state, hs, lam, config.s_norm)
-             for t, state, hs in zip(traj.times, traj.states, rows[-1].hs_norms, strict=True)],
-            [(t, state.rho, state.u) for t, state in zip(traj.times, traj.states)]
+        outputs.append(_Run(
+            lam, diag_lines=[
+                _diag_line(t, state, hs, lam, config.s_norm)
+                for t, state, hs in zip(traj.times, traj.states, rows[-1].hs_norms, strict=True)],
+            snapshots=[(t, state.rho, state.u) for t, state in zip(traj.times, traj.states)]
             if config.save_snapshots else []))
     _write_outputs(config, ConvergenceReport(config, rows, fit_all_rates(rows),
                                              pair.growth_factor), outputs)
@@ -200,10 +207,12 @@ def test_sweep_outputs_equal_the_serial_stages_byte_for_byte(tmp_path, keys):
 
 
 def test_stage_messages_carry_one_interval_without_the_nodes(monkeypatch):
-    # The child's stage messages, one per snapshot interval after t = 0, hold
-    # the limit state and the pair potentials, dims + 3 arrays, equal byte
-    # for byte to the whole-run solves; no Hermite node goes with them, and
-    # the stage keeps the nodes of one interval only.
+    # The child's stage messages, one per snapshot interval after t = 0,
+    # hold the stage item as the generator yields it: the limit state, the
+    # pair potentials and the growth factor so far, equal byte for byte to
+    # the whole-run solves; no Hermite node goes with them, and the stage
+    # keeps the nodes of one interval only.  The last message holds the
+    # child's runs.
     config = RunConfig(**dict(SMALL, snapshots=4))
     base = base_fields(config)
     plan = plan_sweep(config, base)
@@ -219,7 +228,7 @@ def test_stage_messages_carry_one_interval_without_the_nodes(monkeypatch):
     run = _lambda_independent_stage(config, base, plan.stage_step)
     first = next(run)
     messages = []
-    _child_share(messages.append, run, _Stage(base.v0.grid, first), config, base, plan)
+    _child_share(messages.append, run, _Stage(config, first), config, base, plan)
 
     limit = solve_limit(config, base, plan.stage_step)
     pair = solve_osc(GradientPair(base.qu0.copy(), gradient(base.phi0)), limit,
@@ -227,18 +236,21 @@ def test_stage_messages_carry_one_interval_without_the_nodes(monkeypatch):
                      snapshot_times=times, norm_s=config.s_norm)
     assert [kind for kind, _ in messages] == ["stage"] * (len(times) - 1) + ["runs"]
     shape = base.v0.grid.spectral_shape
-    for i, (_, (v, theta, q, psi)) in enumerate(messages[:-1], start=1):
-        arrays = [*v, theta, q, psi]
+    for i, (_, (state, (q, psi), growth)) in enumerate(messages[:-1], start=1):
+        assert type(state) is LimitState and isinstance(growth, float)
+        arrays = [*(c.coeffs for c in state.v), state.theta.coeffs, q, psi]
         assert len(arrays) == config.dims + 3
         assert all(type(a) is np.ndarray and a.shape == shape for a in arrays)
-        assert [a.tobytes() for a in (*v, theta)] == [
+        assert [a.tobytes() for a in arrays[:-2]] == [
             c.coeffs.tobytes() for c in (*limit.states[i].v, limit.states[i].theta)]
         assert [c.coeffs.tobytes() for c in (*gradient(SpectralScalar(base.v0.grid, q)),
                                                *gradient(SpectralScalar(base.v0.grid, psi)))] \
             == [c.coeffs.tobytes() for c in (*pair.states[i].grad_q, *pair.states[i].grad_psi)]
-    runs, growth = messages[-1][1]
-    assert sorted(runs) == sorted(plan.child_lams)
-    assert growth == pair.growth_factor
+    assert growth == pair.growth_factor  # the last stage item's
+    runs = messages[-1][1]
+    assert all(type(r) is _Run and r.status == "ok" for r in runs)
+    assert sorted(r.lam for r in runs) == sorted(plan.child_lams)
+    assert all(len(r.diag_lines) == len(times) for r in runs)
     # each interval's nodes: its steps, plus the node it starts from
     steps = [substep_count(b - a, plan.stage_step) for a, b in zip(times, times[1:])]
     assert node_counts == [1] + [n + 1 for n in steps]
@@ -514,7 +526,8 @@ def test_predicted_steps_equal_the_steps_taken(keys, step_counter):
     times = config.resolved_snapshot_times()
     for lam, steps in plan.lam_count.items():
         step_counter.clear()
-        assert _run_one_lambda(config, base, lam, plan.lam_step[lam], times, no_op) == "ok"
+        run_nsp(gen_initial_data(config.ic, lam, base), config.nsp_params(lam), lam,
+                config.t_end, plan.lam_step[lam], times, no_op)
         assert len(step_counter) == steps, lam
 
 
@@ -571,7 +584,8 @@ def test_predicted_steps_follow_the_viscous_bound(step_counter):
     for lam, steps in plan.lam_count.items():
         assert steps > unbounded[lam]
         step_counter.clear()
-        assert _run_one_lambda(config, base, lam, plan.lam_step[lam], times, no_op) == "ok"
+        run_nsp(gen_initial_data(config.ic, lam, base), config.nsp_params(lam), lam,
+                config.t_end, plan.lam_step[lam], times, no_op)
         assert len(step_counter) == steps, lam
 
 
@@ -688,6 +702,44 @@ def test_child_blow_up_is_the_serial_blow_up_row(tmp_path, monkeypatch):
     assert [row.status == "blow_up" for row in report.rows] == [
         lam == child_lams[0] for lam in config.lambda_list]
     serial_sweep(replace(config, output_dir=str(tmp_path / "serial")), blowing)
+    assert_same_outputs(tmp_path / "sweep", tmp_path / "serial")
+
+
+class NaNTemperature:
+    """A limit trajectory whose temperature reads NaN at every time."""
+
+    def __init__(self, limit):
+        self.limit = limit
+
+    def at(self, t):
+        state = self.limit.at(t)
+        return LimitState(state.v, state.theta * float("nan"))
+
+
+def non_finite_at(lams):
+    """measure_errors whose E_theta is NaN at the lambda values lams."""
+    def measure(nsp_traj, limit_traj, pair_traj, lam, s):
+        if lam in lams:
+            limit_traj = NaNTemperature(limit_traj)
+        return measure_errors(nsp_traj, limit_traj, pair_traj, lam, s)
+    return measure
+
+
+def test_every_run_that_ended_writes_its_diag_file(tmp_path, monkeypatch, deadline):
+    # A run that ended writes its diag_*.csv even when its row reads
+    # non_finite_measurement; a run that failed (lambda = 4.0 makes the
+    # initial density negative) writes none.
+    config = RunConfig(resolution=16, lambda_list=(4.0, 0.1), t_end=0.05, snapshots=3,
+                       output_dir=str(tmp_path / "sweep"))
+    measure = non_finite_at([0.1])
+    monkeypatch.setattr(qnl.harness, "measure_errors", measure)
+    report = run_sweep(config)
+    assert_no_child_left()
+    assert [row.status for row in report.rows] == ["density_not_positive",
+                                                   "non_finite_measurement"]
+    names = sorted(p.name for p in (tmp_path / "sweep").iterdir())
+    assert [name for name in names if name.startswith("diag_")] == ["diag_lambda_0.1.csv"]
+    serial_sweep(replace(config, output_dir=str(tmp_path / "serial")), measure_errors=measure)
     assert_same_outputs(tmp_path / "sweep", tmp_path / "serial")
 
 

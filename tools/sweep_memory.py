@@ -6,11 +6,12 @@
 Runs `harness.run_sweep` on the configuration file CONFIG in this process,
 under the allocator policy `qnl run` sets (`cli.keep_freed_heap`), with
 `harness` functions wrapped from outside; qnl itself is not changed.
-After `base_fields`, after each of the parent's lambda runs (measured as
-they run, `_measured_run`), once the forked child's last message has been
-read and after `_write_outputs`, it prints the parent's VmRSS and VmHWM
-(the peak so far) from /proc/self/status and its minor page faults since
-the sweep began (`ru_minflt`).  At the end it prints the peak resident set
+After `base_fields`, after each of the parent's lambda runs (its
+`run_nsp` call, in which its states are measured, whether it returns or
+raises), once the forked child's last message has been read
+(`_Stage.finish`) and after `_write_outputs`, it prints the parent's
+VmRSS and VmHWM (the peak so far) from /proc/self/status and its minor
+page faults since the sweep began (`ru_minflt`).  At the end it prints the peak resident set
 and the minor faults of the forked child, the `ru_maxrss` and `ru_minflt`
 of RUSAGE_CHILDREN, and last the size in bytes of each message as it
 crossed the pipe: one per snapshot interval of the stage, then the child's
@@ -60,15 +61,16 @@ def install(harness) -> None:
     def after(fn, phase_of):
         @functools.wraps(fn)
         def wrapped(*args):
-            value = fn(*args)
-            if os.getpid() == parent:
-                report(phase_of(*args))
-            return value
+            try:
+                return fn(*args)
+            finally:
+                if os.getpid() == parent:
+                    report(phase_of(*args))
         return wrapped
 
     harness.base_fields = after(harness.base_fields, lambda config: "base_fields")
-    harness._measured_run = after(harness._measured_run,
-                                  lambda config, base, lam, dt, stage, last: f"lambda run {lam:g}")
+    harness.run_nsp = after(harness.run_nsp,
+                            lambda initial, params, lam, *rest: f"lambda run {lam:g}")
     harness._write_outputs = after(harness._write_outputs,
                                    lambda config, report, runs: "_write_outputs")
 
@@ -81,8 +83,7 @@ def install(harness) -> None:
         return data
 
     harness._Forked._frame = sized_frame
-    harness._ReceivedStage.child_runs = after(harness._ReceivedStage.child_runs,
-                                              lambda stage: "child last message")
+    harness._Stage.finish = after(harness._Stage.finish, lambda stage: "child last message")
 
 
 def main(argv=None) -> int:

@@ -726,11 +726,9 @@ class _Stage:
     def finish(self) -> list:
         """Measure every state that waits, reading the stage it waits for;
         then the child's runs, read from its last message ([] in the child)."""
-        while self.waiting:
+        while self.waiting or self.child_runs is None:
             self._read()
             self._measure_ready()
-        while self.child_runs is None:
-            self._read()
         return self.child_runs
 
     def _read(self) -> None:
@@ -931,11 +929,11 @@ def run_sweep(config: RunConfig) -> ConvergenceReport:
             del stage_run  # the child goes on with it
             stage = _Stage(config, first, child)
             del first
-            runs = {run.lam: run for run in _run_share(config, base, plan, plan.parent_lams,
-                                                      stage)}
+            by_lam = {run.lam: run for run in _run_share(config, base, plan,
+                                                         plan.parent_lams, stage)}
     except _ChildError as failed:
         raise failed.args[0] from None
-    runs = [runs[lam] for lam in map(float, config.lambda_list)]  # strictly decreasing
+    runs = [by_lam[lam] for lam in map(float, config.lambda_list)]  # strictly decreasing
     rows = [run.row() for run in runs]
     report = ConvergenceReport(config, rows, fit_all_rates(rows), stage.growth)
     _write_outputs(config, report, runs)

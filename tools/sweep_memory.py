@@ -11,14 +11,14 @@ After `base_fields`, after each of the parent's lambda runs (its
 raises), once the forked child's last message has been read
 (`_Stage.finish`) and after `_write_outputs`, it prints the parent's
 VmRSS and VmHWM (the peak so far) from /proc/self/status and its minor
-page faults since the sweep began (`ru_minflt`).  At the end it prints the peak resident set
-and the minor faults of the forked child, the `ru_maxrss` and `ru_minflt`
-of RUSAGE_CHILDREN, and last the size in bytes of each message as it
-crossed the pipe: one per snapshot interval of the stage, then the child's
-last message (its runs).  The sizes are the pickles the parent read, so
-no copy is made.  The sweep writes its outputs to the configuration's
-`output_dir`, as `qnl run` does.  Linux only: the numbers come from /proc
-and from ru_maxrss in KiB.
+page faults since the sweep began (`ru_minflt`).  At the end it prints
+the peak resident set and the minor faults of the forked child, the
+`ru_maxrss` and `ru_minflt` of RUSAGE_CHILDREN, and last the size in
+bytes of each message as it crossed the pipe: one per snapshot interval
+of the stage, then the child's last message (its runs).  The sizes are
+the pickles the parent read, so no copy is made.  The sweep writes its
+outputs to the configuration's `output_dir`, as `qnl run` does.  Linux
+only: the numbers come from /proc and from ru_maxrss in KiB.
 """
 
 from __future__ import annotations

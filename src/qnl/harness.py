@@ -34,26 +34,35 @@ interval only, and sends the item as the generator yields it: the limit
 state, the pair potentials (q, psi), whose gradients the receiver forms as
 the pair solve forms its snapshots, and the growth factor so far; dims + 3
 coefficient arrays, 169,455 B a message at 64^2 and 719,434 B at 24^3.
-Its last message is its list of runs (`_Run`: status, errors, norms, diag
-rows, and rho and u when save_snapshots is set), 863 B on the bench's 64^2
-sweep.  The pipe is sized to PIPE_BYTES, so the child seldom waits for the
-parent to read.  A grid pickles as its `make_grid` call, so every field
-that crosses lands on the receiver's one grid of that shape.
+Its last message is its list of runs (`_Run`: status, errors and norms;
+313 B on the bench's 64^2 sweep and 245 B on its 24^3 sweep with
+snapshot files), with no array.  The pipe is sized to PIPE_BYTES, so the
+child seldom waits for the parent to read.  A grid pickles as its
+`make_grid` call, so every field that crosses lands on the receiver's one
+grid of that shape.
 
-Who measures: both processes run their share of the lambda values through
-`_run_share`, longest first, and each state as `run_nsp` reaches it (its
-on_snapshot) goes to `_Stage.take`, which measures it by `measure_errors`
-on one-snapshot `Snapshots` once the stage at its time is here; `_Run`
-keeps per snapshot only the errors, norms and diag row, plus rho and u
-when save_snapshots is set, and `_report_row` combines them as for a whole
-run.  The child has the whole stage before its runs.  The parent reads
-every message in the pipe at each of its snapshots; a state whose stage
-has not arrived waits, while the parent goes on with its runs, and
-`_Stage.finish` measures what still waits, then reads the child's runs.
-The last run of a process frees each snapshot's stage once it has
-measured it.  Only the parent writes, after the child's last message, so
-a failed sweep leaves no output directory, and the outputs are byte for
-byte a serial sweep's.
+Who measures and writes: both processes run their share of the lambda
+values through `_run_share`, longest first, and each state as `run_nsp`
+reaches it (its on_snapshot) goes to `_Stage.take`, which measures it by
+`measure_errors` on one-snapshot `Snapshots` once the stage at its time
+is here; `_Run` keeps per snapshot only the errors and norms, which
+`_report_row` combines as for a whole run.  As it measures a state, the
+process appends its diag_*.csv row and, when save_snapshots is set,
+writes its rho and u snapshot files into the run's directory in the
+staging directory, which `run_sweep` makes before the fork beside
+output_dir (`_make_staging`).  The child has the whole stage before its
+runs.  The parent reads every message in the pipe at each of its
+snapshots; a state whose stage has not arrived waits, while the parent
+goes on with its runs, and `_Stage.finish` measures what still waits,
+then reads the child's runs.  The last run of a process frees each
+snapshot's stage once it has measured it.
+
+Only the parent writes into output_dir, once every row is known: report,
+rates and meta, then the staged files of each run that ended, moved by
+os.replace.  The staging directory, with a failed run's files, is removed
+on every path, and by the child if it finds its parent gone; so a failed
+sweep leaves no file and no output directory, and the outputs are byte
+for byte a serial sweep's.
 
 Why not lockstep: driving every run of a process one interval at a time
 would step them outside their `run_nsp` calls, which the benchmark's tracer
@@ -78,8 +87,10 @@ import fcntl
 import os
 import pickle
 import select
+import shutil
 import signal
 import struct
+import tempfile
 from collections import deque
 from dataclasses import dataclass, field, fields
 
@@ -674,15 +685,13 @@ def _lambda_independent_stage(config: RunConfig, base: BaseFields, dt: float):
 class _Run:
     """One lambda run, measured snapshot by snapshot in the process that runs
     it: "ok" or its failure status and, per snapshot measured, its errors
-    (in ERROR_CHANNELS order), its state_norms, its diag_*.csv row and,
-    when save_snapshots is set, (t, rho, u)."""
+    (in ERROR_CHANNELS order) and its state_norms.  Its files are in its
+    staging directory (_Stage._measure)."""
 
     lam: float
     status: str = "ok"
     errors: list = field(default_factory=list)
     norms: list = field(default_factory=list)
-    diag_lines: list = field(default_factory=list)
-    snapshots: list = field(default_factory=list)
 
     def row(self) -> ReportRow:
         """The run's sweep row, once every state it reached is measured:
@@ -699,10 +708,12 @@ class _Stage:
     states that wait for it.  A process measures each state of its runs
     here once the stage at its time is here: in the child, which solved the
     stage before its runs, at once.  In the parent, child is the _Forked
-    child, which sends the items after the first, then its runs."""
+    child, which sends the items after the first, then its runs.  Each
+    measured state's files go into its run's directory under staging
+    (_make_staging)."""
 
-    def __init__(self, config: RunConfig, first, child=None):
-        self.config, self.child = config, child
+    def __init__(self, config: RunConfig, staging: str, first, child=None):
+        self.config, self.staging, self.child = config, staging, child
         self.limits, self.potentials, self.growth = [], [], 1.0
         self.waiting = deque()  # (run, t, state, last) in the order taken
         self.child_runs = [] if child is None else None
@@ -749,16 +760,22 @@ class _Stage:
                 self.waiting.append((run, t, state, last))
 
     def _measure(self, run: _Run, t, state, last: bool) -> None:
-        """measure_errors on the one snapshot alone; _Run.row combines them."""
+        """measure_errors on the one snapshot alone, which _Run.row combines;
+        then the state's diag_*.csv row and, when save_snapshots is set, its
+        snapshot files are written."""
         s, i, times = self.config.s_norm, len(run.norms), np.array([t])
         pair = potential_pair(state.grid, self.potentials[i])  # as the pair solve forms it
         row = measure_errors(Snapshots(times, [state]), Snapshots(times, [self.limits[i]]),
                              Snapshots(times, [pair]), run.lam, s)
         run.errors.append(tuple(map(row.channel, ERROR_CHANNELS)))
         run.norms += row.hs_norms
-        run.diag_lines.append(_diag_line(t, state, row.hs_norms[0], run.lam, s))
+        with open(_diag_path(self.staging, run.lam), "a", encoding="utf-8") as fh:
+            fh.write(_diag_line(t, state, row.hs_norms[0], run.lam, s) + "\n")
         if self.config.save_snapshots:
-            run.snapshots.append((t, state.rho, state.u))
+            stem = os.path.join(_run_dir(self.staging, run.lam),
+                                f"snapshot_lambda_{file_tag(run.lam)}_t_{file_tag(t)}")
+            write_snapshot(stem + "_rho.qnl", state.rho)
+            write_snapshot(stem + "_u.qnl", state.u)
         if last:  # no later run of this process reads the stage at i
             self.limits[i] = self.potentials[i] = None
 
@@ -803,11 +820,13 @@ class _ChildError(Exception):
     own failure."""
 
 
-def _send_and_exit(write_fd: int, fn, args):
+def _send_and_exit(write_fd: int, fn, args, orphaned):
     """Child side of _Forked: run fn(send, *args), where send pipes one
     message as its length and its pickle; an exception of fn is sent last,
-    as ("error", exc).  The child leaves with os._exit, so it never returns
-    into the parent's stack, atexit handlers or buffered output."""
+    as ("error", exc).  A send that finds no reader (the parent is gone, or
+    leaves the sweep) calls orphaned().  The child leaves with os._exit, so
+    it never returns into the parent's stack, atexit handlers or buffered
+    output."""
     def send(message):
         data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
         for part in (struct.pack("<Q", len(data)), data):
@@ -822,16 +841,20 @@ def _send_and_exit(write_fd: int, fn, args):
         except BaseException as exc:  # re-raised by the parent
             send(("error", exc))
         code = 0
+    except BrokenPipeError:
+        orphaned()
     finally:
         os._exit(code)
 
 
-def _leave_when_orphaned(parent: int) -> None:
-    """Child side of _Forked: every 0.1 s (SIGALRM), leave at once if the
-    parent is gone, as after a SIGKILL, which no __exit__ sees.  SIGTERM,
-    which the CLI turns into SystemExit, ends the child plainly."""
+def _leave_when_orphaned(parent: int, orphaned) -> None:
+    """Child side of _Forked: every 0.1 s (SIGALRM), call orphaned() and
+    leave at once if the parent is gone, as after a SIGKILL, which no
+    __exit__ sees.  SIGTERM, which the CLI turns into SystemExit, ends the
+    child plainly."""
     def check(signum, frame):
         if os.getppid() != parent:
+            orphaned()
             os._exit(1)
 
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
@@ -848,12 +871,14 @@ class _Forked:
     it.  A message ("error", exc), or the end of a child that sent no last
     message, raises _ChildError holding exc or a ChildLostError.  Leaving
     the with block kills and reaps the child, whether or not every message
-    was read.  The sweep
-    starts no threads, and OpenBLAS, whose idle pool numpy starts, shuts it
-    down across a fork, so the child holds no lock another thread owned.
+    was read.  A child whose parent is gone, or no longer reads, calls
+    orphaned() before it leaves, since no one else cleans up after it.  The
+    sweep starts no threads, and OpenBLAS, whose idle pool numpy starts,
+    shuts it down across a fork, so the child holds no lock another thread
+    owned.
     """
 
-    def __init__(self, fn, *args):
+    def __init__(self, fn, *args, orphaned=lambda: None):
         parent = os.getpid()
         read_fd, write_fd = os.pipe()
         try:
@@ -868,8 +893,8 @@ class _Forked:
             raise
         if self.pid == 0:
             os.close(read_fd)
-            _leave_when_orphaned(parent)
-            _send_and_exit(write_fd, fn, args)
+            _leave_when_orphaned(parent, orphaned)
+            _send_and_exit(write_fd, fn, args, orphaned)
         os.close(write_fd)
         self._fd = read_fd
 
@@ -917,26 +942,32 @@ def run_sweep(config: RunConfig) -> ConvergenceReport:
     """Full lambda sweep; writes report.csv, rates.csv and meta.txt.  A
     forked child solves the lambda-independent stage, sending it interval by
     interval, and then its share of the lambda runs, concurrently with the
-    parent's (see the module docstring)."""
+    parent's (see the module docstring).  Each process writes its runs'
+    files into one staging directory, which is removed on every path."""
     config.validate()
     base = base_fields(config)
     plan = plan_sweep(config, base)
-    stage_run = _lambda_independent_stage(config, base, plan.stage_step)
-    first = next(stage_run)  # t = 0: the settled initial data
+    staging = _make_staging(config)
     try:
-        with _Forked(_child_share, stage_run, _Stage(config, first), config, base,
-                     plan) as child:
-            del stage_run  # the child goes on with it
-            stage = _Stage(config, first, child)
-            del first
-            by_lam = {run.lam: run for run in _run_share(config, base, plan,
-                                                         plan.parent_lams, stage)}
-    except _ChildError as failed:
-        raise failed.args[0] from None
-    runs = [by_lam[lam] for lam in map(float, config.lambda_list)]  # strictly decreasing
-    rows = [run.row() for run in runs]
-    report = ConvergenceReport(config, rows, fit_all_rates(rows), stage.growth)
-    _write_outputs(config, report, runs)
+        stage_run = _lambda_independent_stage(config, base, plan.stage_step)
+        first = next(stage_run)  # t = 0: the settled initial data
+        try:
+            with _Forked(_child_share, stage_run, _Stage(config, staging, first), config,
+                         base, plan,
+                         orphaned=lambda: shutil.rmtree(staging, ignore_errors=True)) as child:
+                del stage_run  # the child goes on with it
+                stage = _Stage(config, staging, first, child)
+                del first
+                by_lam = {run.lam: run for run in _run_share(config, base, plan,
+                                                             plan.parent_lams, stage)}
+        except _ChildError as failed:
+            raise failed.args[0] from None
+        runs = [by_lam[lam] for lam in map(float, config.lambda_list)]  # strictly decreasing
+        rows = [run.row() for run in runs]
+        report = ConvergenceReport(config, rows, fit_all_rates(rows), stage.growth)
+        _write_outputs(config, report, runs, staging)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     return report
 
 
@@ -953,9 +984,39 @@ def _diag_line(t, state, hs, lam: float, s: float) -> str:
     return ",".join(f"{value:.12e}" for value in row)
 
 
-def _write_outputs(config: RunConfig, report: ConvergenceReport, runs):
-    """report.csv, rates.csv and meta.txt, and for each run (runs in row
-    order) that ended its diag_*.csv and snapshot files."""
+def _run_dir(staging: str, lam: float) -> str:
+    """The staging directory of the run at lam."""
+    return os.path.join(staging, f"lambda_{file_tag(lam)}")
+
+
+def _diag_path(staging: str, lam: float) -> str:
+    return os.path.join(_run_dir(staging, lam), f"diag_lambda_{file_tag(lam)}.csv")
+
+
+def _make_staging(config: RunConfig) -> str:
+    """A new staging directory beside output_dir, in its parent directory
+    (made if missing), since os.replace does not cross file systems; in it,
+    each lambda's run directory holds the header of its diag_*.csv, to which
+    _Stage._measure appends."""
+    out = os.path.abspath(config.output_dir)
+    os.makedirs(os.path.dirname(out), exist_ok=True)
+    staging = tempfile.mkdtemp(prefix=f".{os.path.basename(out)}.", suffix=".staging",
+                               dir=os.path.dirname(out))
+    try:
+        for lam in map(float, config.lambda_list):
+            os.mkdir(_run_dir(staging, lam))
+            with open(_diag_path(staging, lam), "w", encoding="utf-8") as fh:
+                fh.write(DIAG_HEADER + "\n")
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
+    return staging
+
+
+def _write_outputs(config: RunConfig, report: ConvergenceReport, runs, staging: str):
+    """report.csv, rates.csv and meta.txt, then the staged diag_*.csv and
+    snapshot files of each run that ended (os.replace); a failed run's stay
+    in staging, which run_sweep removes."""
     out = config.output_dir
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "report.csv"), "w", encoding="utf-8") as fh:
@@ -967,10 +1028,6 @@ def _write_outputs(config: RunConfig, report: ConvergenceReport, runs):
     for run in runs:
         if run.status != "ok":
             continue
-        name = f"diag_lambda_{file_tag(run.lam)}.csv"
-        with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
-            fh.write("\n".join([DIAG_HEADER, *run.diag_lines]) + "\n")
-        for t, rho, u in run.snapshots:
-            stem = f"snapshot_lambda_{file_tag(run.lam)}_t_{file_tag(t)}"
-            write_snapshot(os.path.join(out, stem + "_rho.qnl"), rho)
-            write_snapshot(os.path.join(out, stem + "_u.qnl"), u)
+        directory = _run_dir(staging, run.lam)
+        for name in os.listdir(directory):
+            os.replace(os.path.join(directory, name), os.path.join(out, name))

@@ -164,8 +164,11 @@ class TestNspStep:
         assert rel_u <= 1e-8
         assert rel_phi <= 1e-8
 
-    def test_richardson_self_convergence(self):
-        grid = make_grid(2, 32)
+    # acceptance criterion 8, and in 3D at 16^3, where the order read 4.00
+    # (as at 8^3 and 12^3) when measured
+    @pytest.mark.parametrize("dims, resolution", [(2, 32), (3, 16)], ids=["2d", "3d"])
+    def test_richardson_self_convergence(self, dims, resolution):
+        grid = make_grid(dims, resolution)
         base = default_base_fields(grid, "ill")
         lam = 0.5
         params = PhysParams(0.05, 0.0, 0.05)

@@ -3,14 +3,17 @@
 `run_sweep` forms the stage at t = 0 and forks a child that solves the rest
 of the limit and pair stage, sending it one snapshot interval at a time;
 then the child runs its share of the lambda values while the parent runs
-the rest, each process measuring its own runs.  A patch made here before
-the sweep is inherited by the child.  `stage_then` patches the stage so
-that the child, not the parent, meets the patched step.  Every test ends
-with no child process left.
+the rest, each process measuring its own runs and writing their files
+into a staging directory beside the output directory.  A patch made here
+before the sweep is inherited by the child.  `stage_then` patches the stage
+so that the child, not the parent, meets the patched step.  Every test ends
+with no child process left, and every sweep, failed or not, with no staging
+directory.
 """
 
 import gc
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -27,17 +30,19 @@ from qnl.ansatz import solve_osc
 from qnl.cli import main as cli_main
 from qnl.errors import (BlowUpError, ChildLostError, DensityNotPositiveError,
                         NonpositiveTemperatureError)
-from qnl.harness import (NSP_STEP_TRANSFORMS, STAGE_DT_CAP, STAGE_ONCE_TRANSFORMS,
-                         STAGE_STEP_TRANSFORMS, ConvergenceReport, ReportRow, RunConfig,
-                         _child_share, _diag_line, _lambda_independent_stage, _Run, _Stage,
-                         _write_outputs, base_fields, fit_all_rates,
+from qnl.harness import (DIAG_HEADER, NSP_STEP_TRANSFORMS, STAGE_DT_CAP,
+                         STAGE_ONCE_TRANSFORMS, STAGE_STEP_TRANSFORMS, ConvergenceReport,
+                         ReportRow, RunConfig, _child_share, _diag_line,
+                         _lambda_independent_stage, _make_staging, _Run, _run_dir, _Stage,
+                         _write_outputs, base_fields, file_tag, fit_all_rates,
                          gen_initial_data, lpt_assign, measure_errors,
                          plan_sweep, run_sweep, solve_limit)
 from qnl.limit_solver import LimitState, LimitTrajectory
 from qnl.limit_solver import advective_dt
 from qnl.nsp import nsp_dt, run_nsp, viscous_dt
 from qnl.oscillation import GradientPair
-from qnl.spectral import SpectralScalar, TorusGrid, gradient, laplacian, make_grid
+from qnl.spectral import (SpectralScalar, TorusGrid, gradient, laplacian, make_grid,
+                          write_snapshot)
 from qnl.stepping import substep_count
 
 SMALL = dict(resolution=16, lambda_list=(0.1, 0.05, 0.025), t_end=0.05,
@@ -60,6 +65,12 @@ def deadline():
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def assert_nothing_staged(directory):
+    """No staging directory is left in directory, the output directory's
+    parent."""
+    assert not [p.name for p in directory.iterdir() if p.name.endswith(".staging")]
 
 
 def stage_then(action, intervals=0):
@@ -105,6 +116,7 @@ def test_child_exception_is_reraised_with_type_and_message(
     err = capsys.readouterr().err
     assert "error: limit temperature lost positivity" in err
     assert_no_child_left()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
 @pytest.mark.parametrize("intervals", [0, 1], ids=["before", "after-first-message"])
@@ -116,6 +128,7 @@ def test_killed_child_raises_child_lost_error(tmp_path, monkeypatch, deadline, i
     with pytest.raises(ChildLostError, match="exit code -9"):
         run_sweep(config)
     assert not (tmp_path / "out").exists()
+    assert_nothing_staged(tmp_path)
     assert_no_child_left()
 
 
@@ -134,13 +147,17 @@ def test_parent_failure_kills_and_reaps_the_child(tmp_path, monkeypatch, deadlin
     with pytest.raises(error, match="NSP run failed"):
         run_sweep(config)
     assert_no_child_left()
+    assert not (tmp_path / "out").exists()
+    assert_nothing_staged(tmp_path)
 
 
 def serial_sweep(config: RunConfig, run_nsp=run_nsp, measure_errors=measure_errors):
-    """The sweep's stages composed in one process, outputs written; a run
-    that raises BlowUpError becomes a blow_up row, and one whose initial
-    density is not positive a density_not_positive row.  Each step is
-    composed here from the solvers' bounds, not taken from plan_sweep."""
+    """The sweep's stages composed in one process, outputs written from the
+    whole runs' trajectories; a run that raises BlowUpError becomes a
+    blow_up row, and one whose initial density is not positive a
+    density_not_positive row, and neither writes a diag or snapshot file.
+    Each step is composed here from the solvers' bounds, not taken from
+    plan_sweep."""
     base = base_fields(config)
     times = config.resolved_snapshot_times()
     limit_dt = (min(advective_dt(base.v0), STAGE_DT_CAP) if config.limit_dt is None
@@ -150,13 +167,12 @@ def serial_sweep(config: RunConfig, run_nsp=run_nsp, measure_errors=measure_erro
                      config.limit_params(), config.t_end, dt=limit_dt,
                      snapshot_times=times, norm_s=config.s_norm)
     lap_max = laplacian(base.phi0).samples().max()
-    rows, outputs = [], []
+    rows, ended = [], []
     for lam in config.lambda_list:
         try:
             initial = gen_initial_data(config.ic, lam, base)
         except DensityNotPositiveError:
             rows.append(ReportRow(lam, status="density_not_positive"))
-            outputs.append(_Run(lam, "density_not_positive"))
             continue
         viscous = viscous_dt(config.nsp_params(lam), base.v0.grid, 1.0 - lam * lap_max)
         dt = nsp_dt(advective_dt(initial.u), lam, config.phase_resolution, config.dt_max,
@@ -165,17 +181,26 @@ def serial_sweep(config: RunConfig, run_nsp=run_nsp, measure_errors=measure_erro
             traj = run_nsp(initial, config.nsp_params(lam), lam, config.t_end, dt, times)
         except BlowUpError:
             rows.append(ReportRow(lam, status="blow_up"))
-            outputs.append(_Run(lam, "blow_up"))
             continue
         rows.append(measure_errors(traj, limit, pair, lam, config.s_norm))
-        outputs.append(_Run(
-            lam, diag_lines=[
-                _diag_line(t, state, hs, lam, config.s_norm)
-                for t, state, hs in zip(traj.times, traj.states, rows[-1].hs_norms, strict=True)],
-            snapshots=[(t, state.rho, state.u) for t, state in zip(traj.times, traj.states)]
-            if config.save_snapshots else []))
-    _write_outputs(config, ConvergenceReport(config, rows, fit_all_rates(rows),
-                                             pair.growth_factor), outputs)
+        ended.append((lam, traj, rows[-1].hs_norms))
+    report = ConvergenceReport(config, rows, fit_all_rates(rows), pair.growth_factor)
+    out = config.output_dir
+    os.makedirs(out)
+    for name, text in [("report.csv", report.report_csv()), ("rates.csv", report.rates_csv()),
+                       ("meta.txt", report.meta_text())]:
+        with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
+    for lam, traj, norms in ended:
+        lines = [_diag_line(t, state, hs, lam, config.s_norm)
+                 for t, state, hs in zip(traj.times, traj.states, norms, strict=True)]
+        with open(os.path.join(out, f"diag_lambda_{file_tag(lam)}.csv"), "w",
+                  encoding="utf-8") as fh:
+            fh.write("\n".join([DIAG_HEADER, *lines]) + "\n")
+        for t, state in zip(traj.times, traj.states) if config.save_snapshots else ():
+            stem = os.path.join(out, f"snapshot_lambda_{file_tag(lam)}_t_{file_tag(t)}")
+            write_snapshot(stem + "_rho.qnl", state.rho)
+            write_snapshot(stem + "_u.qnl", state.u)
 
 
 @pytest.mark.parametrize("keys", [
@@ -189,6 +214,7 @@ def test_sweep_outputs_equal_the_serial_stages_byte_for_byte(tmp_path, keys):
                        save_snapshots=True, output_dir=str(tmp_path / "sweep"), **keys)
     assert run_sweep(config).all_ok
     assert_no_child_left()
+    assert_nothing_staged(tmp_path)
     serial_sweep(replace(config, output_dir=str(tmp_path / "serial")))
 
     sweep = {p.name: p.read_bytes() for p in (tmp_path / "sweep").iterdir()}
@@ -206,14 +232,27 @@ def test_sweep_outputs_equal_the_serial_stages_byte_for_byte(tmp_path, keys):
                     if not line.startswith("output_dir = ")]
 
 
-def test_stage_messages_carry_one_interval_without_the_nodes(monkeypatch):
+def child_messages(config):
+    """The messages _child_share sends on config, with the staging directory
+    its runs wrote into."""
+    base = base_fields(config)
+    plan = plan_sweep(config, base)
+    run = _lambda_independent_stage(config, base, plan.stage_step)
+    first = next(run)
+    staging = _make_staging(config)
+    messages = []
+    _child_share(messages.append, run, _Stage(config, staging, first), config, base, plan)
+    return messages, staging
+
+
+def test_stage_messages_carry_one_interval_without_the_nodes(tmp_path, monkeypatch):
     # The child's stage messages, one per snapshot interval after t = 0,
     # hold the stage item as the generator yields it: the limit state, the
     # pair potentials and the growth factor so far, equal byte for byte to
     # the whole-run solves; no Hermite node goes with them, and the stage
     # keeps the nodes of one interval only.  The last message holds the
-    # child's runs.
-    config = RunConfig(**dict(SMALL, snapshots=4))
+    # child's runs, whose files are in the staging directory.
+    config = RunConfig(output_dir=str(tmp_path / "out"), **dict(SMALL, snapshots=4))
     base = base_fields(config)
     plan = plan_sweep(config, base)
     times = config.resolved_snapshot_times()
@@ -225,10 +264,7 @@ def test_stage_messages_carry_one_interval_without_the_nodes(monkeypatch):
         keep_last_node(nodes)
 
     monkeypatch.setattr(LimitTrajectory, "keep_last_node", counting)
-    run = _lambda_independent_stage(config, base, plan.stage_step)
-    first = next(run)
-    messages = []
-    _child_share(messages.append, run, _Stage(config, first), config, base, plan)
+    messages, staging = child_messages(config)
 
     limit = solve_limit(config, base, plan.stage_step)
     pair = solve_osc(GradientPair(base.qu0.copy(), gradient(base.phi0)), limit,
@@ -250,10 +286,28 @@ def test_stage_messages_carry_one_interval_without_the_nodes(monkeypatch):
     runs = messages[-1][1]
     assert all(type(r) is _Run and r.status == "ok" for r in runs)
     assert sorted(r.lam for r in runs) == sorted(plan.child_lams)
-    assert all(len(r.diag_lines) == len(times) for r in runs)
+    assert all(len(r.errors) == len(r.norms) == len(times) for r in runs)
+    for r in runs:
+        diag = f"diag_lambda_{file_tag(r.lam)}.csv"
+        assert os.listdir(_run_dir(staging, r.lam)) == [diag]
+        with open(os.path.join(_run_dir(staging, r.lam), diag), encoding="utf-8") as fh:
+            assert len(fh.read().splitlines()) == 1 + len(times)
     # each interval's nodes: its steps, plus the node it starts from
     steps = [substep_count(b - a, plan.stage_step) for a, b in zip(times, times[1:])]
     assert node_counts == [1] + [n + 1 for n in steps]
+
+
+def test_the_childs_last_message_carries_no_array(tmp_path):
+    # An ns3d-shaped sweep with snapshot files: the child writes its runs'
+    # files itself, so its last message holds statuses, errors and norms.
+    config = RunConfig(save_snapshots=True, output_dir=str(tmp_path / "out"), **STOCK_3D)
+    messages, staging = child_messages(config)
+    kind, runs = messages[-1]
+    assert kind == "runs" and runs
+    assert len(pickle.dumps(messages[-1], pickle.HIGHEST_PROTOCOL)) < 1024
+    for run in runs:
+        names = os.listdir(_run_dir(staging, run.lam))
+        assert len(names) == 1 + 2 * config.snapshots  # the diag and rho, u per snapshot
 
 
 def grids_by_shape():
@@ -264,8 +318,7 @@ def grids_by_shape():
 
 def test_the_parent_holds_one_grid_per_shape(tmp_path, monkeypatch, deadline):
     # An ns3d-shaped sweep: the stage the child sends lands on the parent's
-    # own grid, and so do the snapshot fields of the child's runs, so no
-    # second grid is built.
+    # own grid, so no second grid is built.
     config = RunConfig(dims=3, resolution=12, s_norm=3.5, lambda_list=(0.1, 0.05, 0.025),
                        t_end=0.01, snapshots=2, ic_random_amp=0.01, save_snapshots=True,
                        output_dir=str(tmp_path / "out"))
@@ -332,6 +385,7 @@ def test_failed_child_stage_raises_during_the_first_parent_run(tmp_path, monkeyp
         run_sweep(config)
     assert calls == [parent] and finished == []
     assert not (tmp_path / "out").exists()
+    assert_nothing_staged(tmp_path)
     assert_no_child_left()
 
 
@@ -423,6 +477,7 @@ def test_a_parent_run_that_fails_while_its_states_wait(tmp_path, monkeypatch, de
         lam == failing for lam in config.lambda_list]
     serial_sweep(replace(config, output_dir=str(tmp_path / "serial")), blowing)
     assert_same_outputs(tmp_path / "sweep", tmp_path / "serial")
+    assert_nothing_staged(tmp_path)
 
 
 # -- schedule ----------------------------------------------------------------
@@ -638,7 +693,8 @@ def test_a_signalled_sweep_leaves_no_child(tmp_path, signum):
     if signum == signal.SIGTERM:
         assert proc.returncode == 128 + signal.SIGTERM
         assert b"Traceback" not in err
-    assert not (tmp_path / "out").exists()
+    # after a SIGKILL, the child removes the staging directory as it leaves
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
 # -- lambda runs in the child -------------------------------------------------
@@ -705,6 +761,42 @@ def test_child_blow_up_is_the_serial_blow_up_row(tmp_path, monkeypatch):
     assert_same_outputs(tmp_path / "sweep", tmp_path / "serial")
 
 
+@pytest.mark.parametrize("who", ["parent", "child"])
+def test_a_run_that_blows_up_midway_leaves_no_file(tmp_path, monkeypatch, deadline, who):
+    # The run's first states are measured, and their files staged, before
+    # it blows up; none of them reaches the output directory, while every
+    # ok run's files do.
+    config, child_lams = child_config(tmp_path, CHILD_CASES[0])
+    failing = (child_lams if who == "child"
+               else plan_sweep(config, base_fields(config)).parent_lams)[0]
+    staged = tmp_path / "staged.txt"
+
+    def blowing(initial, params, lam, t_end, dt, times, on_snapshot):
+        def then_fail(t, state):
+            on_snapshot(t, state)
+            if lam == failing and t >= times[1]:
+                staged.write_text("\n".join(
+                    p.name for p in tmp_path.glob(f"*.staging/lambda_{file_tag(lam)}/*")))
+                raise BlowUpError(f"NSP run failed at lambda = {lam}")
+
+        return run_nsp(initial, params, lam, t_end, dt, times, then_fail)
+
+    monkeypatch.setattr(qnl.harness, "run_nsp", blowing)
+    report = run_sweep(config)
+    assert_no_child_left()
+    assert [row.status for row in report.rows] == [
+        "blow_up" if lam == failing else "ok" for lam in config.lambda_list]
+    names = [p.name for p in (tmp_path / "sweep").iterdir()]
+    for lam in config.lambda_list:
+        tag = file_tag(lam)
+        files = [name for name in names if name == f"diag_lambda_{tag}.csv"
+                 or name.startswith(f"snapshot_lambda_{tag}_t_")]
+        assert len(files) == (0 if lam == failing else 1 + 2 * config.snapshots), lam
+    assert_nothing_staged(tmp_path)
+    if who == "child":  # which measures each state at once: two states were staged
+        assert len(staged.read_text().split()) == 1 + 2 * 2
+
+
 class NaNTemperature:
     """A limit trajectory whose temperature reads NaN at every time."""
 
@@ -751,6 +843,7 @@ def test_child_lambda_error_is_reraised_and_the_child_reaped(tmp_path, monkeypat
                        match=rf"^NSP run failed at lambda = {child_lams[0]}$"):
         run_sweep(config)
     assert not (tmp_path / "sweep").exists()
+    assert_nothing_staged(tmp_path)
     assert_no_child_left()
 
 
@@ -798,3 +891,4 @@ def test_a_sweep_leaves_the_parents_descriptors_as_they_were(tmp_path, monkeypat
             run_sweep(config)
     assert open_descriptors() == before
     assert_no_child_left()
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["out"] if error is None else [])

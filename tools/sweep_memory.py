@@ -24,10 +24,10 @@ size in bytes of each message as it crossed the pipe: one per snapshot
 interval of the stage, then the child's last message (its runs), as the
 pickles the parent read, so no copy is made; and last the peak resident
 set and minor faults of a separate `python -m qnl.cli run` process on the
-same CONFIG, from `os.wait4`'s `ru_maxrss` as `bench/run.py` reads a
-sweep's.  Both sweeps write their outputs to the configuration's
-`output_dir`, as `qnl run` does; the second writes the same bytes again.
-Linux only: the numbers come from /proc and from ru_maxrss in KiB.
+same CONFIG, which the watcher runs just before the sweep, from
+`os.wait4`'s `ru_maxrss` as `bench/run.py` reads a sweep's.  Both sweeps
+write the same outputs to the configuration's `output_dir`, as `qnl run`
+does.  Linux only: the numbers come from /proc and from ru_maxrss in KiB.
 """
 
 from __future__ import annotations

@@ -25,21 +25,16 @@ fixes the share by longest-processing-time-first list scheduling (Graham
 1969) on a cost in transforms: planned steps times the transforms of one
 step.  The child starts with the load of its stage.
 
-What crosses the pipe is the stage, one snapshot interval at a time, and
-then the child's runs.  The parent forms the stage at t = 0, the settled
-initial data, by the first step of the stage generator and forks; the
-child goes on with that generator.  For each interval it steps the limit
-solve, then the pair solve, which reads the limit's Hermite nodes of that
-interval only, and sends the item as the generator yields it: the limit
-state, the pair potentials (q, psi), whose gradients the receiver forms as
-the pair solve forms its snapshots, and the growth factor so far; dims + 3
-coefficient arrays, 169,455 B a message at 64^2 and 719,434 B at 24^3.
-Its last message is its list of runs (`_Run`: status, errors and norms;
-313 B on the bench's 64^2 sweep and 245 B on its 24^3 sweep with
-snapshot files), with no array.  The pipe is sized to PIPE_BYTES, so the
-child seldom waits for the parent to read.  A grid pickles as its
-`make_grid` call, so every field that crosses lands on the receiver's one
-grid of that shape.
+What crosses the pipe: the child sends each snapshot's stage item, t = 0
+first, as dims + 3 coefficient arrays (the limit state; the pair
+potentials (q, psi), whose gradients the receiver forms as the pair solve
+forms its snapshots; and the growth factor so far), then its runs
+(`_Run`: status, errors and norms), with no array.  The child alone
+solves the stage: for each interval it steps the limit solve, then the
+pair solve, which reads the limit's Hermite nodes of that interval only.
+The pipe is sized to PIPE_BYTES, so the child seldom waits for the parent
+to read.  A grid pickles as its `make_grid` call, so every field that
+crosses lands on the receiver's one grid of that shape.
 
 Who measures and writes: both processes run their share of the lambda
 values through `_run_share`, longest first, and each state as `run_nsp`
@@ -570,9 +565,11 @@ class ConvergenceReport:
 # per component.  Its settle samples theta once.  A limit step makes 4 of
 # 11 (19) plus that sample, a pair step 4 of 20 (36) less the samples of v
 # and its gradient, 6 (12), at the two stage times it shares with another
-# stage.  Once per stage, the limit solve checks and settles its initial
-# state (a sample of theta, then 1 + 11 (19)) and the pair solve samples v
-# at t = 0.  tests/test_sweep_fork.py pins these to counted transforms.
+# stage.  Once per stage, before the child sends t = 0, the limit solve
+# checks and settles its initial state (a sample of theta, then 1 + 11
+# (19)) and the pair solve samples v at t = 0; plan_sweep loads the child
+# with these and the stage's steps.  tests/test_sweep_fork.py pins these
+# to counted transforms.
 NSP_STEP_TRANSFORMS = {2: 4 * (23 + 3) + 1, 3: 4 * (33 + 4) + 1}
 STAGE_STEP_TRANSFORMS = {2: 4 * 11 + 1 + 4 * 20 - 2 * 6, 3: 4 * 19 + 1 + 4 * 36 - 2 * 12}
 STAGE_ONCE_TRANSFORMS = {2: 1 + 1 + 11 + 6, 3: 1 + 1 + 19 + 12}
@@ -702,27 +699,25 @@ class _Run:
 
 
 class _Stage:
-    """The lambda-independent stage at the snapshot times reached so far:
-    the limit states, the pair potentials (q, psi) and the pair's growth
-    factor, each item as _lambda_independent_stage yields it; and the NSP
-    states that wait for it.  A process measures each state of its runs
-    here once the stage at its time is here: in the child, which solved the
-    stage before its runs, at once.  In the parent, child is the _Forked
-    child, which sends the items after the first, then its runs.  Each
-    measured state's files go into its run's directory under staging
-    (_make_staging)."""
+    """The lambda-independent stage at the snapshot times reached so far,
+    each item (limit state, pair potentials (q, psi), pair growth factor so
+    far) as _lambda_independent_stage yields it, and the NSP states that
+    wait for it.  A process measures each state of its runs here once the
+    stage at its time is here: in the child, which solved the whole stage
+    before its runs, at once.  In the parent, child is the _Forked child,
+    whose messages (every stage item, t = 0 first, then its runs) _read
+    takes.  Each measured state's files go into its run's directory under
+    staging (_make_staging)."""
 
-    def __init__(self, config: RunConfig, staging: str, first, child=None):
+    def __init__(self, config: RunConfig, staging: str, child=None):
         self.config, self.staging, self.child = config, staging, child
-        self.limits, self.potentials, self.growth = [], [], 1.0
+        self.items, self.growth = [], 1.0
         self.waiting = deque()  # (run, t, state, last) in the order taken
         self.child_runs = [] if child is None else None
-        self.add(first)
 
     def add(self, item) -> None:
-        limit, potentials, self.growth = item
-        self.limits.append(limit)
-        self.potentials.append(potentials)
+        self.items.append(item)
+        self.growth = item[2]
 
     def take(self, run: _Run, t, state, last: bool) -> None:
         """Measure the state, run's next snapshot, once the stage at its time
@@ -754,7 +749,7 @@ class _Stage:
         # that order, so each run is measured in snapshot order.
         waiting, self.waiting = self.waiting, deque()
         for run, t, state, last in waiting:
-            if len(run.norms) < len(self.limits):
+            if len(run.norms) < len(self.items):
                 self._measure(run, t, state, last)
             else:
                 self.waiting.append((run, t, state, last))
@@ -764,8 +759,9 @@ class _Stage:
         then the state's diag_*.csv row and, when save_snapshots is set, its
         snapshot files are written."""
         s, i, times = self.config.s_norm, len(run.norms), np.array([t])
-        pair = potential_pair(state.grid, self.potentials[i])  # as the pair solve forms it
-        row = measure_errors(Snapshots(times, [state]), Snapshots(times, [self.limits[i]]),
+        limit, potentials, _ = self.items[i]
+        pair = potential_pair(state.grid, potentials)  # as the pair solve forms it
+        row = measure_errors(Snapshots(times, [state]), Snapshots(times, [limit]),
                              Snapshots(times, [pair]), run.lam, s)
         run.errors.append(tuple(map(row.channel, ERROR_CHANNELS)))
         run.norms += row.hs_norms
@@ -777,7 +773,7 @@ class _Stage:
             write_snapshot(stem + "_rho.qnl", state.rho)
             write_snapshot(stem + "_u.qnl", state.u)
         if last:  # no later run of this process reads the stage at i
-            self.limits[i] = self.potentials[i] = None
+            self.items[i] = None
 
 
 def _run_share(config: RunConfig, base: BaseFields, plan: SweepPlan, lams,
@@ -802,12 +798,13 @@ def _run_share(config: RunConfig, base: BaseFields, plan: SweepPlan, lams,
     return runs + stage.finish()
 
 
-def _child_share(send, stage_run, stage: _Stage, config: RunConfig, base: BaseFields,
-                 plan: SweepPlan) -> None:
-    """The forked child's part of a sweep.  It goes on with stage_run, the
-    stage generator at t = 0, and sends each snapshot interval's item as it
-    is yielded.  Then it runs plan.child_lams and sends last their runs."""
-    for item in stage_run:
+def _child_share(send, config: RunConfig, base: BaseFields, plan: SweepPlan,
+                 staging: str) -> None:
+    """The forked child's part of a sweep.  It solves the stage and sends
+    each snapshot's item, t = 0 first, as it is yielded; then it runs
+    plan.child_lams and sends last their runs."""
+    stage = _Stage(config, staging)
+    for item in _lambda_independent_stage(config, base, plan.stage_step):
         send(("stage", item))
         stage.add(item)
     send(("runs", _run_share(config, base, plan, plan.child_lams, stage)))
@@ -940,8 +937,8 @@ class _Forked:
 
 def run_sweep(config: RunConfig) -> ConvergenceReport:
     """Full lambda sweep; writes report.csv, rates.csv and meta.txt.  A
-    forked child solves the lambda-independent stage, sending it interval by
-    interval, and then its share of the lambda runs, concurrently with the
+    forked child solves the lambda-independent stage, sending it snapshot by
+    snapshot, and then its share of the lambda runs, concurrently with the
     parent's (see the module docstring).  Each process writes its runs'
     files into one staging directory, which is removed on every path."""
     config.validate()
@@ -949,15 +946,10 @@ def run_sweep(config: RunConfig) -> ConvergenceReport:
     plan = plan_sweep(config, base)
     staging = _make_staging(config)
     try:
-        stage_run = _lambda_independent_stage(config, base, plan.stage_step)
-        first = next(stage_run)  # t = 0: the settled initial data
         try:
-            with _Forked(_child_share, stage_run, _Stage(config, staging, first), config,
-                         base, plan,
+            with _Forked(_child_share, config, base, plan, staging,
                          orphaned=lambda: shutil.rmtree(staging, ignore_errors=True)) as child:
-                del stage_run  # the child goes on with it
-                stage = _Stage(config, staging, first, child)
-                del first
+                stage = _Stage(config, staging, child)
                 by_lam = {run.lam: run for run in _run_share(config, base, plan,
                                                              plan.parent_lams, stage)}
         except _ChildError as failed:

@@ -32,12 +32,6 @@ class GradientPair:
     def grid(self):
         return self.grad_q.grid
 
-    def copy(self) -> "GradientPair":
-        return GradientPair(self.grad_q.copy(), self.grad_psi.copy())
-
-    def __add__(self, other):
-        return GradientPair(self.grad_q + other.grad_q, self.grad_psi + other.grad_psi)
-
     def __sub__(self, other):
         return GradientPair(self.grad_q - other.grad_q, self.grad_psi - other.grad_psi)
 

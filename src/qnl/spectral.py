@@ -262,9 +262,6 @@ class SpectralVector:
     def __getitem__(self, i):
         return self.components[i]
 
-    def samples(self):
-        return [c.samples() for c in self.components]
-
     def copy(self) -> "SpectralVector":
         return SpectralVector(self.grid, tuple(c.copy() for c in self.components))
 
@@ -426,13 +423,6 @@ def inverse_laplacian(f: SpectralScalar) -> SpectralScalar:
         raise NonZeroMeanError(
             f"inverse Laplacian needs mean-zero input, |f_0| = {mean:.3e}")
     return SpectralScalar(f.grid, -f.grid.inv_k_sq * f.coeffs)
-
-
-def dealias(f):
-    """Truncate a field to the 2/3-rule band."""
-    if isinstance(f, SpectralVector):
-        return SpectralVector(f.grid, tuple(dealias(c) for c in f.components))
-    return SpectralScalar(f.grid, f.coeffs * f.grid.dealias_mask)
 
 
 def product(f: SpectralScalar, g: SpectralScalar) -> SpectralScalar:

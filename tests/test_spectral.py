@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from qnl.errors import InvalidResolutionError, NonZeroMeanError
 from qnl.oscillation import GradientPair
 from qnl.projections import gradient_potential, leray_p, leray_q
-from qnl.spectral import (SpectralScalar, TorusGrid, as_vector, constant_scalar, dealias,
-                          derivative, divergence, gradient, inverse_laplacian,
+from qnl.spectral import (SpectralScalar, SpectralVector, TorusGrid, as_vector,
+                          constant_scalar, derivative, divergence, gradient, inverse_laplacian,
                           l2_inner, laplacian, make_grid, product, read_snapshot,
                           scalar_from_function, sobolev_norm,
                           stack, to_physical, to_spectral, transform_forward,
@@ -20,6 +20,13 @@ from qnl.spectral import (SpectralScalar, TorusGrid, as_vector, constant_scalar,
                           vector_from_functions, write_snapshot)
 
 from conftest import band_limited_scalar, smooth_scalar, smooth_vector
+
+
+def dealias(f):
+    """The oracle of a field truncated to the 2/3-rule band."""
+    if isinstance(f, SpectralVector):
+        return SpectralVector(f.grid, tuple(dealias(c) for c in f.components))
+    return SpectralScalar(f.grid, f.coeffs * f.grid.dealias_mask)
 
 
 class TestGrid:

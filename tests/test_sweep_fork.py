@@ -1,14 +1,13 @@
 """The sweep's forked child: schedule, stream, failures and equivalence.
 
-`run_sweep` forms the stage at t = 0 and forks a child that solves the rest
-of the limit and pair stage, sending it one snapshot interval at a time;
-then the child runs its share of the lambda values while the parent runs
-the rest, each process measuring its own runs and writing their files
-into a staging directory beside the output directory.  A patch made here
-before the sweep is inherited by the child.  `stage_then` patches the stage
-so that the child, not the parent, meets the patched step.  Every test ends
-with no child process left, and every sweep, failed or not, with no staging
-directory.
+`run_sweep` forks a child that alone solves the limit and pair stage,
+sending it one snapshot at a time, t = 0 first; then the child runs its
+share of the lambda values while the parent runs the rest, each process
+measuring its own runs and writing their files into a staging directory
+beside the output directory.  A patch made here before the sweep is
+inherited by the child, which alone meets a patched stage (`stage_then`).
+Every test ends with no child process left, and every sweep, failed or
+not, with no staging directory.
 """
 
 import gc
@@ -73,15 +72,14 @@ def assert_nothing_staged(directory):
     assert not [p.name for p in directory.iterdir() if p.name.endswith(".staging")]
 
 
-def stage_then(action, intervals=0):
-    """A _lambda_independent_stage that yields t = 0 and the next `intervals`
-    snapshot intervals, then calls action().  The parent takes only the
-    t = 0 stage before it forks, so action runs in the child."""
+def stage_then(action, items=0):
+    """A _lambda_independent_stage that yields its first `items` items (the
+    first is t = 0), then calls action(); only the child runs it."""
     real = qnl.harness._lambda_independent_stage
 
     def stage(config, base, dt):
         run = real(config, base, dt)
-        for _ in range(intervals + 1):
+        for _ in range(items):
             yield next(run)
         action()
         yield from run
@@ -119,17 +117,42 @@ def test_child_exception_is_reraised_with_type_and_message(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
-@pytest.mark.parametrize("intervals", [0, 1], ids=["before", "after-first-message"])
-def test_killed_child_raises_child_lost_error(tmp_path, monkeypatch, deadline, intervals):
-    # killed before it sends the stage, or after its first stage message
+@pytest.mark.parametrize("items", [0, 1], ids=["before", "after-first-message"])
+def test_killed_child_raises_child_lost_error(tmp_path, monkeypatch, deadline, items):
+    # killed before it sends the stage at t = 0, or after that first message
     monkeypatch.setattr(qnl.harness, "_lambda_independent_stage",
-                        stage_then(lambda: os.kill(os.getpid(), signal.SIGKILL), intervals))
+                        stage_then(lambda: os.kill(os.getpid(), signal.SIGKILL), items))
     config = RunConfig(output_dir=str(tmp_path / "out"), **dict(SMALL, snapshots=3))
     with pytest.raises(ChildLostError, match="exit code -9"):
         run_sweep(config)
     assert not (tmp_path / "out").exists()
     assert_nothing_staged(tmp_path)
     assert_no_child_left()
+
+
+def test_only_the_forked_child_solves_the_stage(tmp_path, monkeypatch, deadline):
+    # The parent used to form the stage at t = 0 and fork, and the child went
+    # on with the same generator.  Each call of the stage writes its process
+    # id to a file, since the child leaves by os._exit.
+    called, forked = tmp_path / "stage_pids.txt", []
+    real = qnl.harness._lambda_independent_stage
+
+    def recording(config, base, dt):
+        with open(called, "a", encoding="ascii") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(config, base, dt)
+
+    class Forked(qnl.harness._Forked):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)  # in the child, never returns
+            forked.append(self.pid)
+
+    monkeypatch.setattr(qnl.harness, "_lambda_independent_stage", recording)
+    monkeypatch.setattr(qnl.harness, "_Forked", Forked)
+    assert run_sweep(RunConfig(output_dir=str(tmp_path / "out"), **SMALL)).all_ok
+    assert_no_child_left()
+    assert len(forked) == 1 and forked[0] != os.getpid()
+    assert called.read_text().split() == [str(forked[0])]
 
 
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
@@ -233,24 +256,21 @@ def test_sweep_outputs_equal_the_serial_stages_byte_for_byte(tmp_path, keys):
 
 
 def child_messages(config):
-    """The messages _child_share sends on config, with the staging directory
-    its runs wrote into."""
+    """The messages _child_share sends on config, run in this process, with
+    the staging directory its runs wrote into."""
     base = base_fields(config)
-    plan = plan_sweep(config, base)
-    run = _lambda_independent_stage(config, base, plan.stage_step)
-    first = next(run)
     staging = _make_staging(config)
     messages = []
-    _child_share(messages.append, run, _Stage(config, staging, first), config, base, plan)
+    _child_share(messages.append, config, base, plan_sweep(config, base), staging)
     return messages, staging
 
 
 def test_stage_messages_carry_one_interval_without_the_nodes(tmp_path, monkeypatch):
-    # The child's stage messages, one per snapshot interval after t = 0,
-    # hold the stage item as the generator yields it: the limit state, the
-    # pair potentials and the growth factor so far, equal byte for byte to
-    # the whole-run solves; no Hermite node goes with them, and the stage
-    # keeps the nodes of one interval only.  The last message holds the
+    # The child's stage messages, one per snapshot time, t = 0 first, hold
+    # the stage item as the generator yields it: the limit state, the pair
+    # potentials and the growth factor so far, equal byte for byte to the
+    # whole-run solves; no Hermite node goes with them, and the stage keeps
+    # the nodes of one interval only.  The last message holds the
     # child's runs, whose files are in the staging directory.
     config = RunConfig(output_dir=str(tmp_path / "out"), **dict(SMALL, snapshots=4))
     base = base_fields(config)
@@ -270,9 +290,9 @@ def test_stage_messages_carry_one_interval_without_the_nodes(tmp_path, monkeypat
     pair = solve_osc(GradientPair(base.qu0.copy(), gradient(base.phi0)), limit,
                      config.limit_params(), config.t_end, dt=plan.stage_step,
                      snapshot_times=times, norm_s=config.s_norm)
-    assert [kind for kind, _ in messages] == ["stage"] * (len(times) - 1) + ["runs"]
+    assert [kind for kind, _ in messages] == ["stage"] * len(times) + ["runs"]
     shape = base.v0.grid.spectral_shape
-    for i, (_, (state, (q, psi), growth)) in enumerate(messages[:-1], start=1):
+    for i, (_, (state, (q, psi), growth)) in enumerate(messages[:-1]):
         assert type(state) is LimitState and isinstance(growth, float)
         arrays = [*(c.coeffs for c in state.v), state.theta.coeffs, q, psi]
         assert len(arrays) == config.dims + 3
@@ -378,7 +398,7 @@ def test_failed_child_stage_raises_during_the_first_parent_run(tmp_path, monkeyp
         run_nsp(*head, slow)
         finished.append(os.getpid())
 
-    monkeypatch.setattr(qnl.harness, "_lambda_independent_stage", stage_then(blow_up, 1))
+    monkeypatch.setattr(qnl.harness, "_lambda_independent_stage", stage_then(blow_up, 2))
     monkeypatch.setattr(qnl.harness, "run_nsp", slow_run_nsp)
     with pytest.raises(BlowUpError,
                        match=r"^oscillating pair blew up or is not finite at t = 0\.0250$"):
@@ -415,7 +435,7 @@ def slowed_sweeps(tmp_path, monkeypatch, config, who):
         def slow_stage(config, base, dt):
             for item in real(config, base, dt):
                 yield item
-                time.sleep(0.05)  # after t = 0, in the child only
+                time.sleep(0.05)  # after each item, in the child only
 
         monkeypatch.setattr(qnl.harness, "_lambda_independent_stage", slow_stage)
     out = tmp_path / f"slow-{who}"
@@ -442,7 +462,9 @@ def test_a_slowed_side_writes_the_same_outputs(tmp_path, monkeypatch, deadline, 
 
 def test_a_parent_run_that_fails_while_its_states_wait(tmp_path, monkeypatch, deadline):
     # The child is slowed, so the parent's states wait for the stage when
-    # its first run blows up; they are dropped, and the row is blow_up.
+    # its first run blows up.  _run_share still measures them as the stage
+    # comes, and _write_outputs leaves the failed run's files in the staging
+    # directory, which is removed; the row is blow_up.
     config = RunConfig(resolution=16, lambda_list=FOUR_LAMBDAS, t_end=0.1, snapshots=6,
                        ic_random_amp=0.01, save_snapshots=True,
                        output_dir=str(tmp_path / "sweep"))

@@ -23,22 +23,24 @@ def test_sweep_memory_reports_every_phase(tmp_path):
     phases = [line[:28].strip() for line in lines[1:]]
     # the split gives the parent at least one lambda; the child's runs are not reported
     assert phases[0] == "base_fields"
-    assert phases[-6:] == ["child last message", "_write_outputs", "child peak (ru_maxrss)",
-                           "stage message 1 (bytes)", "last message (bytes)",
+    assert phases[-7:] == ["child last message", "_write_outputs", "child peak (ru_maxrss)",
+                           "stage message 1 (bytes)", "stage message 2 (bytes)",
+                           "last message (bytes)",
                            "qnl run peak (ru_maxrss)"]
-    assert phases[1:-6] and all(phase.startswith("lambda run ") for phase in phases[1:-6])
+    assert phases[1:-7] and all(phase.startswith("lambda run ") for phase in phases[1:-7])
     assert lines[0].split()[-1] == "minflt"
     rss, hwm = (float(x) for x in lines[1].split()[1:3])
     assert 0 < rss <= hwm
     # the parent's faults so far never fall from one phase to the next
-    faults = [int(line.split()[-1]) for line in lines[1:-4]]
+    faults = [int(line.split()[-1]) for line in lines[1:-5]]
     assert 0 < faults[0] and faults == sorted(faults)
-    for line in (lines[-4], lines[-1]):  # the forked child's and the separate run's
+    for line in (lines[-5], lines[-1]):  # the forked child's and the separate run's
         peak, peak_faults = line.split()[-2:]
         assert float(peak) > 0 and int(peak_faults) > 0
-    # one stage interval: the limit state and the pair potentials, 2 + 3
-    # arrays of 8 * 5 complex coefficients (8^2)
-    assert int(lines[-3].split()[-1]) > 5 * 8 * 5 * 16
+    # one stage item per snapshot time, t = 0 first: the limit state and
+    # the pair potentials, 2 + 3 arrays of 8 * 5 complex coefficients (8^2)
+    sizes = [int(line.split()[-1]) for line in lines[-4:-2]]
+    assert min(sizes) > 5 * 8 * 5 * 16
     # the child's runs: statuses, errors and norms, no array
     assert 0 < int(lines[-2].split()[-1]) < 1024
     assert (tmp_path / "out" / "report.csv").exists()

@@ -21,7 +21,7 @@ steps.
 At the end it prints the peak resident set and the minor faults of the
 forked child, the `ru_maxrss` and `ru_minflt` of RUSAGE_CHILDREN; the
 size in bytes of each message as it crossed the pipe: one per snapshot
-interval of the stage, then the child's last message (its runs), as the
+time of the stage, t = 0 first, then the child's last message (its runs), as the
 pickles the parent read, so no copy is made; and last the peak resident
 set and minor faults of a separate `python -m qnl.cli run` process on the
 same CONFIG, which the watcher runs just before the sweep, from

@@ -9,8 +9,8 @@ from .limit_solver import PhysParams
 from .nsp import NSPState, poisson_solve, run_nsp
 from .oscillation import GradientPair, apply_group
 from .projections import decompose, leray_p, leray_q
-from .spectral import (SpectralScalar, constant_scalar, gradient, laplacian, make_grid,
-                       product, scalar_from_function, sobolev_norm,
+from .spectral import (SpectralScalar, constant_scalar, gradient, laplacian,
+                       make_grid, product, scalar_from_function, sobolev_norm,
                        transform_forward, transform_inverse, zeros_vector)
 
 

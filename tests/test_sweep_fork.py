@@ -32,7 +32,7 @@ from qnl.errors import (BlowUpError, ChildLostError, DensityNotPositiveError,
 from qnl.harness import (DIAG_HEADER, NSP_STEP_TRANSFORMS, STAGE_DT_CAP,
                          STAGE_ONCE_TRANSFORMS, STAGE_STEP_TRANSFORMS, ConvergenceReport,
                          ReportRow, RunConfig, _child_share, _diag_line,
-                         _lambda_independent_stage, _make_staging, _Run, _run_dir, _Stage,
+                         _lambda_independent_stage, _make_staging, _Run, _run_dir,
                          _write_outputs, base_fields, file_tag, fit_all_rates,
                          gen_initial_data, lpt_assign, measure_errors,
                          plan_sweep, run_sweep, solve_limit)

@@ -21,11 +21,11 @@ steps.
 At the end it prints the peak resident set and the minor faults of the
 forked child, the `ru_maxrss` and `ru_minflt` of RUSAGE_CHILDREN; the
 size in bytes of each message as it crossed the pipe: one per snapshot
-time of the stage, t = 0 first, then the child's last message (its runs), as the
-pickles the parent read, so no copy is made; and last the peak resident
-set and minor faults of a separate `python -m qnl.cli run` process on the
-same CONFIG, which the watcher runs just before the sweep, from
-`os.wait4`'s `ru_maxrss` as `bench/run.py` reads a sweep's.  Both sweeps
+time of the stage, t = 0 first, then the child's last message (its runs),
+as the pickles the parent read, so no copy is made; and last the peak
+resident set and minor faults of a separate `python -m qnl.cli run`
+process on the same CONFIG, which the watcher runs just before the sweep,
+from `os.wait4`'s `ru_maxrss` as `bench/run.py` reads a sweep's.  Both sweeps
 write the same outputs to the configuration's `output_dir`, as `qnl run`
 does.  Linux only: the numbers come from /proc and from ru_maxrss in KiB.
 """

@@ -132,6 +132,7 @@ def pair_potentials(pair0: GradientPair, limit: LimitTrajectory, params: PhysPar
 
     def velocity(t):
         if t not in recent:
+            # The oldest goes before v is sampled; an lru_cache would hold a third.
             if len(recent) == 2:
                 del recent[min(recent)]
             v = limit.v_at(t)

@@ -44,13 +44,14 @@ is here; `_Run` keeps per snapshot only the errors and norms, which
 `_report_row` combines as for a whole run.  As it measures a state, the
 process appends its diag_*.csv row and, when save_snapshots is set,
 writes its rho and u snapshot files into the run's directory in the
-staging directory, which `run_sweep` makes before the fork beside
-output_dir (`_make_staging`).  The child has the whole stage before its
-runs.  The parent reads every message in the pipe at each of its
-snapshots; a state whose stage has not arrived waits, while the parent
-goes on with its runs, and `_Stage.finish` measures what still waits,
-then reads the child's runs.  The last run of a process frees each
-snapshot's stage once it has measured it.
+staging directory, which `run_sweep` makes empty before the fork beside
+output_dir (`_make_staging`); the process makes the run's directory, with
+the diag header, when it measures the run's first snapshot.  The child
+has the whole stage before its runs.  The parent reads every message in
+the pipe at each of its snapshots; a state whose stage has not arrived
+waits, while the parent goes on with its runs, and `_Stage.finish`
+measures what still waits, then reads the child's runs.  The last run of
+a process frees each snapshot's stage once it has measured it.
 
 Only the parent writes into output_dir, once every row is known: report,
 rates and meta, then the staged files of each run that ended, moved by
@@ -65,6 +66,11 @@ times as the NSP stage.  Nor does a reader thread drain the pipe: its glibc
 arena would hold the unpickled arrays apart from the heap that the lambda
 runs reuse.  A process pool over lambda would raise the peak RSS
 (tools/sweep_memory.py prints the parent's memory phase by phase).
+Scratch prototypes: two threads ran ns2d's four NSP runs in 0.29-0.36 s,
+against 0.19-0.20 s one after another (speed-up 0.55-0.66x; 1.15-1.35x
+on ns3d); framing the pipe by multiprocessing.connection raised ns3d's
+`qnl run` peak from 44.92-44.94 to 45.55-45.68 MiB, the child's from
+40.45 to 41.31-41.53 MiB (tools/sweep_memory.py, seed 0).
 
 An exception in the child is re-raised in the parent at its next read of
 the pipe; a child that ends without its last message raises ChildLostError;
@@ -707,7 +713,7 @@ class _Stage:
     before its runs, at once.  In the parent, child is the _Forked child,
     whose messages (every stage item, t = 0 first, then its runs) _read
     takes.  Each measured state's files go into its run's directory under
-    staging (_make_staging)."""
+    staging, which _measure makes at the run's first snapshot."""
 
     def __init__(self, config: RunConfig, staging: str, child=None):
         self.config, self.staging, self.child = config, staging, child
@@ -757,7 +763,8 @@ class _Stage:
     def _measure(self, run: _Run, t, state, last: bool) -> None:
         """measure_errors on the one snapshot alone, which _Run.row combines;
         then the state's diag_*.csv row and, when save_snapshots is set, its
-        snapshot files are written."""
+        snapshot files are written into the run's directory under staging,
+        which the run's first snapshot makes, with the diag header."""
         s, i, times = self.config.s_norm, len(run.norms), np.array([t])
         limit, potentials, _ = self.items[i]
         pair = potential_pair(state.grid, potentials)  # as the pair solve forms it
@@ -765,11 +772,16 @@ class _Stage:
                              Snapshots(times, [pair]), run.lam, s)
         run.errors.append(tuple(map(row.channel, ERROR_CHANNELS)))
         run.norms += row.hs_norms
-        with open(_diag_path(self.staging, run.lam), "a", encoding="utf-8") as fh:
+        directory = _run_dir(self.staging, run.lam)
+        if i == 0:
+            os.mkdir(directory)
+        with open(os.path.join(directory, f"diag_lambda_{file_tag(run.lam)}.csv"), "a",
+                  encoding="utf-8") as fh:
+            if i == 0:
+                fh.write(DIAG_HEADER + "\n")
             fh.write(_diag_line(t, state, row.hs_norms[0], run.lam, s) + "\n")
         if self.config.save_snapshots:
-            stem = os.path.join(_run_dir(self.staging, run.lam),
-                                f"snapshot_lambda_{file_tag(run.lam)}_t_{file_tag(t)}")
+            stem = os.path.join(directory, f"snapshot_lambda_{file_tag(run.lam)}_t_{file_tag(t)}")
             write_snapshot(stem + "_rho.qnl", state.rho)
             write_snapshot(stem + "_u.qnl", state.u)
         if last:  # no later run of this process reads the stage at i
@@ -817,13 +829,24 @@ class _ChildError(Exception):
     own failure."""
 
 
-def _send_and_exit(write_fd: int, fn, args, orphaned):
-    """Child side of _Forked: run fn(send, *args), where send pipes one
-    message as its length and its pickle; an exception of fn is sent last,
-    as ("error", exc).  A send that finds no reader (the parent is gone, or
-    leaves the sweep) calls orphaned().  The child leaves with os._exit, so
-    it never returns into the parent's stack, atexit handlers or buffered
-    output."""
+def _child_main(parent: int, write_fd: int, config: RunConfig, base: BaseFields,
+                plan: SweepPlan, staging: str):
+    """The forked child of _Forked: _child_share, where send pipes one
+    message as its length and its pickle; an exception is sent last, as
+    ("error", exc).  A child whose parent is gone (checked every 0.1 s by
+    SIGALRM, since a SIGKILL reaches no __exit__) or no longer reads (a
+    send finds no reader) removes staging, which no one else would, and
+    leaves at once.  SIGTERM, which the CLI turns into SystemExit, ends the
+    child plainly.  The child leaves with os._exit, so it never returns
+    into the parent's stack, atexit handlers or buffered output."""
+    def orphaned():
+        shutil.rmtree(staging, ignore_errors=True)
+        os._exit(1)
+
+    def check(signum, frame):
+        if os.getppid() != parent:
+            orphaned()
+
     def send(message):
         data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
         for part in (struct.pack("<Q", len(data)), data):
@@ -831,10 +854,13 @@ def _send_and_exit(write_fd: int, fn, args, orphaned):
             while view:
                 view = view[os.write(write_fd, view):]
 
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGALRM, check)
+    signal.setitimer(signal.ITIMER_REAL, 0.1, 0.1)
     code = 1
     try:
         try:
-            fn(send, *args)
+            _child_share(send, config, base, plan, staging)
         except BaseException as exc:  # re-raised by the parent
             send(("error", exc))
         code = 0
@@ -844,38 +870,25 @@ def _send_and_exit(write_fd: int, fn, args, orphaned):
         os._exit(code)
 
 
-def _leave_when_orphaned(parent: int, orphaned) -> None:
-    """Child side of _Forked: every 0.1 s (SIGALRM), call orphaned() and
-    leave at once if the parent is gone, as after a SIGKILL, which no
-    __exit__ sees.  SIGTERM, which the CLI turns into SystemExit, ends the
-    child plainly."""
-    def check(signum, frame):
-        if os.getppid() != parent:
-            orphaned()
-            os._exit(1)
-
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.signal(signal.SIGALRM, check)
-    signal.setitimer(signal.ITIMER_REAL, 0.1, 0.1)
-
-
 class _Forked:
-    """fn(send, *args) run in a forked child while the parent goes on; each
-    send(message) of the child reaches the parent's receive() in order.
+    """The sweep's forked child, which runs _child_share(send, config, base,
+    plan, staging) while the parent goes on; each send(message) of the
+    child reaches the parent's receive() in order.
 
     `ready()` says whether a message (or the child's end) is in the pipe,
     and `receive()` returns the next message as (kind, body), waiting for
     it.  A message ("error", exc), or the end of a child that sent no last
     message, raises _ChildError holding exc or a ChildLostError.  Leaving
     the with block kills and reaps the child, whether or not every message
-    was read.  A child whose parent is gone, or no longer reads, calls
-    orphaned() before it leaves, since no one else cleans up after it.  The
-    sweep starts no threads, and OpenBLAS, whose idle pool numpy starts,
-    shuts it down across a fork, so the child holds no lock another thread
-    owned.
+    was read.  A child whose parent is gone, or no longer reads, removes
+    the staging directory before it leaves (_child_main).  The staging
+    directory is empty at the fork: each process makes a run's directory
+    when it measures the run's first snapshot.  The sweep starts no
+    threads, and OpenBLAS, whose idle pool numpy starts, shuts it down
+    across a fork, so the child holds no lock another thread owned.
     """
 
-    def __init__(self, fn, *args, orphaned=lambda: None):
+    def __init__(self, config: RunConfig, base: BaseFields, plan: SweepPlan, staging: str):
         parent = os.getpid()
         read_fd, write_fd = os.pipe()
         try:
@@ -890,8 +903,7 @@ class _Forked:
             raise
         if self.pid == 0:
             os.close(read_fd)
-            _leave_when_orphaned(parent, orphaned)
-            _send_and_exit(write_fd, fn, args, orphaned)
+            _child_main(parent, write_fd, config, base, plan, staging)
         os.close(write_fd)
         self._fd = read_fd
 
@@ -947,8 +959,7 @@ def run_sweep(config: RunConfig) -> ConvergenceReport:
     staging = _make_staging(config)
     try:
         try:
-            with _Forked(_child_share, config, base, plan, staging,
-                         orphaned=lambda: shutil.rmtree(staging, ignore_errors=True)) as child:
+            with _Forked(config, base, plan, staging) as child:
                 stage = _Stage(config, staging, child)
                 by_lam = {run.lam: run for run in _run_share(config, base, plan,
                                                              plan.parent_lams, stage)}
@@ -981,28 +992,16 @@ def _run_dir(staging: str, lam: float) -> str:
     return os.path.join(staging, f"lambda_{file_tag(lam)}")
 
 
-def _diag_path(staging: str, lam: float) -> str:
-    return os.path.join(_run_dir(staging, lam), f"diag_lambda_{file_tag(lam)}.csv")
-
-
 def _make_staging(config: RunConfig) -> str:
-    """A new staging directory beside output_dir, in its parent directory
-    (made if missing), since os.replace does not cross file systems; in it,
-    each lambda's run directory holds the header of its diag_*.csv, to which
-    _Stage._measure appends."""
+    """A new, empty staging directory beside output_dir, in its parent
+    directory (made if missing), since os.replace does not cross file
+    systems.  Each process makes a run's directory in it, with the header
+    of its diag_*.csv, when it measures the run's first snapshot
+    (_Stage._measure)."""
     out = os.path.abspath(config.output_dir)
     os.makedirs(os.path.dirname(out), exist_ok=True)
-    staging = tempfile.mkdtemp(prefix=f".{os.path.basename(out)}.", suffix=".staging",
-                               dir=os.path.dirname(out))
-    try:
-        for lam in map(float, config.lambda_list):
-            os.mkdir(_run_dir(staging, lam))
-            with open(_diag_path(staging, lam), "w", encoding="utf-8") as fh:
-                fh.write(DIAG_HEADER + "\n")
-    except BaseException:
-        shutil.rmtree(staging, ignore_errors=True)
-        raise
-    return staging
+    return tempfile.mkdtemp(prefix=f".{os.path.basename(out)}.", suffix=".staging",
+                            dir=os.path.dirname(out))
 
 
 def _write_outputs(config: RunConfig, report: ConvergenceReport, runs, staging: str):

@@ -43,7 +43,4 @@ def gradient_potential(u: SpectralVector) -> SpectralScalar:
 
 def decompose(u: SpectralVector):
     """Split u = Pu + Qu and return (Pu, Qu, potential) with grad(potential) = Qu."""
-    grid = u.grid
-    qc = _q_coeffs(u)
-    p_part = as_vector(grid, [u[a].coeffs - qc[a] for a in range(grid.dims)])
-    return p_part, as_vector(grid, qc), gradient_potential(u)
+    return leray_p(u), leray_q(u), gradient_potential(u)

@@ -55,6 +55,7 @@ differentiation to keep real fields real.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -181,16 +182,11 @@ class TorusGrid:
         return f"TorusGrid(dims={self.dims}, resolution={self.resolution})"
 
 
-_GRIDS: dict = {}
-
-
+@functools.cache
 def make_grid(dims: int, resolution: int) -> TorusGrid:
     """The process's one validated grid for (dims, resolution), built on
     first use."""
-    key = (dims, resolution)
-    if key not in _GRIDS:
-        _GRIDS[key] = TorusGrid(dims, resolution)
-    return _GRIDS[key]
+    return TorusGrid(dims, resolution)
 
 
 def _check_same_grid(a, b):

@@ -143,8 +143,8 @@ def test_only_the_forked_child_solves_the_stage(tmp_path, monkeypatch, deadline)
         return real(config, base, dt)
 
     class Forked(qnl.harness._Forked):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)  # in the child, never returns
+        def __init__(self, config, base, plan, staging):
+            super().__init__(config, base, plan, staging)  # in the child, never returns
             forked.append(self.pid)
 
     monkeypatch.setattr(qnl.harness, "_lambda_independent_stage", recording)
@@ -153,6 +153,24 @@ def test_only_the_forked_child_solves_the_stage(tmp_path, monkeypatch, deadline)
     assert_no_child_left()
     assert len(forked) == 1 and forked[0] != os.getpid()
     assert called.read_text().split() == [str(forked[0])]
+
+
+def test_the_staging_directory_is_empty_at_the_fork(tmp_path, monkeypatch, deadline):
+    # Each process makes a run's directory as it measures the run's first
+    # snapshot; every lambda's directory, with its diag header, used to be
+    # made before the fork.
+    listed = []
+
+    class Forked(qnl.harness._Forked):
+        def __init__(self, *args, **kwargs):
+            listed.append(os.listdir(args[-1]))  # the staging directory
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(qnl.harness, "_Forked", Forked)
+    assert run_sweep(RunConfig(output_dir=str(tmp_path / "out"), **SMALL)).all_ok
+    assert_no_child_left()
+    assert_nothing_staged(tmp_path)
+    assert listed == [[]]
 
 
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
@@ -257,7 +275,7 @@ def test_sweep_outputs_equal_the_serial_stages_byte_for_byte(tmp_path, keys):
 
 def child_messages(config):
     """The messages _child_share sends on config, run in this process, with
-    the staging directory its runs wrote into."""
+    the staging directory, empty at first, that its runs wrote into."""
     base = base_fields(config)
     staging = _make_staging(config)
     messages = []
@@ -307,6 +325,9 @@ def test_stage_messages_carry_one_interval_without_the_nodes(tmp_path, monkeypat
     assert all(type(r) is _Run and r.status == "ok" for r in runs)
     assert sorted(r.lam for r in runs) == sorted(plan.child_lams)
     assert all(len(r.errors) == len(r.norms) == len(times) for r in runs)
+    # the child makes its own runs' directories, and no other
+    assert sorted(os.listdir(staging)) == sorted(
+        os.path.basename(_run_dir(staging, lam)) for lam in plan.child_lams)
     for r in runs:
         diag = f"diag_lambda_{file_tag(r.lam)}.csv"
         assert os.listdir(_run_dir(staging, r.lam)) == [diag]
@@ -855,6 +876,27 @@ def test_every_run_that_ended_writes_its_diag_file(tmp_path, monkeypatch, deadli
     assert [name for name in names if name.startswith("diag_")] == ["diag_lambda_0.1.csv"]
     serial_sweep(replace(config, output_dir=str(tmp_path / "serial")), measure_errors=measure)
     assert_same_outputs(tmp_path / "sweep", tmp_path / "serial")
+
+
+def test_a_run_that_fails_before_its_first_snapshot_stages_nothing(tmp_path, monkeypatch,
+                                                                   deadline):
+    # lambda = 4.0 makes the initial density negative, so gen_initial_data
+    # raises before the run's first snapshot; its directory used to be
+    # staged, with a diag header, all the same.
+    config = RunConfig(resolution=16, lambda_list=(4.0, 0.1, 0.05), t_end=0.05, snapshots=3,
+                       save_snapshots=True, output_dir=str(tmp_path / "sweep"))
+    staged = []
+
+    def writing(config, report, runs, staging):
+        staged.append(sorted(os.listdir(staging)))
+        return _write_outputs(config, report, runs, staging)
+
+    monkeypatch.setattr(qnl.harness, "_write_outputs", writing)
+    report = run_sweep(config)
+    assert_no_child_left()
+    assert [row.status for row in report.rows] == ["density_not_positive", "ok", "ok"]
+    assert staged == [sorted(f"lambda_{file_tag(lam)}" for lam in (0.1, 0.05))]
+    assert_nothing_staged(tmp_path)
 
 
 def test_child_lambda_error_is_reraised_and_the_child_reaped(tmp_path, monkeypatch,

@@ -57,7 +57,8 @@ def test_compare_outputs_tells_identical_from_different_runs(tmp_path):
                       "snapshots = 3\noutput_dir = elsewhere\n")
     same = _compare_outputs("--src", ROOT / "src", ROOT / "src", "--config", config)
     assert same.returncode == 0, same.stdout + same.stderr
-    assert same.stdout.startswith("small.cfg: identical (")
+    assert same.stdout.splitlines()[0].startswith("small.cfg: identical (")
+    assert same.stdout.splitlines()[1].startswith("small.cfg limit: identical (1 files,")
 
     # a tree whose E_u differs from the repo's in the tenth digit
     other = tmp_path / "other"
@@ -73,3 +74,26 @@ def test_compare_outputs_tells_identical_from_different_runs(tmp_path):
     assert differ.returncode == 1, differ.stdout + differ.stderr
     assert differ.stdout.startswith("small.cfg: DIFFERENT: ")
     assert "report.csv" in differ.stdout and "diag_lambda_0.1.csv" not in differ.stdout
+    assert differ.stdout.splitlines()[1].startswith("small.cfg limit: identical (")
+
+
+def test_compare_outputs_tells_a_different_limit_file(tmp_path):
+    # A tree whose `qnl limit` temperature at t_end differs in the tenth
+    # digit; the sweep does not call solve_limit, so `qnl run` agrees.
+    config = tmp_path / "small.cfg"
+    config.write_text("resolution = 16\nt_end = 0.05\nsnapshots = 3\nsave_snapshots = true\n")
+    other = tmp_path / "other"
+    shutil.copytree(ROOT / "src", other,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(other / "qnl" / "harness.py", "a", encoding="utf-8") as fh:
+        fh.write("\n_solve_limit = solve_limit\n\n\n"
+                 "def solve_limit(*args):\n"
+                 "    traj = _solve_limit(*args)\n"
+                 "    last = traj.states[-1]\n"
+                 "    traj.states[-1] = LimitState(last.v, last.theta * (1.0 + 1e-9))\n"
+                 "    return traj\n")
+    differ = _compare_outputs("--src", ROOT / "src", other, "--config", config)
+    assert differ.returncode == 1, differ.stdout + differ.stderr
+    run, limit = differ.stdout.splitlines()
+    assert run.startswith("small.cfg: identical (")
+    assert limit == "small.cfg limit: DIFFERENT: limit.csv, limit_t_0.05_theta.qnl"

@@ -1,17 +1,20 @@
 #!/usr/bin/env python3
-"""Byte-for-byte comparison of `qnl run` outputs from two source trees.
+"""Byte-for-byte comparison of `qnl run` and `qnl limit` outputs of two trees.
 
     python3 tools/compare_outputs.py --parent HEAD~1 --change HEAD \\
         --seeds 0 7 --stock --config well.cfg
     python3 tools/compare_outputs.py --src src OTHER/src --config run.cfg
 
-Each config runs once through `qnl run` (`python -m qnl.cli run`) on each
-source tree, with `output_dir = out` in a directory of its own, so the
-two runs print the same paths and their `meta.txt` echo the same
-`output_dir`.  Every file of the two output directories is compared byte
-for byte, and so are the exit codes and standard output.  One line per
-config says `identical` or names what differs; the exit code is 1 if
-anything differs.
+Each config runs once through `qnl run` (`python -m qnl.cli run`) and
+once through `qnl limit` on each source tree, each with `output_dir =
+out` in a directory of its own, so the two trees print the same paths and
+their `meta.txt` echo the same `output_dir`.  Every file of the two
+output directories (`qnl limit`: `limit.csv`, and the v, theta and pi
+snapshot files with `save_snapshots`) is compared byte for byte, and so
+are the exit codes and standard output.  One line per config and command
+(`NAME: ...` for `qnl run`, `NAME limit: ...` for `qnl limit`) says
+`identical` or names what differs; the exit code is 1 if anything
+differs.
 
 The configs:
 
@@ -46,6 +49,8 @@ from bench_pairs import ROOT, SIDES, checkout
 STOCK = {"stock-ns": "", "stock-euler": "euler_mode = true\n"}
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 RUN_TIMEOUT_S = 600
+# Each config runs through each command; the label follows its name.
+COMMANDS = {"run": "", "limit": " limit"}
 
 
 def bench_configs(seeds) -> dict:
@@ -66,14 +71,14 @@ def with_output_dir(text: str) -> str:
                    if line.partition("=")[0].strip() != "output_dir") + "output_dir = out\n"
 
 
-def run_outputs(src: Path, text: str, run_dir: Path) -> dict:
-    """`qnl run` from the source tree src on the config text in run_dir:
+def run_outputs(src: Path, command: str, text: str, run_dir: Path) -> dict:
+    """`qnl COMMAND` from the source tree src on the config text in run_dir:
     its output files' bytes by relative path, with `<stdout>` and `<exit>`."""
     run_dir.mkdir(parents=True)
     (run_dir / "run.cfg").write_text(with_output_dir(text), encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(src.resolve()), PYTHONDONTWRITEBYTECODE="1",
                **{name: "1" for name in THREAD_VARS})
-    proc = subprocess.run([sys.executable, "-m", "qnl.cli", "run", "--config", "run.cfg"],
+    proc = subprocess.run([sys.executable, "-m", "qnl.cli", command, "--config", "run.cfg"],
                           cwd=run_dir, env=env, capture_output=True, timeout=RUN_TIMEOUT_S)
     out = run_dir / "out"
     files = {path.relative_to(out).as_posix(): path.read_bytes()
@@ -84,21 +89,25 @@ def run_outputs(src: Path, text: str, run_dir: Path) -> dict:
 
 
 def compare(srcs, configs: dict, work: Path) -> bool:
-    """Run every config on both source trees and print one line per config;
-    True if every output is identical."""
+    """Run every config through `qnl run` and `qnl limit` on both source
+    trees and print one line per config and command; True if every output
+    is identical."""
     same = True
     for name, text in configs.items():
-        parent, change = (run_outputs(src, text, work / "runs" / name / side)
-                          for src, side in zip(srcs, SIDES))
-        differ = sorted(key for key in parent.keys() | change.keys()
-                        if parent.get(key) != change.get(key))
-        files = len(parent) - 2
-        code = parent["<exit>"].decode()
-        if differ:
-            same = False
-            print(f"{name}: DIFFERENT: {', '.join(differ)}", flush=True)
-        else:
-            print(f"{name}: identical ({files} files, stdout, exit {code})", flush=True)
+        for command, label in COMMANDS.items():
+            parent, change = (run_outputs(src, command, text,
+                                          work / "runs" / name / command / side)
+                              for src, side in zip(srcs, SIDES))
+            differ = sorted(key for key in parent.keys() | change.keys()
+                            if parent.get(key) != change.get(key))
+            files = len(parent) - 2
+            code = parent["<exit>"].decode()
+            if differ:
+                same = False
+                print(f"{name}{label}: DIFFERENT: {', '.join(differ)}", flush=True)
+            else:
+                print(f"{name}{label}: identical ({files} files, stdout, exit {code})",
+                      flush=True)
     return same
 
 

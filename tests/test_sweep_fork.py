@@ -156,9 +156,8 @@ def test_only_the_forked_child_solves_the_stage(tmp_path, monkeypatch, deadline)
 
 
 def test_the_staging_directory_is_empty_at_the_fork(tmp_path, monkeypatch, deadline):
-    # Each process makes a run's directory as it measures the run's first
-    # snapshot; every lambda's directory, with its diag header, used to be
-    # made before the fork.
+    # Each process makes a run's directory, with its diag header, as it
+    # measures the run's first snapshot, so nothing is staged at the fork.
     listed = []
 
     class Forked(qnl.harness._Forked):
@@ -881,8 +880,7 @@ def test_every_run_that_ended_writes_its_diag_file(tmp_path, monkeypatch, deadli
 def test_a_run_that_fails_before_its_first_snapshot_stages_nothing(tmp_path, monkeypatch,
                                                                    deadline):
     # lambda = 4.0 makes the initial density negative, so gen_initial_data
-    # raises before the run's first snapshot; its directory used to be
-    # staged, with a diag header, all the same.
+    # raises before the run's first snapshot, which would make its directory.
     config = RunConfig(resolution=16, lambda_list=(4.0, 0.1, 0.05), t_end=0.05, snapshots=3,
                        save_snapshots=True, output_dir=str(tmp_path / "sweep"))
     staged = []

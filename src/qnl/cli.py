@@ -13,9 +13,12 @@ import ctypes
 import os
 import signal
 import sys
+from collections import deque
 
 from .errors import QnlError
-from .harness import ERROR_CHANNELS, load_config, run_sweep
+from .harness import ERROR_CHANNELS, base_fields, file_tag, load_config, run_sweep, stage_plan
+from .limit_solver import LimitState, LimitTrajectory, limit_states, recover_pressure
+from .spectral import sobolev_norm, write_snapshot
 
 
 def _cmd_run(args) -> int:
@@ -37,28 +40,28 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_limit(args) -> int:
-    from .harness import base_fields, file_tag, plan_sweep, solve_limit
-    from .limit_solver import recover_pressure
-    from .spectral import sobolev_norm, write_snapshot
-
     config = load_config(args.config)
     base = base_fields(config)
-    traj = solve_limit(config, base, plan_sweep(config, base).stage_step)
+    dt, _ = stage_plan(config, base)
+    times = config.resolved_snapshot_times()  # 0 and t_end among them
+    # No pair solve reads the limit's Hermite nodes here: their lists keep none.
+    nodes = LimitTrajectory(times, [], base.v0.grid, *(deque(maxlen=0) for _ in range(3)))
+    states = list(limit_states(LimitState(base.v0.copy(), base.theta0.copy()),
+                               config.limit_params(), config.t_end, dt, times, nodes))
     os.makedirs(config.output_dir, exist_ok=True)
     path = os.path.join(config.output_dir, "limit.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,v_hs,theta_hs,min_theta\n")
-        for t, state in zip(traj.times, traj.states):
+        for t, state in zip(times, states):
             fh.write(f"{t:.12e},{sobolev_norm(state.v, config.s_norm):.12e},"
                      f"{sobolev_norm(state.theta, config.s_norm):.12e},"
                      f"{state.theta.samples().min():.12e}\n")
-    if config.save_snapshots:
-        for t, state in zip(traj.times, traj.states):
-            stem = os.path.join(config.output_dir, f"limit_t_{file_tag(t)}")
-            write_snapshot(stem + "_v.qnl", state.v)
-            write_snapshot(stem + "_theta.qnl", state.theta)
-            write_snapshot(stem + "_pi.qnl",
-                           recover_pressure(state, config.limit_params()))
+            if config.save_snapshots:
+                stem = os.path.join(config.output_dir, f"limit_t_{file_tag(t)}")
+                write_snapshot(stem + "_v.qnl", state.v)
+                write_snapshot(stem + "_theta.qnl", state.theta)
+                write_snapshot(stem + "_pi.qnl",
+                               recover_pressure(state, config.limit_params()))
     print(f"wrote {path}")
     return 0
 

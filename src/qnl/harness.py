@@ -78,8 +78,8 @@ no lambda run of the parent takes either for its own failure.  The child
 is killed and reaped on every exit path, and leaves by itself if its
 parent is killed outright.  Under `qnl run` the child inherits the
 allocator policy that `cli.main` sets (`cli.keep_freed_heap`), as it
-inherits the CLI's SIGTERM handler.  `qnl limit` solves the limit
-in-process, with the plan's stage step.
+inherits the CLI's SIGTERM handler.  `qnl limit` runs the limit solve
+alone, with stage_plan's step, and no sweep plan.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ from .errors import (BlowUpError, ChildLostError, DegenerateDensityError,
                      InvalidConfigError, MassDefectError,
                      NonpositiveTemperatureError, QnlError)
 from .limit_solver import (LimitState, LimitTrajectory, PhysParams, advective_dt,
-                           limit_states, run_limit)
+                           limit_states)
 from .nsp import NSPState, nsp_dt, poisson_solve, run_nsp, viscous_dt
 from .oscillation import GradientPair, check_gradient
 from .projections import leray_p
@@ -117,7 +117,7 @@ ERROR_CHANNELS = ("E_rho", "E_u", "E_theta", "E_phi")
 # The most steps one solve of a sweep may take; the stock sweeps take at
 # most 112, and lambda = 0.00625 takes 224.
 MAX_STEPS = 10_000
-# The limit and pair solves step at most this far (plan_sweep).
+# The limit and pair solves step at most this far (stage_plan).
 STAGE_DT_CAP = 0.005
 
 _STATUS_BY_ERROR = {
@@ -611,18 +611,23 @@ def budgeted_steps(what: str, times, dt: float) -> int:
     return steps
 
 
-def plan_sweep(config: RunConfig, base: BaseFields) -> SweepPlan:
-    """A sweep's plan by the solvers' own dt rules on the base fields (no
-    initial data is generated).  The stage steps by limit_dt, or else by the
-    limit CFL step of v0 capped at STAGE_DT_CAP; each NSP run by nsp_dt at
-    the CFL step of the initial velocity, the same at every lambda, and at
-    the viscous_dt of its least initial density, 1 - lambda max(lap phi0).
-    InvalidConfigError if a solve is over the step budget.  The child's
-    share: LPT over the runs' transforms, the child loaded with its stage's."""
+def stage_plan(config: RunConfig, base: BaseFields) -> tuple:
+    """The limit and pair solves' step, limit_dt or else the limit CFL step
+    of v0 capped at STAGE_DT_CAP, and their budgeted_steps."""
+    step = (min(advective_dt(base.v0), STAGE_DT_CAP) if config.limit_dt is None
+            else config.limit_dt)
     times = time_grid(config.resolved_snapshot_times(), config.t_end)
-    stage_step = (min(advective_dt(base.v0), STAGE_DT_CAP) if config.limit_dt is None
-                  else config.limit_dt)
-    stage_count = budgeted_steps("the limit and pair solves", times, stage_step)
+    return step, budgeted_steps("the limit and pair solves", times, step)
+
+
+def plan_sweep(config: RunConfig, base: BaseFields) -> SweepPlan:
+    """A sweep's plan by the solvers' own dt rules on the base fields: the
+    stage's by stage_plan, then each NSP run's by nsp_dt at the CFL step of
+    the initial velocity (the same at every lambda) and the viscous_dt of
+    its least initial density, 1 - lambda max(lap phi0), in budgeted_steps.
+    The child's share: LPT on transforms, the child starting with its stage."""
+    stage_step, stage_count = stage_plan(config, base)
+    times = time_grid(config.resolved_snapshot_times(), config.t_end)
     cfl = advective_dt(initial_velocity(base))
     lap_max = float(laplacian(base.phi0).samples().max())
     lam_step = {lam: nsp_dt(cfl, lam, config.phase_resolution, config.dt_max,
@@ -655,14 +660,6 @@ def lpt_assign(costs, loads) -> list:
 # unprivileged process up to 1 MiB by default), so that the child seldom
 # waits for the parent to read a stage interval.
 PIPE_BYTES = 1 << 20
-
-
-def solve_limit(config: RunConfig, base: BaseFields, dt: float):
-    """The limit solve from the base fields over the snapshot grid with
-    step dt (the plan's stage_step)."""
-    return run_limit(LimitState(base.v0.copy(), base.theta0.copy()),
-                     config.limit_params(), config.t_end, dt=dt,
-                     snapshot_times=config.resolved_snapshot_times())
 
 
 def _lambda_independent_stage(config: RunConfig, base: BaseFields, dt: float):

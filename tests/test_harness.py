@@ -24,7 +24,9 @@ from qnl.harness import (ERROR_CHANNELS, BaseFields, ReportRow, RunConfig,
                          default_base_fields, fit_rate, gen_initial_data,
                          load_config, measure_errors, random_smooth_scalar,
                          random_smooth_vector, run_sweep)
-from qnl.limit_solver import LimitState, PhysParams, run_limit
+import qnl.harness
+import qnl.limit_solver
+from qnl.limit_solver import LimitState, PhysParams, limit_states, run_limit
 from qnl.nsp import NSPState, poisson_solve
 from qnl.oscillation import GradientPair
 from qnl.ansatz import build_oscillation
@@ -609,6 +611,53 @@ class TestCli:
             residual = laplacian(read_snapshot(pi_path)) - rhs
             assert sobolev_norm(residual, 0) <= 1e-12 * sobolev_norm(rhs, 0)
 
+    # `qnl limit` used to build the whole sweep plan, so an NSP run over the
+    # step budget made it exit 2, though it runs no NSP solve
+    @pytest.mark.parametrize("keys", [
+        {"dt_max": 1e-12},
+        {"lambda_list": "0.1, 0.05, 1e-300"},
+        {"phase_resolution": 1000000000},
+    ])
+    def test_limit_is_not_bound_by_the_lambda_runs(self, tmp_path, keys):
+        plain = tmp_path / "plain"
+        plain.mkdir()
+        path = self._write_config(plain, resolution=8, save_snapshots="true")
+        assert cli_main(["limit", "--config", str(path)]) == 0
+        path = self._write_config(tmp_path, resolution=8, save_snapshots="true", **keys)
+        assert cli_main(["limit", "--config", str(path)]) == 0
+        written = sorted(p.name for p in (plain / "out").iterdir())
+        assert "limit.csv" in written and len(written) == 1 + 3 * 3
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == written
+        for name in written:
+            assert ((tmp_path / "out" / name).read_bytes()
+                    == (plain / "out" / name).read_bytes()), name
+
+    def test_limit_solves_the_limit_alone_and_keeps_no_node(self, tmp_path, monkeypatch):
+        # No sweep plan, no whole-run limit solve; the limit's Hermite nodes,
+        # which only the sweep's pair solve reads, are not kept past the
+        # snapshot interval that made them (run_limit kept all of them).
+        def refuse(*args, **kwargs):
+            raise AssertionError("qnl limit called a sweep function")
+
+        monkeypatch.setattr(qnl.harness, "plan_sweep", refuse)
+        monkeypatch.setattr(qnl.harness, "run_limit", refuse, raising=False)
+        monkeypatch.setattr(qnl.limit_solver, "run_limit", refuse)
+        alive = []
+
+        def counting_limit_states(*args):
+            nodes = args[-1]
+            for state in limit_states(*args):
+                alive.append(max(map(len, (nodes.node_times, nodes.v_nodes,
+                                           nodes.dv_nodes))))
+                yield state
+
+        monkeypatch.setattr(qnl.cli, "limit_states", counting_limit_states)
+        path = self._write_config(tmp_path, limit_dt=0.01)
+        assert cli_main(["limit", "--config", str(path)]) == 0
+        # 3 snapshots, 5 steps of 0.01 an interval: at most 6 nodes would be
+        # one interval's
+        assert len(alive) == 3 and max(alive) <= 6
+
     def test_check_subcommand(self, capsys):
         code = cli_main(["check", "--resolution", "16"])
         out = capsys.readouterr().out
@@ -691,8 +740,8 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     # each passed validate, and the sweep then ran without end; plan_sweep
-    # catches them all before the fork (and qnl limit before its solve),
-    # with the CFL step
+    # catches them all before the fork, with the CFL step, and stage_plan
+    # the stage's in qnl limit before its solve
     @pytest.mark.parametrize("command, keys", [
         ("run", {"phase_resolution": 1000000000}),
         ("run", {"dt_max": 1e-12}),
@@ -700,6 +749,7 @@ class TestCli:
         ("run", {"lambda_list": "0.1, 0.05, 1e-300"}),
         ("run", {"ic_random_amp": 1e6, "ic": "well"}),
         ("limit", {"ic_random_amp": 1e6, "ic": "well"}),
+        ("limit", {"limit_dt": 1e-300}),
     ])
     def test_runs_over_the_step_budget_are_config_errors(self, tmp_path, capsys,
                                                          command, keys):

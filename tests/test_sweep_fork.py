@@ -29,14 +29,13 @@ from qnl.ansatz import solve_osc
 from qnl.cli import main as cli_main
 from qnl.errors import (BlowUpError, ChildLostError, DensityNotPositiveError,
                         NonpositiveTemperatureError)
-from qnl.harness import (DIAG_HEADER, NSP_STEP_TRANSFORMS, STAGE_DT_CAP,
-                         STAGE_ONCE_TRANSFORMS, STAGE_STEP_TRANSFORMS, ConvergenceReport,
-                         ReportRow, RunConfig, _child_share, _diag_line,
-                         _lambda_independent_stage, _make_staging, _Run, _run_dir,
-                         _write_outputs, base_fields, file_tag, fit_all_rates,
-                         gen_initial_data, lpt_assign, measure_errors,
-                         plan_sweep, run_sweep, solve_limit)
-from qnl.limit_solver import LimitState, LimitTrajectory
+from qnl.harness import (DIAG_HEADER, NSP_STEP_TRANSFORMS, STAGE_ONCE_TRANSFORMS,
+                         STAGE_STEP_TRANSFORMS, ConvergenceReport, ReportRow, RunConfig,
+                         _child_share, _diag_line, _lambda_independent_stage,
+                         _make_staging, _Run, _run_dir, _write_outputs, base_fields,
+                         file_tag, fit_all_rates, gen_initial_data, lpt_assign,
+                         measure_errors, plan_sweep, run_sweep, stage_plan)
+from qnl.limit_solver import LimitState, LimitTrajectory, run_limit
 from qnl.limit_solver import advective_dt
 from qnl.nsp import nsp_dt, run_nsp, viscous_dt
 from qnl.oscillation import GradientPair
@@ -89,6 +88,13 @@ def stage_then(action, items=0):
 def solve_stage(config, base, dt):
     """Every snapshot of the streamed stage, in one process."""
     return list(_lambda_independent_stage(config, base, dt))
+
+
+def whole_limit(config, base, dt):
+    """The limit solve of the whole run with step dt, every Hermite node
+    kept, in one process."""
+    return run_limit(LimitState(base.v0.copy(), base.theta0.copy()), config.limit_params(),
+                     config.t_end, dt=dt, snapshot_times=config.resolved_snapshot_times())
 
 
 def no_op(t, state):
@@ -196,13 +202,12 @@ def serial_sweep(config: RunConfig, run_nsp=run_nsp, measure_errors=measure_erro
     whole runs' trajectories; a run that raises BlowUpError becomes a
     blow_up row, and one whose initial density is not positive a
     density_not_positive row, and neither writes a diag or snapshot file.
-    Each step is composed here from the solvers' bounds, not taken from
-    plan_sweep."""
+    The stage step is stage_plan's; each NSP step is composed here from the
+    solvers' bounds, not taken from plan_sweep."""
     base = base_fields(config)
     times = config.resolved_snapshot_times()
-    limit_dt = (min(advective_dt(base.v0), STAGE_DT_CAP) if config.limit_dt is None
-                else config.limit_dt)
-    limit = solve_limit(config, base, limit_dt)
+    limit_dt, _ = stage_plan(config, base)
+    limit = whole_limit(config, base, limit_dt)
     pair = solve_osc(GradientPair(base.qu0.copy(), gradient(base.phi0)), limit,
                      config.limit_params(), config.t_end, dt=limit_dt,
                      snapshot_times=times, norm_s=config.s_norm)
@@ -303,7 +308,7 @@ def test_stage_messages_carry_one_interval_without_the_nodes(tmp_path, monkeypat
     monkeypatch.setattr(LimitTrajectory, "keep_last_node", counting)
     messages, staging = child_messages(config)
 
-    limit = solve_limit(config, base, plan.stage_step)
+    limit = whole_limit(config, base, plan.stage_step)
     pair = solve_osc(GradientPair(base.qu0.copy(), gradient(base.phi0)), limit,
                      config.limit_params(), config.t_end, dt=plan.stage_step,
                      snapshot_times=times, norm_s=config.s_norm)

@@ -79,19 +79,25 @@ def test_compare_outputs_tells_identical_from_different_runs(tmp_path):
 
 def test_compare_outputs_tells_a_different_limit_file(tmp_path):
     # A tree whose `qnl limit` temperature at t_end differs in the tenth
-    # digit; the sweep does not call solve_limit, so `qnl run` agrees.
+    # digit: its cli module's limit_states, which the sweep does not call, so
+    # `qnl run` agrees.  The patch goes before the module's __main__ block,
+    # which `python -m qnl.cli` runs.
     config = tmp_path / "small.cfg"
     config.write_text("resolution = 16\nt_end = 0.05\nsnapshots = 3\nsave_snapshots = true\n")
     other = tmp_path / "other"
     shutil.copytree(ROOT / "src", other,
                     ignore=shutil.ignore_patterns("__pycache__"))
-    with open(other / "qnl" / "harness.py", "a", encoding="utf-8") as fh:
-        fh.write("\n_solve_limit = solve_limit\n\n\n"
-                 "def solve_limit(*args):\n"
-                 "    traj = _solve_limit(*args)\n"
-                 "    last = traj.states[-1]\n"
-                 "    traj.states[-1] = LimitState(last.v, last.theta * (1.0 + 1e-9))\n"
-                 "    return traj\n")
+    cli = other / "qnl" / "cli.py"
+    main_block = 'if __name__ == "__main__":'
+    text = cli.read_text(encoding="utf-8")
+    assert text.count(main_block) == 1
+    cli.write_text(text.replace(main_block, (
+        "_limit_states = limit_states\n\n\n"
+        "def limit_states(*args):\n"
+        "    states = list(_limit_states(*args))\n"
+        "    last = states[-1]\n"
+        "    states[-1] = LimitState(last.v, last.theta * (1.0 + 1e-9))\n"
+        "    return states\n\n\n" + main_block)), encoding="utf-8")
     differ = _compare_outputs("--src", ROOT / "src", other, "--config", config)
     assert differ.returncode == 1, differ.stdout + differ.stderr
     run, limit = differ.stdout.splitlines()

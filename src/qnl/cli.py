@@ -16,7 +16,8 @@ import sys
 from collections import deque
 
 from .errors import QnlError
-from .harness import ERROR_CHANNELS, base_fields, file_tag, load_config, run_sweep, stage_plan
+from .harness import (ERROR_CHANNELS, base_fields, check_output_dir, file_tag, load_config,
+                      run_sweep, stage_plan)
 from .limit_solver import LimitState, LimitTrajectory, limit_states, recover_pressure
 from .spectral import sobolev_norm, write_snapshot
 
@@ -41,6 +42,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_limit(args) -> int:
     config = load_config(args.config)
+    check_output_dir(config)
     base = base_fields(config)
     dt, _ = stage_plan(config, base)
     times = config.resolved_snapshot_times()  # 0 and t_end among them

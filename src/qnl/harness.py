@@ -70,7 +70,13 @@ Scratch prototypes: two threads ran ns2d's four NSP runs in 0.29-0.36 s,
 against 0.19-0.20 s one after another (speed-up 0.55-0.66x; 1.15-1.35x
 on ns3d); framing the pipe by multiprocessing.connection raised ns3d's
 `qnl run` peak from 44.92-44.94 to 45.55-45.68 MiB, the child's from
-40.45 to 41.31-41.53 MiB (tools/sweep_memory.py, seed 0).
+40.45 to 41.31-41.53 MiB (tools/sweep_memory.py, seed 0).  The system's
+default pipe (64 KiB; no F_SETPIPE_SZ) was slower in 6 of 6 alternating
+`bench/run.py --seconds 6` pairs on each of ns3d and ns2d (seeds
+100-105): ns3d's wall_s read 0.555-0.622 s against 0.515-0.538 s with
+PIPE_BYTES, ns2d's 0.518-0.584 against 0.487-0.547 s, while ns3d's
+peak_rss_mb fell to 45.08-45.16 from 45.22-45.29 MiB; so the pipe size
+stays.
 
 An exception in the child is re-raised in the parent at its next read of
 the pipe; a child that ends without its last message raises ChildLostError;
@@ -200,6 +206,8 @@ class RunConfig:
             raise InvalidConfigError("need at least 2 snapshots")
         if self.ic not in ("ill", "well"):
             raise InvalidConfigError(f"ic must be 'ill' or 'well', got {self.ic!r}")
+        if not self.output_dir:
+            raise InvalidConfigError("output_dir must not be empty")
         if self.ic_random_amp < 0:
             raise InvalidConfigError(
                 f"ic_random_amp must be non-negative, got {self.ic_random_amp}")
@@ -293,29 +301,33 @@ _CONFIG_PARSERS = {f.name: _PARSERS_BY_TYPE[f.type.removesuffix(" | None")]
 
 def load_config(path: str) -> RunConfig:
     """Parse a line-oriented 'key = value' configuration file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidConfigError(f"cannot read the config file {path}: {exc}") from exc
     overrides, line_of = {}, {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise InvalidConfigError(
-                    f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            parser = _CONFIG_PARSERS.get(key)
-            if parser is None:
-                raise InvalidConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in line_of:
-                raise InvalidConfigError(
-                    f"{path}:{lineno}: key {key!r} already set on line {line_of[key]}")
-            line_of[key] = lineno
-            try:
-                overrides[key] = parser(value.strip())
-            except (ValueError, TypeError) as exc:
-                raise InvalidConfigError(
-                    f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise InvalidConfigError(
+                f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        parser = _CONFIG_PARSERS.get(key)
+        if parser is None:
+            raise InvalidConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in line_of:
+            raise InvalidConfigError(
+                f"{path}:{lineno}: key {key!r} already set on line {line_of[key]}")
+        line_of[key] = lineno
+        try:
+            overrides[key] = parser(value.strip())
+        except (ValueError, TypeError) as exc:
+            raise InvalidConfigError(
+                f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     config = RunConfig(**overrides)
     config.validate()
     return config
@@ -951,6 +963,7 @@ def run_sweep(config: RunConfig) -> ConvergenceReport:
     parent's (see the module docstring).  Each process writes its runs'
     files into one staging directory, which is removed on every path."""
     config.validate()
+    check_output_dir(config)
     base = base_fields(config)
     plan = plan_sweep(config, base)
     staging = _make_staging(config)
@@ -987,6 +1000,18 @@ def _diag_line(t, state, hs, lam: float, s: float) -> str:
 def _run_dir(staging: str, lam: float) -> str:
     """The staging directory of the run at lam."""
     return os.path.join(staging, f"lambda_{file_tag(lam)}")
+
+
+def check_output_dir(config: RunConfig) -> None:
+    """InvalidConfigError if output_dir, or a directory it would be made
+    in, exists and is not a directory; creates nothing, so that it can run
+    before any solve."""
+    path = os.path.abspath(config.output_dir)
+    while not os.path.isdir(path):
+        if os.path.lexists(path):
+            raise InvalidConfigError(
+                f"output_dir {config.output_dir!r} cannot be made: {path} is not a directory")
+        path = os.path.dirname(path)
 
 
 def _make_staging(config: RunConfig) -> str:

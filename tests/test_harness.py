@@ -133,6 +133,10 @@ class TestConfig:
         with pytest.raises(InvalidConfigError, match="dt_max"):
             RunConfig(dt_max=dt_max).validate()
 
+    def test_empty_output_dir_rejected(self):
+        with pytest.raises(InvalidConfigError, match="output_dir"):
+            RunConfig(output_dir="").validate()
+
     @pytest.mark.parametrize("limit_dt", [0.0, -0.01])
     def test_nonpositive_limit_dt_rejected(self, limit_dt):
         with pytest.raises(InvalidConfigError, match="limit_dt"):
@@ -759,6 +763,40 @@ class TestCli:
         assert time.perf_counter() - start < 1.0
         assert "steps" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    # each used to end in a FileNotFoundError or UnicodeDecodeError
+    # traceback with exit code 1, the code of a failed row
+    @pytest.mark.parametrize("name, content", [("nope.cfg", None),
+                                               ("latin.cfg", b"resolution = 8\xff\n")],
+                             ids=["missing", "not-utf-8"])
+    def test_unreadable_config_file_is_a_config_error(self, tmp_path, capsys, name,
+                                                      content):
+        path = tmp_path / name
+        if content is not None:
+            path.write_bytes(content)
+        assert cli_main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read the config file") and str(path) in err
+        assert sorted(tmp_path.iterdir()) == ([path] if content is not None else [])
+
+    # an empty output_dir, or one that names a file, used to fail with a
+    # traceback and exit code 1 after the whole solve; one under a file,
+    # when the sweep made its staging directory
+    @pytest.mark.parametrize("command", ["run", "limit"])
+    @pytest.mark.parametrize("output_dir", ["", "afile", "afile/sub"],
+                             ids=["empty", "a-file", "under-a-file"])
+    def test_bad_output_dir_is_a_config_error(self, tmp_path, capsys, command, output_dir):
+        (tmp_path / "afile").write_text("")
+        path = self._write_config(
+            tmp_path, output_dir=tmp_path / output_dir if output_dir else "")
+        before = sorted(tmp_path.iterdir())
+        start = time.perf_counter()
+        assert cli_main([command, "--config", str(path)]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: output_dir")
+        assert sorted(tmp_path.iterdir()) == before
+        assert (tmp_path / "afile").read_text() == ""
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"

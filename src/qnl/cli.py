@@ -13,12 +13,11 @@ import ctypes
 import os
 import signal
 import sys
-from collections import deque
 
 from .errors import QnlError
 from .harness import (ERROR_CHANNELS, base_fields, check_output_dir, file_tag, load_config,
                       run_sweep, stage_plan)
-from .limit_solver import LimitState, LimitTrajectory, limit_states, recover_pressure
+from .limit_solver import LimitState, limit_states, recover_pressure
 from .spectral import sobolev_norm, write_snapshot
 
 
@@ -45,11 +44,9 @@ def _cmd_limit(args) -> int:
     check_output_dir(config)
     base = base_fields(config)
     dt, _ = stage_plan(config, base)
-    times = config.resolved_snapshot_times()  # 0 and t_end among them
-    # No pair solve reads the limit's Hermite nodes here: their lists keep none.
-    nodes = LimitTrajectory(times, [], base.v0.grid, *(deque(maxlen=0) for _ in range(3)))
+    times = config.resolved_snapshot_times()
     states = list(limit_states(LimitState(base.v0.copy(), base.theta0.copy()),
-                               config.limit_params(), config.t_end, dt, times, nodes))
+                               config.limit_params(), config.t_end, dt, times))
     os.makedirs(config.output_dir, exist_ok=True)
     path = os.path.join(config.output_dir, "limit.csv")
     with open(path, "w", encoding="utf-8") as fh:

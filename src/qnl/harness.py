@@ -227,7 +227,7 @@ class RunConfig:
                 params.validate(self.dims)
             except ValueError as exc:
                 raise InvalidConfigError(str(exc)) from exc
-        times = time_grid(self.resolved_snapshot_times(), self.t_end)  # in [0, t_end]
+        times = self.resolved_snapshot_times()
         if self.save_snapshots:
             _check_distinct_tags("snapshot time", times)
         k_sq_max = self.dims * (self.resolution // 2) ** 2
@@ -239,9 +239,10 @@ class RunConfig:
                 f"at resolution {self.resolution}")
 
     def resolved_snapshot_times(self) -> np.ndarray:
-        if self.snapshot_times is None:
-            return np.linspace(0.0, self.t_end, self.snapshots)
-        times = time_grid(self.snapshot_times, self.t_end)
+        """The sweep's one time grid: snapshot_times, or else snapshots
+        evenly spaced times, through time_grid."""
+        times = time_grid(np.linspace(0.0, self.t_end, self.snapshots)
+                          if self.snapshot_times is None else self.snapshot_times, self.t_end)
         if times[0] < 0 or times[-1] > self.t_end + 1e-12:
             raise InvalidConfigError("snapshot_times must lie in [0, t_end]")
         return times
@@ -628,8 +629,8 @@ def stage_plan(config: RunConfig, base: BaseFields) -> tuple:
     of v0 capped at STAGE_DT_CAP, and their budgeted_steps."""
     step = (min(advective_dt(base.v0), STAGE_DT_CAP) if config.limit_dt is None
             else config.limit_dt)
-    times = time_grid(config.resolved_snapshot_times(), config.t_end)
-    return step, budgeted_steps("the limit and pair solves", times, step)
+    return step, budgeted_steps("the limit and pair solves",
+                                config.resolved_snapshot_times(), step)
 
 
 def plan_sweep(config: RunConfig, base: BaseFields) -> SweepPlan:
@@ -639,7 +640,7 @@ def plan_sweep(config: RunConfig, base: BaseFields) -> SweepPlan:
     its least initial density, 1 - lambda max(lap phi0), in budgeted_steps.
     The child's share: LPT on transforms, the child starting with its stage."""
     stage_step, stage_count = stage_plan(config, base)
-    times = time_grid(config.resolved_snapshot_times(), config.t_end)
+    times = config.resolved_snapshot_times()
     cfl = advective_dt(initial_velocity(base))
     lap_max = float(laplacian(base.phi0).samples().max())
     lam_step = {lam: nsp_dt(cfl, lam, config.phase_resolution, config.dt_max,
@@ -683,7 +684,7 @@ def _lambda_independent_stage(config: RunConfig, base: BaseFields, dt: float):
     only; the values are those of solve_osc on the whole run_limit."""
     times = config.resolved_snapshot_times()
     params = config.limit_params()
-    nodes = LimitTrajectory(time_grid(times, config.t_end), [], base.v0.grid, [], [], [])
+    nodes = LimitTrajectory(times, [], base.v0.grid, [], [], [])
     limits = limit_states(LimitState(base.v0.copy(), base.theta0.copy()), params,
                           config.t_end, dt, times, nodes)
     pairs = pair_potentials(GradientPair(base.qu0.copy(), gradient(base.phi0)), nodes,

@@ -130,8 +130,11 @@ def recover_pressure(state: LimitState, params: PhysParams | None = None) -> Spe
     return inverse_laplacian(-divergence(unprojected))
 
 
-def _make_ops(grid, params: PhysParams, guard: float):
-    """explicit, propagate and settle of the (v, theta) state for integrate."""
+def _make_ops(grid, params: PhysParams, guard: float, nodes=None):
+    """explicit, propagate and settle of the (v, theta) state for integrate.
+    settle re-projects v, guards the state and returns it with its first-stage
+    tendency (FSAL); given a node store nodes, it also appends each node's
+    time, velocity and velocity tendency (its Hermite slope) to its lists."""
     k_sq = grid.k_sq
     n = grid.dims
 
@@ -148,7 +151,14 @@ def _make_ops(grid, params: PhysParams, guard: float):
         if theta.samples().min() <= 0.0:
             raise NonpositiveTemperatureError(
                 f"limit temperature lost positivity at t = {t:.4f}")
-        return stack(v, theta), None
+        y = stack(v, theta)
+        n1 = explicit(y, t)
+        if nodes is not None:
+            v = np.stack(y[:n])
+            nodes.node_times.append(t)
+            nodes.v_nodes.append(v)
+            nodes.dv_nodes.append(np.stack(n1[:n]) - params.mu * k_sq * v)
+        return y, n1
 
     return explicit, diffusion(k_sq, (params.mu,) * n + (params.kappa,)), settle
 
@@ -201,32 +211,18 @@ class LimitTrajectory(Snapshots):
 
 
 def limit_states(initial: LimitState, params: PhysParams, t_end: float, dt: float,
-                 snapshot_times, nodes: LimitTrajectory):
+                 snapshot_times, nodes: LimitTrajectory | None = None):
     """Integrate the limit system with steps of at most dt, yielding the
-    state at each snapshot time; the core of run_limit.  Each step node's
-    time, velocity and velocity tendency are appended to the node lists of
-    nodes, whose v_at then reaches up to the last state yielded."""
+    state at each snapshot time; the core of run_limit.  Each step node goes
+    to the node lists of nodes, if given, whose v_at then reaches up to the
+    last state yielded; with nodes None, no node is recorded."""
     grid = initial.grid
     params.validate(grid.dims)
     initial.validate()
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
     times = time_grid(snapshot_times, t_end)
     guard = BLOWUP_FACTOR * max(sobolev_norm(initial.v, 1), 1e-8)
-    explicit, propagate, settle_state = _make_ops(grid, params, guard)
+    explicit, propagate, settle = _make_ops(grid, params, guard, nodes)
     n = grid.dims
-
-    def settle(y, t):
-        # The first-stage tendency at a node is reused by the next step and
-        # gives the node's velocity slope for the Hermite interpolation.
-        y, _ = settle_state(y, t)
-        n1 = explicit(y, t)
-        v = np.stack(y[:n])
-        nodes.node_times.append(t)
-        nodes.v_nodes.append(v)
-        nodes.dv_nodes.append(np.stack(n1[:n]) - params.mu * grid.k_sq * v)
-        return y, n1
-
     y0 = stack(initial.v, initial.theta.copy())
     yield from map(lambda y: LimitState(as_vector(grid, y[:n]), SpectralScalar(grid, y[n])),
                    integrate(y0, times, dt, explicit, propagate, settle))

@@ -21,10 +21,10 @@ added to E1 y, which is formed a second time after N4 rather than held
 through it.  That is the formula's arithmetic in the formula's order, so the
 step is bitwise the formula, at the cost of one extra flow per step.
 
-N1 is the tendency at the step's starting point.  A solver that needs it
-anyway (the limit solve stores it as the Hermite slope of each node) hands
-it to the next step, so the last evaluation of one step is reused as the
-first of the next (first-same-as-last).
+N1 is the tendency at the step's starting point.  The limit solve, which
+stores it as the Hermite slope of each node the sweep keeps, forms it in its
+settle and hands it to the next step, so the last evaluation of one step is
+reused as the first of the next (first-same-as-last).
 
 `integrate` is the one time loop of the limit, pair and NSP solves.  It
 steps through the `time_grid` of snapshot times with equal substeps of at
@@ -108,7 +108,10 @@ def substep_count(span: float, dt_target: float) -> int:
 
 
 def time_grid(snapshot_times, t_end: float) -> np.ndarray:
-    """Sorted distinct snapshot times with 0 added; [0, t_end] if None."""
+    """Sorted distinct snapshot times with 0 added; [0, t_end] if None.
+    ValueError unless t_end > 0."""
+    if not t_end > 0:
+        raise ValueError("t_end must be positive")
     if snapshot_times is None:
         snapshot_times = (t_end,)
     return np.array(sorted({0.0, *map(float, snapshot_times)}))

@@ -637,30 +637,30 @@ class TestCli:
                     == (plain / "out" / name).read_bytes()), name
 
     def test_limit_solves_the_limit_alone_and_keeps_no_node(self, tmp_path, monkeypatch):
-        # No sweep plan, no whole-run limit solve; the limit's Hermite nodes,
-        # which only the sweep's pair solve reads, are not kept past the
-        # snapshot interval that made them (run_limit kept all of them).
+        # No sweep plan, no whole-run limit solve, and no node store: the
+        # limit's Hermite nodes, which only the sweep's pair solve reads, are
+        # not even formed (run_limit kept all of them; node lists that kept
+        # none still had each node's velocity and tendency stacked for them).
         def refuse(*args, **kwargs):
             raise AssertionError("qnl limit called a sweep function")
 
         monkeypatch.setattr(qnl.harness, "plan_sweep", refuse)
         monkeypatch.setattr(qnl.harness, "run_limit", refuse, raising=False)
         monkeypatch.setattr(qnl.limit_solver, "run_limit", refuse)
-        alive = []
+        monkeypatch.setattr(qnl.limit_solver, "LimitTrajectory", refuse)
+        monkeypatch.setattr(qnl.cli, "LimitTrajectory", refuse, raising=False)
+        calls = []
 
-        def counting_limit_states(*args):
-            nodes = args[-1]
-            for state in limit_states(*args):
-                alive.append(max(map(len, (nodes.node_times, nodes.v_nodes,
-                                           nodes.dv_nodes))))
-                yield state
+        def recording_limit_states(*args, **kwargs):
+            calls.append((args, kwargs))
+            return limit_states(*args, **kwargs)
 
-        monkeypatch.setattr(qnl.cli, "limit_states", counting_limit_states)
+        monkeypatch.setattr(qnl.cli, "limit_states", recording_limit_states)
         path = self._write_config(tmp_path, limit_dt=0.01)
         assert cli_main(["limit", "--config", str(path)]) == 0
-        # 3 snapshots, 5 steps of 0.01 an interval: at most 6 nodes would be
-        # one interval's
-        assert len(alive) == 3 and max(alive) <= 6
+        (args, kwargs), = calls
+        # initial state, params, t_end, dt and the snapshot times: no nodes
+        assert len(args) == 5 and kwargs == {}
 
     def test_check_subcommand(self, capsys):
         code = cli_main(["check", "--resolution", "16"])

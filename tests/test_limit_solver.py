@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from qnl.errors import BlowUpError, NonpositiveTemperatureError
-from qnl.limit_solver import (LimitState, PhysParams, advective_dt, ns_rhs,
-                              recover_pressure, run_limit)
+from qnl.harness import default_base_fields
+from qnl.limit_solver import (LimitState, LimitTrajectory, PhysParams, advective_dt,
+                              limit_states, ns_rhs, recover_pressure, run_limit)
 from qnl.projections import leray_p
 from qnl.spectral import (constant_scalar, divergence, gradient, laplacian,
-                          make_grid, scalar_from_function, sobolev_norm,
+                          make_grid, scalar_from_function, sobolev_norm, stack,
                           transform_forward, vector_from_functions, zeros_vector)
+from qnl.stepping import step_count, time_grid
 
 from conftest import advect, smooth_vector, strain_dissipation
 
@@ -191,6 +193,30 @@ class TestStepping:
         steps = len(traj.node_times) - 1
         assert steps >= 10
         assert len(calls) == 4 * steps + 1
+
+    @pytest.mark.parametrize("dims, resolution, params", [
+        (2, 16, PhysParams(0.05, 0.0, 0.05)), (2, 16, PhysParams()),
+        (3, 8, PhysParams(0.05, 0.0, 0.05))], ids=["ns_2d", "euler_2d", "ns_3d"])
+    def test_node_store_leaves_the_states_alone(self, dims, resolution, params):
+        # `qnl limit` solves without a node store, the sweep with one; the
+        # states must be the same to the bit, and only the store's run keeps
+        # nodes: one per step, and t = 0.
+        base = default_base_fields(make_grid(dims, resolution), "ill", 0.05, 3)
+        times = (0.02, 0.05)
+
+        def solve(*nodes):
+            return list(limit_states(LimitState(base.v0.copy(), base.theta0.copy()),
+                                     params, 0.05, 0.01, times, *nodes))
+
+        grid_times = time_grid(times, 0.05)
+        nodes = LimitTrajectory(grid_times, [], base.v0.grid, [], [], [])
+        kept, bare = solve(nodes), solve()
+        assert len(kept) == len(bare) == 3
+        count = step_count(grid_times, 0.01) + 1
+        assert [len(nodes.node_times), len(nodes.v_nodes), len(nodes.dv_nodes)] == [count] * 3
+        for a, b in zip(kept, bare):
+            for x, y in zip(stack(a.v, a.theta), stack(b.v, b.theta), strict=True):
+                assert x.tobytes() == y.tobytes()
 
     def test_positivity_monitor(self, grid2d):
         theta = scalar_from_function(grid2d, lambda x, y: 0.5 + np.sin(x))

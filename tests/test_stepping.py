@@ -294,6 +294,14 @@ def test_time_grid_sorts_dedups_and_prepends_zero():
     assert time_grid((0.0, 0.3), 0.3).tolist() == [0.0, 0.3]
 
 
+@pytest.mark.parametrize("t_end", [0.0, -0.5, float("nan")])
+@pytest.mark.parametrize("snapshot_times", [None, (0.1, 0.2)], ids=["default", "explicit"])
+def test_time_grid_needs_a_positive_t_end(snapshot_times, t_end):
+    # the one check behind the limit, pair and NSP solves' t_end
+    with pytest.raises(ValueError, match="t_end must be positive"):
+        time_grid(snapshot_times, t_end)
+
+
 def test_time_index():
     times = time_grid([0.1, 0.2], 0.2)
     assert time_index(times, 0.2 + 1e-12) == 2

@@ -76,7 +76,18 @@ default pipe (64 KiB; no F_SETPIPE_SZ) was slower in 6 of 6 alternating
 100-105): ns3d's wall_s read 0.555-0.622 s against 0.515-0.538 s with
 PIPE_BYTES, ns2d's 0.518-0.584 against 0.487-0.547 s, while ns3d's
 peak_rss_mb fell to 45.08-45.16 from 45.22-45.29 MiB; so the pipe size
-stays.
+stays.  A blocking read, in which `_Stage.take` reads the pipe until the
+state's stage item arrives and then measures at once (no waiting queue,
+`_measure_ready` or `_Forked.ready`; 20 lines fewer), lost in 8
+alternating `bench/run.py --seconds 6` pairs per workload (seeds
+100-107): wall_s rose on ns2d from 0.547 to 0.580 s (+6.1%), on euler2d
+by 2.6% and on ns3d from 0.521 to 0.538 s (+3.4%), each better in 2 of 8
+pairs, and ns3d's peak_rss_mb from 45.09 to 45.20 MiB.  The parent's
+first run (the smallest lambda) reaches each snapshot before the child's
+stage does, so the waiting queue stays.  One blow-up check shared by the
+three settles (`stepping.check_bounded(y, norm, guard, what, t)`) added 2
+lines net: each solver still forms its own norm and guard, and the
+temperature checks differ per solver, so the guards stay in the settles.
 
 An exception in the child is re-raised in the parent at its next read of
 the pipe; a child that ends without its last message raises ChildLostError;
@@ -222,6 +233,9 @@ class RunConfig:
         if self.mu < 0 or self.kappa < 0:
             raise InvalidConfigError(
                 f"mu and kappa must be non-negative, got mu={self.mu}, kappa={self.kappa}")
+        if self.dissipation_coupling < 0:
+            raise InvalidConfigError(
+                f"dissipation_coupling must be non-negative, got {self.dissipation_coupling}")
         for params in [self.limit_params()] + [self.nsp_params(lam) for lam in lams]:
             try:
                 params.validate(self.dims)
@@ -239,12 +253,15 @@ class RunConfig:
                 f"at resolution {self.resolution}")
 
     def resolved_snapshot_times(self) -> np.ndarray:
-        """The sweep's one time grid: snapshot_times, or else snapshots
-        evenly spaced times, through time_grid."""
+        """The sweep's one time grid: snapshot_times, which must end at
+        t_end (to 1e-12), or else snapshots evenly spaced times, through
+        time_grid."""
         times = time_grid(np.linspace(0.0, self.t_end, self.snapshots)
                           if self.snapshot_times is None else self.snapshot_times, self.t_end)
-        if times[0] < 0 or times[-1] > self.t_end + 1e-12:
-            raise InvalidConfigError("snapshot_times must lie in [0, t_end]")
+        if times[0] < 0 or abs(times[-1] - self.t_end) > 1e-12:
+            raise InvalidConfigError(
+                f"snapshot_times must lie in [0, t_end] and end at t_end = {self.t_end!r}, "
+                f"got {', '.join(repr(float(x)) for x in self.snapshot_times)}")
         return times
 
     def limit_params(self) -> PhysParams:

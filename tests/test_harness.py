@@ -66,7 +66,7 @@ class TestConfig:
         text = {"dims": "3", "resolution": "16", "s_norm": "3.5",
                 "lambda_list": "0.2, 0.1,", "mu": "0.02", "nu": "0.01",
                 "kappa": "0.03", "euler_mode": "No", "dissipation_coupling": "0.3",
-                "t_end": "0.25", "snapshots": "4", "snapshot_times": "0.1, 0.2",
+                "t_end": "0.25", "snapshots": "4", "snapshot_times": "0.1, 0.25",
                 "ic": "well", "ic_random_amp": "0.01", "seed": "7",
                 "output_dir": "out dir", "dt_max": "0.02", "phase_resolution": "8",
                 "limit_dt": "0.004", "save_snapshots": "on"}
@@ -77,7 +77,7 @@ class TestConfig:
         assert cfg == RunConfig(
             dims=3, resolution=16, s_norm=3.5, lambda_list=(0.2, 0.1), mu=0.02,
             nu=0.01, kappa=0.03, euler_mode=False, dissipation_coupling=0.3,
-            t_end=0.25, snapshots=4, snapshot_times=(0.1, 0.2), ic="well",
+            t_end=0.25, snapshots=4, snapshot_times=(0.1, 0.25), ic="well",
             ic_random_amp=0.01, seed=7, output_dir="out dir", dt_max=0.02,
             phase_resolution=8, limit_dt=0.004, save_snapshots=True)
         assert [type(getattr(cfg, k)) for k in ("dims", "mu", "euler_mode", "ic")] \
@@ -673,18 +673,33 @@ class TestCli:
         assert cli_main(["run", "--config", str(path)]) == 2
         assert "dt_max" in capsys.readouterr().err
 
-    # each used to end in a ValueError traceback from PhysParams.validate
+    # each used to end in a ValueError traceback from PhysParams.validate; a
+    # negative coupling then said "mu and kappa must be non-negative"
     @pytest.mark.parametrize("keys", [
         {"mu": 0, "kappa": 0.05},
         {"nu": -1},
-        {"euler_mode": "true", "dissipation_coupling": -0.2},
+        {"dissipation_coupling": -0.2, "euler_mode": "true"},
     ])
     def test_bad_physical_parameters_are_config_errors(self, tmp_path, capsys, keys):
         path = self._write_config(tmp_path, **keys)
         with pytest.raises(InvalidConfigError):
             load_config(path)
         assert cli_main(["run", "--config", str(path)]) == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err and next(iter(keys)) in err  # the first key is the bad one
+
+    # explicit times ending before t_end used to run to their last time (exit
+    # 0), while meta.txt echoed t_end and the snapshots they override
+    @pytest.mark.parametrize("command", ["run", "limit"])
+    def test_snapshot_times_that_end_before_t_end_are_config_errors(self, tmp_path, capsys,
+                                                                   command):
+        path = self._write_config(tmp_path, t_end=0.2, snapshot_times="0.05, 0.13")
+        assert cli_main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "snapshot_times" in err and "t_end = 0.2" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+        RunConfig(t_end=0.3, snapshot_times=(0.1, 0.1 + 0.2)).validate()  # within 1e-12
 
     # seed = -1 used to escape as numpy's ValueError traceback (exit 1), and
     # a negative ic_random_amp ran as 0 while meta.txt echoed it

@@ -20,8 +20,9 @@ The configs:
 
 * `--seeds S ...`: each workload's `config_text` from `bench/run.py` at
   each seed S (read, never changed);
-* `--stock`: the stock NS config (every key at its default) and the stock
-  Euler config (`euler_mode = true`);
+* `--stock`: the stock NS config (every key at its default), the stock
+  Euler config (`euler_mode = true`) and the stock 3D config (`dims = 3`,
+  `resolution = 24`, `s_norm = 3.5`);
 * `--config FILE`: any other config, named by its file name, whose own
   `output_dir` line is dropped.
 
@@ -46,7 +47,8 @@ from pathlib import Path
 
 from bench_pairs import ROOT, SIDES, checkout
 
-STOCK = {"stock-ns": "", "stock-euler": "euler_mode = true\n"}
+STOCK = {"stock-ns": "", "stock-euler": "euler_mode = true\n",
+         "stock-3d": "dims = 3\nresolution = 24\ns_norm = 3.5\n"}
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 RUN_TIMEOUT_S = 600
 # Each config runs through each command; the label follows its name.

@@ -260,8 +260,7 @@ class RunConfig:
                           if self.snapshot_times is None else self.snapshot_times, self.t_end)
         if times[0] < 0 or abs(times[-1] - self.t_end) > 1e-12:
             raise InvalidConfigError(
-                f"snapshot_times must lie in [0, t_end] and end at t_end = {self.t_end!r}, "
-                f"got {', '.join(repr(float(x)) for x in self.snapshot_times)}")
+                f"snapshot_times must lie in [0, t_end] and end at t_end = {self.t_end!r}")
         return times
 
     def limit_params(self) -> PhysParams:

@@ -78,16 +78,18 @@ PIPE_BYTES, ns2d's 0.518-0.584 against 0.487-0.547 s, while ns3d's
 peak_rss_mb fell to 45.08-45.16 from 45.22-45.29 MiB; so the pipe size
 stays.  A blocking read, in which `_Stage.take` reads the pipe until the
 state's stage item arrives and then measures at once (no waiting queue,
-`_measure_ready` or `_Forked.ready`; 20 lines fewer), lost in 8
-alternating `bench/run.py --seconds 6` pairs per workload (seeds
-100-107): wall_s rose on ns2d from 0.547 to 0.580 s (+6.1%), on euler2d
-by 2.6% and on ns3d from 0.521 to 0.538 s (+3.4%), each better in 2 of 8
-pairs, and ns3d's peak_rss_mb from 45.09 to 45.20 MiB.  The parent's
-first run (the smallest lambda) reaches each snapshot before the child's
-stage does, so the waiting queue stays.  One blow-up check shared by the
-three settles (`stepping.check_bounded(y, norm, guard, what, t)`) added 2
-lines net: each solver still forms its own norm and guard, and the
-temperature checks differ per solver, so the guards stay in the settles.
+`_measure_ready` or `_Forked.ready`; 18-20 lines fewer), lost on 2D in
+two sets of 8 alternating `bench/run.py --seconds 6` pairs per workload
+(seeds 100-107): wall_s rose on ns2d by 6.1% and 5.3% (better in 2 and 1
+of 8 pairs) and on euler2d by 2.6% and 4.2% (2 and 2 of 8).  On ns3d the
+sets disagree: wall_s +3.4% and peak_rss_mb +0.11 MiB (better in 2 and 0
+of 8) in one, -4.8% and -0.21 MiB (7 and 8 of 8) in the other.  The 2D
+loss fits the parent's first run (the smallest lambda) reaching each
+snapshot before the child's stage does; so the waiting queue stays.  One
+blow-up check shared by the three settles (`stepping.check_bounded(y,
+norm, guard, what, t)`) added 2 lines net: each solver still forms its own
+norm and guard, and the temperature checks differ per solver, so the
+guards stay in the settles.
 
 An exception in the child is re-raised in the parent at its next read of
 the pipe; a child that ends without its last message raises ChildLostError;

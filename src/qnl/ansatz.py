@@ -118,26 +118,27 @@ def pair_potentials(pair0: GradientPair, limit: LimitTrajectory, params: PhysPar
     (limit.v_at), whose nodes must reach each step's end when it is taken.
 
     pair0 must be a gradient pair (NotGradientError otherwise: a curl part
-    would be dropped).  The velocity and its samples are kept for the last
-    two stage times: a step's two midpoint stages share one, and its last
-    stage shares its time with the next step's first whenever the two sums
-    of floats agree.
+    would be dropped).  The velocity and its samples are kept for one stage
+    time, and let go before the next velocity is sampled.  The stage times
+    never return to an older one: a step's two midpoint stages share one,
+    and its last stage shares its time with the next step's first whenever
+    the two sums of floats agree, so a second entry would never be read
+    again.  Where they differ by an ulp, v is sampled anew; interpolating it
+    at one of the two times instead would move the outputs.
     """
     check_gradient(pair0.grad_q)
     check_gradient(pair0.grad_psi)
     grid = pair0.grid
     coeff = params.mu + 0.5 * params.nu
     times = time_grid(snapshot_times, t_end)
-    recent = {}  # stage time -> (v, its velocity_samples)
+    held = {}  # the last stage time -> (v, its velocity_samples)
 
     def velocity(t):
-        if t not in recent:
-            # The oldest goes before v is sampled; an lru_cache would hold a third.
-            if len(recent) == 2:
-                del recent[min(recent)]
+        if t not in held:
+            held.clear()  # before the next v is sampled
             v = limit.v_at(t)
-            recent[t] = v, velocity_samples(v)
-        return recent[t]
+            held[t] = v, velocity_samples(v)
+        return held[t]
 
     def explicit(y, t):
         v, samples = velocity(t)

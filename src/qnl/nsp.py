@@ -116,23 +116,33 @@ def nsp_rhs_nonstiff(state: NSPState, params: PhysParams, lam: float, us=None):
     samples of u, if the caller has them already; sampled here otherwise.
 
     Each sample array is dropped once its last product is formed, and each
-    tendency is forward-transformed as soon as it is complete: the samples
-    of rho go with the pressure, those of theta and the heating terms with
-    dtheta, and each du[b] is transformed before du[b + 1] is formed.  The
-    samples of u and its gradient stay until the last du.  Every output's
-    arithmetic is that of the formula, so the order changes no bit.
+    tendency is forward-transformed as soon as it is complete.  The samples
+    of grad u go first: div u, the strain heating and the advection sums
+    (u.grad)u_b are formed from them before 1/rho or any other field is
+    sampled.  A density at or below RHO_FLOOR therefore raises only after
+    the gradient transforms.  Then the samples of rho go with the pressure,
+    those of u (unless the caller holds them), theta and div u once the
+    transport of theta is formed, the heating's once it is transformed, and
+    each advection sum with its du[b], which is transformed before du[b + 1]
+    is formed.  Every output's arithmetic is that of the formula, so the
+    order changes no bit.
     """
     grid = state.grid
     dims = grid.dims
     ik = grid.ik
     rho, u, theta = state.rho, state.u, state.theta
-    inv_rho = _inverse_density(rho)
-    rs = to_physical(grid, rho.coeffs)
     if us is None:
         us = [to_physical(grid, c.coeffs) for c in u]
     grad_u = physical_gradient(u)
     div_u = sum(grad_u[a][a] for a in range(dims))
+    heats = not params.is_euler and (params.mu != 0.0 or params.nu != 0.0)
+    if heats:
+        heating = strain_heating(grad_u, params.mu) + params.nu * div_u * div_u
+    advection = [sum(us[a] * grad_u[a][b] for a in range(dims)) for b in range(dims)]
+    del grad_u
 
+    inv_rho = _inverse_density(rho)
+    rs = to_physical(grid, rho.coeffs)
     drho = -sum(ik[a] * to_spectral(grid, rs * us[a]) for a in range(dims))
     ts = to_physical(grid, theta.coeffs)
     pressure = to_spectral(grid, rs * ts)
@@ -140,15 +150,14 @@ def nsp_rhs_nonstiff(state: NSPState, params: PhysParams, lam: float, us=None):
 
     pointwise = -ts * div_u - sum(us[a] * physical_derivative(grid, theta.coeffs, a)
                                   for a in range(dims))
-    del ts
+    del ts, div_u, us
     if not params.is_euler:
         heat = params.kappa * laplacian(theta).coeffs
-        if params.mu != 0.0 or params.nu != 0.0:
-            heat = heat + to_spectral(
-                grid, strain_heating(grad_u, params.mu) + params.nu * div_u * div_u)
+        if heats:
+            heat = heat + to_spectral(grid, heating)
+            del heating
         pointwise = pointwise + inv_rho * to_physical(grid, heat)
         del heat
-    del div_u
     dtheta = to_spectral(grid, pointwise)
     del pointwise
 
@@ -160,8 +169,8 @@ def nsp_rhs_nonstiff(state: NSPState, params: PhysParams, lam: float, us=None):
         if params.mu != 0.0 or params.nu != 0.0:
             force = force + params.mu * laplacian(u[b]).coeffs \
                 + (params.mu + params.nu) * ik[b] * div_coeffs
-        du.append(to_spectral(grid, inv_rho * to_physical(grid, force)
-                              - sum(us[a] * grad_u[a][b] for a in range(dims))))
+        du.append(to_spectral(grid, inv_rho * to_physical(grid, force) - advection[b]))
+        advection[b] = None
     return (SpectralScalar(grid, drho), as_vector(grid, du),
             SpectralScalar(grid, dtheta))
 

@@ -290,6 +290,8 @@ class RunConfig:
             value = getattr(self, key)
             if value is None and key in skip_none:
                 continue
+            if key == "snapshots" and self.snapshot_times is not None:
+                continue  # ignored: the explicit times set the grid
             lines.append(f"{key} = {fmt(value)}")
         return lines
 

@@ -701,6 +701,17 @@ class TestCli:
         assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
         RunConfig(t_end=0.3, snapshot_times=(0.1, 0.1 + 0.2)).validate()  # within 1e-12
 
+    # meta.txt used to echo snapshots = 3 beside the explicit times that
+    # replace it
+    def test_meta_echoes_snapshots_only_when_they_set_the_times(self, tmp_path):
+        path = self._write_config(tmp_path, ic="well", t_end=0.2,
+                                  snapshot_times="0.05, 0.13, 0.2")
+        assert cli_main(["run", "--config", str(path)]) == 0
+        meta = (tmp_path / "out" / "meta.txt").read_text().splitlines()
+        assert "snapshot_times = 0.05, 0.13, 0.2" in meta
+        assert not any(line.startswith("snapshots ") for line in meta)
+        assert "snapshots = 3" in RunConfig(snapshots=3).echo_lines()
+
     # seed = -1 used to escape as numpy's ValueError traceback (exit 1), and
     # a negative ic_random_amp ran as 0 while meta.txt echoed it
     @pytest.mark.parametrize("keys", [

@@ -17,12 +17,14 @@ import signal
 import subprocess
 import sys
 import time
+import weakref
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import qnl.ansatz
 import qnl.harness
 import qnl.stepping
 from qnl.ansatz import solve_osc
@@ -674,6 +676,46 @@ def test_stage_once_weight_is_the_transforms_of_a_one_step_stage(
     one_step = count_transforms(lambda: solve_stage(
         replace(config, t_end=dt), base, dt))
     assert one_step == STAGE_ONCE_TRANSFORMS[dims] + STAGE_STEP_TRANSFORMS[dims]
+
+
+STAGE_CONFIGS = {"2d": RunConfig(resolution=16, t_end=0.1, snapshots=3),
+                 "3d": RunConfig(dims=3, resolution=12, s_norm=3.5, t_end=0.05, snapshots=3)}
+
+
+@pytest.mark.parametrize("name, calls", [("2d", 48), ("3d", 27)])
+def test_stage_samples_v_once_per_new_stage_time(monkeypatch, name, calls):
+    # The counts of a pair solve that held v for its last two stage times.
+    # The 22 (12) steps would take 1 + 2 * 22 (1 + 2 * 12) samples if each
+    # step's last stage time were bitwise the next step's first; 3 (2) of
+    # these sums differ by an ulp.
+    config = STAGE_CONFIGS[name]
+    base = base_fields(config)
+    sampled = []
+    sample = qnl.ansatz.velocity_samples
+    monkeypatch.setattr(qnl.ansatz, "velocity_samples",
+                        lambda v: sampled.append(1) or sample(v))
+    solve_stage(config, base, stage_plan(config, base)[0])
+    assert len(sampled) == calls
+
+
+@pytest.mark.parametrize("name", sorted(STAGE_CONFIGS))
+def test_pair_solve_holds_one_velocity(monkeypatch, name):
+    # no v that v_at returned is alive when the next one is asked for
+    config = STAGE_CONFIGS[name]
+    base = base_fields(config)
+    given = []
+    v_at = LimitTrajectory.v_at
+
+    def recorded(self, t):
+        alive = [ref for ref in given if ref() is not None]
+        assert not alive, f"{len(alive)} earlier velocities alive at t = {t}"
+        v = v_at(self, t)
+        given.append(weakref.ref(v))
+        return v
+
+    monkeypatch.setattr(LimitTrajectory, "v_at", recorded)
+    solve_stage(config, base, stage_plan(config, base)[0])
+    assert len(given) > 1
 
 
 def test_predicted_steps_follow_the_viscous_bound(step_counter):

@@ -1,5 +1,6 @@
 """The command-line tools under tools/ run."""
 
+import json
 import os
 import shutil
 import subprocess
@@ -103,3 +104,37 @@ def test_compare_outputs_tells_a_different_limit_file(tmp_path):
     run, limit = differ.stdout.splitlines()
     assert run.startswith("small.cfg: identical (")
     assert limit == "small.cfg limit: DIFFERENT: limit.csv, limit_t_0.05_theta.qnl"
+
+
+def test_bench_pairs_stock_record(tmp_path, monkeypatch):
+    # one pair of a tiny `qnl run` (16^2, two lambda) in one checkout pair
+    # whose two sides are this tree's src
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import bench_pairs
+
+    for side in bench_pairs.SIDES:
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "src").symlink_to(ROOT / "src")
+    sets = [{side: tmp_path / side for side in bench_pairs.SIDES}]
+    metrics = {m["name"]: m for m in
+               json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    text = "resolution = 16\nlambda_list = 0.1, 0.05\nt_end = 0.05\nsnapshots = 2\n"
+    record = bench_pairs.stock_record(sets, {"tiny": text}, 1, metrics)
+    assert list(record) == ["tiny"]
+    entry = record["tiny"]
+    assert entry["all_exit_0"]
+    assert list(entry["verdicts"]) == list(bench_pairs.STOCK_METRICS)
+    assert all(v == "within bound" for v in entry["verdicts"].values())
+    [one] = entry["sets"]
+    assert one["work"] == tmp_path.name
+    [pair] = one["pairs"]
+    assert pair["first"] == "parent"
+    for side in bench_pairs.SIDES:
+        assert set(pair[side]) == {*bench_pairs.STOCK_METRICS, "exit"}
+        assert pair[side]["exit"] == 0
+        assert all(pair[side][m] > 0 for m in bench_pairs.STOCK_METRICS)
+    for name, summary in one["summary"].items():
+        assert summary == bench_pairs.summarize(one["pairs"], name, metrics[name]["better"],
+                                                metrics[name]["bound"], False)
+        assert summary["parent_q1"] == summary["parent_median"] == summary["parent_q3"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(bench_pairs.SIDES)

@@ -32,6 +32,16 @@ the change won and lost (ties count for neither), and its verdict:
 
 The verdict over the sets (`combine`) is `gain` only when the claim holds
 in every set, and otherwise the worst verdict of any set.
+
+`--stock N` adds N alternating pairs of the stock sweeps, `python -m
+qnl.cli run` on each of `STOCK` (stock NS, stock Euler and stock 24^3), in
+the same checkouts, and writes them under the record's `stock` key with
+the same summary, against BENCHMARK.json's bounds of `wall_s`, `cpu_s` and
+`peak_rss_mb`.  Each sweep runs in a new directory and is timed by a small
+helper process (`STOCK_HELPER`), which spawns it and reads its CPU time and
+`ru_maxrss` from `os.wait4`.  A spawned process's `ru_maxrss` starts from
+the peak of the process that spawns it, so this tool cannot spawn the sweep
+itself; the helper's own peak is far below a sweep's.
 """
 
 from __future__ import annotations
@@ -40,6 +50,8 @@ import argparse
 import io
 import json
 import math
+import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -48,6 +60,25 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+# The stock configs, by name: every key at its default but these.
+STOCK = {"stock-ns": "", "stock-euler": "euler_mode = true\n",
+         "stock-3d": "dims = 3\nresolution = 24\ns_norm = 3.5\n"}
+STOCK_METRICS = ("wall_s", "cpu_s", "peak_rss_mb")
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+# Runs `qnl run` on run.cfg in its working directory, its standard output
+# dropped, and prints its wall time, CPU time, peak and exit code.
+STOCK_HELPER = """
+import json, os, sys, time
+start = time.perf_counter()
+pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "qnl.cli", "run", "--config",
+                     "run.cfg"], os.environ,
+                     file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
+_, status, usage = os.wait4(pid, 0)
+print(json.dumps({"wall_s": time.perf_counter() - start,
+                  "cpu_s": usage.ru_utime + usage.ru_stime,
+                  "peak_rss_mb": usage.ru_maxrss / 1024.0,
+                  "exit": os.waitstatus_to_exitcode(status)}))
+"""
 
 
 def checkout(rev: str, dest: Path) -> str:
@@ -77,7 +108,26 @@ def bench_run(tree: Path, workload: str, seed: int, seconds: float):
     return json.loads(lines[-1]), machine
 
 
+def stock_run(tree: Path, text: str, run_dir: Path) -> dict:
+    """One `qnl run` from tree's src on the config text, in the new
+    directory run_dir, which is removed after: its STOCK_HELPER record."""
+    run_dir.mkdir(parents=True)
+    try:
+        (run_dir / "run.cfg").write_text(text + "output_dir = out\n", encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str((tree / "src").resolve()),
+                   PYTHONDONTWRITEBYTECODE="1", **{name: "1" for name in THREAD_VARS})
+        proc = subprocess.run([sys.executable, "-c", STOCK_HELPER], cwd=run_dir, env=env,
+                              capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise RuntimeError(f"the stock helper failed in {run_dir}:\n{proc.stderr[-2000:]}")
+        return json.loads(proc.stdout)
+    finally:
+        shutil.rmtree(run_dir)
+
+
 def quartiles(values):
+    if len(values) == 1:  # statistics.quantiles needs two
+        return values * 3
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, median, q3
 
@@ -122,6 +172,63 @@ def combine(verdicts, claimed: bool) -> str:
     return next(v for v in UNCLAIMED_ORDER if v in verdicts)
 
 
+def run_pairs(sets, count: int, run, label: str) -> list:
+    """count alternating pairs in each checkout pair of sets, the parent
+    first in even pairs, one pair run in every set in turn: per set, the
+    pairs {"first", "parent", "change"}, each side's run(tree, i)."""
+    pairs = [[] for _ in sets]
+    for i in range(count):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        for k, trees in enumerate(sets):
+            pair = {"first": order[0]}
+            for side in order:
+                pair[side] = run(trees[side], i)
+            pairs[k].append(pair)
+            print(f"{label} set {k} pair {i}: " + ", ".join(
+                f"{name} {pair['parent'][name]:.4g} -> {pair['change'][name]:.4g}"
+                for name in pair["parent"] if isinstance(pair["parent"][name], float)),
+                flush=True)
+    return pairs
+
+
+def summarize_sets(label: str, sets, pairs, metrics: dict, claimed) -> dict:
+    """Each set's pairs and summary, and the verdicts over the sets, of the
+    metrics (name -> BENCHMARK.json entry); claimed(name) tells a claim."""
+    summaries = [{name: summarize(set_pairs, name, m["better"], m["bound"], claimed(name))
+                  for name, m in metrics.items()} for set_pairs in pairs]
+    for k, summary in enumerate(summaries):
+        for name, s in summary.items():
+            print(f"{label} set {k} {name}: {s['parent_median']:.4g} -> "
+                  f"{s['change_median']:.4g} ({100 * s['median_rel']:+.1f}%, parent IQR "
+                  f"{100 * s['parent_iqr_rel']:.1f}%, better in "
+                  f"{s['change_better_pairs']}/{len(pairs[k])}): {s['verdict']}", flush=True)
+    verdicts = {name: combine([summary[name]["verdict"] for summary in summaries],
+                              claimed(name)) for name in metrics}
+    for name, verdict in verdicts.items():
+        print(f"{label} {name}: {verdict}", flush=True)
+    return {"sets": [{"work": trees["parent"].parent.name, "pairs": set_pairs,
+                      "summary": summary}
+                     for trees, set_pairs, summary in zip(sets, pairs, summaries)],
+            "verdicts": verdicts}
+
+
+def stock_record(sets, configs: dict, count: int, metrics: dict) -> dict:
+    """count pairs of `qnl run` on each config text (name -> text) in the
+    checkout pairs of sets, summarized by summarize_sets, no claim made,
+    with `all_exit_0`; the `stock` entry of the record."""
+    record = {}
+    for name, text in configs.items():
+        pairs = run_pairs(sets, count,
+                          lambda tree, i: stock_run(tree, text, tree.parent / "stock-run"),
+                          name)
+        record[name] = summarize_sets(name, sets, pairs,
+                                      {m: metrics[m] for m in STOCK_METRICS},
+                                      lambda metric: False)
+        record[name]["all_exit_0"] = all(pair[side]["exit"] == 0 for set_pairs in pairs
+                                         for pair in set_pairs for side in SIDES)
+    return record
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="parent commit (any git rev)")
@@ -137,6 +244,8 @@ def main(argv=None) -> int:
                         help="default: every workload of BENCHMARK.json")
     parser.add_argument("--claim", action="append", default=[],
                         help="WORKLOAD:METRIC the change claims a gain on")
+    parser.add_argument("--stock", type=int, default=0, metavar="N",
+                        help="also N pairs of each stock `qnl run` sweep")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
 
@@ -169,43 +278,24 @@ def main(argv=None) -> int:
         "workloads": {}, "machine": None,
     }
     for workload in workloads:
-        pairs = [[] for _ in sets]
-        for i in range(args.pairs):
-            seed = args.seeds + i
-            order = SIDES if i % 2 == 0 else SIDES[::-1]
-            for k, trees in enumerate(sets):
-                pair = {"seed": seed, "first": order[0]}
-                for side in order:
-                    result, record["machine"] = bench_run(trees[side], workload, seed,
-                                                          args.seconds)
-                    pair[side] = {key: result[key]
-                                  for key in ("correct", "attempted", "failed")}
-                    pair[side].update({name: result["metrics"][name]["value"]
-                                       for name in metrics})
-                pairs[k].append(pair)
-                print(f"{workload} set {k} seed {seed}: " + ", ".join(
-                    f"{name} {pair['parent'][name]:.4g} -> {pair['change'][name]:.4g}"
-                    for name in metrics), flush=True)
-        summaries = [{name: summarize(set_pairs, name, m["better"], m["bound"],
-                                      (workload, name) in claims)
-                      for name, m in metrics.items()} for set_pairs in pairs]
+        def bench(tree, i):
+            result, record["machine"] = bench_run(tree, workload, args.seeds + i, args.seconds)
+            return {**{key: result[key] for key in ("correct", "attempted", "failed")},
+                    **{name: result["metrics"][name]["value"] for name in metrics}}
+
+        pairs = run_pairs(sets, args.pairs, bench, workload)
         record["workloads"][workload] = {
             "seeds": [args.seeds + i for i in range(args.pairs)],
-            "sets": [{"work": work.name, "pairs": set_pairs, "summary": summary}
-                     for work, set_pairs, summary in zip(args.work, pairs, summaries)],
-            "verdicts": {name: combine([summary[name]["verdict"] for summary in summaries],
-                                       (workload, name) in claims) for name in metrics},
+            **summarize_sets(workload, sets, pairs, metrics,
+                             lambda name: (workload, name) in claims),
             "all_correct": all(pair[side]["correct"] and pair[side]["failed"] == 0
                                for set_pairs in pairs for pair in set_pairs
                                for side in SIDES)}
-        for k, summary in enumerate(summaries):
-            for name, s in summary.items():
-                print(f"{workload} set {k} {name}: {s['parent_median']:.4g} -> "
-                      f"{s['change_median']:.4g} ({100 * s['median_rel']:+.1f}%, parent IQR "
-                      f"{100 * s['parent_iqr_rel']:.1f}%, better in "
-                      f"{s['change_better_pairs']}/{args.pairs}): {s['verdict']}", flush=True)
-        for name, verdict in record["workloads"][workload]["verdicts"].items():
-            print(f"{workload} {name}: {verdict}", flush=True)
+    if args.stock:
+        record["stock_command"] = (
+            f"python -m qnl.cli run --config C, timed by os.wait4 in a helper process; "
+            f"{args.stock} alternating pairs per config, run as the workloads' pairs")
+        record["stock"] = stock_record(sets, STOCK, args.stock, metrics)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

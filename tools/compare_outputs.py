@@ -45,11 +45,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-from bench_pairs import ROOT, SIDES, checkout
+from bench_pairs import ROOT, SIDES, STOCK, THREAD_VARS, checkout
 
-STOCK = {"stock-ns": "", "stock-euler": "euler_mode = true\n",
-         "stock-3d": "dims = 3\nresolution = 24\ns_norm = 3.5\n"}
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 RUN_TIMEOUT_S = 600
 # Each config runs through each command; the label follows its name.
 COMMANDS = {"run": "", "limit": " limit"}

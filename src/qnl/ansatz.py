@@ -86,12 +86,11 @@ def osc_potential_rhs(q: SpectralScalar, psi: SpectralScalar, v_now: SpectralVec
     return one(q), one(psi)
 
 
-def osc_rhs(pair: GradientPair, v_now: SpectralVector,
-            params: PhysParams, samples=None) -> GradientPair:
+def osc_rhs(pair: GradientPair, v_now: SpectralVector, params: PhysParams) -> GradientPair:
     """Full tendency of the filtered pair system, by osc_potential_rhs on
     the potentials of the slots (a curl part of a slot is not seen)."""
     dq, dpsi = osc_potential_rhs(gradient_potential(pair.grad_q),
-                                 gradient_potential(pair.grad_psi), v_now, params, samples)
+                                 gradient_potential(pair.grad_psi), v_now, params)
     return GradientPair(gradient(dq), gradient(dpsi))
 
 

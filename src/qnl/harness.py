@@ -43,22 +43,24 @@ reaches it (its on_snapshot) goes to `_Stage.take`, which measures it by
 is here; `_Run` keeps per snapshot only the errors and norms, which
 `_report_row` combines as for a whole run.  As it measures a state, the
 process appends its diag_*.csv row and, when save_snapshots is set,
-writes its rho and u snapshot files into the run's directory in the
-staging directory, which `run_sweep` makes empty before the fork beside
-output_dir (`_make_staging`); the process makes the run's directory, with
-the diag header, when it measures the run's first snapshot.  The child
-has the whole stage before its runs.  The parent reads every message in
-the pipe at each of its snapshots; a state whose stage has not arrived
-waits, while the parent goes on with its runs, and `_Stage.finish`
-measures what still waits, then reads the child's runs.  The last run of
-a process frees each snapshot's stage once it has measured it.
+writes its rho and u snapshot files into the run's staging directory.
+The child has the whole stage before its runs.  The parent reads every
+message in the pipe at each of its snapshots; a state whose stage has not
+arrived waits, while the parent goes on with its runs, and
+`_Stage.finish` measures what still waits, then reads the child's runs.
+The last run of a process frees each snapshot's stage once it has
+measured it.
 
-Only the parent writes into output_dir, once every row is known: report,
-rates and meta, then the staged files of each run that ended, moved by
-os.replace.  The staging directory, with a failed run's files, is removed
-on every path, and by the child if it finds its parent gone; so a failed
-sweep leaves no file and no output directory, and the outputs are byte
-for byte a serial sweep's.
+Staging: `run_sweep` makes one empty staging directory before the fork,
+in the nearest existing directory above output_dir (`_make_staging`),
+and no other directory.  Each process makes a run's directory in it,
+with the diag header, when it measures the run's first snapshot.  Once
+every row is known, the parent alone writes into output_dir, which
+`_write_outputs` makes with its missing parents: report, rates and meta,
+then the staged files of each run that ended, moved by os.replace.  The
+staging directory, with a failed run's files, is removed on every path;
+so a failed sweep leaves no file and no directory, and the outputs are
+byte for byte a serial sweep's.
 
 Why not lockstep: driving every run of a process one interval at a time
 would step them outside their `run_nsp` calls, which the benchmark's tracer
@@ -93,12 +95,16 @@ guards stay in the settles.
 
 An exception in the child is re-raised in the parent at its next read of
 the pipe; a child that ends without its last message raises ChildLostError;
-no lambda run of the parent takes either for its own failure.  The child
-is killed and reaped on every exit path, and leaves by itself if its
-parent is killed outright.  Under `qnl run` the child inherits the
-allocator policy that `cli.main` sets (`cli.keep_freed_heap`), as it
-inherits the CLI's SIGTERM handler.  `qnl limit` runs the limit solve
-alone, with stage_plan's step, and no sweep plan.
+no lambda run of the parent takes either for its own failure.  Kill and
+reap: leaving `_Forked`'s with block, on every exit path, kills and reaps
+the child, whether or not every message was read.  Orphans: a child
+whose parent is gone (checked every 0.1 s by SIGALRM, since a SIGKILL
+reaches no __exit__) or no longer reads (a send finds no reader) removes
+the staging directory, which no one else would, and leaves at once.
+Under `qnl run` the child inherits the allocator policy that `cli.main`
+sets (`cli.keep_freed_heap`), as it inherits the CLI's SIGTERM handler.
+`qnl limit` runs the limit solve alone, with stage_plan's step, and no
+sweep plan.
 """
 
 from __future__ import annotations
@@ -215,8 +221,6 @@ class RunConfig:
                 f"s_norm must be at least N/2 + 2 = {self.dims / 2 + 2}, got {self.s_norm}")
         if self.t_end <= 0:
             raise InvalidConfigError("t_end must be positive")
-        if self.snapshots < 2:
-            raise InvalidConfigError("need at least 2 snapshots")
         if self.ic not in ("ill", "well"):
             raise InvalidConfigError(f"ic must be 'ill' or 'well', got {self.ic!r}")
         if not self.output_dir:
@@ -256,8 +260,10 @@ class RunConfig:
 
     def resolved_snapshot_times(self) -> np.ndarray:
         """The sweep's one time grid: snapshot_times, which must end at
-        t_end (to 1e-12), or else snapshots evenly spaced times, through
-        time_grid."""
+        t_end (to 1e-12), or else snapshots (at least 2, checked here, where
+        it is read) evenly spaced times, through time_grid."""
+        if self.snapshot_times is None and self.snapshots < 2:
+            raise InvalidConfigError(f"snapshots must be >= 2, got {self.snapshots}")
         times = time_grid(np.linspace(0.0, self.t_end, self.snapshots)
                           if self.snapshot_times is None else self.snapshot_times, self.t_end)
         if times[0] < 0 or abs(times[-1] - self.t_end) > 1e-12:
@@ -742,8 +748,7 @@ class _Stage:
     stage at its time is here: in the child, which solved the whole stage
     before its runs, at once.  In the parent, child is the _Forked child,
     whose messages (every stage item, t = 0 first, then its runs) _read
-    takes.  Each measured state's files go into its run's directory under
-    staging, which _measure makes at the run's first snapshot."""
+    takes."""
 
     def __init__(self, config: RunConfig, staging: str, child=None):
         self.config, self.staging, self.child = config, staging, child
@@ -863,12 +868,10 @@ def _child_main(parent: int, write_fd: int, config: RunConfig, base: BaseFields,
                 plan: SweepPlan, staging: str):
     """The forked child of _Forked: _child_share, where send pipes one
     message as its length and its pickle; an exception is sent last, as
-    ("error", exc).  A child whose parent is gone (checked every 0.1 s by
-    SIGALRM, since a SIGKILL reaches no __exit__) or no longer reads (a
-    send finds no reader) removes staging, which no one else would, and
-    leaves at once.  SIGTERM, which the CLI turns into SystemExit, ends the
-    child plainly.  The child leaves with os._exit, so it never returns
-    into the parent's stack, atexit handlers or buffered output."""
+    ("error", exc).  It keeps the module docstring's orphan rule.  SIGTERM,
+    which the CLI turns into SystemExit, ends the child plainly.  The child
+    leaves with os._exit, so it never returns into the parent's stack,
+    atexit handlers or buffered output."""
     def orphaned():
         shutil.rmtree(staging, ignore_errors=True)
         os._exit(1)
@@ -909,13 +912,10 @@ class _Forked:
     and `receive()` returns the next message as (kind, body), waiting for
     it.  A message ("error", exc), or the end of a child that sent no last
     message, raises _ChildError holding exc or a ChildLostError.  Leaving
-    the with block kills and reaps the child, whether or not every message
-    was read.  A child whose parent is gone, or no longer reads, removes
-    the staging directory before it leaves (_child_main).  The staging
-    directory is empty at the fork: each process makes a run's directory
-    when it measures the run's first snapshot.  The sweep starts no
-    threads, and OpenBLAS, whose idle pool numpy starts, shuts it down
-    across a fork, so the child holds no lock another thread owned.
+    the with block kills and reaps the child (the module docstring's
+    rules).  The sweep starts no threads, and OpenBLAS, whose idle pool
+    numpy starts, shuts it down across a fork, so the child holds no lock
+    another thread owned.
     """
 
     def __init__(self, config: RunConfig, base: BaseFields, plan: SweepPlan, staging: str):
@@ -978,11 +978,12 @@ class _Forked:
 
 
 def run_sweep(config: RunConfig) -> ConvergenceReport:
-    """Full lambda sweep; writes report.csv, rates.csv and meta.txt.  A
+    """Full lambda sweep; writes report.csv, rates.csv, meta.txt and the
+    files of each run that ended into output_dir, made only on success.  A
     forked child solves the lambda-independent stage, sending it snapshot by
     snapshot, and then its share of the lambda runs, concurrently with the
-    parent's (see the module docstring).  Each process writes its runs'
-    files into one staging directory, which is removed on every path."""
+    parent's.  The module docstring gives the staging, kill and reap, and
+    orphan rules."""
     config.validate()
     check_output_dir(config)
     base = base_fields(config)
@@ -1036,15 +1037,16 @@ def check_output_dir(config: RunConfig) -> None:
 
 
 def _make_staging(config: RunConfig) -> str:
-    """A new, empty staging directory beside output_dir, in its parent
-    directory (made if missing), since os.replace does not cross file
-    systems.  Each process makes a run's directory in it, with the header
-    of its diag_*.csv, when it measures the run's first snapshot
-    (_Stage._measure)."""
+    """A new, empty staging directory in the nearest existing directory
+    above output_dir, so on the file system that output_dir will be made
+    on (os.replace does not cross file systems).  It makes no other
+    directory: _write_outputs makes output_dir and its missing parents,
+    and only once the sweep has succeeded."""
     out = os.path.abspath(config.output_dir)
-    os.makedirs(os.path.dirname(out), exist_ok=True)
-    return tempfile.mkdtemp(prefix=f".{os.path.basename(out)}.", suffix=".staging",
-                            dir=os.path.dirname(out))
+    home = os.path.dirname(out)
+    while not os.path.isdir(home):
+        home = os.path.dirname(home)
+    return tempfile.mkdtemp(prefix=f".{os.path.basename(out)}.", suffix=".staging", dir=home)
 
 
 def _write_outputs(config: RunConfig, report: ConvergenceReport, runs, staging: str):

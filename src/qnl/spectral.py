@@ -18,10 +18,11 @@ A process holds one `TorusGrid` per (dims, resolution): `make_grid` builds
 it on first use and returns it from then on.  A grid pickles as the call
 `make_grid(dims, resolution)`, so a field sent to another process, such as
 the sweep's forked child piping its snapshots back, arrives on the
-receiver's own grid, and `read_snapshot` reads onto it as well.  Its
-wavenumbers `k` and `kd` are open meshes, one n-vector per axis; the
-symbols they build (|k|^2, the masks, the weight, the derivative symbols
-`ik`) are full arrays, which the grid builds once (see `TorusGrid`).
+receiver's own grid, and `read_snapshot` reads onto it as well.  So the
+field operations compare grids by identity.  Its wavenumbers `k` and `kd`
+are open meshes, one n-vector per axis; the symbols they build (|k|^2, the
+masks, the weight, the derivative symbols `ik`) are full arrays, which the
+grid builds once (see `TorusGrid`).
 
 Every transform is a real FFT behind two helpers: `to_physical` turns a
 coefficient array into real samples and `to_spectral` real samples into a
@@ -92,7 +93,8 @@ class TorusGrid:
 
     Build grids with `make_grid`, which returns one grid per (dims,
     resolution) per process; a grid pickles as that call, so an unpickled
-    field shares the receiving process's grid.  The arrays are read-only.
+    field shares the receiving process's grid.  Grids compare by identity.
+    The arrays are read-only.
     """
 
     def __init__(self, dims: int, resolution: int):
@@ -165,14 +167,6 @@ class TorusGrid:
     def spacing(self) -> float:
         return 2.0 * np.pi / self.resolution
 
-    def __eq__(self, other):
-        return (isinstance(other, TorusGrid)
-                and self.dims == other.dims
-                and self.resolution == other.resolution)
-
-    def __hash__(self):
-        return hash((self.dims, self.resolution))
-
     def __reduce__(self):
         # Pickled as the make_grid call: no array is sent, and unpickling
         # returns the receiving process's own grid.
@@ -190,7 +184,7 @@ def make_grid(dims: int, resolution: int) -> TorusGrid:
 
 
 def _check_same_grid(a, b):
-    if a.grid != b.grid:
+    if a.grid is not b.grid:
         raise ValueError(f"grid mismatch: {a.grid} vs {b.grid}")
 
 
@@ -248,7 +242,7 @@ class SpectralVector:
             raise ValueError(
                 f"expected {self.grid.dims} components, got {len(comps)}")
         for c in comps:
-            if c.grid != self.grid:
+            if c.grid is not self.grid:
                 raise ValueError("component grid mismatch")
         self.components = comps
 

@@ -86,7 +86,12 @@ class TestConfig:
     @pytest.mark.parametrize("line,match", [
         ("resolution = 16.5", "resolution"), ("mu = fast", "mu"),
         ("euler_mode = maybe", "boolean"), ("lambda_list = ,", "empty list"),
-        ("limit_dt = none", "limit_dt")])
+        ("limit_dt = none", "limit_dt"),
+        # values that parse, out of range (validate)
+        ("dims = 4", "^dims must be"), ("resolution = 15", "^resolution must be"),
+        ("resolution = 6", "^resolution must be"), ("t_end = 0", "^t_end must be"),
+        ("t_end = -0.5", "^t_end must be"), ("snapshots = 1", "^snapshots must be"),
+        ("ic = smooth", "^ic must be"), ("phase_resolution = 3", "^phase_resolution must be")])
     def test_bad_values_name_the_key(self, tmp_path, line, match):
         path = tmp_path / "bad.cfg"
         path.write_text(line + "\n")
@@ -687,6 +692,63 @@ class TestCli:
         assert cli_main(["run", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and next(iter(keys)) in err  # the first key is the bad one
+
+    # snapshots = 1 used to exit 2 here, though README says that explicit
+    # snapshot_times make it ignored
+    def test_snapshots_is_ignored_beside_snapshot_times(self, tmp_path):
+        outputs = []
+        for snapshots in (1, 17):
+            path = self._write_config(tmp_path, t_end=0.05, snapshots=snapshots,
+                                      snapshot_times="0.025, 0.05")
+            assert load_config(path).snapshots == snapshots
+            assert cli_main(["run", "--config", str(path)]) == 0
+            outputs.append({p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()})
+        assert outputs[0] == outputs[1]
+        assert "diag_lambda_0.1.csv" in outputs[0]
+        assert not [line for line in outputs[0]["meta.txt"].splitlines()
+                    if line.startswith(b"snapshots ")]
+
+    # lambda = 4 makes min rho0 = 1 - 0.3 * 4 < 0 (phi0 = 0.3 sin x): its row
+    # fails, the other three are fitted
+    def test_a_failed_row_prints_its_status_and_exits_1(self, tmp_path, capsys):
+        path = self._write_config(tmp_path, lambda_list="4.0, 0.1, 0.05, 0.025",
+                                  t_end=0.05, snapshots=2)
+        assert cli_main(["run", "--config", str(path)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[1] == "lambda = 4          FAILED (density_not_positive)"
+        assert [line.split()[2] for line in out[2:5]] == ["0.1", "0.05", "0.025"]
+        assert [line.split(":")[0] for line in out[5:]] == list(ERROR_CHANNELS)
+        report = (tmp_path / "out" / "report.csv").read_text().splitlines()
+        assert report[1] == "4.000000000000e+00,nan,nan,nan,nan,density_not_positive"
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "diag_lambda_0.025.csv", "diag_lambda_0.05.csv", "diag_lambda_0.1.csv",
+            "meta.txt", "rates.csv", "report.csv"]
+
+    # a failed sweep used to leave the missing parents of output_dir, made
+    # with the staging directory before any solve
+    def test_output_dir_and_its_parents_are_made_only_on_success(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        staged = []
+
+        def recording(config):
+            staged.append(real(config))
+            return staged[-1]
+
+        real = qnl.harness._make_staging
+        monkeypatch.setattr(qnl.harness, "_make_staging", recording)
+        path = self._write_config(tmp_path, output_dir=tmp_path / "x" / "y" / "out",
+                                  ic_random_amp=2000, t_end=0.05)
+        assert cli_main(["run", "--config", str(path)]) == 2
+        assert "initial temperature not positive" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [path]
+
+        path = self._write_config(tmp_path, output_dir=tmp_path / "a" / "b" / "out",
+                                  t_end=0.05)
+        assert cli_main(["run", "--config", str(path)]) == 0
+        assert (tmp_path / "a" / "b" / "out" / "report.csv").exists()
+        assert [os.path.dirname(p) for p in staged] == [str(tmp_path)] * 2
+        assert [str(p.relative_to(tmp_path)) for p in sorted(tmp_path.rglob("*"))
+                if p.is_dir()] == ["a", "a/b", "a/b/out"]
 
     # explicit times ending before t_end used to run to their last time (exit
     # 0), while meta.txt echoed t_end and the snapshots they override

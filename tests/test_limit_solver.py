@@ -224,6 +224,16 @@ class TestStepping:
         with pytest.raises(NonpositiveTemperatureError):
             run_limit(state, PhysParams(0.05, 0, 0.05), 0.1, dt=0.01)
 
+    def test_settle_guards_the_temperature(self):
+        # theta0 = 1.001 - cos x passes the initial check; the shear steepens
+        # it past what 16^2 resolves, and the band-limited theta dips below 0
+        grid = make_grid(2, 16)
+        v = vector_from_functions(grid, lambda x, y: 3.0 * np.sin(y), lambda x, y: 0.0 * x)
+        theta = scalar_from_function(grid, lambda x, y: 1.001 - np.cos(x))
+        with pytest.raises(NonpositiveTemperatureError,
+                           match=r"^limit temperature lost positivity at t = 0\.6700$"):
+            run_limit(LimitState(v, theta), PhysParams(0, 0, 0), 1.0, dt=0.01)
+
     def test_rejects_divergent_initial_velocity(self, grid2d, rng):
         u = smooth_vector(grid2d, rng)  # generic field, not divergence-free
         state = LimitState(u, constant_scalar(grid2d, 2.0))

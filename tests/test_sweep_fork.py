@@ -4,7 +4,7 @@
 sending it one snapshot at a time, t = 0 first; then the child runs its
 share of the lambda values while the parent runs the rest, each process
 measuring its own runs and writing their files into a staging directory
-beside the output directory.  A patch made here before the sweep is
+in the nearest existing directory above the output directory.  A patch made here before the sweep is
 inherited by the child, which alone meets a patched stage (`stage_then`).
 Every test ends with no child process left, and every sweep, failed or
 not, with no staging directory.

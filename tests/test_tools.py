@@ -124,8 +124,11 @@ def test_bench_pairs_stock_record(tmp_path, monkeypatch):
     entry = record["tiny"]
     assert entry["all_exit_0"]
     assert list(entry["verdicts"]) == list(bench_pairs.STOCK_METRICS)
-    assert all(v == "within bound" for v in entry["verdicts"].values())
+    # One pair of ~0.2 s sweeps can read either way; its verdicts must only
+    # be the sets' verdicts combined, as for any unclaimed metric.
     [one] = entry["sets"]
+    for name, verdict in entry["verdicts"].items():
+        assert verdict == bench_pairs.combine([one["summary"][name]["verdict"]], False)
     assert one["work"] == tmp_path.name
     [pair] = one["pairs"]
     assert pair["first"] == "parent"

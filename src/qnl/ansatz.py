@@ -63,8 +63,8 @@ def _transport_potential(q: SpectralScalar, vs, grad_v) -> SpectralScalar:
 
 
 def velocity_samples(v: SpectralVector):
-    """The dealiased samples (vs, grad_v) of v and its gradient that
-    osc_potential_rhs reads."""
+    """The dealiased samples (vs, grad_v) of v and its whole gradient, which
+    osc_potential_rhs reads: both pair slots read every d_a v_b."""
     return [to_physical(v.grid, c.coeffs) for c in v], physical_gradient(v)
 
 

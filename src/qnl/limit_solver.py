@@ -21,9 +21,8 @@ import numpy as np
 
 from .errors import BlowUpError, NonpositiveTemperatureError
 from .projections import leray_p
-from .spectral import (SpectralScalar, SpectralVector, as_vector,
-                       divergence, inverse_laplacian, laplacian,
-                       physical_derivative, physical_gradient, sobolev_norm,
+from .spectral import (SpectralScalar, SpectralVector, as_vector, divergence,
+                       inverse_laplacian, laplacian, physical_derivative, sobolev_norm,
                        stack, to_physical, to_spectral, vector_from_samples)
 from .stepping import (BLOWUP_FACTOR, Snapshots, all_finite, diffusion,
                        integrate, time_grid)
@@ -72,41 +71,47 @@ class LimitState:
             raise NonpositiveTemperatureError("initial temperature not positive")
 
 
-def strain_heating(grad, mu: float) -> np.ndarray:
-    """Pointwise (mu/2) * sum_ij (d_i v_j + d_j v_i)^2 from gradient samples
-    grad[i][j] = d_i v_j (see physical_gradient)."""
-    dims = len(grad)
-    out = 0.0
-    for i in range(dims):
-        for j in range(i, dims):
-            sij = grad[j][i] + grad[i][j]
-            out = out + (sij * sij if i == j else 2.0 * sij * sij)
-    return (0.5 * mu) * out
-
-
-def _advection(grid, vs, grad_v) -> list:
-    """Samples of (v.grad)v from the samples vs[a] of v_a and grad_v[a][b]
-    of d_a v_b, one array per component."""
-    return [sum(vs[a] * grad_v[a][b] for a in range(grid.dims)) for b in range(grid.dims)]
+def gradient_terms(v: SpectralVector, vs, mu: float | None = None):
+    """Samples of div v, of (mu/2) sum_ij (d_i v_j + d_j v_i)^2 (None
+    without mu) and of each component of (v.grad)v, from v and the samples
+    vs[a] of v_a.  Each pair d_i v_j, d_j v_i (i <= j) is sampled, added
+    into every sum in index order and dropped.  Sums start from int 0 as
+    sum() does, the strain sum from 0.0: every bit is the whole gradient's."""
+    grid = v.grid
+    div, strain, advection = 0, 0.0, [0] * grid.dims
+    for i in range(grid.dims):
+        for j in range(i, grid.dims):
+            gij = physical_derivative(grid, v[j].coeffs, i)
+            gji = gij if i == j else physical_derivative(grid, v[i].coeffs, j)
+            advection[j] += vs[i] * gij
+            if i == j:
+                div += gij
+            else:
+                advection[i] += vs[j] * gji
+            if mu is not None:
+                sij = gji + gij
+                strain += sij * sij if i == j else 2.0 * sij * sij
+    return div, None if mu is None else (0.5 * mu) * strain, advection
 
 
 def ns_rhs(state: LimitState, params: PhysParams):
     """Full tendency (dv, dtheta) of the limit system.
 
     Each velocity component and each first derivative of v and theta is
-    sampled once; each tendency component is forward-transformed once.
+    sampled once, the velocity gradient pair by pair (gradient_terms); each
+    tendency component is forward-transformed once.
     """
     grid = state.grid
     v, theta = state.v, state.theta
     vs = [to_physical(grid, c.coeffs) for c in v]
-    grad_v = physical_gradient(v)
-    dv = leray_p(-vector_from_samples(grid, _advection(grid, vs, grad_v)))
+    _, heating, advection = gradient_terms(v, vs, params.mu if params.mu != 0.0 else None)
+    dv = leray_p(-vector_from_samples(grid, advection))
     if params.mu != 0.0:
         dv = dv + params.mu * laplacian(v)
     pointwise = -sum(vs[a] * physical_derivative(grid, theta.coeffs, a)
                      for a in range(grid.dims))
-    if params.mu != 0.0:
-        pointwise = pointwise + strain_heating(grad_v, params.mu)
+    if heating is not None:
+        pointwise = pointwise + heating
     dtheta = SpectralScalar(grid, to_spectral(grid, pointwise))
     if params.kappa != 0.0:
         dtheta = dtheta + params.kappa * laplacian(theta)
@@ -114,8 +119,8 @@ def ns_rhs(state: LimitState, params: PhysParams):
 
 
 def recover_pressure(state: LimitState, params: PhysParams | None = None) -> SpectralScalar:
-    """Mean-zero Pi with lap(Pi) = -div((v.grad)v - mu lap(v)); v and its
-    gradient are sampled once, as in ns_rhs."""
+    """Mean-zero Pi with lap(Pi) = -div((v.grad)v - mu lap(v)); v is sampled
+    once and its gradient pair by pair, as in ns_rhs."""
     grid, v = state.grid, state.v
     mu = params.mu if params is not None else 0.0
     # The unmasked transform, then the mask, not the pruned transform: the
@@ -123,8 +128,7 @@ def recover_pressure(state: LimitState, params: PhysParams | None = None) -> Spe
     # which qnl limit's snapshot files keep bit for bit.
     unprojected = as_vector(grid, [
         to_spectral(grid, a, masked=False) * grid.dealias_mask
-        for a in _advection(grid, [to_physical(grid, c.coeffs) for c in v],
-                            physical_gradient(v))])
+        for a in gradient_terms(v, [to_physical(grid, c.coeffs) for c in v])[2]])
     if mu != 0.0:
         unprojected = unprojected - mu * laplacian(v)
     return inverse_laplacian(-divergence(unprojected))

@@ -33,13 +33,12 @@ import numpy as np
 
 from .errors import (BlowUpError, DegenerateDensityError, MassDefectError,
                      NonpositiveTemperatureError)
-from .limit_solver import PhysParams, strain_heating
+from .limit_solver import PhysParams, gradient_terms
 from .projections import gradient_potential
 from .spectral import (MEAN_TOL, SpectralScalar, SpectralVector, as_vector,
                        constant_scalar, divergence, gradient, laplacian,
-                       physical_derivative, physical_gradient, sobolev_norm,
-                       stack, to_physical, to_spectral, vector_from_samples,
-                       zeros_scalar)
+                       physical_derivative, sobolev_norm, stack, to_physical,
+                       to_spectral, vector_from_samples, zeros_scalar)
 from .stepping import (BLOWUP_FACTOR, Snapshots, all_finite, diffusion,
                        integrate, time_grid)
 
@@ -116,16 +115,16 @@ def nsp_rhs_nonstiff(state: NSPState, params: PhysParams, lam: float, us=None):
     samples of u, if the caller has them already; sampled here otherwise.
 
     Each sample array is dropped once its last product is formed, and each
-    tendency is forward-transformed as soon as it is complete.  The samples
-    of grad u go first: div u, the strain heating and the advection sums
-    (u.grad)u_b are formed from them before 1/rho or any other field is
-    sampled.  A density at or below RHO_FLOOR therefore raises only after
-    the gradient transforms.  Then the samples of rho go with the pressure,
-    those of u (unless the caller holds them), theta and div u once the
-    transport of theta is formed, the heating's once it is transformed, and
-    each advection sum with its du[b], which is transformed before du[b + 1]
-    is formed.  Every output's arithmetic is that of the formula, so the
-    order changes no bit.
+    tendency is forward-transformed as soon as it is complete.  First the
+    gradient of u, sampled pair by pair (gradient_terms), gives div u, the
+    strain heating and the advection sums (u.grad)u_b, before 1/rho or any
+    other field is sampled: a density at or below RHO_FLOOR raises only
+    after the gradient transforms.  Then the samples of rho go with the
+    pressure, those of u (unless the caller holds them), theta and div u
+    once the transport of theta is formed, the heating's once it is
+    transformed, and each advection sum with its du[b], which is
+    transformed before du[b + 1] is formed.  Every output's arithmetic is
+    that of the formula, so the order changes no bit.
     """
     grid = state.grid
     dims = grid.dims
@@ -133,13 +132,10 @@ def nsp_rhs_nonstiff(state: NSPState, params: PhysParams, lam: float, us=None):
     rho, u, theta = state.rho, state.u, state.theta
     if us is None:
         us = [to_physical(grid, c.coeffs) for c in u]
-    grad_u = physical_gradient(u)
-    div_u = sum(grad_u[a][a] for a in range(dims))
     heats = not params.is_euler and (params.mu != 0.0 or params.nu != 0.0)
+    div_u, heating, advection = gradient_terms(u, us, params.mu if heats else None)
     if heats:
-        heating = strain_heating(grad_u, params.mu) + params.nu * div_u * div_u
-    advection = [sum(us[a] * grad_u[a][b] for a in range(dims)) for b in range(dims)]
-    del grad_u
+        heating += params.nu * div_u * div_u
 
     inv_rho = _inverse_density(rho)
     rs = to_physical(grid, rho.coeffs)

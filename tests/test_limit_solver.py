@@ -6,11 +6,13 @@ import pytest
 from qnl.errors import BlowUpError, NonpositiveTemperatureError
 from qnl.harness import default_base_fields
 from qnl.limit_solver import (LimitState, LimitTrajectory, PhysParams, advective_dt,
-                              limit_states, ns_rhs, recover_pressure, run_limit)
+                              gradient_terms, limit_states, ns_rhs, recover_pressure,
+                              run_limit)
 from qnl.projections import leray_p
 from qnl.spectral import (constant_scalar, divergence, gradient, laplacian,
-                          make_grid, scalar_from_function, sobolev_norm, stack,
-                          transform_forward, vector_from_functions, zeros_vector)
+                          make_grid, physical_gradient, scalar_from_function,
+                          sobolev_norm, stack, to_physical, transform_forward,
+                          vector_from_functions, zeros_vector)
 from qnl.stepping import step_count, time_grid
 
 from conftest import advect, smooth_vector, strain_dissipation
@@ -272,6 +274,50 @@ class TestHermiteInterpolation:
         traj = run_limit(state, params, 0.1, dt=0.01,
                          snapshot_times=np.linspace(0, 0.1, 11))
         assert sobolev_norm(traj.v_at(0.03) - traj.at(0.03).v, 0) < 1e-14
+
+
+def _strain_heating(grad, mu):
+    """The strain heating from the whole gradient grad[i][j] = d_i v_j, as
+    limit_solver formed it before gradient_terms."""
+    dims = len(grad)
+    out = 0.0
+    for i in range(dims):
+        for j in range(i, dims):
+            sij = grad[j][i] + grad[i][j]
+            out = out + (sij * sij if i == j else 2.0 * sij * sij)
+    return (0.5 * mu) * out
+
+
+def _advection(grid, vs, grad_v):
+    """(v.grad)v from the whole gradient, as limit_solver formed it before
+    gradient_terms."""
+    return [sum(vs[a] * grad_v[a][b] for a in range(grid.dims)) for b in range(grid.dims)]
+
+
+@pytest.mark.parametrize("mu", [None, 0.05], ids=["no-heating", "heating"])
+@pytest.mark.parametrize("field", ["random", "shear"])
+@pytest.mark.parametrize("dims, resolution", [(2, 16), (3, 8)], ids=["2d", "3d"])
+def test_gradient_terms_are_the_whole_gradient_formulas_bit_for_bit(dims, resolution,
+                                                                     field, mu, rng):
+    # the shear (sin of the last coordinate, 0, ...) has zero derivatives,
+    # whose products with negative samples are -0.0: each sum must start
+    # from 0 as the whole-gradient formula did, or its signed zeros differ
+    grid = make_grid(dims, resolution)
+    if field == "random":
+        v = smooth_vector(grid, rng)
+    else:
+        v = vector_from_functions(grid, lambda *x: np.sin(x[-1]),
+                                  *[lambda *x: np.zeros_like(x[0])] * (dims - 1))
+    vs = [to_physical(grid, c.coeffs) for c in v]
+    grad_v = physical_gradient(v)
+    div, heating, advection = gradient_terms(v, vs, mu)
+    assert div.tobytes() == sum(grad_v[a][a] for a in range(dims)).tobytes()
+    if mu is None:
+        assert heating is None
+    else:
+        assert heating.tobytes() == _strain_heating(grad_v, mu).tobytes()
+    for got, want in zip(advection, _advection(grid, vs, grad_v), strict=True):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_strain_dissipation_shear_example(grid2d):

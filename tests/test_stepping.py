@@ -12,7 +12,7 @@ from qnl.errors import BlowUpError
 from qnl.harness import default_base_fields, gen_initial_data
 from qnl.limit_solver import PhysParams
 from qnl.oscillation import GradientPair
-from qnl.spectral import gradient, make_grid, stack
+from qnl.spectral import SpectralScalar, as_vector, gradient, make_grid, stack
 from qnl.stepping import (all_finite, diffusion, integrate, lawson_rk4_step,
                           substep_count, time_grid, time_index)
 
@@ -170,12 +170,26 @@ def test_nsp_step_holds_two_states_beside_its_rhs():
 def test_nsp_rhs_drops_the_gradient_samples_first(dims, resolution, ceiling, params):
     # The traced peak of one NSP RHS, in coefficient arrays: 25.3 at 16^3
     # and 18.8 at 32^2 with the nine (four) gradient samples held until
-    # the last du, 20.0 and 16.5 with them dropped before 1/rho is formed.
+    # the last du, 20.0 and 16.5 with them dropped before 1/rho is formed,
+    # 19.7 and 16.5 with them sampled pair by pair (gradient_terms).
     grid = make_grid(dims, resolution)
     y, explicit, propagate = _nsp_ops(grid, params=params)
     explicit(y, 0.0)  # warm every cache
     peak = _traced_peak(lambda: explicit(y, 0.0))
     assert peak / (16 * np.prod(grid.spectral_shape)) <= ceiling
+
+
+def test_ns_rhs_samples_the_gradient_pair_by_pair():
+    # The traced peak of one limit RHS at 16^3, in coefficient arrays: 19.8
+    # with the nine gradient samples held through the advection sums, 16.2
+    # with each pair d_i v_j, d_j v_i dropped once it is added.
+    grid = make_grid(3, 16)
+    params = PhysParams(0.05, 0.0, 0.05)
+    y, _, _ = _limit_ops(grid, params)
+    state = limit_solver.LimitState(as_vector(grid, y[:3]), SpectralScalar(grid, y[3]))
+    limit_solver.ns_rhs(state, params)  # warm every cache
+    peak = _traced_peak(lambda: limit_solver.ns_rhs(state, params))
+    assert peak / (16 * np.prod(grid.spectral_shape)) <= 17.0
 
 
 @pytest.mark.parametrize("dt_target", [0.0, -0.01, float("nan")])

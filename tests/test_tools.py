@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -141,3 +143,44 @@ def test_bench_pairs_stock_record(tmp_path, monkeypatch):
                                                 metrics[name]["bound"], False)
         assert summary["parent_q1"] == summary["parent_median"] == summary["parent_q3"]
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(bench_pairs.SIDES)
+
+
+def test_refine_record(tmp_path, monkeypatch, capsys):
+    # 16^2 with two lambda: the stage step refined and coarsened, against
+    # the unrefined run, and the temporal floor from the NSP step halved
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import refine
+
+    config = tmp_path / "run.cfg"
+    config.write_text("resolution = 16\nlambda_list = 0.1, 0.05\nt_end = 0.1\nsnapshots = 3\n")
+    out = tmp_path / "refine.json"
+    assert refine.main([str(config), "--mode", "stage", "--factors", "2", "1", "0.5",
+                        "--floor", "2", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert record["mode"] == "stage" and record["stage_step"] == 0.005
+    assert record["against"] == 1 and record["floor_factor"] == 2 and record["floor"] > 0
+    assert [run["factor"] for run in record["runs"]] == [2, 1, 0.5]
+    assert [run["changes"] for run in record["runs"]] == [
+        {"limit_dt": 0.0025}, {}, {"limit_dt": 0.01}]
+    lams, channels = ["0.1", "0.05"], ["E_rho", "E_u", "E_theta", "E_phi"]
+    for run in record["runs"]:
+        assert run["status"] == {lam: "ok" for lam in lams}
+        for table in (run["E"], run["move"]):
+            assert list(table) == lams and all(list(row) == channels for row in table.values())
+        assert all(e > 0 for row in run["E"].values() for e in row.values())
+        assert run["slopes"] == {}  # a slope needs three lambda
+        assert {ch: len(s) for ch, s in run["local_slopes"].items()} == dict.fromkeys(channels, 1)
+        assert run["largest_move"] == max(m for row in run["move"].values() for m in row.values())
+        assert run["over_floor"] == run["largest_move"] / record["floor"]
+    unrefined = record["runs"][1]
+    assert unrefined["largest_move"] == 0.0
+    assert 0 < record["runs"][0]["largest_move"] < record["runs"][2]["largest_move"]
+    printed = capsys.readouterr().out
+    assert "k = 2 (limit_dt = 0.0025): largest move" in printed
+    # each mode changes only existing keys, and only to valid values
+    parsed = refine.harness.load_config(str(config))
+    assert refine.refined(parsed, "nsp", 1.5, 0.005) == {"dt_max": 0.01 / 1.5,
+                                                         "phase_resolution": 24}
+    assert refine.refined(parsed, "snapshots", 4, 0.005) == {"snapshots": 9}
+    with pytest.raises(ValueError, match="not an integer"):
+        refine.refined(parsed, "nsp", 1.1, 0.005)

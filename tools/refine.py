@@ -37,7 +37,6 @@ import json
 import math
 import sys
 import tempfile
-import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -84,10 +83,9 @@ def local_slopes(rows, channel: str) -> list:
 def sweep(config, changes: dict, output_dir: str) -> dict:
     """One run_sweep of config with changes: per lambda its status and E,
     and the slopes."""
-    start = time.perf_counter()
     report = harness.run_sweep(replace(config, output_dir=output_dir, **changes))
     return {
-        "changes": changes, "wall_s": round(time.perf_counter() - start, 3),
+        "changes": changes,
         "status": {repr(row.lam): row.status for row in report.rows},
         "E": {repr(row.lam): {ch: _finite(row.channel(ch)) for ch in harness.ERROR_CHANNELS}
               for row in report.rows},
@@ -116,12 +114,12 @@ def largest(move: dict):
 def refine(config, mode: str, factors, against: float, floor: float) -> dict:
     """The record of the runs at factors (and at 1, against and the floor's
     factor, if not among them)."""
-    stage_step = (config.limit_dt if config.limit_dt is not None
-                  else harness.stage_plan(config, harness.base_fields(config))[0])
     if min(*factors, against, floor) <= 0:
         raise ValueError("every factor must be positive")
     if mode == "snapshots" and config.snapshot_times is not None:
         raise ValueError("snapshots mode needs a config without snapshot_times")
+    stage_step = (config.limit_dt if config.limit_dt is not None
+                  else harness.stage_plan(config, harness.base_fields(config))[0])
     # factor 1 is one run, whatever the mode
     keys = [(mode, k) for k in (1, *factors, against)] + [("nsp", floor)]
     changes = {(m, k) if k != 1 else (None, 1): refined(config, m, k, stage_step)
@@ -150,24 +148,24 @@ def _g(value, spec: str) -> str:
     return "-" if value is None else format(value, spec)
 
 
-def print_record(record: dict, out=sys.stdout) -> None:
+def print_record(record: dict) -> None:
     print(f"mode {record['mode']}; stage step {record['stage_step']:g}; moves against "
           f"k = {record['against']:g}; NSP temporal floor {_g(record['floor'], '.1e')} "
-          f"(nsp run at k = {record['floor_factor']:g})", file=out)
+          f"(nsp run at k = {record['floor_factor']:g})")
     for run in record["runs"]:
         changes = ", ".join(f"{key} = {value:g}" for key, value in run["changes"].items())
         print(f"\nk = {run['factor']:g} ({changes or 'unchanged'}): largest move "
               f"{_g(run['largest_move'], '.1e')}, {_g(run['over_floor'], '.1e')} of the "
-              f"floor; {run['wall_s']:.2f} s", file=out)
+              "floor")
         print("  slopes " + "  ".join(f"{ch} {_g(run['slopes'].get(ch), '.3f')}"
-                                      for ch in harness.ERROR_CHANNELS), file=out)
+                                      for ch in harness.ERROR_CHANNELS))
         print("  local  " + "  ".join(
             f"{ch} " + " ".join(_g(s, ".3f") for s in run["local_slopes"][ch])
-            for ch in harness.ERROR_CHANNELS), file=out)
+            for ch in harness.ERROR_CHANNELS))
         for lam, values in run["E"].items():
             print(f"  lambda {lam:<8} " + "  ".join(
                 f"{ch} {_g(e, '.6e')} ({_g(run['move'][lam][ch], '.1e')})"
-                for ch, e in values.items()) + f"  {run['status'][lam]}", file=out)
+                for ch, e in values.items()) + f"  {run['status'][lam]}")
 
 
 def main(argv=None) -> int:

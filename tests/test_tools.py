@@ -147,18 +147,19 @@ def test_bench_pairs_stock_record(tmp_path, monkeypatch):
 
 def test_refine_record(tmp_path, monkeypatch, capsys):
     # 16^2 with two lambda: the stage step refined and coarsened, against
-    # the unrefined run, and the temporal floor from the NSP step halved
+    # the finest run, and the temporal floor from the NSP step halved
     monkeypatch.syspath_prepend(str(ROOT / "tools"))
     import refine
 
+    monkeypatch.setattr(refine, "FLOOR_FACTOR", 2)
     config = tmp_path / "run.cfg"
     config.write_text("resolution = 16\nlambda_list = 0.1, 0.05\nt_end = 0.1\nsnapshots = 3\n")
     out = tmp_path / "refine.json"
     assert refine.main([str(config), "--mode", "stage", "--factors", "2", "1", "0.5",
-                        "--floor", "2", "--out", str(out)]) == 0
+                        "--out", str(out)]) == 0
     record = json.loads(out.read_text())
     assert record["mode"] == "stage" and record["stage_step"] == 0.005
-    assert record["against"] == 1 and record["floor_factor"] == 2 and record["floor"] > 0
+    assert record["against"] == 2 and record["floor_factor"] == 2 and record["floor"] > 0
     assert [run["factor"] for run in record["runs"]] == [2, 1, 0.5]
     assert [run["changes"] for run in record["runs"]] == [
         {"limit_dt": 0.0025}, {}, {"limit_dt": 0.01}]
@@ -172,9 +173,9 @@ def test_refine_record(tmp_path, monkeypatch, capsys):
         assert {ch: len(s) for ch, s in run["local_slopes"].items()} == dict.fromkeys(channels, 1)
         assert run["largest_move"] == max(m for row in run["move"].values() for m in row.values())
         assert run["over_floor"] == run["largest_move"] / record["floor"]
-    unrefined = record["runs"][1]
-    assert unrefined["largest_move"] == 0.0
-    assert 0 < record["runs"][0]["largest_move"] < record["runs"][2]["largest_move"]
+    finest = record["runs"][0]
+    assert finest["largest_move"] == 0.0
+    assert 0 < record["runs"][1]["largest_move"] < record["runs"][2]["largest_move"]
     printed = capsys.readouterr().out
     assert "k = 2 (limit_dt = 0.0025): largest move" in printed
     # each mode changes only existing keys, and only to valid values
@@ -184,3 +185,9 @@ def test_refine_record(tmp_path, monkeypatch, capsys):
     assert refine.refined(parsed, "snapshots", 4, 0.005) == {"snapshots": 9}
     with pytest.raises(ValueError, match="not an integer"):
         refine.refined(parsed, "nsp", 1.1, 0.005)
+    # a factor that gives an invalid config exits 2 before any run starts
+    monkeypatch.setattr(refine, "sweep", lambda *args: pytest.fail("a run started"))
+    assert refine.main([str(config), "--mode", "nsp", "--factors", "1", "0.125",
+                        "--out", str(tmp_path / "bad.json")]) == 2
+    assert "phase_resolution must be >= 4" in capsys.readouterr().err
+    assert not (tmp_path / "bad.json").exists()

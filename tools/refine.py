@@ -3,7 +3,7 @@
 sampling in time is refined.
 
     PYTHONPATH=src python3 tools/refine.py CONFIG --mode stage \\
-        --factors 4 2 1 0.5 0.25 0.16 --against 4
+        --factors 4 2 1 0.5 0.25 0.16
     PYTHONPATH=src python3 tools/refine.py CONFIG --mode snapshots --factors 1 6 16
 
 Each run is `harness.run_sweep` in this process, on a copy of the
@@ -20,14 +20,14 @@ Factor 1 is the config as it is, and a factor below 1 coarsens.  Each
 run's files go to a temporary directory, removed at the end.
 
 Per lambda and channel the record gives E and its relative move
-|E - E_ref| / E_ref against the reference run (`--against`, by default
-the unrefined one), and per channel the fitted slope and the local slopes
+|E - E_ref| / E_ref against the finest run (the largest factor), and per
+channel the fitted slope and the local slopes
 log(E_i+1 / E_i) / log(lam_i+1 / lam_i) of neighbouring lambdas.  The NSP
-temporal floor is the largest move of the `nsp` run at `--floor` (8 by
-default) against the unrefined run; each run's largest move is also given
-as a multiple of it.  All of it is printed and written as JSON to
-`--out`.  A config error (`harness.MAX_STEPS`
-included) exits 2.
+temporal floor is the largest move of the `nsp` run at FLOOR_FACTOR
+against the unrefined run; each run's largest move is also given as a
+multiple of it.  All of it is printed and written as JSON to `--out`.
+Every run's config is checked, `harness.MAX_STEPS` included, before the
+first run starts; a config error exits 2.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from qnl import harness
 from qnl.errors import QnlError
 
 MODES = ("stage", "nsp", "snapshots")
+FLOOR_FACTOR = 8  # the nsp run that sets the temporal floor
 
 
 def refined(config, mode: str, k: float, stage_step: float) -> dict:
@@ -111,19 +112,24 @@ def largest(move: dict):
     return max(values) if values else None
 
 
-def refine(config, mode: str, factors, against: float, floor: float) -> dict:
-    """The record of the runs at factors (and at 1, against and the floor's
-    factor, if not among them)."""
-    if min(*factors, against, floor) <= 0:
+def refine(config, mode: str, factors) -> dict:
+    """The record of the runs at factors, with moves against the largest
+    (and of the runs at 1 and at FLOOR_FACTOR, if not among them)."""
+    if min(factors) <= 0:
         raise ValueError("every factor must be positive")
     if mode == "snapshots" and config.snapshot_times is not None:
         raise ValueError("snapshots mode needs a config without snapshot_times")
+    base = harness.base_fields(config)
     stage_step = (config.limit_dt if config.limit_dt is not None
-                  else harness.stage_plan(config, harness.base_fields(config))[0])
+                  else harness.stage_plan(config, base)[0])
     # factor 1 is one run, whatever the mode
-    keys = [(mode, k) for k in (1, *factors, against)] + [("nsp", floor)]
+    keys = [(mode, k) for k in (1, *factors)] + [("nsp", FLOOR_FACTOR)]
     changes = {(m, k) if k != 1 else (None, 1): refined(config, m, k, stage_step)
                for m, k in keys}
+    for change in changes.values():  # as run_sweep checks it, before any run
+        checked = replace(config, **change)
+        checked.validate()
+        harness.plan_sweep(checked, base)
     with tempfile.TemporaryDirectory() as tmp:
         runs = {key: sweep(config, change, str(Path(tmp) / f"run{i}"))
                 for i, (key, change) in enumerate(changes.items())}
@@ -131,10 +137,11 @@ def refine(config, mode: str, factors, against: float, floor: float) -> dict:
     def run(m, k):
         return runs[(m, k) if k != 1 else (None, 1)]
 
+    against = max(factors)
     ref, unrefined = run(mode, against), run(mode, 1)
-    floor_move = largest(moves(run("nsp", floor), unrefined))
+    floor_move = largest(moves(run("nsp", FLOOR_FACTOR), unrefined))
     record = {"mode": mode, "stage_step": stage_step, "against": against,
-              "floor_factor": floor, "floor": floor_move, "runs": []}
+              "floor_factor": FLOOR_FACTOR, "floor": floor_move, "runs": []}
     for k in factors:
         entry = dict(run(mode, k), factor=k, move=moves(run(mode, k), ref))
         entry["largest_move"] = largest(entry["move"])
@@ -173,15 +180,10 @@ def main(argv=None) -> int:
     parser.add_argument("config", help="configuration file, as for qnl run")
     parser.add_argument("--mode", choices=MODES, required=True)
     parser.add_argument("--factors", type=float, nargs="+", default=[1.0, 2.0, 4.0, 8.0])
-    parser.add_argument("--against", type=float, default=1.0,
-                        help="factor of the run the moves are taken against")
-    parser.add_argument("--floor", type=float, default=8.0,
-                        help="factor of the nsp run that sets the temporal floor")
     parser.add_argument("--out", type=Path, default=Path("refine.json"))
     args = parser.parse_args(argv)
     try:
-        record = refine(harness.load_config(args.config), args.mode, args.factors,
-                        args.against, args.floor)
+        record = refine(harness.load_config(args.config), args.mode, args.factors)
     except (QnlError, ValueError) as exc:
         print(f"Error: {exc}", file=sys.stderr)
         return 2

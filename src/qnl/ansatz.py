@@ -68,14 +68,12 @@ def velocity_samples(v: SpectralVector):
     return [to_physical(v.grid, c.coeffs) for c in v], physical_gradient(v)
 
 
-def osc_potential_rhs(q: SpectralScalar, psi: SpectralScalar, v_now: SpectralVector,
-                      params: PhysParams, samples=None):
+def osc_potential_rhs(q: SpectralScalar, psi: SpectralScalar, samples, params: PhysParams):
     """Full tendency of the filtered pair system by potentials: the scalars
-    whose gradients are the tendencies of grad(q) and grad(psi).  v is
-    sampled once for both slots, or samples are its velocity_samples if the
-    caller has them."""
+    whose gradients are the tendencies of grad(q) and grad(psi), from the
+    velocity_samples of v, shared by both slots."""
     coeff = params.mu + 0.5 * params.nu
-    vs, grad_v = velocity_samples(v_now) if samples is None else samples
+    vs, grad_v = samples
 
     def one(p):
         out = -0.5 * _transport_potential(p, vs, grad_v)
@@ -87,10 +85,11 @@ def osc_potential_rhs(q: SpectralScalar, psi: SpectralScalar, v_now: SpectralVec
 
 
 def osc_rhs(pair: GradientPair, v_now: SpectralVector, params: PhysParams) -> GradientPair:
-    """Full tendency of the filtered pair system, by osc_potential_rhs on
-    the potentials of the slots (a curl part of a slot is not seen)."""
+    """Full tendency of the filtered pair system: osc_potential_rhs on the
+    slots' potentials (a curl part is not seen) and the samples of v_now."""
     dq, dpsi = osc_potential_rhs(gradient_potential(pair.grad_q),
-                                 gradient_potential(pair.grad_psi), v_now, params)
+                                 gradient_potential(pair.grad_psi),
+                                 velocity_samples(v_now), params)
     return GradientPair(gradient(dq), gradient(dpsi))
 
 
@@ -117,7 +116,7 @@ def pair_potentials(pair0: GradientPair, limit: LimitTrajectory, params: PhysPar
     (limit.v_at), whose nodes must reach each step's end when it is taken.
 
     pair0 must be a gradient pair (NotGradientError otherwise: a curl part
-    would be dropped).  The velocity and its samples are kept for one stage
+    would be dropped).  Only the velocity's samples are kept, for one stage
     time, and let go before the next velocity is sampled.  The stage times
     never return to an older one: a step's two midpoint stages share one,
     and its last stage shares its time with the next step's first whenever
@@ -130,19 +129,17 @@ def pair_potentials(pair0: GradientPair, limit: LimitTrajectory, params: PhysPar
     grid = pair0.grid
     coeff = params.mu + 0.5 * params.nu
     times = time_grid(snapshot_times, t_end)
-    held = {}  # the last stage time -> (v, its velocity_samples)
+    held = {}  # the last stage time -> the velocity_samples of v there
 
-    def velocity(t):
+    def samples_at(t):
         if t not in held:
             held.clear()  # before the next v is sampled
-            v = limit.v_at(t)
-            held[t] = v, velocity_samples(v)
+            held[t] = velocity_samples(limit.v_at(t))
         return held[t]
 
     def explicit(y, t):
-        v, samples = velocity(t)
         tend = osc_potential_rhs(SpectralScalar(grid, y[0]), SpectralScalar(grid, y[1]),
-                                 v, params, samples)
+                                 samples_at(t), params)
         return tuple(d.coeffs + coeff * grid.k_sq * p for d, p in zip(tend, y))
 
     norm0 = max(sobolev_norm(pair0, norm_s), 1e-300)

@@ -707,13 +707,14 @@ def _lambda_independent_stage(config: RunConfig, base: BaseFields, dt: float):
     state, pair potentials (q, psi), pair growth factor so far) at each
     snapshot time.  The limit solve steps through an interval, then the
     pair solve, whose v_at reads the limit's Hermite nodes of that interval
-    only; the values are those of solve_osc on the whole run_limit."""
+    only; the values are those of solve_osc on the whole run_limit.
+    Neither writes into the base fields, passed uncopied."""
     times = config.resolved_snapshot_times()
     params = config.limit_params()
     nodes = LimitTrajectory(times, [], base.v0.grid, [], [], [])
-    limits = limit_states(LimitState(base.v0.copy(), base.theta0.copy()), params,
+    limits = limit_states(LimitState(base.v0, base.theta0), params,
                           config.t_end, dt, times, nodes)
-    pairs = pair_potentials(GradientPair(base.qu0.copy(), gradient(base.phi0)), nodes,
+    pairs = pair_potentials(GradientPair(base.qu0, gradient(base.phi0)), nodes,
                             params, config.t_end, dt, times, config.s_norm)
     for limit in limits:
         yield (limit, *next(pairs))

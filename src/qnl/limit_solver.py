@@ -138,7 +138,7 @@ def _make_ops(grid, params: PhysParams, guard: float, nodes=None):
     """explicit, propagate and settle of the (v, theta) state for integrate.
     settle re-projects v, guards the state and returns it with its first-stage
     tendency (FSAL); given a node store nodes, it also appends each node's
-    time, velocity and velocity tendency (its Hermite slope) to its lists."""
+    time, velocity (the state's own arrays) and Hermite slope to its lists."""
     k_sq = grid.k_sq
     n = grid.dims
 
@@ -158,10 +158,9 @@ def _make_ops(grid, params: PhysParams, guard: float, nodes=None):
         y = stack(v, theta)
         n1 = explicit(y, t)
         if nodes is not None:
-            v = np.stack(y[:n])
             nodes.node_times.append(t)
-            nodes.v_nodes.append(v)
-            nodes.dv_nodes.append(np.stack(n1[:n]) - params.mu * k_sq * v)
+            nodes.v_nodes.append(y[:n])
+            nodes.dv_nodes.append(tuple(d - params.mu * k_sq * c for d, c in zip(n1, y[:n])))
         return y, n1
 
     return explicit, diffusion(k_sq, (params.mu,) * n + (params.kappa,)), settle
@@ -181,14 +180,14 @@ class LimitTrajectory(Snapshots):
 
     grid: object
     node_times: np.ndarray
-    v_nodes: list           # per node: (dims, *shape) complex array
-    dv_nodes: list          # per node: (dims, *shape) tendency of v
+    v_nodes: list           # per node: the dims coefficient arrays of v
+    dv_nodes: list          # per node: the dims arrays of its tendency
 
-    def _vector(self, block) -> SpectralVector:
-        return as_vector(self.grid, [row.copy() for row in block])
+    def _vector(self, node) -> SpectralVector:
+        return as_vector(self.grid, [c.copy() for c in node])
 
     def v_at(self, t: float) -> SpectralVector:
-        """Cubic Hermite interpolation of the velocity between nodes."""
+        """Cubic Hermite interpolation of the velocity, component by component."""
         times = self.node_times
         if t <= times[0]:
             return self._vector(self.v_nodes[0])
@@ -203,9 +202,10 @@ class LimitTrajectory(Snapshots):
         h10 = s * (1.0 - s) ** 2
         h01 = s * s * (3.0 - 2.0 * s)
         h11 = s * s * (s - 1.0)
-        block = (h00 * self.v_nodes[i] + h01 * self.v_nodes[i + 1]
-                 + h * (h10 * self.dv_nodes[i] + h11 * self.dv_nodes[i + 1]))
-        return self._vector(block)
+        return as_vector(self.grid, [
+            h00 * v0 + h01 * v1 + h * (h10 * d0 + h11 * d1)
+            for v0, v1, d0, d1 in zip(self.v_nodes[i], self.v_nodes[i + 1],
+                                      self.dv_nodes[i], self.dv_nodes[i + 1])])
 
     def keep_last_node(self) -> None:
         """Forget every node but the last, on node lists that limit_states

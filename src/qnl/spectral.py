@@ -145,12 +145,13 @@ class TorusGrid:
         for array in (*self.k, *self.kd, *self.ik, self.k_sq, self.inv_k_sq,
                       self.inv_kd_sq, self.dealias_mask, self.band_mask, self.weight):
             array.flags.writeable = False
-        self._sobolev_weights = {}
+        self._sobolev_weights = {0: self.weight}
 
     def sobolev_weight(self, s: float) -> np.ndarray:
         """`weight * (1 + |k|^2)^s`, the H^s norm's weight on the half
         spectrum.  Built on the first call for each s and held, read-only:
-        a sweep uses four exponents (0, 1, s_norm and s_norm + 1)."""
+        a sweep uses four exponents (0, 1, s_norm and s_norm + 1); for 0,
+        `weight` itself, which the formula gives bit for bit."""
         weight = self._sobolev_weights.get(s)
         if weight is None:
             weight = self.weight * (1.0 + self.k_sq) ** s

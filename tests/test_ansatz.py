@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from qnl.ansatz import (CorrectorForcings, build_oscillation, corrector_state,
-                        osc_rhs, solve_osc, velocity_samples)
+                        osc_potential_rhs, osc_rhs, potential_pair, solve_osc,
+                        velocity_samples)
 from qnl.errors import BlowUpError, NonZeroMeanError, NotGradientError
 from qnl.limit_solver import LimitState, PhysParams, run_limit
 from qnl.nsp import NSPState
 from qnl.oscillation import GradientPair
-from qnl.projections import leray_p, leray_q
-from qnl.spectral import (as_vector, constant_scalar, divergence, gradient,
-                          inverse_laplacian, laplacian, make_grid,
+from qnl.projections import gradient_potential, leray_p, leray_q
+from qnl.spectral import (SpectralScalar, as_vector, constant_scalar, divergence,
+                          gradient, inverse_laplacian, laplacian, make_grid,
                           physical_gradient, scalar_from_function,
                           sobolev_norm, stack, to_physical,
                           vector_from_functions, vector_from_samples,
@@ -339,8 +340,8 @@ class TestAssembleAnsatz:
 def test_pair_solve_samples_v_once_per_distinct_stage_time(grid2d, monkeypatch):
     # A step's midpoint stages share a time, and its last stage the next
     # step's first; steps of 1/32 add up exactly, so 4 steps sample v
-    # 1 + 2 * 4 times, not 16, and the pairs are those of sampling at
-    # every stage, bit for bit.
+    # 1 + 2 * 4 times, not 16, and the pairs are those of an oracle that
+    # samples v at every stage, bit for bit.
     import qnl.ansatz
     base_v = vector_from_functions(grid2d, lambda x, y: np.sin(x) * np.cos(y),
                                    lambda x, y: -np.cos(x) * np.sin(y))
@@ -356,11 +357,21 @@ def test_pair_solve_samples_v_once_per_distinct_stage_time(grid2d, monkeypatch):
     cached = solve_osc(pair0, limit, params, 0.125, dt=1 / 32)
     assert len(calls) == 1 + 2 * 4
 
-    rhs = qnl.ansatz.osc_potential_rhs
-    monkeypatch.setattr(qnl.ansatz, "osc_potential_rhs",
-                        lambda q, psi, v, params, samples=None: rhs(q, psi, v, params))
-    plain = solve_osc(pair0, limit, params, 0.125, dt=1 / 32)
-    for got, expected in zip(cached.states, plain.states, strict=True):
+    coeff = params.mu + 0.5 * params.nu
+    stages = []
+
+    def explicit(y, t):
+        stages.append(t)
+        tend = osc_potential_rhs(SpectralScalar(grid2d, y[0]), SpectralScalar(grid2d, y[1]),
+                                 velocity_samples(limit.v_at(t)), params)
+        return tuple(d.coeffs + coeff * grid2d.k_sq * p for d, p in zip(tend, y))
+
+    y0 = (gradient_potential(pair0.grad_q).coeffs, gradient_potential(pair0.grad_psi).coeffs)
+    plain = integrate(y0, time_grid(None, 0.125), 1 / 32, explicit,
+                      diffusion(grid2d.k_sq, (coeff, coeff)), lambda y, t: (y, None))
+    for got, y in zip(cached.states, plain, strict=True):
+        expected = potential_pair(grid2d, y)
         for a, b in zip(got.grad_q.components + got.grad_psi.components,
                         expected.grad_q.components + expected.grad_psi.components):
             assert a.coeffs.tobytes() == b.coeffs.tobytes()
+    assert len(stages) == 4 * 4

@@ -253,6 +253,16 @@ class TestGenInitialData:
         with pytest.raises(NonpositiveTemperatureError):
             gen_initial_data("ill", 0.1, bad)
 
+    @pytest.mark.parametrize("kind, lam, message", [
+        ("smooth", 0.1, "kind must be 'ill' or 'well', got 'smooth'"),
+        ("ill", 0.0, "lambda must be positive, got 0.0"),
+        ("well", -0.05, "lambda must be positive, got -0.05"),
+    ])
+    def test_rejects_a_bad_kind_or_nonpositive_lambda(self, grid2d, kind, lam, message):
+        with pytest.raises(ValueError) as info:
+            gen_initial_data(kind, lam, default_base_fields(grid2d, "well"))
+        assert str(info.value) == message
+
     def test_well_requires_zero_oscillation_sources(self, grid2d):
         base = default_base_fields(grid2d, "ill")
         with pytest.raises(ValueError, match="well-prepared"):

@@ -210,6 +210,15 @@ class TestNspStep:
             run_nsp(state, PhysParams(0, 0, 0), 0.1, 0.1, dt=0.0)
 
 
+@pytest.mark.parametrize("lam", [0.0, -0.05])
+def test_nonpositive_lambda_is_refused_and_a_missing_phi_has_no_residual(grid2d, lam):
+    base = default_base_fields(grid2d, "ill")
+    state = NSPState(constant_scalar(grid2d, 1.0), base.v0, base.theta0)
+    assert np.isnan(state.poisson_residual(0.05))
+    with pytest.raises(ValueError, match=f"^lambda must be positive, got {lam}$"):
+        run_nsp(state, PhysParams(0, 0, 0), lam, 0.1, dt=0.01)
+
+
 class TestRunNsp:
     @pytest.fixture()
     def short_run(self):

@@ -16,8 +16,8 @@ from qnl.spectral import (SpectralScalar, SpectralVector, TorusGrid, as_vector,
                           l2_inner, laplacian, make_grid, product, read_snapshot,
                           scalar_from_function, sobolev_norm,
                           stack, to_physical, to_spectral, transform_forward,
-                          transform_inverse,
-                          vector_from_functions, write_snapshot)
+                          transform_inverse, vector_from_functions, write_snapshot,
+                          zeros_scalar)
 
 from conftest import band_limited_scalar, smooth_scalar, smooth_vector
 
@@ -347,6 +347,8 @@ class TestSobolevNorm:
             assert held.tobytes() == direct.tobytes()
             assert grid.sobolev_weight(s) is held
             assert not held.flags.writeable
+        # (1 + |k|^2)^0 is 1.0 exactly, so the grid's own weight serves s = 0
+        assert grid.sobolev_weight(0) is grid.sobolev_weight(0.0) is grid.weight
 
 def _full_spectrum(samples):
     """Full-spectrum coefficients of real samples, made exactly Hermitian."""
@@ -532,3 +534,43 @@ def test_stack_and_as_vector_share_arrays(grid2d, rng):
     assert all(a is c.coeffs for a, c in zip(y[1:-1], u))
     v = as_vector(grid2d, y[1:-1])
     assert all(c.coeffs is a for c, a in zip(v, y[1:-1]))
+
+
+def _kind_3_file(grid, path):
+    """A scalar snapshot file whose header names field kind 3."""
+    write_snapshot(path, zeros_scalar(grid))
+    data = path.read_bytes()
+    path.write_bytes(data[:12] + struct.pack("<I", 3) + data[16:])
+    return path
+
+
+# case -> (call on (grid, path), the error it raises or None, its message)
+PUBLIC_BRANCHES = {
+    "real coefficients": (lambda g, path: SpectralScalar(g, np.ones(g.spectral_shape)),
+                          None, None),
+    "one component": (lambda g, path: SpectralVector(g, (zeros_scalar(g),)),
+                      ValueError, "expected 2 components, got 1"),
+    "component on another grid": (
+        lambda g, path: SpectralVector(g, (zeros_scalar(g), zeros_scalar(make_grid(2, 16)))),
+        ValueError, "component grid mismatch"),
+    "one function": (lambda g, path: vector_from_functions(g, np.sin),
+                     ValueError, "need 2 component functions"),
+    "not a field": (lambda g, path: write_snapshot(path, g.weight),
+                    TypeError, "cannot snapshot object of type <class 'numpy.ndarray'>"),
+    "unknown kind": (lambda g, path: read_snapshot(_kind_3_file(g, path)),
+                     ValueError, "unknown snapshot field kind 3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PUBLIC_BRANCHES))
+def test_public_field_and_snapshot_branches(grid2d, tmp_path, case):
+    call, error, message = PUBLIC_BRANCHES[case]
+    path = tmp_path / "field.qnl"
+    if error is None:  # real coefficients are stored as complex
+        f = call(grid2d, path)
+        assert f.coeffs.dtype == np.complex128 and np.all(f.coeffs == 1.0)
+        return
+    with pytest.raises(error) as info:
+        call(grid2d, path)
+    assert str(info.value) == message
+    assert case != "not a field" or not path.exists()

@@ -17,6 +17,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -716,6 +717,54 @@ def test_pair_solve_holds_one_velocity(monkeypatch, name):
     monkeypatch.setattr(LimitTrajectory, "v_at", recorded)
     solve_stage(config, base, stage_plan(config, base)[0])
     assert len(given) > 1
+
+
+def block_hermite(traj, t):
+    """v_at's formula on (dims, *shape) blocks stacked from the nodes, the
+    node layout before nodes held the settled state's own arrays."""
+    times = traj.node_times
+    i = int(np.searchsorted(times, t, side="right")) - 1
+    h = times[i + 1] - times[i]
+    s = (t - times[i]) / h
+    h00 = (1.0 + 2.0 * s) * (1.0 - s) ** 2
+    h10 = s * (1.0 - s) ** 2
+    h01 = s * s * (3.0 - 2.0 * s)
+    h11 = s * s * (s - 1.0)
+    v0, v1, d0, d1 = (np.stack(node) for node in (
+        traj.v_nodes[i], traj.v_nodes[i + 1], traj.dv_nodes[i], traj.dv_nodes[i + 1]))
+    return h00 * v0 + h01 * v1 + h * (h10 * d0 + h11 * d1)
+
+
+def test_stage_holds_no_copy_of_its_nodes_or_inputs():
+    # Traced peak of a warm stage at 16^3 (12 steps, 3 snapshots kept), in
+    # coefficient arrays: 114.1 with stacked copies of each node, a held v
+    # beside its samples and copied base fields; 98.1 without them.
+    config = RunConfig(dims=3, resolution=16, s_norm=3.5, t_end=0.05, snapshots=3,
+                       ic_random_amp=0.01)
+    base = base_fields(config)
+    dt = stage_plan(config, base)[0]
+    inputs = (*base.v0, base.theta0, *base.qu0, base.phi0)
+    before = [c.coeffs.tobytes() for c in inputs]
+    solve_stage(config, base, dt)  # warm every held weight and factor
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        items = solve_stage(config, base, dt)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    del items
+    assert peak / (16 * np.prod(base.v0.grid.spectral_shape)) <= 104
+    assert [c.coeffs.tobytes() for c in inputs] == before
+
+    # between nodes, v_at is the stacked-block formula bit for bit
+    traj = whole_limit(config, base, dt)
+    times = traj.node_times
+    for t in (0.3 * times[0] + 0.7 * times[1], 0.5 * (times[5] + times[6]),
+              0.9 * times[-2] + 0.1 * times[-1]):
+        got = traj.v_at(t)
+        for c, row in zip(got, block_hermite(traj, t), strict=True):
+            assert c.coeffs.tobytes() == row.tobytes()
 
 
 def test_predicted_steps_follow_the_viscous_bound(step_counter):

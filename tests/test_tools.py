@@ -147,7 +147,8 @@ def test_bench_pairs_stock_record(tmp_path, monkeypatch):
 
 def test_refine_record(tmp_path, monkeypatch, capsys):
     # 16^2 with two lambda: the stage step refined and coarsened, against
-    # the finest run, and the temporal floor from the NSP step halved
+    # the finest run, and the temporal floor from the NSP step halved; then
+    # the grid refined
     monkeypatch.syspath_prepend(str(ROOT / "tools"))
     import refine
 
@@ -185,9 +186,28 @@ def test_refine_record(tmp_path, monkeypatch, capsys):
     assert refine.refined(parsed, "snapshots", 4, 0.005) == {"snapshots": 9}
     with pytest.raises(ValueError, match="not an integer"):
         refine.refined(parsed, "nsp", 1.1, 0.005)
-    # a factor that gives an invalid config exits 2 before any run starts
+    with pytest.raises(ValueError, match="not an integer"):
+        refine.refined(parsed, "resolution", 1.1, 0.005)
+    # the grid refined to 24^2, against the finest run
+    assert refine.main([str(config), "--mode", "resolution", "--factors", "1.5", "1",
+                        "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert [run["changes"] for run in record["runs"]] == [{"resolution": 24}, {}]
+    assert all(run["status"] == {lam: "ok" for lam in lams} for run in record["runs"])
+    assert record["runs"][0]["largest_move"] == 0.0 < record["runs"][1]["largest_move"]
+    assert "k = 1.5 (resolution = 24): largest move" in capsys.readouterr().out
+    # a factor that gives an invalid config exits 2 before any run starts,
+    # and so does a grid refinement of random initial data
     monkeypatch.setattr(refine, "sweep", lambda *args: pytest.fail("a run started"))
-    assert refine.main([str(config), "--mode", "nsp", "--factors", "1", "0.125",
+    for mode, factor, message in [("nsp", "0.125", "phase_resolution must be >= 4"),
+                                  ("resolution", "0.25", "resolution must be even and >= 8"),
+                                  ("resolution", "1.0625", "resolution must be even and >= 8")]:
+        assert refine.main([str(config), "--mode", mode, "--factors", "1", factor,
+                            "--out", str(tmp_path / "bad.json")]) == 2
+        assert message in capsys.readouterr().err
+    random = tmp_path / "random.cfg"
+    random.write_text(config.read_text() + "ic_random_amp = 0.01\n")
+    assert refine.main([str(random), "--mode", "resolution", "--factors", "1.5",
                         "--out", str(tmp_path / "bad.json")]) == 2
-    assert "phase_resolution must be >= 4" in capsys.readouterr().err
+    assert "ic_random_amp = 0" in capsys.readouterr().err
     assert not (tmp_path / "bad.json").exists()

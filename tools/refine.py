@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""How far a sweep's E values and slopes move when one step or the
-sampling in time is refined.
+"""How far a sweep's E values and slopes move when one step, the
+sampling in time or the grid is refined.
 
     PYTHONPATH=src python3 tools/refine.py CONFIG --mode stage \\
         --factors 4 2 1 0.5 0.25 0.16
     PYTHONPATH=src python3 tools/refine.py CONFIG --mode snapshots --factors 1 6 16
+    PYTHONPATH=src python3 tools/refine.py CONFIG --mode resolution --factors 1.5 1
 
 Each run is `harness.run_sweep` in this process, on a copy of the
 configuration file CONFIG that changes only existing keys, by a factor k:
@@ -14,7 +15,11 @@ configuration file CONFIG that changes only existing keys, by a factor k:
 * `nsp`: `dt_max` over k and `phase_resolution` times k, which must then
   be an integer;
 * `snapshots`: k times as many snapshot intervals, `snapshots` = (n - 1) k
-  + 1; a config with explicit `snapshot_times` is refused.
+  + 1; a config with explicit `snapshot_times` is refused;
+* `resolution`: `resolution` times k, which must be an even integer of at
+  least 8; every step follows the solvers' own rules on the new grid.  A
+  config with `ic_random_amp` > 0 is refused: its random initial data
+  depend on the grid.
 
 Factor 1 is the config as it is, and a factor below 1 coarsens.  Each
 run's files go to a temporary directory, removed at the end.
@@ -43,7 +48,7 @@ from pathlib import Path
 from qnl import harness
 from qnl.errors import QnlError
 
-MODES = ("stage", "nsp", "snapshots")
+MODES = ("stage", "nsp", "snapshots", "resolution")
 FLOOR_FACTOR = 8  # the nsp run that sets the temporal floor
 
 
@@ -59,6 +64,11 @@ def refined(config, mode: str, k: float, stage_step: float) -> dict:
             raise ValueError(f"phase_resolution {config.phase_resolution} times {k} "
                              "is not an integer")
         return {"dt_max": config.dt_max / k, "phase_resolution": round(phases)}
+    if mode == "resolution":
+        resolution = config.resolution * k
+        if resolution != round(resolution):
+            raise ValueError(f"resolution {config.resolution} times {k} is not an integer")
+        return {"resolution": round(resolution)}
     intervals = (config.snapshots - 1) * k
     if intervals != round(intervals):
         raise ValueError(f"{config.snapshots - 1} snapshot intervals times {k} "
@@ -119,6 +129,9 @@ def refine(config, mode: str, factors) -> dict:
         raise ValueError("every factor must be positive")
     if mode == "snapshots" and config.snapshot_times is not None:
         raise ValueError("snapshots mode needs a config without snapshot_times")
+    if mode == "resolution" and config.ic_random_amp > 0:
+        raise ValueError("resolution mode needs ic_random_amp = 0: the random initial "
+                         "data depend on the grid")
     base = harness.base_fields(config)
     stage_step = (config.limit_dt if config.limit_dt is not None
                   else harness.stage_plan(config, base)[0])
@@ -129,7 +142,7 @@ def refine(config, mode: str, factors) -> dict:
     for change in changes.values():  # as run_sweep checks it, before any run
         checked = replace(config, **change)
         checked.validate()
-        harness.plan_sweep(checked, base)
+        harness.plan_sweep(checked, harness.base_fields(checked))
     with tempfile.TemporaryDirectory() as tmp:
         runs = {key: sweep(config, change, str(Path(tmp) / f"run{i}"))
                 for i, (key, change) in enumerate(changes.items())}

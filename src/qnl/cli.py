@@ -45,7 +45,7 @@ def _cmd_limit(args) -> int:
     base = base_fields(config)
     dt, _ = stage_plan(config, base)
     times = config.resolved_snapshot_times()
-    states = list(limit_states(LimitState(base.v0.copy(), base.theta0.copy()),
+    states = list(limit_states(LimitState(base.v0, base.theta0),
                                config.limit_params(), config.t_end, dt, times))
     os.makedirs(config.output_dir, exist_ok=True)
     path = os.path.join(config.output_dir, "limit.csv")

@@ -64,34 +64,17 @@ byte for byte a serial sweep's.
 
 Why not lockstep: driving every run of a process one interval at a time
 would step them outside their `run_nsp` calls, which the benchmark's tracer
-times as the NSP stage.  Nor does a reader thread drain the pipe: its glibc
-arena would hold the unpickled arrays apart from the heap that the lambda
-runs reuse.  A process pool over lambda would raise the peak RSS
-(tools/sweep_memory.py prints the parent's memory phase by phase).
-Scratch prototypes: two threads ran ns2d's four NSP runs in 0.29-0.36 s,
-against 0.19-0.20 s one after another (speed-up 0.55-0.66x; 1.15-1.35x
-on ns3d); framing the pipe by multiprocessing.connection raised ns3d's
-`qnl run` peak from 44.92-44.94 to 45.55-45.68 MiB, the child's from
-40.45 to 41.31-41.53 MiB (tools/sweep_memory.py, seed 0).  The system's
-default pipe (64 KiB; no F_SETPIPE_SZ) was slower in 6 of 6 alternating
-`bench/run.py --seconds 6` pairs on each of ns3d and ns2d (seeds
-100-105): ns3d's wall_s read 0.555-0.622 s against 0.515-0.538 s with
-PIPE_BYTES, ns2d's 0.518-0.584 against 0.487-0.547 s, while ns3d's
-peak_rss_mb fell to 45.08-45.16 from 45.22-45.29 MiB; so the pipe size
-stays.  A blocking read, in which `_Stage.take` reads the pipe until the
-state's stage item arrives and then measures at once (no waiting queue,
-`_measure_ready` or `_Forked.ready`; 18-20 lines fewer), lost on 2D in
-two sets of 8 alternating `bench/run.py --seconds 6` pairs per workload
-(seeds 100-107): wall_s rose on ns2d by 6.1% and 5.3% (better in 2 and 1
-of 8 pairs) and on euler2d by 2.6% and 4.2% (2 and 2 of 8).  On ns3d the
-sets disagree: wall_s +3.4% and peak_rss_mb +0.11 MiB (better in 2 and 0
-of 8) in one, -4.8% and -0.21 MiB (7 and 8 of 8) in the other.  The 2D
-loss fits the parent's first run (the smallest lambda) reaching each
-snapshot before the child's stage does; so the waiting queue stays.  One
-blow-up check shared by the three settles (`stepping.check_bounded(y,
-norm, guard, what, t)`) added 2 lines net: each solver still forms its own
-norm and guard, and the temperature checks differ per solver, so the
-guards stay in the settles.
+times as the NSP stage.  A process pool over lambda would raise the peak
+RSS (tools/sweep_memory.py prints the parent's memory phase by phase).
+Four rules rest on measured prototypes (CHANGES.md).  No thread drains the
+pipe: its glibc arena would hold the unpickled arrays apart from the heap
+that the lambda runs reuse.  The pipe stays at PIPE_BYTES: with the
+system's 64 KiB default the child waits for the parent, and the sweep is
+slower.  The waiting queue stays: the parent's first run (the smallest
+lambda) can reach a snapshot before the child's stage does, and a parent
+that blocked on the pipe there lost time on 2D.  The blow-up guards stay
+in the three settles: each solver forms its own norm and guard and checks
+temperature its own way, so one shared check added lines.
 
 An exception in the child is re-raised in the parent at its next read of
 the pipe; a child that ends without its last message raises ChildLostError;
@@ -187,7 +170,6 @@ class RunConfig:
     dissipation_coupling: float = 0.2
     t_end: float = 0.5
     snapshots: int = 17
-    snapshot_times: tuple | None = None
     ic: str = "ill"
     ic_random_amp: float = 0.0
     seed: int = 0
@@ -259,17 +241,11 @@ class RunConfig:
                 f"at resolution {self.resolution}")
 
     def resolved_snapshot_times(self) -> np.ndarray:
-        """The sweep's one time grid: snapshot_times, which must end at
-        t_end (to 1e-12), or else snapshots (at least 2, checked here, where
-        it is read) evenly spaced times, through time_grid."""
-        if self.snapshot_times is None and self.snapshots < 2:
+        """The sweep's one time grid: snapshots (at least 2, checked here,
+        where it is read) evenly spaced times, through time_grid."""
+        if self.snapshots < 2:
             raise InvalidConfigError(f"snapshots must be >= 2, got {self.snapshots}")
-        times = time_grid(np.linspace(0.0, self.t_end, self.snapshots)
-                          if self.snapshot_times is None else self.snapshot_times, self.t_end)
-        if times[0] < 0 or abs(times[-1] - self.t_end) > 1e-12:
-            raise InvalidConfigError(
-                f"snapshot_times must lie in [0, t_end] and end at t_end = {self.t_end!r}")
-        return times
+        return time_grid(np.linspace(0.0, self.t_end, self.snapshots), self.t_end)
 
     def limit_params(self) -> PhysParams:
         if self.euler_mode:
@@ -290,15 +266,11 @@ class RunConfig:
                 return ", ".join(repr(float(x)) for x in value)
             return repr(value) if isinstance(value, str) else str(value)
 
-        skip_none = ("snapshot_times", "limit_dt")
         lines = []
         for key in sorted(self.__dataclass_fields__):
             value = getattr(self, key)
-            if value is None and key in skip_none:
-                continue
-            if key == "snapshots" and self.snapshot_times is not None:
-                continue  # ignored: the explicit times set the grid
-            lines.append(f"{key} = {fmt(value)}")
+            if value is not None:  # an unset limit_dt is not echoed
+                lines.append(f"{key} = {fmt(value)}")
         return lines
 
 

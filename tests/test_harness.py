@@ -66,10 +66,9 @@ class TestConfig:
         text = {"dims": "3", "resolution": "16", "s_norm": "3.5",
                 "lambda_list": "0.2, 0.1,", "mu": "0.02", "nu": "0.01",
                 "kappa": "0.03", "euler_mode": "No", "dissipation_coupling": "0.3",
-                "t_end": "0.25", "snapshots": "4", "snapshot_times": "0.1, 0.25",
-                "ic": "well", "ic_random_amp": "0.01", "seed": "7",
-                "output_dir": "out dir", "dt_max": "0.02", "phase_resolution": "8",
-                "limit_dt": "0.004", "save_snapshots": "on"}
+                "t_end": "0.25", "snapshots": "4", "ic": "well", "ic_random_amp": "0.01",
+                "seed": "7", "output_dir": "out dir", "dt_max": "0.02",
+                "phase_resolution": "8", "limit_dt": "0.004", "save_snapshots": "on"}
         assert set(text) == set(RunConfig.__dataclass_fields__)
         path = tmp_path / "all.cfg"
         path.write_text("".join(f"{k} = {v}\n" for k, v in text.items()))
@@ -77,9 +76,9 @@ class TestConfig:
         assert cfg == RunConfig(
             dims=3, resolution=16, s_norm=3.5, lambda_list=(0.2, 0.1), mu=0.02,
             nu=0.01, kappa=0.03, euler_mode=False, dissipation_coupling=0.3,
-            t_end=0.25, snapshots=4, snapshot_times=(0.1, 0.25), ic="well",
-            ic_random_amp=0.01, seed=7, output_dir="out dir", dt_max=0.02,
-            phase_resolution=8, limit_dt=0.004, save_snapshots=True)
+            t_end=0.25, snapshots=4, ic="well", ic_random_amp=0.01, seed=7,
+            output_dir="out dir", dt_max=0.02, phase_resolution=8, limit_dt=0.004,
+            save_snapshots=True)
         assert [type(getattr(cfg, k)) for k in ("dims", "mu", "euler_mode", "ic")] \
             == [int, float, bool, str]
 
@@ -168,6 +167,16 @@ class TestConfig:
         with pytest.raises(InvalidConfigError, match="unknown key 'workers'"):
             load_config(path)
 
+    @pytest.mark.parametrize("command", ["run", "limit"])
+    def test_snapshot_times_key_removed(self, tmp_path, capsys, command):
+        path = tmp_path / "old.cfg"
+        path.write_text(f"snapshot_times = 0.25, 0.5\noutput_dir = {tmp_path / 'out'}\n")
+        assert cli_main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "unknown key 'snapshot_times'" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["old.cfg"]
+
     def test_euler_mode_zeroes_limit_dissipation(self):
         cfg = RunConfig(euler_mode=True, mu=0.3, nu=0.1, kappa=0.2)
         assert cfg.limit_params() == PhysParams(0.0, 0.0, 0.0)
@@ -183,29 +192,16 @@ class TestConfig:
             RunConfig(lambda_list=(0.1, 0.09999999, 0.05)).validate()
         RunConfig(lambda_list=(0.1, 0.0999999, 0.05)).validate()
 
-    def test_saved_snapshot_times_sharing_a_file_tag_rejected(self):
-        times = (0.25, 0.2500000001, 0.5)
-        RunConfig(snapshot_times=times).validate()  # no snapshot files
+    # validate's guard on saved snapshot times, which no evenly spaced grid
+    # within MAX_STEPS trips
+    def test_snapshot_times_sharing_a_file_tag_rejected(self):
         with pytest.raises(InvalidConfigError, match="0.25 and 0.2500000001"):
-            RunConfig(snapshot_times=times, save_snapshots=True).validate()
-
-    # (0.2, 0.7) with t_end = 0.5 used to pass validate and fail later, when
-    # the sweep resolved the snapshot times
-    def test_snapshot_times_outside_the_run_rejected(self, tmp_path):
-        with pytest.raises(InvalidConfigError, match=r"snapshot_times must lie in \[0, t_end\]"):
-            RunConfig(resolution=16, snapshot_times=(0.2, 0.7), t_end=0.5).validate()
-        path = tmp_path / "bad.cfg"
-        path.write_text("resolution = 16\nsnapshot_times = 0.2, 0.7\nt_end = 0.5\n")
-        with pytest.raises(InvalidConfigError, match="snapshot_times"):
-            load_config(path)
+            qnl.harness._check_distinct_tags("snapshot time", (0.25, 0.2500000001, 0.5))
 
     def test_snapshot_times_resolution(self):
         cfg = RunConfig(t_end=1.0, snapshots=5)
         np.testing.assert_allclose(cfg.resolved_snapshot_times(),
                                    [0.0, 0.25, 0.5, 0.75, 1.0])
-        cfg2 = RunConfig(t_end=1.0, snapshot_times=(0.5, 1.0))
-        np.testing.assert_allclose(cfg2.resolved_snapshot_times(),
-                                   [0.0, 0.5, 1.0])
 
 
 class TestGenInitialData:
@@ -703,21 +699,6 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error:" in err and next(iter(keys)) in err  # the first key is the bad one
 
-    # snapshots = 1 used to exit 2 here, though README says that explicit
-    # snapshot_times make it ignored
-    def test_snapshots_is_ignored_beside_snapshot_times(self, tmp_path):
-        outputs = []
-        for snapshots in (1, 17):
-            path = self._write_config(tmp_path, t_end=0.05, snapshots=snapshots,
-                                      snapshot_times="0.025, 0.05")
-            assert load_config(path).snapshots == snapshots
-            assert cli_main(["run", "--config", str(path)]) == 0
-            outputs.append({p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()})
-        assert outputs[0] == outputs[1]
-        assert "diag_lambda_0.1.csv" in outputs[0]
-        assert not [line for line in outputs[0]["meta.txt"].splitlines()
-                    if line.startswith(b"snapshots ")]
-
     # lambda = 4 makes min rho0 = 1 - 0.3 * 4 < 0 (phi0 = 0.3 sin x): its row
     # fails, the other three are fitted
     def test_a_failed_row_prints_its_status_and_exits_1(self, tmp_path, capsys):
@@ -760,30 +741,6 @@ class TestCli:
         assert [str(p.relative_to(tmp_path)) for p in sorted(tmp_path.rglob("*"))
                 if p.is_dir()] == ["a", "a/b", "a/b/out"]
 
-    # explicit times ending before t_end used to run to their last time (exit
-    # 0), while meta.txt echoed t_end and the snapshots they override
-    @pytest.mark.parametrize("command", ["run", "limit"])
-    def test_snapshot_times_that_end_before_t_end_are_config_errors(self, tmp_path, capsys,
-                                                                   command):
-        path = self._write_config(tmp_path, t_end=0.2, snapshot_times="0.05, 0.13")
-        assert cli_main([command, "--config", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and len(err.splitlines()) == 1
-        assert "snapshot_times" in err and "t_end = 0.2" in err
-        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
-        RunConfig(t_end=0.3, snapshot_times=(0.1, 0.1 + 0.2)).validate()  # within 1e-12
-
-    # meta.txt used to echo snapshots = 3 beside the explicit times that
-    # replace it
-    def test_meta_echoes_snapshots_only_when_they_set_the_times(self, tmp_path):
-        path = self._write_config(tmp_path, ic="well", t_end=0.2,
-                                  snapshot_times="0.05, 0.13, 0.2")
-        assert cli_main(["run", "--config", str(path)]) == 0
-        meta = (tmp_path / "out" / "meta.txt").read_text().splitlines()
-        assert "snapshot_times = 0.05, 0.13, 0.2" in meta
-        assert not any(line.startswith("snapshots ") for line in meta)
-        assert "snapshots = 3" in RunConfig(snapshots=3).echo_lines()
-
     # seed = -1 used to escape as numpy's ValueError traceback (exit 1), and
     # a negative ic_random_amp ran as 0 while meta.txt echoed it
     @pytest.mark.parametrize("keys", [
@@ -797,12 +754,12 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     # at 16^2, s_norm = nan and ic_random_amp = nan used to run with exit 0
-    # (E = 0 in every row, and no perturbation); the t_end, snapshot_times
-    # and ic_random_amp = inf cases ended in a ValueError traceback; a nan
+    # (E = 0 in every row, and no perturbation); the t_end and
+    # ic_random_amp = inf cases ended in a ValueError traceback; a nan
     # lambda wrote a blow_up row; mu and nu = nan exited 2 on a BlowUpError
     @pytest.mark.parametrize("key, value", [
         ("s_norm", "nan"), ("ic_random_amp", "nan"), ("t_end", "nan"),
-        ("t_end", "inf"), ("snapshot_times", "nan"), ("ic_random_amp", "inf"),
+        ("t_end", "inf"), ("ic_random_amp", "inf"),
         ("lambda_list", "0.1, 0.05, nan"), ("mu", "nan"), ("nu", "nan"),
     ])
     def test_non_finite_values_are_config_errors(self, tmp_path, capsys, key, value):
@@ -814,8 +771,6 @@ class TestCli:
 
     @pytest.mark.parametrize("command, keys", [
         ("run", {"lambda_list": "0.1, 0.09999999, 0.05"}),
-        ("run", {"snapshot_times": "0.05, 0.0500000001, 0.1", "save_snapshots": "true"}),
-        ("limit", {"snapshot_times": "0.05, 0.0500000001, 0.1", "save_snapshots": "true"}),
     ])
     def test_colliding_file_names_are_config_errors(self, tmp_path, capsys, command, keys):
         path = self._write_config(tmp_path, **keys)

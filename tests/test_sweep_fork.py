@@ -618,7 +618,7 @@ CFL_BOUND = dict(resolution=16, lambda_list=(2.0, 1.0), phase_resolution=4,
 @pytest.mark.parametrize("keys", [
     {},
     dict(resolution=16, limit_dt=0.0123, t_end=0.2, snapshots=5),
-    dict(resolution=16, ic="well", t_end=0.2, snapshot_times=(0.05, 0.13, 0.2)),
+    dict(resolution=16, ic="well", t_end=0.2, snapshots=4),
     CFL_BOUND,
     dict(dims=3, resolution=8, s_norm=3.5, t_end=0.03, snapshots=4),
 ], ids=["default", "limit_dt", "well", "cfl", "3d"])

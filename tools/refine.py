@@ -15,7 +15,7 @@ configuration file CONFIG that changes only existing keys, by a factor k:
 * `nsp`: `dt_max` over k and `phase_resolution` times k, which must then
   be an integer;
 * `snapshots`: k times as many snapshot intervals, `snapshots` = (n - 1) k
-  + 1; a config with explicit `snapshot_times` is refused;
+  + 1;
 * `resolution`: `resolution` times k, which must be an even integer of at
   least 8; every step follows the solvers' own rules on the new grid.  A
   config with `ic_random_amp` > 0 is refused: its random initial data
@@ -127,8 +127,6 @@ def refine(config, mode: str, factors) -> dict:
     (and of the runs at 1 and at FLOOR_FACTOR, if not among them)."""
     if min(factors) <= 0:
         raise ValueError("every factor must be positive")
-    if mode == "snapshots" and config.snapshot_times is not None:
-        raise ValueError("snapshots mode needs a config without snapshot_times")
     if mode == "resolution" and config.ic_random_amp > 0:
         raise ValueError("resolution mode needs ic_random_amp = 0: the random initial "
                          "data depend on the grid")
